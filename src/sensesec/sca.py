@@ -18,6 +18,7 @@ import numpy as np
 from .linalg import hermitian_eig, sample_complex_gaussian
 from .metrics import (
     BeamformerSolution,
+    _scaled_quadratic,
     rank_one_certificate,
     sensing_mi,
     sensing_mi_gradient,
@@ -106,15 +107,11 @@ def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
 
     # Objective: legitimate sensing MI (symmetrized log-det form) minus the
     # penalty terms.
-    root = np.sqrt(np.clip(stats_r.eigvals, 0.0, None))
     scale_r = cfg.frame_len / stats_r.noise_power
 
     def legit_block(vals):
-        acc = np.zeros((stats_r.dim, stats_r.dim), dtype=complex)
-        rc = np.conj(tx_cov(vals))
-        for blk in stats_r.blocks:
-            acc += blk @ rc @ blk.conj().T
-        return np.eye(stats_r.dim) + scale_r * (root[:, None] * acc * root[None, :])
+        return np.eye(stats_r.dim) + scale_r * _scaled_quadratic(stats_r,
+                                                                 tx_cov(vals))
 
     obj_map = prob.matrix_map(legit_block, mat_names)
     pbar = state.penalty_weight
@@ -288,18 +285,12 @@ def _extract_solution(values, channels, stats_r, stats_e, cfg, state, rng,
     weight_mats = [values[f"W{k}"] for k in range(n_users)]
     certs = np.array([rank_one_certificate(w) for w in weight_mats])
     weights = []
-    need_randomization = False
-    for k, wmat in enumerate(weight_mats):
-        eigvals, eigvecs = hermitian_eig(wmat)
-        lead = eigvecs[:, 0]
+    for wmat in weight_mats:
+        _, eigvecs = hermitian_eig(wmat)
         trace = max(float(np.real(np.trace(wmat))), 0.0)
-        if certs[k] >= RANK_ONE_THRESHOLD:
-            weights.append(math.sqrt(trace) * lead)
-        else:
-            need_randomization = True
-            weights.append(math.sqrt(trace) * lead)
+        weights.append(math.sqrt(trace) * eigvecs[:, 0])
 
-    if need_randomization:
+    if not np.all(certs >= RANK_ONE_THRESHOLD):
         weights = _gaussian_randomization(weight_mats, weights, channels,
                                           stats_r, stats_e, cfg, state, rng)
 

@@ -1,13 +1,19 @@
 """Self-contained barrier interior-point solver for small conic subproblems:
 maximize a concave log-det-plus-linear objective over complex Hermitian /
-complex vector / real scalar variables subject to affine (in)equalities and
+complex vector / real scalar variables subject to affine inequalities and
 linear matrix inequalities.
 
-Problems are declared at the complex level (ConicSubproblem); solving first
-realifies every Hermitian-valued affine map with the standard
-[[Re, -Im], [Im, Re]] embedding, eliminates affine equalities through a
-nullspace parametrization, and then runs a log-barrier Newton method.  All
-arithmetic is deterministic: identical problems produce identical iterates.
+Problems are declared at the complex level (ConicSubproblem) and solved
+there: every log-det term keeps the complex Hermitian data of its affine map,
+and a log-barrier Newton method (Boyd & Vandenberghe, Convex Optimization,
+sec. 11.3) runs on the real coordinates of the variables.
+
+Identical problems give identical iterates at a fixed BLAS thread count.
+Across thread counts, BLAS sums in another order and the iterates differ by
+round-off.  For the default ScenarioConfig at channel seed 1, run_sca_no_an
+takes (100, 70, 72) Newton steps per subproblem at one OpenBLAS thread and
+(99, 70, 71) at two; its final legitimate MI agrees to 3e-14 nats and its
+eavesdropper MI to 1.5e-10 nats (2-core x86 Xeon, OpenBLAS 0.3.31).
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, null_space, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 NEWTON_TOL = 1e-9          # inner stopping threshold on lambda^2 / 2
 BARRIER_GROWTH = 10.0
@@ -28,29 +34,6 @@ class SolverError(RuntimeError):
 
 class InfeasibleError(SolverError):
     """Raised when phase-I slack minimization certifies infeasibility."""
-
-
-# ---------------------------------------------------------------------------
-# Realification primitives
-
-
-def embed_hermitian(h):
-    """Complex Hermitian -> real symmetric [[Re, -Im], [Im, Re]] embedding.
-
-    Preserves PSD-ness; determinants square (log-dets double).
-    """
-    h = np.asarray(h, dtype=complex)
-    re, im = h.real, h.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def extract_hermitian(s):
-    """Inverse of embed_hermitian (left inverse on the embedded subspace)."""
-    s = np.asarray(s, dtype=float)
-    n = s.shape[0] // 2
-    re = 0.5 * (s[:n, :n] + s[n:, n:])
-    im = 0.5 * (s[n:, :n] - s[:n, n:])
-    return re + 1j * im
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +153,6 @@ class ConicSubproblem:
         self.objective = None
         self.lmis = []
         self.ineqs = []
-        self.eqs = []                 # [(ScalarMap, rhs)]
         self.scalar_bounds = {}
 
     # -- variable declaration
@@ -358,45 +340,6 @@ class ConicSubproblem:
                 raise ValueError("neg-log constraint coefficients must be positive")
         self.ineqs.append(IneqSpec(affine, float(rhs), terms))
 
-    def add_eq(self, affine, rhs):
-        self.eqs.append((affine, float(rhs)))
-
-    # -- diagnostics
-
-    def validate(self):
-        """Structural checks: objective present, every matrix map
-        Hermitian-valued coefficient-by-coefficient, all data finite."""
-        if self.objective is None:
-            raise ValueError("objective not set")
-        maps = list(self.lmis)
-        maps += [m for _, m in self.objective.logdet_terms]
-        for spec in self.ineqs:
-            maps += [m for _, m in spec.neglog_terms]
-        for mmap in maps:
-            for mat in (mmap.offset, *mmap.mats):
-                scale = max(np.max(np.abs(mat)), 1.0)
-                if np.max(np.abs(mat - mat.conj().T)) > 1e-9 * scale:
-                    raise ValueError("matrix map is not Hermitian-valued")
-                if not np.all(np.isfinite(mat)):
-                    raise ValueError("matrix map has non-finite coefficients")
-            if np.any(mmap.coords < 0) or np.any(mmap.coords >= self.n):
-                raise ValueError("matrix map references unknown coordinates")
-        return True
-
-    def describe(self):
-        lines = [f"variables (n={self.n} real coords):"]
-        for blk in self.blocks:
-            lines.append(f"  {blk.name}: {blk.kind} dim={blk.dim} coords={blk.size}")
-        if self.objective:
-            terms = ", ".join(f"{w:g}*logdet[{m.dim}x{m.dim}]"
-                              for w, m in self.objective.logdet_terms)
-            lines.append(f"objective: linear + {terms or 'none'}")
-        lines.append(f"constraints: {len(self.ineqs)} scalar, {len(self.lmis)} LMI, "
-                     f"{len(self.eqs)} equality")
-        for i, mmap in enumerate(self.lmis):
-            lines.append(f"  LMI[{i}]: dim {mmap.dim}, nnz coords {len(mmap.coords)}")
-        return "\n".join(lines)
-
 
 @dataclass
 class SolverResult:
@@ -410,15 +353,30 @@ class SolverResult:
 
 
 # ---------------------------------------------------------------------------
-# Realified barrier problem
+# Barrier problem
 
 
 @dataclass
 class _RealBlock:
+    """One weighted log-det barrier term, weight * logdet(offset + sum_g
+    x[coords[g]] * mats[g]), over the complex Hermitian data of a MatrixMap.
+
+    The arithmetic is complex despite the name, which stays because the
+    benchmark's layer tracer wraps ``_RealBlock.grad_gram`` by name.
+    """
+
     coords: np.ndarray           # (m,)
-    mats: np.ndarray             # (m, D, D) float64
-    offset: np.ndarray           # (D, D)
+    mats: np.ndarray             # (m, d, d) complex Hermitian
+    offset: np.ndarray           # (d, d) complex Hermitian
     weight: float = 1.0
+
+    def __post_init__(self):
+        self.mats = np.ascontiguousarray(self.mats, dtype=complex)
+        # Real (m, 2 d^2) view of the coefficients: products with real
+        # vectors run as real BLAS calls, which unlike complex ones stay
+        # fast on small operands when BLAS runs several threads.
+        m, d = self.mats.shape[:2]
+        self._flat = self.mats.reshape(m, d * d).view(np.float64)
 
     @property
     def dim(self):
@@ -427,7 +385,8 @@ class _RealBlock:
     def assemble(self, x):
         if len(self.coords) == 0:
             return self.offset.copy()
-        return self.offset + np.tensordot(x[self.coords], self.mats, axes=1)
+        acc = (x[self.coords] @ self._flat).view(complex)
+        return self.offset + acc.reshape(self.dim, self.dim)
 
     def chol(self, x):
         try:
@@ -436,33 +395,28 @@ class _RealBlock:
             return None
 
     def logdet(self, chol):
-        return 2.0 * float(np.sum(np.log(np.diag(chol))))
+        return 2.0 * float(np.sum(np.log(np.diag(chol).real)))
+
+    def min_eig(self, x):
+        return float(np.linalg.eigvalsh(self.assemble(x))[0])
 
     def grad_gram(self, chol):
-        """(gvec, gram) of logdet at the assembled point: gvec_g =
-        tr(F^-1 S_g), gram_gh = tr(F^-1 S_g F^-1 S_h)."""
+        """(gvec, gram) of logdet at the assembled point F = L L^H: gvec_g =
+        Re tr(F^-1 S_g), gram_gh = Re tr(F^-1 S_g F^-1 S_h)."""
         m, d = self.mats.shape[0], self.dim
         if m == 0:
             return np.zeros(0), np.zeros((0, 0))
         stacked = self.mats.transpose(1, 0, 2).reshape(d, m * d)
         y = solve_triangular(chol, stacked, lower=True, check_finite=False)
         y = y.reshape(d, m, d).transpose(1, 0, 2)          # Y_g = L^-1 S_g
-        yt = y.transpose(2, 0, 1).reshape(d, m * d)        # blocks Y_g^T
-        z = solve_triangular(chol, yt, lower=True, check_finite=False)
-        v = z.reshape(d, m, d).transpose(1, 2, 0)          # V_g = (L^-1 Y_g^T)^T
-        gvec = np.einsum("gii->g", v)
-        flat = v.reshape(m, d * d)
+        yh = y.conj().transpose(2, 0, 1).reshape(d, m * d)  # blocks Y_g^H
+        z = solve_triangular(chol, yh, lower=True, check_finite=False)
+        v = z.reshape(d, m, d).transpose(1, 0, 2)          # V_g = L^-1 S_g L^-H
+        gvec = np.einsum("gii->g", v).real
+        # Re(V V^H) as one real product over the (re, im) pairs of V.
+        flat = np.ascontiguousarray(v).reshape(m, d * d).view(np.float64)
         gram = flat @ flat.T
         return gvec, gram
-
-
-def _embed_real_block(mmap, weight=1.0):
-    d = mmap.dim
-    mats = np.empty((len(mmap.coords), 2 * d, 2 * d))
-    for g in range(len(mmap.coords)):
-        mats[g] = embed_hermitian(mmap.mats[g])
-    return _RealBlock(mmap.coords.copy(), mats, embed_hermitian(mmap.offset),
-                      weight=weight)
 
 
 @dataclass
@@ -485,23 +439,27 @@ class _ScalarLogGroup:
 class _IneqData:
     a: np.ndarray                # dense (n,) affine gradient
     b: float                     # effective rhs (offset folded in)
-    matlogs: list                # [(coef, _RealBlock)] with embedded dim > 2
+    matlogs: list                # [_RealBlock] of dim > 1, weight = coef
     slog: _ScalarLogGroup | None
     sup: np.ndarray = None       # coordinate support, filled in __post_init__
 
     def __post_init__(self):
         sup = set(np.nonzero(self.a)[0].tolist())
-        for _, blk in self.matlogs:
+        for blk in self.matlogs:
             sup.update(blk.coords.tolist())
         if self.slog is not None:
             sup.update(self.slog.coords.tolist())
         self.sup = np.asarray(sorted(sup), dtype=np.intp)
 
 
+# An LMI F >= 0 enters the barrier as -LMI_WEIGHT * logdet F, with barrier
+# parameter LMI_WEIGHT * dim F.
+LMI_WEIGHT = 2.0
+
+
 class BarrierProblem:
-    """Realified solve-ready form: minimize -(c.x + sum w logdet F(x)) subject
-    to scalar inequalities (with optional convex log terms) and LMIs, on an
-    affine subspace when equalities are present."""
+    """Solve-ready form: minimize -(c.x + sum w logdet F(x)) subject to scalar
+    inequalities (with optional convex log terms) and LMIs."""
 
     def __init__(self, problem: ConicSubproblem):
         if problem.objective is None:
@@ -512,12 +470,10 @@ class BarrierProblem:
         obj = problem.objective
         self.c = obj.linear.dense(self.n)
         self.const = obj.constant + 0.0
-        # Halve weights: the embedding doubles every log-det.
-        self.obj_blocks = [
-            _embed_real_block(mmap, weight=w / 2.0)
-            for w, mmap in obj.logdet_terms
-        ]
-        self.lmi_blocks = [_embed_real_block(m) for m in problem.lmis]
+        self.obj_blocks = [_RealBlock(m.coords, m.mats, m.offset, weight=w)
+                           for w, m in obj.logdet_terms]
+        self.lmi_blocks = [_RealBlock(m.coords, m.mats, m.offset,
+                                      weight=LMI_WEIGHT) for m in problem.lmis]
         self.ineqs = []
         for spec in problem.ineqs:
             a = spec.affine.dense(self.n)
@@ -529,7 +485,8 @@ class BarrierProblem:
                     soffs.append(float(np.real(mmap.offset[0, 0])))
                     scoords.update(mmap.coords.tolist())
                 else:
-                    matlogs.append((coef / 2.0, _embed_real_block(mmap)))
+                    matlogs.append(_RealBlock(mmap.coords, mmap.mats,
+                                              mmap.offset, weight=coef))
             slog = None
             if scoefs:
                 scoords = np.asarray(sorted(scoords), dtype=np.intp)
@@ -545,34 +502,10 @@ class BarrierProblem:
                 slog = _ScalarLogGroup(np.asarray(scoefs), np.asarray(soffs),
                                        scoords, weights)
             self.ineqs.append(_IneqData(a, b, matlogs, slog))
-        # Equality elimination: x = x_base + basis @ z.
-        if problem.eqs:
-            rows = np.stack([m.dense(self.n) for m, _ in problem.eqs])
-            rhs = np.array([r - m.offset for m, r in problem.eqs])
-            sol, residual, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-            if np.linalg.norm(rows @ sol - rhs) > 1e-8 * max(1.0, np.linalg.norm(rhs)):
-                raise InfeasibleError("equality constraints are inconsistent")
-            self.x_base = sol
-            self.basis = null_space(rows)
-        else:
-            self.x_base = None
-            self.basis = None
-        self.nz = self.n if self.basis is None else self.basis.shape[1]
-
-    # -- coordinate lifting
-
-    def lift(self, z):
-        if self.basis is None:
-            return z
-        return self.x_base + self.basis @ z
-
-    def reduce_point(self, x):
-        if self.basis is None:
-            return x.copy()
-        return self.basis.T @ (x - self.x_base)
 
     def gap_degree(self):
-        deg = len(self.ineqs) + sum(blk.dim for blk in self.lmi_blocks)
+        deg = len(self.ineqs) + sum(blk.weight * blk.dim
+                                    for blk in self.lmi_blocks)
         if self.box is not None:
             deg += 2 * self.n
         return deg
@@ -596,18 +529,10 @@ class BarrierProblem:
     def ineq_values(self, x):
         out = []
         for spec in self.ineqs:
-            val = float(spec.a @ x) - spec.b
-            for coef, blk in spec.matlogs:
-                chol = blk.chol(x)
-                if chol is None:
-                    return None
-                val -= coef * blk.logdet(chol)
-            if spec.slog is not None:
-                args = spec.slog.args(x)
-                if np.any(args <= 0.0):
-                    return None
-                val += float(spec.slog.coefs @ (-np.log(args)))
-            out.append(val)
+            s = self._slack(spec, x)
+            if s is None:
+                return None
+            out.append(-s)
         return out
 
     def strict_margin(self, x):
@@ -619,8 +544,7 @@ class BarrierProblem:
         for v in vals:
             worst = min(worst, -v)
         for blk in self.lmi_blocks + self.obj_blocks:
-            eigmin = float(np.min(np.linalg.eigvalsh(blk.assemble(x))))
-            worst = min(worst, eigmin)
+            worst = min(worst, blk.min_eig(x))
         if self.box is not None:
             below, above = self._box_slacks(x)
             worst = min(worst, float(np.min(below)), float(np.min(above)))
@@ -634,13 +558,11 @@ class BarrierProblem:
         for v in vals:
             worst = max(worst, v)
         for blk in self.lmi_blocks:
-            eigmin = float(np.min(np.linalg.eigvalsh(blk.assemble(x))))
-            worst = max(worst, -eigmin)
+            worst = max(worst, -blk.min_eig(x))
         return worst
 
-    def merit(self, z, t):
-        """Barrier merit at z, or None outside the domain."""
-        x = self.lift(z)
+    def merit(self, x, t):
+        """Barrier merit at x, or None outside the domain."""
         val = -t * (float(self.c @ x))
         for blk in self.obj_blocks:
             chol = blk.chol(x)
@@ -651,7 +573,7 @@ class BarrierProblem:
             chol = blk.chol(x)
             if chol is None:
                 return None
-            val -= blk.logdet(chol)
+            val -= blk.weight * blk.logdet(chol)
         for spec in self.ineqs:
             s = self._slack(spec, x)
             if s is None or s <= 0.0:
@@ -666,11 +588,11 @@ class BarrierProblem:
 
     def _slack(self, spec, x):
         s = spec.b - float(spec.a @ x)
-        for coef, blk in spec.matlogs:
+        for blk in spec.matlogs:
             chol = blk.chol(x)
             if chol is None:
                 return None
-            s += coef * blk.logdet(chol)
+            s += blk.weight * blk.logdet(chol)
         if spec.slog is not None:
             args = spec.slog.args(x)
             if np.any(args <= 0.0):
@@ -678,46 +600,34 @@ class BarrierProblem:
             s += float(spec.slog.coefs @ np.log(args))
         return s
 
-    def merit_derivatives(self, z, t):
-        """(value, grad, hess) of the barrier merit in z coordinates."""
-        x = self.lift(z)
+    def merit_derivatives(self, x, t):
+        """(value, grad, hess) of the barrier merit at x."""
         n = self.n
         val = -t * float(self.c @ x)
         grad = -t * self.c.copy()
         hess = np.zeros((n, n))
-        for blk in self.obj_blocks:
+        weighted = [(blk, t * blk.weight) for blk in self.obj_blocks]
+        weighted += [(blk, blk.weight) for blk in self.lmi_blocks]
+        for blk, w in weighted:
             chol = blk.chol(x)
             if chol is None:
                 return None
-            w = t * blk.weight
             val -= w * blk.logdet(chol)
             gvec, gram = blk.grad_gram(chol)
             grad[blk.coords] -= w * gvec
             hess[np.ix_(blk.coords, blk.coords)] += w * gram
-        for blk in self.lmi_blocks:
-            chol = blk.chol(x)
-            if chol is None:
-                return None
-            val -= blk.logdet(chol)
-            gvec, gram = blk.grad_gram(chol)
-            grad[blk.coords] -= gvec
-            hess[np.ix_(blk.coords, blk.coords)] += gram
         for spec in self.ineqs:
             s = spec.b - float(spec.a @ x)
             grad_s = -spec.a.copy()
             curv = []            # [(coords, psd contribution)] of -hess(s)
-            ok = True
-            for coef, blk in spec.matlogs:
+            for blk in spec.matlogs:
                 chol = blk.chol(x)
                 if chol is None:
-                    ok = False
-                    break
-                s += coef * blk.logdet(chol)
+                    return None
+                s += blk.weight * blk.logdet(chol)
                 gvec, gram = blk.grad_gram(chol)
-                grad_s[blk.coords] += coef * gvec
-                curv.append((blk.coords, coef * gram))
-            if not ok:
-                return None
+                grad_s[blk.coords] += blk.weight * gvec
+                curv.append((blk.coords, blk.weight * gram))
             if spec.slog is not None:
                 args = spec.slog.args(x)
                 if np.any(args <= 0.0):
@@ -742,9 +652,6 @@ class BarrierProblem:
             val -= float(np.sum(np.log(below)) + np.sum(np.log(above)))
             grad += 1.0 / above - 1.0 / below
             hess[np.diag_indices(n)] += 1.0 / below ** 2 + 1.0 / above ** 2
-        if self.basis is not None:
-            grad = self.basis.T @ grad
-            hess = self.basis.T @ hess @ self.basis
         return val, grad, hess
 
 
@@ -772,9 +679,9 @@ def _newton_direction(hess, grad):
     raise SolverError("Newton system could not be factorized")
 
 
-def _run_barrier(bp, z0, obj_tol, max_iters, early_stop=None, t0=1.0):
-    """Minimize the barrier sequence from a strictly feasible z0."""
-    z = z0.copy()
+def _run_barrier(bp, x0, obj_tol, max_iters, early_stop=None, t0=1.0):
+    """Minimize the barrier sequence from a strictly feasible x0."""
+    x = x0.copy()
     t = t0
     degree = bp.gap_degree()
     total_newton = 0
@@ -786,7 +693,7 @@ def _run_barrier(bp, z0, obj_tol, max_iters, early_stop=None, t0=1.0):
             if total_newton >= max_iters:
                 status = "max-iter"
                 break
-            out = bp.merit_derivatives(z, t)
+            out = bp.merit_derivatives(x, t)
             if out is None:
                 raise SolverError("iterate left the barrier domain")
             val, grad, hess = out
@@ -797,10 +704,10 @@ def _run_barrier(bp, z0, obj_tol, max_iters, early_stop=None, t0=1.0):
             step = 1.0
             accepted = False
             while step > 1e-14:
-                cand = z + step * d
+                cand = x + step * d
                 mval = bp.merit(cand, t)
                 if mval is not None and mval <= val + 0.01 * step * slope:
-                    z = cand
+                    x = cand
                     accepted = True
                     break
                 step *= 0.5
@@ -808,16 +715,21 @@ def _run_barrier(bp, z0, obj_tol, max_iters, early_stop=None, t0=1.0):
             stage_newton += 1
             if not accepted:
                 break
-            if early_stop is not None and early_stop(bp.lift(z)):
-                history.append((t, bp.objective_value(bp.lift(z)), stage_newton))
-                return z, total_newton, "optimal", degree / t, history
-        history.append((t, bp.objective_value(bp.lift(z)), stage_newton))
+            if early_stop is not None and early_stop(x):
+                history.append((t, bp.objective_value(x), stage_newton))
+                return x, total_newton, "optimal", degree / t, history
+            # At large t the Armijo bound rounds to val itself, so steps that
+            # no longer lower the merit pass: the stage is at its round-off
+            # floor and further steps only burn the stage cap.
+            if mval >= val:
+                break
+        history.append((t, bp.objective_value(x), stage_newton))
         if status == "max-iter":
             break
         if degree / t <= obj_tol or degree == 0:
             break
         t *= BARRIER_GROWTH
-    return z, total_newton, status, degree / t, history
+    return x, total_newton, status, degree / t, history
 
 
 def _heuristic_point(bp):
@@ -852,7 +764,8 @@ def _heuristic_point(bp):
 
 def _phase1_problem(bp):
     """Relaxed copy with one extra slack coordinate s: minimize s subject to
-    every barrier argument shifted by +s (scalar slacks, +s I on blocks)."""
+    every barrier argument shifted by +s (scalar slacks, +s I on blocks).
+    The objective log-dets become LMIs of the relaxed problem."""
     relaxed = BarrierProblem.__new__(BarrierProblem)
     relaxed.problem = bp.problem
     relaxed.n = bp.n + 1
@@ -862,23 +775,22 @@ def _phase1_problem(bp):
     relaxed.const = 0.0
     relaxed.obj_blocks = []
 
-    def extend_block(blk):
+    def extend_block(blk, weight):
         m = len(blk.coords)
-        mats = np.empty((m + 1,) + blk.mats.shape[1:])
-        if m:
-            mats[:m] = blk.mats
+        mats = np.empty((m + 1,) + blk.mats.shape[1:], dtype=complex)
+        mats[:m] = blk.mats
         mats[m] = np.eye(blk.dim)
         coords = np.concatenate([blk.coords, [s_idx]]).astype(np.intp)
-        return _RealBlock(coords, mats, blk.offset.copy(), weight=blk.weight)
+        return _RealBlock(coords, mats, blk.offset, weight=weight)
 
-    relaxed.lmi_blocks = [extend_block(b) for b in bp.lmi_blocks]
-    relaxed.lmi_blocks += [extend_block(b) for b in bp.obj_blocks]
+    relaxed.lmi_blocks = [extend_block(b, LMI_WEIGHT)
+                          for b in bp.lmi_blocks + bp.obj_blocks]
     relaxed.ineqs = []
     for spec in bp.ineqs:
         a = np.zeros(relaxed.n)
         a[:bp.n] = spec.a
         a[s_idx] = -1.0
-        matlogs = [(coef, extend_block(blk)) for coef, blk in spec.matlogs]
+        matlogs = [extend_block(blk, blk.weight) for blk in spec.matlogs]
         slog = None
         if spec.slog is not None:
             coords = np.concatenate([spec.slog.coords, [s_idx]]).astype(np.intp)
@@ -887,17 +799,6 @@ def _phase1_problem(bp):
             slog = _ScalarLogGroup(spec.slog.coefs.copy(),
                                    spec.slog.offsets.copy(), coords, weights)
         relaxed.ineqs.append(_IneqData(a, spec.b, matlogs, slog))
-    if bp.basis is not None:
-        nz = bp.basis.shape[1]
-        basis = np.zeros((relaxed.n, nz + 1))
-        basis[:bp.n, :nz] = bp.basis
-        basis[s_idx, nz] = 1.0
-        relaxed.basis = basis
-        relaxed.x_base = np.concatenate([bp.x_base, [0.0]])
-    else:
-        relaxed.basis = None
-        relaxed.x_base = None
-    relaxed.nz = relaxed.n if relaxed.basis is None else relaxed.basis.shape[1]
     relaxed.box = None               # sized by the caller from the start point
     return relaxed
 
@@ -906,30 +807,27 @@ def _find_strictly_feasible(bp, hint=None, margin=PHASE1_MARGIN, max_iters=400):
     """Strictly feasible x for bp, via hint, heuristic, or phase-I slack
     minimization.  Raises InfeasibleError when the slack optimum stays
     positive."""
-    candidates = []
-    if hint is not None:
-        candidates.append(bp.lift(bp.reduce_point(hint)))
-    candidates.append(bp.lift(bp.reduce_point(_heuristic_point(bp))))
+    candidates = [] if hint is None else [hint]
+    candidates.append(_heuristic_point(bp))
     for cand in candidates:
         if bp.strict_margin(cand) >= margin:
             return cand
     relaxed = _phase1_problem(bp)
     # Geometric slack ladder: the fully-relaxed problem is strictly feasible
     # at any base point for large enough s.
-    z1 = None
+    start = None
     for base in candidates:
         for slack0 in (1.0, 1e2, 1e4, 1e6, 1e9, 1e12):
-            cand = relaxed.reduce_point(np.concatenate([base, [slack0]]))
-            if relaxed.strict_margin(relaxed.lift(cand)) >= margin:
-                z1 = cand
+            cand = np.concatenate([base, [slack0]])
+            if relaxed.strict_margin(cand) >= margin:
+                start = cand
                 break
-        if z1 is not None:
+        if start is not None:
             break
-    if z1 is None:
+    if start is None:
         raise SolverError("could not initialize phase-I slack problem")
     # Coordinate box keeps the phase-I merit bounded: slack-coupled
     # coordinates otherwise drift to infinity while s is minimized.
-    start = relaxed.lift(z1)
     radius = 1e4 * np.maximum(1.0, np.abs(start))
     relaxed.box = (start - radius, start + radius)
 
@@ -938,9 +836,8 @@ def _find_strictly_feasible(bp, hint=None, margin=PHASE1_MARGIN, max_iters=400):
     def done(x_ext):
         return x_ext[-1] <= -target
 
-    z, _, _, _, _ = _run_barrier(relaxed, z1, obj_tol=margin, t0=1.0,
-                                 max_iters=max_iters, early_stop=done)
-    x_ext = relaxed.lift(z)
+    x_ext, _, _, _, _ = _run_barrier(relaxed, start, obj_tol=margin, t0=1.0,
+                                     max_iters=max_iters, early_stop=done)
     x, slack = x_ext[:bp.n], float(x_ext[-1])
     if slack <= -margin and bp.strict_margin(x) >= margin:
         return x
@@ -970,10 +867,8 @@ def solve(problem, initial=None, feas_tol=1e-7, obj_tol=1e-8, max_iters=600,
     bp = BarrierProblem(problem)
     hint = problem.pack(initial) if initial is not None else None
     x0 = _find_strictly_feasible(bp, hint=hint)
-    z0 = bp.reduce_point(x0)
-    z, iters, status, gap, history = _run_barrier(bp, z0, obj_tol=obj_tol,
+    x, iters, status, gap, history = _run_barrier(bp, x0, obj_tol=obj_tol,
                                                   max_iters=max_iters, t0=t0)
-    x = bp.lift(z)
     residual = bp.feasibility_residual(x)
     if status == "optimal" and residual > feas_tol:
         status = "max-iter"
