@@ -215,6 +215,10 @@ class ScenarioConfig:
             raise ValueError("SINR targets must be positive")
         if self.penalty_growth <= 1:
             raise ValueError("penalty growth factor must exceed 1")
+        if self.max_outer_iters < 1:
+            raise ValueError("max_outer_iters must be >= 1")
+        if self.sinr_margin < 0:
+            raise ValueError("sinr_margin must be nonnegative")
         if len(self.radar_target_angles) != len(self.radar_target_gains):
             raise ValueError("radar target angles/gains length mismatch")
         if len(self.eve_target_angles) != len(self.eve_target_gains):
@@ -312,7 +316,7 @@ def parse_config_file(path):
             key, val = (part.strip() for part in line.split("=", 1))
             parts = [p.strip() for p in val.split(",") if p.strip()]
             if len(parts) > 1:
-                raw[key] = [float(p) for p in parts]
+                raw[key] = [float(_parse_scalar(p)) for p in parts]
             else:
                 raw[key] = _parse_scalar(parts[0] if parts else "")
     return raw
@@ -325,7 +329,10 @@ def _parse_scalar(token):
         as_float = float(token)
     except ValueError as exc:
         raise ValueError(f"cannot parse config value {token!r}") from exc
-    if as_float == int(as_float) and ("." not in token and "e" not in token.lower()):
+    if math.isnan(as_float):
+        raise ValueError(f"cannot parse config value {token!r}")
+    if (math.isfinite(as_float) and as_float == int(as_float)
+            and "." not in token and "e" not in token.lower()):
         return int(as_float)
     return as_float
 

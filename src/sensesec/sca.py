@@ -26,7 +26,15 @@ from .metrics import (
     sinr,
     transmit_covariance,
 )
-from .solver import ConicSubproblem, InfeasibleError, solve
+from .solver import (
+    ConicSubproblem,
+    InfeasibleError,
+    cvec_basis,
+    hermitian_basis,
+    hermitian_weights,
+    pack_cvec,
+    solve,
+)
 
 RANK_ONE_THRESHOLD = 0.999
 RANDOMIZATION_CANDIDATES = 100
@@ -91,33 +99,33 @@ def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
     vectors = [np.asarray(ch.vector) for ch in channels]
 
     prob = ConicSubproblem()
+    n = cfg.n_tx
     w_names = [f"w{k}" for k in range(n_users)]
     mat_names = [f"W{k}" for k in range(n_users)]
     for name in mat_names:
-        prob.add_hermitian(name, cfg.n_tx)
+        prob.add_hermitian(name, n)
     for name in w_names:
-        prob.add_cvec(name, cfg.n_tx)
+        prob.add_cvec(name, n)
     rho_names = [f"rho{k}" for k in range(n_users)]
     for name in rho_names:
         prob.add_scalar(name, lower=0.0)
     prob.add_scalar("kappa", lower=0.0)
 
-    def tx_cov(vals):
-        return sum(vals[name] for name in mat_names)
+    def on_tx_cov(coefs):
+        """The same coefficients on every W_k: a map of sum_k W_k."""
+        return {name: coefs for name in mat_names}
+
+    basis = hermitian_basis(n)
+    trace_weights = hermitian_weights(np.eye(n))
 
     # Objective: legitimate sensing MI (symmetrized log-det form) minus the
     # penalty terms.
     scale_r = cfg.frame_len / stats_r.noise_power
-
-    def legit_block(vals):
-        return np.eye(stats_r.dim) + scale_r * _scaled_quadratic(stats_r,
-                                                                 tx_cov(vals))
-
-    obj_map = prob.matrix_map(legit_block, mat_names)
+    legit = np.stack([scale_r * _scaled_quadratic(stats_r, e) for e in basis])
+    obj_map = prob.matrix_map(np.eye(stats_r.dim), on_tx_cov(legit))
     pbar = state.penalty_weight
     penalty = prob.scalar_map(
-        lambda v: -pbar * (v["kappa"] + sum(v[name] for name in rho_names)),
-        rho_names + ["kappa"])
+        0.0, {name: -pbar for name in rho_names + ["kappa"]})
     prob.set_objective(linear=penalty, logdet_terms=[(1.0, obj_map)])
 
     # Eavesdropper constraint: affine expansion of the Eve MI around the
@@ -128,49 +136,38 @@ def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
         const = sensing_mi(stats_e, exp_cov, cfg.frame_len) \
             - float(np.real(np.trace(grad @ exp_cov)))
         eve_affine = prob.scalar_map(
-            lambda v: float(np.real(np.trace(grad @ tx_cov(v)))) - v["kappa"],
-            mat_names + ["kappa"])
+            0.0, {**on_tx_cov(hermitian_weights(grad)), "kappa": -1.0})
         prob.add_ineq(eve_affine, state.eve_cap - const)
 
     # Power budget.
-    power_map = prob.scalar_map(
-        lambda v: float(np.real(np.trace(tx_cov(v)))), mat_names)
-    prob.add_ineq(power_map, cfg.power_budget)
+    prob.add_ineq(prob.scalar_map(0.0, on_tx_cov(trace_weights)),
+                  cfg.power_budget)
 
     # Tightened per-user SINR (margin keeps the rank-one extraction within
-    # the reporting tolerance).
+    # the reporting tolerance): target (interference + noise) >= signal.
     for k in range(n_users):
         target = cfg.sinr_targets[k] * (1.0 + cfg.sinr_margin)
-        h = vectors[k]
+        gain = hermitian_weights(np.outer(vectors[k], vectors[k].conj()))
+        terms = {name: (-1.0 if j == k else target) * gain
+                 for j, name in enumerate(mat_names)}
+        prob.add_ineq(prob.scalar_map(0.0, terms), -target * cfg.noise_comm)
 
-        def sinr_fn(vals, h=h, k=k, target=target):
-            signal = float(np.real(h.conj() @ vals[mat_names[k]] @ h))
-            interf = sum(float(np.real(h.conj() @ vals[name] @ h))
-                         for j, name in enumerate(mat_names) if j != k)
-            return -(signal - target * interf)
-
-        smap = prob.scalar_map(sinr_fn, mat_names)
-        prob.add_ineq(smap, -target * cfg.noise_comm)
-
-    # Rank-one coupling: Schur LMI plus linearized trace tie.
+    # Rank-one coupling: Schur LMI [[W_k, w_k], [w_k^H, 1]] >= 0 plus the
+    # linearized trace tie.
+    schur_w = np.pad(basis, ((0, 0), (0, 1), (0, 1)))
+    vec_basis = cvec_basis(n)
+    schur_v = np.zeros((len(vec_basis), n + 1, n + 1), dtype=complex)
+    schur_v[:, :n, n] = vec_basis
+    schur_v[:, n, :n] = vec_basis.conj()
+    schur_offset = np.diag(np.append(np.zeros(n), 1.0))
     for k in range(n_users):
         wn, mn, rn = w_names[k], mat_names[k], rho_names[k]
-
-        def schur_fn(vals, wn=wn, mn=mn):
-            top = np.hstack([vals[mn], vals[wn][:, None]])
-            bottom = np.concatenate([vals[wn].conj(), [1.0]])
-            return np.vstack([top, bottom[None, :]])
-
-        prob.add_lmi(prob.matrix_map(schur_fn, [mn, wn]))
+        prob.add_lmi(prob.matrix_map(schur_offset, {mn: schur_w, wn: schur_v}))
 
         w_exp = np.asarray(state.exp_weights[k])
-
-        def tie_fn(vals, wn=wn, mn=mn, rn=rn, w_exp=w_exp):
-            return float(np.real(np.trace(vals[mn]))
-                         - 2.0 * np.real(w_exp.conj() @ vals[wn]) - vals[rn])
-
-        prob.add_ineq(prob.scalar_map(tie_fn, [mn, wn, rn]),
-                      -float(np.real(w_exp.conj() @ w_exp)))
+        tie = prob.scalar_map(0.0, {mn: trace_weights,
+                                    wn: -2.0 * pack_cvec(w_exp), rn: -1.0})
+        prob.add_ineq(tie, -float(np.real(w_exp.conj() @ w_exp)))
     return prob
 
 
@@ -243,10 +240,10 @@ def _anchor_point(channels, cfg):
     return weights, mats
 
 
-def _start_values(problem, weights, mats, cfg, state, stats_e):
+def _start_values(weights, mats, cfg, state, stats_e):
     """Solver warm start from explicit (w, W) pairs; slack variables sized to
     the actual violations plus a pad that keeps barrier arguments strict."""
-    vals = problem.zero_values()
+    vals = {}
     pad = 1e-4 * max(1.0, cfg.power_budget)
     for k in range(cfg.n_users):
         w = np.asarray(weights[k], dtype=complex)
@@ -365,8 +362,8 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng, eve_cap="config"):
         if result_values is None:
             initial = None
             if anchor is not None:
-                initial = _start_values(problem, anchor[0], anchor[1], cfg,
-                                        state, stats_e)
+                initial = _start_values(anchor[0], anchor[1], cfg, state,
+                                        stats_e)
         else:
             prev_w = [result_values[f"w{k}"] for k in range(cfg.n_users)]
             prev_m = [result_values[f"W{k}"] for k in range(cfg.n_users)]
@@ -374,8 +371,7 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng, eve_cap="config"):
                 warm_w, warm_m = _blend_with_anchor(prev_w, prev_m, anchor)
             else:
                 warm_w, warm_m = prev_w, prev_m
-            initial = _start_values(problem, warm_w, warm_m, cfg, state,
-                                    stats_e)
+            initial = _start_values(warm_w, warm_m, cfg, state, stats_e)
         try:
             res = solve(problem, initial=initial,
                         t0=1.0 if result_values is None else 1e3)
@@ -443,7 +439,7 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng, eve_cap="config"):
         if anchor is not None:
             warm_w, warm_m = _blend_with_anchor(solution.weights,
                                                 solution.weight_mats, anchor)
-            initial = _start_values(problem, warm_w, warm_m, cfg, state, stats_e)
+            initial = _start_values(warm_w, warm_m, cfg, state, stats_e)
         else:
             initial = None
         res = solve(problem, initial=initial)

@@ -3,10 +3,10 @@ maximize a concave log-det-plus-linear objective over complex Hermitian /
 complex vector / real scalar variables subject to affine inequalities and
 linear matrix inequalities.
 
-Problems are declared at the complex level (ConicSubproblem) and solved
-there: every log-det term keeps the complex Hermitian data of its affine map,
-and a log-barrier Newton method (Boyd & Vandenberghe, Convex Optimization,
-sec. 11.3) runs on the real coordinates of the variables.
+Problems are declared at the complex level (ConicSubproblem) by the
+coefficients of their affine maps, as in MAXDET (Vandenberghe, Boyd & Wu
+1998), and solved there: a log-barrier Newton method (Boyd & Vandenberghe,
+Convex Optimization, sec. 11.3) runs on the real coordinates of the variables.
 
 Identical problems give identical iterates at a fixed BLAS thread count.
 Across thread counts, BLAS sums in another order and the iterates differ by
@@ -53,10 +53,6 @@ class VarBlock:
     size: int
 
 
-def hermitian_size(dim):
-    return dim * dim
-
-
 def pack_hermitian(h):
     """Real coordinates of a Hermitian matrix: diagonal first, then
     (re, im) pairs of the strict upper triangle, row-major."""
@@ -82,6 +78,8 @@ def unpack_hermitian(coords, dim):
 
 
 def pack_cvec(v):
+    """Real coordinates (re, then im) of a complex vector; pack_cvec(u) is
+    also the weight vector of w -> Re(u^H w)."""
     v = np.asarray(v, dtype=complex)
     return np.concatenate([v.real, v.imag])
 
@@ -91,8 +89,26 @@ def unpack_cvec(coords, dim):
     return coords[:dim] + 1j * coords[dim:]
 
 
+def hermitian_basis(dim):
+    """(dim^2, dim, dim) stack E with sum_g x_g E_g == unpack_hermitian(x)."""
+    return np.stack([unpack_hermitian(e, dim) for e in np.eye(dim * dim)])
+
+
+def cvec_basis(dim):
+    """(2 dim, dim) stack [I; iI] with sum_l x_l e_l == unpack_cvec(x)."""
+    return np.stack([unpack_cvec(e, dim) for e in np.eye(2 * dim)])
+
+
+def hermitian_weights(g):
+    """Weights of W -> Re tr(g W) on pack_hermitian(W), for Hermitian g: each
+    off-diagonal pair of g meets its entry of W twice."""
+    weights = pack_hermitian(g)
+    weights[len(g):] *= 2.0
+    return weights
+
+
 # ---------------------------------------------------------------------------
-# Affine maps built by probing user callables on coordinate basis points
+# Affine maps given by their coefficients
 
 
 @dataclass
@@ -105,8 +121,6 @@ class MatrixMap:
     offset: np.ndarray          # (d, d) complex
 
     def evaluate(self, x):
-        if len(self.coords) == 0:
-            return self.offset.copy()
         return self.offset + np.tensordot(x[self.coords], self.mats, axes=1)
 
 
@@ -119,8 +133,6 @@ class ScalarMap:
     offset: float
 
     def evaluate(self, x):
-        if len(self.coords) == 0:
-            return self.offset
         return self.offset + float(self.weights @ x[self.coords])
 
     def dense(self, n):
@@ -144,7 +156,14 @@ class ObjectiveSpec:
 
 
 class ConicSubproblem:
-    """Declarative description of one convex max-det subproblem."""
+    """Declarative description of one convex max-det subproblem.
+
+    Each map is stated by its coefficients: one complex Hermitian matrix
+    (matrix_map) or real weight (scalar_map) per real coordinate of each
+    variable it involves, in packing order.  That order is private to this
+    module; hermitian_basis, cvec_basis, hermitian_weights and pack_cvec
+    build coefficients in it.
+    """
 
     def __init__(self):
         self._blocks = {}
@@ -167,7 +186,7 @@ class ConicSubproblem:
         return blk
 
     def add_hermitian(self, name, dim):
-        return self._add_block(name, KIND_HERMITIAN, dim, hermitian_size(dim))
+        return self._add_block(name, KIND_HERMITIAN, dim, dim * dim)
 
     def add_cvec(self, name, dim):
         return self._add_block(name, KIND_CVEC, dim, 2 * dim)
@@ -176,32 +195,16 @@ class ConicSubproblem:
         blk = self._add_block(name, KIND_SCALAR, 1, 1)
         self.scalar_bounds[name] = (lower, upper)
         if lower is not None:
-            m = ScalarMap(np.array([blk.offset]), np.array([-1.0]), 0.0)
-            self.ineqs.append(IneqSpec(m, -float(lower), []))
+            self.add_ineq(self.scalar_map(0.0, {name: -1.0}), -float(lower))
         if upper is not None:
-            m = ScalarMap(np.array([blk.offset]), np.array([1.0]), 0.0)
-            self.ineqs.append(IneqSpec(m, float(upper), []))
+            self.add_ineq(self.scalar_map(0.0, {name: 1.0}), float(upper))
         return blk
 
     @property
     def blocks(self):
         return [self._blocks[name] for name in self._order]
 
-    def block(self, name):
-        return self._blocks[name]
-
     # -- packing between named complex values and the real coordinate vector
-
-    def zero_values(self):
-        vals = {}
-        for blk in self.blocks:
-            if blk.kind == KIND_HERMITIAN:
-                vals[blk.name] = np.zeros((blk.dim, blk.dim), dtype=complex)
-            elif blk.kind == KIND_CVEC:
-                vals[blk.name] = np.zeros(blk.dim, dtype=complex)
-            else:
-                vals[blk.name] = 0.0
-        return vals
 
     def pack(self, values):
         x = np.zeros(self.n)
@@ -228,101 +231,44 @@ class ConicSubproblem:
                 vals[blk.name] = float(x[sl][0])
         return vals
 
-    # -- affine-map construction by basis probing
+    # -- affine maps from coefficient stacks
 
-    def _unit_values(self, blk, local):
-        vals = self.zero_values()
-        e = np.zeros(blk.size)
-        e[local] = 1.0
-        if blk.kind == KIND_HERMITIAN:
-            vals[blk.name] = unpack_hermitian(e, blk.dim)
-        elif blk.kind == KIND_CVEC:
-            vals[blk.name] = unpack_cvec(e, blk.dim)
-        else:
-            vals[blk.name] = 1.0
-        return vals
-
-    def _probe_point(self, depends):
-        """Deterministic pseudo-random values over ``depends`` for affinity
-        verification of probed callables."""
-        rng = np.random.default_rng(0x5EED)
-        vals = self.zero_values()
-        x = np.zeros(self.n)
-        for name in depends:
+    def _coefficients(self, terms, shape, dtype):
+        """Global coordinates and coefficients of ``terms`` (variable name ->
+        one coefficient per real coordinate, in packing order), leaving out
+        the coefficients that are exactly zero."""
+        coords = [np.zeros(0, dtype=np.intp)]
+        coefs = [np.zeros((0,) + shape, dtype=dtype)]
+        for name, stack in terms.items():
             blk = self._blocks[name]
-            sl = slice(blk.offset, blk.offset + blk.size)
-            x[sl] = rng.standard_normal(blk.size)
-        for name in depends:
-            blk = self._blocks[name]
-            sl = slice(blk.offset, blk.offset + blk.size)
-            if blk.kind == KIND_HERMITIAN:
-                vals[name] = unpack_hermitian(x[sl], blk.dim)
-            elif blk.kind == KIND_CVEC:
-                vals[name] = unpack_cvec(x[sl], blk.dim)
-            else:
-                vals[name] = float(x[sl][0])
-        return vals, x
+            stack = np.reshape(np.asarray(stack, dtype=dtype), (blk.size,) + shape)
+            keep = np.flatnonzero(np.any(stack.reshape(blk.size, -1) != 0, axis=1))
+            coords.append(blk.offset + keep)
+            coefs.append(stack[keep])
+        return np.concatenate(coords), np.concatenate(coefs)
 
-    def matrix_map(self, fn, depends):
-        """Probe an affine callable values -> complex Hermitian matrix.
-
-        The callable must be affine in the declared variables and
-        Hermitian-valued for Hermitian inputs; both are verified.
-        """
-        offset = np.asarray(fn(self.zero_values()), dtype=complex)
+    def matrix_map(self, offset, terms):
+        """Affine map x -> offset + sum_g x_g E_g into complex Hermitian
+        matrices; ``terms[name]`` stacks the (d, d) Hermitian E_g of each
+        real coordinate of that variable."""
+        offset = np.asarray(offset, dtype=complex)
         if offset.ndim != 2 or offset.shape[0] != offset.shape[1]:
-            raise ValueError("matrix map must return a square matrix")
-        coords, mats = [], []
-        for name in depends:
-            blk = self._blocks[name]
-            for local in range(blk.size):
-                delta = np.asarray(fn(self._unit_values(blk, local)),
-                                   dtype=complex) - offset
-                if np.any(delta != 0.0):
-                    coords.append(blk.offset + local)
-                    mats.append(delta)
-        if coords:
-            mats = np.stack(mats)
-        else:
-            mats = np.zeros((0, offset.shape[0], offset.shape[0]), dtype=complex)
-        mmap = MatrixMap(offset.shape[0], np.asarray(coords, dtype=np.intp),
-                         mats, offset)
-        vals, x = self._probe_point(depends)
-        direct = np.asarray(fn(vals), dtype=complex)
-        scale = max(np.max(np.abs(direct)), 1.0)
-        if np.max(np.abs(direct - mmap.evaluate(x))) > 1e-8 * scale:
-            raise ValueError("matrix map callable is not affine in its variables")
-        if np.max(np.abs(direct - direct.conj().T)) > 1e-9 * scale:
-            raise ValueError("matrix map callable is not Hermitian-valued")
-        return mmap
+            raise ValueError("matrix map offset must be a square matrix")
+        coords, mats = self._coefficients(terms, offset.shape, complex)
+        return MatrixMap(offset.shape[0], coords, mats, offset)
 
-    def scalar_map(self, fn, depends):
-        """Probe an affine callable values -> real scalar (affinity verified)."""
-        offset = float(fn(self.zero_values()))
-        coords, weights = [], []
-        for name in depends:
-            blk = self._blocks[name]
-            for local in range(blk.size):
-                delta = float(fn(self._unit_values(blk, local))) - offset
-                if delta != 0.0:
-                    coords.append(blk.offset + local)
-                    weights.append(delta)
-        smap = ScalarMap(np.asarray(coords, dtype=np.intp),
-                         np.asarray(weights), offset)
-        vals, x = self._probe_point(depends)
-        direct = float(fn(vals))
-        if abs(direct - smap.evaluate(x)) > 1e-8 * max(abs(direct), 1.0):
-            raise ValueError("scalar map callable is not affine in its variables")
-        return smap
-
-    def constant_scalar(self, value=0.0):
-        return ScalarMap(np.zeros(0, dtype=np.intp), np.zeros(0), float(value))
+    def scalar_map(self, offset, terms):
+        """Affine functional x -> offset + sum_g a_g x_g; ``terms[name]``
+        holds the real weights a_g of that variable's coordinates (a plain
+        number for a scalar variable)."""
+        coords, weights = self._coefficients(terms, (), float)
+        return ScalarMap(coords, weights, float(offset))
 
     # -- constraints and objective
 
     def set_objective(self, linear=None, logdet_terms=(), constant=0.0):
         """Maximize linear(x) + sum_t weight_t * logdet(map_t(x)) + constant."""
-        linear = linear if linear is not None else self.constant_scalar()
+        linear = linear if linear is not None else self.scalar_map(0.0, {})
         terms = list(logdet_terms)
         for weight, mmap in terms:
             if weight <= 0:

@@ -145,6 +145,10 @@ class TestScenarioConfig:
             ScenarioConfig(penalty_growth=0.5)
         with pytest.raises(ValueError):
             ScenarioConfig(n_users=2, sinr_targets=(10.0, 20.0, 30.0))
+        with pytest.raises(ValueError):
+            ScenarioConfig(max_outer_iters=0)
+        with pytest.raises(ValueError):
+            ScenarioConfig(sinr_margin=-1e-3)
 
     def test_hash_stable_and_sensitive(self):
         a, b = ScenarioConfig(), ScenarioConfig()
@@ -180,6 +184,22 @@ class TestScenarioConfig:
         path = tmp_path / "bad2.cfg"
         path.write_text("n_tx 6\n")
         with pytest.raises(ValueError):
+            parse_config_file(path)
+
+    def test_infinite_rician_factor_is_line_of_sight(self, tmp_path):
+        path = tmp_path / "los.cfg"
+        path.write_text("rician_k = inf\n")
+        cfg = ScenarioConfig.from_file(path)
+        assert all(math.isinf(k) for k in cfg.rician_factors)
+        links, _, _ = build_scenario(cfg, RngState(1))
+        for link, angle in zip(links, cfg.user_angles):
+            assert np.array_equal(link.vector, steering_vector(angle, cfg.n_tx))
+
+    @pytest.mark.parametrize("line", ["rician_k = nan", "rician_k = 2, nan, 3"])
+    def test_nan_value_rejected(self, tmp_path, line):
+        path = tmp_path / "nan.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match="cannot parse config value"):
             parse_config_file(path)
 
     def test_dbm_conversion(self):

@@ -44,3 +44,57 @@ def test_tiny_design_is_feasible_and_no_stage_hits_the_cap(channel_seed,
     assert float(np.real(np.trace(r_x))) <= cfg.power_budget * (1.0 + 1e-6)
     mi_eve = metrics.sensing_mi(stats_e, r_x, cfg.frame_len)
     assert mi_eve <= cfg.eve_mi_cap + sca.EVE_RECHECK_SLACK
+
+
+def test_subproblem_maps_match_closed_forms():
+    cfg = channels.ScenarioConfig()
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    exp_w, exp_mats = sca.random_expansion(cfg, RngState(1))
+    state = sca.SCAState(exp_w, exp_mats, 0.3, eve_cap=cfg.eve_mi_cap)
+    prob = sca.build_subproblem_no_an(state, links, stats_r, stats_e, cfg)
+    x = np.random.default_rng(0).standard_normal(prob.n)
+    vals = prob.unpack(x)
+    users = range(cfg.n_users)
+    mats = [vals[f"W{k}"] for k in users]
+    vecs = [vals[f"w{k}"] for k in users]
+    rho = [vals[f"rho{k}"] for k in users]
+    kappa = vals["kappa"]
+    tx_cov = sum(mats)
+
+    def close(a, b):
+        return np.abs(np.asarray(a) - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
+
+    scale_r = cfg.frame_len / stats_r.noise_power
+    obj_map = prob.objective.logdet_terms[0][1]
+    assert close(obj_map.evaluate(x), np.eye(stats_r.dim)
+                 + scale_r * metrics._scaled_quadratic(stats_r, tx_cov))
+    pbar = state.penalty_weight
+    assert close(prob.objective.linear.evaluate(x), -pbar * (kappa + sum(rho)))
+
+    # Each inequality affine(x) <= rhs, as affine(x) - rhs, in build order:
+    # slack bounds, Eve bound, power, SINR, rank ties.
+    eve = metrics.sensing_mi_taylor_bound(stats_e, tx_cov, state.exp_cov,
+                                          cfg.frame_len) - kappa - cfg.eve_mi_cap
+    power = np.trace(tx_cov).real - cfg.power_budget
+    sinrs = []
+    for k, link in enumerate(links):
+        h = np.asarray(link.vector)
+        gains = [np.real(h.conj() @ m @ h) for m in mats]
+        target = cfg.sinr_targets[k] * (1.0 + cfg.sinr_margin)
+        sinrs.append(target * (sum(gains) - gains[k] + cfg.noise_comm) - gains[k])
+    ties = [np.trace(mats[k]).real - 2.0 * np.vdot(exp_w[k], vecs[k]).real
+            - rho[k] + np.vdot(exp_w[k], exp_w[k]).real for k in users]
+    expected = [-r for r in rho] + [-kappa, eve, power] + sinrs + ties
+    got = [spec.affine.evaluate(x) - spec.rhs for spec in prob.ineqs]
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert close(g, e)
+
+    assert len(prob.lmis) == cfg.n_users
+    for k, lmi in enumerate(prob.lmis):
+        schur = np.block([[mats[k], vecs[k][:, None]],
+                          [vecs[k].conj()[None, :], np.ones((1, 1))]])
+        assert close(lmi.evaluate(x), schur)
+    for mmap in prob.lmis + [obj_map]:
+        assert close(mmap.mats, np.conj(mmap.mats.transpose(0, 2, 1)))
+        assert close(mmap.offset, mmap.offset.conj().T)

@@ -6,9 +6,14 @@ import pytest
 from sensesec.solver import (
     ConicSubproblem,
     InfeasibleError,
+    cvec_basis,
+    hermitian_basis,
+    hermitian_weights,
+    pack_cvec,
     pack_hermitian,
     phase1_feasible_point,
     solve,
+    unpack_cvec,
     unpack_hermitian,
 )
 
@@ -32,6 +37,21 @@ class TestRealify:
         rng = np.random.default_rng(2)
         h = random_hermitian(rng, 4)
         assert np.max(np.abs(unpack_hermitian(pack_hermitian(h), 4) - h)) < 1e-14
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_coefficient_helpers_match_packing(d):
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal(d * d)
+    assert np.abs(np.tensordot(x, hermitian_basis(d), axes=1)
+                  - unpack_hermitian(x, d)).max() < 1e-14
+    y = rng.standard_normal(2 * d)
+    assert np.abs(y @ cvec_basis(d) - unpack_cvec(y, d)).max() < 1e-14
+    g, w = random_hermitian(rng, d), random_hermitian(rng, d)
+    assert abs(hermitian_weights(g) @ pack_hermitian(w)
+               - np.trace(g @ w).real) < 1e-12
+    u, v = random_complex(rng, d), random_complex(rng, d)
+    assert abs(pack_cvec(u) @ pack_cvec(v) - np.vdot(u, v).real) < 1e-12
 
 
 def test_real_block_gradient_and_gram_match_direct_loops():
@@ -60,21 +80,22 @@ def test_barrier_derivatives_match_finite_differences():
     prob.add_cvec("w", 3)
     prob.add_scalar("rho", lower=0.0)
 
-    def schur(v):
-        top = np.hstack([v["W"], v["w"][:, None]])
-        bot = np.concatenate([v["w"].conj(), [1.0]])
-        return np.vstack([top, bot[None, :]])
-
-    prob.add_lmi(prob.matrix_map(schur, ["W", "w"]))
-    prob.add_ineq(prob.scalar_map(
-        lambda v: float(np.real(np.trace(v["W"]))), ["W"]), 2.0)
+    # Schur LMI [[W, w], [w^H, 1]] >= 0, with coefficients as in sca.py.
+    schur_w = np.pad(hermitian_basis(3), ((0, 0), (0, 1), (0, 1)))
+    schur_v = np.zeros((6, 4, 4), dtype=complex)
+    schur_v[:, :3, 3] = cvec_basis(3)
+    schur_v[:, 3, :3] = cvec_basis(3).conj()
+    prob.add_lmi(prob.matrix_map(np.diag([0.0, 0.0, 0.0, 1.0]),
+                                 {"W": schur_w, "w": schur_v}))
+    prob.add_ineq(prob.scalar_map(0.0, {"W": hermitian_weights(np.eye(3))}), 2.0)
     h = random_complex(rng, 3)
     prob.add_ineq(prob.scalar_map(
-        lambda v: -float(np.real(h.conj() @ v["W"] @ h)) - v["rho"],
-        ["W", "rho"]), -0.01)
+        0.0, {"W": -hermitian_weights(np.outer(h, h.conj())), "rho": -1.0}),
+        -0.01)
     prob.set_objective(
-        linear=prob.scalar_map(lambda v: -0.3 * v["rho"], ["rho"]),
-        logdet_terms=[(1.0, prob.matrix_map(lambda v: np.eye(3) + v["W"], ["W"]))])
+        linear=prob.scalar_map(0.0, {"rho": -0.3}),
+        logdet_terms=[(1.0, prob.matrix_map(np.eye(3),
+                                            {"W": hermitian_basis(3)}))])
     bp = BarrierProblem(prob)
     w0 = 0.1 * random_complex(rng, 3)
     x = prob.pack({"W": np.outer(w0, w0.conj()) + 0.3 * np.eye(3),
@@ -97,9 +118,9 @@ def test_barrier_derivatives_match_finite_differences():
 def scalar_logdet_problem(lin_coef):
     """maximize log(1 + x) + lin_coef * x, x >= 0 (variable bounded below)."""
     prob = ConicSubproblem()
-    blk = prob.add_scalar("x", lower=0.0)
-    mmap = prob.matrix_map(lambda v: np.array([[1.0 + v["x"]]]), ["x"])
-    lin = prob.scalar_map(lambda v: lin_coef * v["x"], ["x"])
+    prob.add_scalar("x", lower=0.0)
+    mmap = prob.matrix_map(np.eye(1), {"x": [np.eye(1)]})
+    lin = prob.scalar_map(0.0, {"x": lin_coef})
     prob.set_objective(linear=lin, logdet_terms=[(1.0, mmap)])
     return prob
 
@@ -109,7 +130,7 @@ class TestSolveScalar:
         # maximize logdet(I2 + x I2) on 0 <= x <= 1 -> x* = 1, value 2 log 2.
         prob = ConicSubproblem()
         prob.add_scalar("x", lower=0.0, upper=1.0)
-        mmap = prob.matrix_map(lambda v: (1.0 + v["x"]) * np.eye(2), ["x"])
+        mmap = prob.matrix_map(np.eye(2), {"x": [np.eye(2)]})
         prob.set_objective(logdet_terms=[(1.0, mmap)])
         res = solve(prob)
         assert res.status == "optimal"
@@ -146,9 +167,9 @@ class TestSolveMatrixVariable:
         # maximize logdet(I + W), tr(W) <= 2, W >= 0 -> W = I (n = 2).
         prob = ConicSubproblem()
         prob.add_hermitian("W", 2)
-        wmap = prob.matrix_map(lambda v: v["W"], ["W"])
-        obj = prob.matrix_map(lambda v: np.eye(2) + v["W"], ["W"])
-        tr = prob.scalar_map(lambda v: float(np.real(np.trace(v["W"]))), ["W"])
+        wmap = prob.matrix_map(np.zeros((2, 2)), {"W": hermitian_basis(2)})
+        obj = prob.matrix_map(np.eye(2), {"W": hermitian_basis(2)})
+        tr = prob.scalar_map(0.0, {"W": hermitian_weights(np.eye(2))})
         prob.add_lmi(wmap)
         prob.add_ineq(tr, 2.0)
         prob.set_objective(logdet_terms=[(1.0, obj)])
@@ -162,11 +183,12 @@ class TestSolveMatrixVariable:
         # complex off-diagonals: maximize log det(I+W) + Re((1+1j) W_01).
         prob = ConicSubproblem()
         prob.add_hermitian("W", 2)
-        wmap = prob.matrix_map(lambda v: v["W"], ["W"])
-        obj = prob.matrix_map(lambda v: np.eye(2) + v["W"], ["W"])
-        tr = prob.scalar_map(lambda v: float(np.real(np.trace(v["W"]))), ["W"])
-        coupling = prob.scalar_map(
-            lambda v: float(np.real((1.0 + 1.0j) * v["W"][0, 1])), ["W"])
+        wmap = prob.matrix_map(np.zeros((2, 2)), {"W": hermitian_basis(2)})
+        obj = prob.matrix_map(np.eye(2), {"W": hermitian_basis(2)})
+        tr = prob.scalar_map(0.0, {"W": hermitian_weights(np.eye(2))})
+        # Re tr(G W) == Re((1+1j) W_01) for this Hermitian G.
+        g = 0.5 * np.array([[0.0, 1.0 - 1.0j], [1.0 + 1.0j, 0.0]])
+        coupling = prob.scalar_map(0.0, {"W": hermitian_weights(g)})
         prob.add_lmi(wmap)
         prob.add_ineq(tr, 1.0)
         prob.set_objective(linear=coupling, logdet_terms=[(1.0, obj)])
@@ -181,10 +203,10 @@ class TestSolveMatrixVariable:
         prob = ConicSubproblem()
         prob.add_hermitian("W", 3)
         g0 = random_psd(rng, 3) + 0.5 * np.eye(3)
-        wmap = prob.matrix_map(lambda v: v["W"], ["W"])
-        gmap = prob.matrix_map(lambda v: g0 - v["W"], ["W"])
-        tr = prob.scalar_map(lambda v: float(np.real(np.trace(v["W"]))), ["W"])
-        obj = prob.matrix_map(lambda v: np.eye(3) + v["W"], ["W"])
+        wmap = prob.matrix_map(np.zeros((3, 3)), {"W": hermitian_basis(3)})
+        gmap = prob.matrix_map(g0, {"W": -hermitian_basis(3)})
+        tr = prob.scalar_map(0.0, {"W": hermitian_weights(np.eye(3))})
+        obj = prob.matrix_map(np.eye(3), {"W": hermitian_basis(3)})
         prob.add_lmi(wmap)
         prob.add_lmi(gmap)
         prob.add_ineq(tr, 1.5)
@@ -204,10 +226,10 @@ class TestScalarLogConstraints:
         prob = ConicSubproblem()
         prob.add_scalar("x", lower=0.0)
         prob.add_scalar("y", lower=0.0, upper=3.0)
-        lin = prob.scalar_map(lambda v: v["x"], ["x"])
-        ymap = prob.matrix_map(lambda v: np.array([[1.0 + v["y"]]]), ["y"])
+        lin = prob.scalar_map(0.0, {"x": 1.0})
+        ymap = prob.matrix_map(np.eye(1), {"y": [np.eye(1)]})
         prob.add_ineq(lin, 0.0, neglog_terms=[(1.0, ymap)])
-        prob.set_objective(linear=prob.scalar_map(lambda v: v["x"], ["x"]))
+        prob.set_objective(linear=prob.scalar_map(0.0, {"x": 1.0}))
         res = solve(prob)
         assert res.status == "optimal"
         assert abs(res.values["x"] - math.log(4.0)) < 1e-3
@@ -217,11 +239,10 @@ class TestScalarLogConstraints:
         prob = ConicSubproblem()
         prob.add_scalar("x", lower=0.0)
         prob.add_scalar("y", lower=0.0, upper=1.0)
-        lin = prob.scalar_map(lambda v: v["x"], ["x"])
-        amap = prob.matrix_map(
-            lambda v: np.eye(2) + v["y"] * np.diag([1.0, 2.0]), ["y"])
+        lin = prob.scalar_map(0.0, {"x": 1.0})
+        amap = prob.matrix_map(np.eye(2), {"y": [np.diag([1.0, 2.0])]})
         prob.add_ineq(lin, 0.0, neglog_terms=[(1.0, amap)])
-        prob.set_objective(linear=prob.scalar_map(lambda v: v["x"], ["x"]))
+        prob.set_objective(linear=prob.scalar_map(0.0, {"x": 1.0}))
         res = solve(prob)
         assert abs(res.values["x"] - (math.log(2.0) + math.log(3.0))) < 1e-3
 
@@ -230,26 +251,26 @@ class TestPhase1:
     def test_trace_only_heuristic(self):
         prob = ConicSubproblem()
         prob.add_hermitian("R", 3)
-        rmap = prob.matrix_map(lambda v: v["R"], ["R"])
-        tr = prob.scalar_map(lambda v: float(np.real(np.trace(v["R"]))), ["R"])
+        rmap = prob.matrix_map(np.zeros((3, 3)), {"R": hermitian_basis(3)})
+        tr = prob.scalar_map(0.0, {"R": hermitian_weights(np.eye(3))})
         prob.add_lmi(rmap)
         prob.add_ineq(tr, 4.0)
-        prob.set_objective(linear=prob.constant_scalar(0.0))
+        prob.set_objective(linear=prob.scalar_map(0.0, {}))
         vals = phase1_feasible_point(prob)
         assert np.max(np.abs(vals["R"] - (4.0 / 6.0) * np.eye(3))) < 1e-12
 
     def test_contradictory_bounds(self):
         prob = ConicSubproblem()
         prob.add_scalar("x", lower=0.0, upper=-1.0)
-        prob.set_objective(linear=prob.scalar_map(lambda v: v["x"], ["x"]))
+        prob.set_objective(linear=prob.scalar_map(0.0, {"x": 1.0}))
         with pytest.raises(InfeasibleError):
             phase1_feasible_point(prob)
 
     def test_infeasible_solve_raises(self):
         prob = ConicSubproblem()
         prob.add_scalar("x", lower=0.0)
-        prob.add_ineq(prob.scalar_map(lambda v: v["x"], ["x"]), -1.0)
-        prob.set_objective(linear=prob.scalar_map(lambda v: v["x"], ["x"]))
+        prob.add_ineq(prob.scalar_map(0.0, {"x": 1.0}), -1.0)
+        prob.set_objective(linear=prob.scalar_map(0.0, {"x": 1.0}))
         with pytest.raises(InfeasibleError):
             solve(prob)
 
@@ -258,33 +279,16 @@ class TestPhase1:
         prob = ConicSubproblem()
         prob.add_hermitian("W", 3)
         g0 = random_psd(rng, 3) + np.eye(3)
-        prob.add_lmi(prob.matrix_map(lambda v: v["W"], ["W"]))
-        prob.add_lmi(prob.matrix_map(lambda v: g0 - v["W"], ["W"]))
+        prob.add_lmi(prob.matrix_map(np.zeros((3, 3)), {"W": hermitian_basis(3)}))
+        prob.add_lmi(prob.matrix_map(g0, {"W": -hermitian_basis(3)}))
         prob.add_ineq(prob.scalar_map(
-            lambda v: float(np.real(np.trace(v["W"]))), ["W"]), 1.0)
-        prob.set_objective(linear=prob.constant_scalar())
+            0.0, {"W": hermitian_weights(np.eye(3))}), 1.0)
+        prob.set_objective(linear=prob.scalar_map(0.0, {}))
         vals = phase1_feasible_point(prob)
         w = vals["W"]
         assert np.min(np.linalg.eigvalsh(w)) >= 1e-9
         assert np.min(np.linalg.eigvalsh(g0 - w)) >= 1e-9
         assert np.real(np.trace(w)) <= 1.0 - 1e-9
-
-
-class TestValidate:
-    def test_non_affine_callable_rejected_at_probe(self):
-        prob = ConicSubproblem()
-        prob.add_scalar("x", lower=0.0)
-        with pytest.raises(ValueError):
-            prob.matrix_map(lambda v: np.array([[1.0 + v["x"] ** 2]]), ["x"])
-        with pytest.raises(ValueError):
-            prob.scalar_map(lambda v: v["x"] ** 3, ["x"])
-
-    def test_non_hermitian_callable_rejected_at_probe(self):
-        prob = ConicSubproblem()
-        prob.add_hermitian("W", 2)
-        with pytest.raises(ValueError):
-            prob.matrix_map(lambda v: v["W"] + np.array([[0, 1], [0, 0]]) * 1j,
-                            ["W"])
 
 
 def make_grid_instance(seed):
@@ -304,12 +308,9 @@ def make_grid_instance(seed):
     names = [f"x{i}" for i in range(d)]
     for name in names:
         prob.add_scalar(name, lower=0.0, upper=box)
-    fmap = prob.matrix_map(
-        lambda v: f0 + sum(v[n] * f_dirs[i] for i, n in enumerate(names)), names)
-    gmap = prob.matrix_map(
-        lambda v: g0 - sum(v[n] * g_dirs[i] for i, n in enumerate(names)), names)
-    linmap = prob.scalar_map(
-        lambda v: float(sum(lin[i] * v[n] for i, n in enumerate(names))), names)
+    fmap = prob.matrix_map(f0, {n: [f_dirs[i]] for i, n in enumerate(names)})
+    gmap = prob.matrix_map(g0, {n: [-g_dirs[i]] for i, n in enumerate(names)})
+    linmap = prob.scalar_map(0.0, {n: lin[i] for i, n in enumerate(names)})
     prob.add_lmi(gmap)
     prob.set_objective(linear=linmap, logdet_terms=[(1.0, fmap)])
 
