@@ -344,7 +344,10 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng, eve_cap="config"):
     """Penalty-SCA outer loop; returns (BeamformerSolution, SCATrace).
 
     The trace records the true metrics of every accepted iterate, recomputed
-    from the metrics module rather than trusted from the solver.
+    from the metrics module rather than trusted from the solver.  The
+    solution's status is "optimal" only when the loop converged and every
+    subproblem solve returned "optimal"; otherwise it is the first other
+    status, "max-iter" for a loop that did not converge.
     """
     cap = cfg.eve_mi_cap if eve_cap == "config" else eve_cap
     trace = SCATrace()
@@ -357,6 +360,7 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng, eve_cap="config"):
 
     prev_mi = None
     result_values = None
+    statuses = []                # of every subproblem solve, in order
     for itn in range(1, cfg.max_outer_iters + 1):
         problem = build_subproblem_no_an(state, channels, stats_r, stats_e, cfg)
         if result_values is None:
@@ -390,6 +394,7 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng, eve_cap="config"):
                         f"for this channel draw ({exc})") from exc
             else:
                 raise
+        statuses.append(res.status)
         result_values = res.values
         weight_mats = [result_values[f"W{k}"] for k in range(cfg.n_users)]
         weights = [result_values[f"w{k}"] for k in range(cfg.n_users)]
@@ -427,9 +432,9 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng, eve_cap="config"):
             break
         prev_mi = mi_r
 
-    status = "optimal" if trace.converged_at is not None else "max-iter"
+    statuses.append("optimal" if trace.converged_at is not None else "max-iter")
     solution = _extract_solution(result_values, channels, stats_r, stats_e,
-                                 cfg, state, rng, status)
+                                 cfg, state, rng, _first_failure(statuses))
 
     # The surrogate guarantees the true constraint in exact arithmetic; the
     # re-check below guards numerical slack with one extra pass.
@@ -443,6 +448,12 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng, eve_cap="config"):
         else:
             initial = None
         res = solve(problem, initial=initial)
+        statuses.append(res.status)
         solution = _extract_solution(res.values, channels, stats_r, stats_e,
-                                     cfg, state, rng, status)
+                                     cfg, state, rng, _first_failure(statuses))
     return solution, trace
+
+
+def _first_failure(statuses):
+    """The first status that is not "optimal", else "optimal"."""
+    return next((s for s in statuses if s != "optimal"), "optimal")

@@ -11,9 +11,9 @@ Convex Optimization, sec. 11.3) runs on the real coordinates of the variables.
 Identical problems give identical iterates at a fixed BLAS thread count.
 Across thread counts, BLAS sums in another order and the iterates differ by
 round-off.  For the default ScenarioConfig at channel seed 1, run_sca_no_an
-takes (100, 70, 72) Newton steps per subproblem at one OpenBLAS thread and
-(99, 70, 71) at two; its final legitimate MI agrees to 3e-14 nats and its
-eavesdropper MI to 1.5e-10 nats (2-core x86 Xeon, OpenBLAS 0.3.31).
+takes (99, 70, 71) Newton steps per subproblem at one OpenBLAS thread and at
+two; its final legitimate MI agrees to 2e-15 nats and its eavesdropper MI to
+9e-13 nats (2-core x86 Xeon, OpenBLAS 0.3.31 in numpy, 0.3.30 in scipy).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
 
 NEWTON_TOL = 1e-9          # inner stopping threshold on lambda^2 / 2
 BARRIER_GROWTH = 10.0
@@ -304,9 +304,12 @@ class SolverResult:
 
 @dataclass
 class _RealBlock:
-    """One weighted log-det barrier term, weight * logdet(offset + sum_g
-    x[coords[g]] * mats[g]), over the complex Hermitian data of a MatrixMap.
+    """One weighted log-det barrier term, weight * logdet F(x) with F(x) =
+    offset + sum_g x[coords[g]] * mats[g], over the complex Hermitian data of
+    a MatrixMap.
 
+    Coordinates with equal coefficients share one row of the derivative
+    kernel: a map of sum_k W_k puts the same stack on every W_k.
     The arithmetic is complex despite the name, which stays because the
     benchmark's layer tracer wraps ``_RealBlock.grad_gram`` by name.
     """
@@ -323,6 +326,24 @@ class _RealBlock:
         # fast on small operands when BLAS runs several threads.
         m, d = self.mats.shape[:2]
         self._flat = self.mats.reshape(m, d * d).view(np.float64)
+        # Group the coordinates whose coefficient rows are equal (cheaper
+        # than hashing whole rows): a row joins the first row with its
+        # fingerprint, unless the two differ.
+        # _inv[g] is the group of coordinate g, rows[j] the first row of j.
+        keys = self._flat @ np.sqrt(np.arange(2.0, 2.0 + 2 * d * d))
+        first = {}
+        rep = np.array([first.setdefault(key, g)
+                        for g, key in enumerate(keys.tolist())], dtype=np.intp)
+        if len(first) < m:
+            clash = np.any(self._flat != self._flat[rep], axis=1)
+            rep[clash] = np.flatnonzero(clash)
+        rows = np.flatnonzero(rep == np.arange(m))
+        self._inv = np.searchsorted(rows, rep)
+        distinct, k = self.mats[rows], len(rows)
+        self._distinct_flat = distinct.reshape(k, d * d).view(np.float64)
+        self._stacked = distinct.reshape(k * d, d)                  # [S_g; ...]
+        self._side_by_side = np.ascontiguousarray(
+            distinct.transpose(1, 0, 2)).reshape(d, k * d)         # [S_g ...]
 
     @property
     def dim(self):
@@ -348,21 +369,21 @@ class _RealBlock:
 
     def grad_gram(self, chol):
         """(gvec, gram) of logdet at the assembled point F = L L^H: gvec_g =
-        Re tr(F^-1 S_g), gram_gh = Re tr(F^-1 S_g F^-1 S_h)."""
-        m, d = self.mats.shape[0], self.dim
-        if m == 0:
-            return np.zeros(0), np.zeros((0, 0))
-        stacked = self.mats.transpose(1, 0, 2).reshape(d, m * d)
-        y = solve_triangular(chol, stacked, lower=True, check_finite=False)
-        y = y.reshape(d, m, d).transpose(1, 0, 2)          # Y_g = L^-1 S_g
-        yh = y.conj().transpose(2, 0, 1).reshape(d, m * d)  # blocks Y_g^H
-        z = solve_triangular(chol, yh, lower=True, check_finite=False)
-        v = z.reshape(d, m, d).transpose(1, 0, 2)          # V_g = L^-1 S_g L^-H
-        gvec = np.einsum("gii->g", v).real
-        # Re(V V^H) as one real product over the (re, im) pairs of V.
-        flat = np.ascontiguousarray(v).reshape(m, d * d).view(np.float64)
-        gram = flat @ flat.T
-        return gvec, gram
+        Re tr(F^-1 S_g), gram_gh = Re tr(F^-1 S_g F^-1 S_h), over every
+        coordinate of the block.
+
+        Both come from G = F^-1 on the distinct rows.  For Hermitian S,
+        Re tr(G S) is the real dot product of G and S, and Re tr(G S_g G S_h)
+        that of G S_g and S_h G, the conjugate transpose of G S_h.
+        """
+        d, k = self.dim, len(self._distinct_flat)
+        g = cho_solve((chol, True), np.eye(d, dtype=complex), check_finite=False)
+        gvec = self._distinct_flat @ np.ravel(g).view(np.float64)
+        sg = (self._stacked @ g).reshape(k, d * d)                    # S_g G
+        gs = np.ascontiguousarray(                                    # G S_g
+            (g @ self._side_by_side).reshape(d, k, d).transpose(1, 0, 2))
+        gram = gs.reshape(k, d * d).view(np.float64) @ sg.view(np.float64).T
+        return gvec[self._inv], gram.take(self._inv, 0).take(self._inv, 1)
 
 
 @dataclass
@@ -383,19 +404,12 @@ class _ScalarLogGroup:
 
 @dataclass
 class _IneqData:
-    a: np.ndarray                # dense (n,) affine gradient
-    b: float                     # effective rhs (offset folded in)
+    """The neg-log terms of inequality ``row``: its slack b - a.x gains
+    sum_m weight_m logdet(map_m(x)) + sum_j coefs_j log(args_j(x))."""
+
+    row: int
     matlogs: list                # [_RealBlock] of dim > 1, weight = coef
     slog: _ScalarLogGroup | None
-    sup: np.ndarray = None       # coordinate support, filled in __post_init__
-
-    def __post_init__(self):
-        sup = set(np.nonzero(self.a)[0].tolist())
-        for blk in self.matlogs:
-            sup.update(blk.coords.tolist())
-        if self.slog is not None:
-            sup.update(self.slog.coords.tolist())
-        self.sup = np.asarray(sorted(sup), dtype=np.intp)
 
 
 # An LMI F >= 0 enters the barrier as -LMI_WEIGHT * logdet F, with barrier
@@ -405,7 +419,8 @@ LMI_WEIGHT = 2.0
 
 class BarrierProblem:
     """Solve-ready form: minimize -(c.x + sum w logdet F(x)) subject to scalar
-    inequalities (with optional convex log terms) and LMIs."""
+    inequalities b - A x + (log terms of the rows in neglog_ineqs) > 0 and
+    LMIs."""
 
     def __init__(self, problem: ConicSubproblem):
         if problem.objective is None:
@@ -420,11 +435,13 @@ class BarrierProblem:
                            for w, m in obj.logdet_terms]
         self.lmi_blocks = [_RealBlock(m.coords, m.mats, m.offset,
                                       weight=LMI_WEIGHT) for m in problem.lmis]
-        self.ineqs = []
-        for spec in problem.ineqs:
-            a = spec.affine.dense(self.n)
-            b = spec.rhs - spec.affine.offset
-            matlogs, scoefs, soffs, scoords, sweights = [], [], [], set(), []
+        self.A = np.zeros((len(problem.ineqs), self.n))
+        self.b = np.zeros(len(problem.ineqs))
+        self.neglog_ineqs = []
+        for row, spec in enumerate(problem.ineqs):
+            self.A[row, spec.affine.coords] = spec.affine.weights
+            self.b[row] = spec.rhs - spec.affine.offset
+            matlogs, scoefs, soffs, scoords = [], [], [], set()
             for coef, mmap in spec.neglog_terms:
                 if mmap.dim == 1:
                     scoefs.append(coef)
@@ -447,11 +464,11 @@ class BarrierProblem:
                     j += 1
                 slog = _ScalarLogGroup(np.asarray(scoefs), np.asarray(soffs),
                                        scoords, weights)
-            self.ineqs.append(_IneqData(a, b, matlogs, slog))
+            if matlogs or slog is not None:
+                self.neglog_ineqs.append(_IneqData(row, matlogs, slog))
 
     def gap_degree(self):
-        deg = len(self.ineqs) + sum(blk.weight * blk.dim
-                                    for blk in self.lmi_blocks)
+        deg = len(self.b) + sum(blk.weight * blk.dim for blk in self.lmi_blocks)
         if self.box is not None:
             deg += 2 * self.n
         return deg
@@ -472,23 +489,33 @@ class BarrierProblem:
             val += blk.weight * blk.logdet(chol)
         return val
 
+    def _slacks(self, x):
+        """Slack of every inequality, or None where a log term leaves its
+        domain."""
+        s = self.b - self.A @ x
+        for ineq in self.neglog_ineqs:
+            for blk in ineq.matlogs:
+                chol = blk.chol(x)
+                if chol is None:
+                    return None
+                s[ineq.row] += blk.weight * blk.logdet(chol)
+            if ineq.slog is not None:
+                args = ineq.slog.args(x)
+                if np.any(args <= 0.0):
+                    return None
+                s[ineq.row] += float(ineq.slog.coefs @ np.log(args))
+        return s
+
     def ineq_values(self, x):
-        out = []
-        for spec in self.ineqs:
-            s = self._slack(spec, x)
-            if s is None:
-                return None
-            out.append(-s)
-        return out
+        s = self._slacks(x)
+        return None if s is None else -s
 
     def strict_margin(self, x):
         """Smallest slack across all barrier arguments (negative: infeasible)."""
-        worst = np.inf
-        vals = self.ineq_values(x)
-        if vals is None:
+        s = self._slacks(x)
+        if s is None:
             return -np.inf
-        for v in vals:
-            worst = min(worst, -v)
+        worst = float(np.min(s, initial=np.inf))
         for blk in self.lmi_blocks + self.obj_blocks:
             worst = min(worst, blk.min_eig(x))
         if self.box is not None:
@@ -497,12 +524,10 @@ class BarrierProblem:
         return worst
 
     def feasibility_residual(self, x):
-        vals = self.ineq_values(x)
-        worst = 0.0
-        if vals is None:
+        s = self._slacks(x)
+        if s is None:
             return np.inf
-        for v in vals:
-            worst = max(worst, v)
+        worst = float(np.max(-s, initial=0.0))
         for blk in self.lmi_blocks:
             worst = max(worst, -blk.min_eig(x))
         return worst
@@ -520,31 +545,16 @@ class BarrierProblem:
             if chol is None:
                 return None
             val -= blk.weight * blk.logdet(chol)
-        for spec in self.ineqs:
-            s = self._slack(spec, x)
-            if s is None or s <= 0.0:
-                return None
-            val -= np.log(s)
+        s = self._slacks(x)
+        if s is None or np.any(s <= 0.0):
+            return None
+        val -= float(np.sum(np.log(s)))
         if self.box is not None:
             below, above = self._box_slacks(x)
             if np.any(below <= 0.0) or np.any(above <= 0.0):
                 return None
             val -= float(np.sum(np.log(below)) + np.sum(np.log(above)))
         return val
-
-    def _slack(self, spec, x):
-        s = spec.b - float(spec.a @ x)
-        for blk in spec.matlogs:
-            chol = blk.chol(x)
-            if chol is None:
-                return None
-            s += blk.weight * blk.logdet(chol)
-        if spec.slog is not None:
-            args = spec.slog.args(x)
-            if np.any(args <= 0.0):
-                return None
-            s += float(spec.slog.coefs @ np.log(args))
-        return s
 
     def merit_derivatives(self, x, t):
         """(value, grad, hess) of the barrier merit at x."""
@@ -562,35 +572,38 @@ class BarrierProblem:
             gvec, gram = blk.grad_gram(chol)
             grad[blk.coords] -= w * gvec
             hess[np.ix_(blk.coords, blk.coords)] += w * gram
-        for spec in self.ineqs:
-            s = spec.b - float(spec.a @ x)
-            grad_s = -spec.a.copy()
-            curv = []            # [(coords, psd contribution)] of -hess(s)
-            for blk in spec.matlogs:
+        # Row i of jac is the gradient of slack s_i; curv holds the PSD
+        # -hess(s_i) parts of the log terms.
+        s = self.b - self.A @ x
+        jac = -self.A
+        curv = []
+        for ineq in self.neglog_ineqs:
+            i = ineq.row
+            for blk in ineq.matlogs:
                 chol = blk.chol(x)
                 if chol is None:
                     return None
-                s += blk.weight * blk.logdet(chol)
+                s[i] += blk.weight * blk.logdet(chol)
                 gvec, gram = blk.grad_gram(chol)
-                grad_s[blk.coords] += blk.weight * gvec
-                curv.append((blk.coords, blk.weight * gram))
-            if spec.slog is not None:
-                args = spec.slog.args(x)
+                jac[i, blk.coords] += blk.weight * gvec
+                curv.append((i, blk.coords, blk.weight * gram))
+            slog = ineq.slog
+            if slog is not None:
+                args = slog.args(x)
                 if np.any(args <= 0.0):
                     return None
-                s += float(spec.slog.coefs @ np.log(args))
-                scale = spec.slog.coefs / args
-                grad_s[spec.slog.coords] += spec.slog.weights.T @ scale
-                wmat = spec.slog.weights * np.sqrt(spec.slog.coefs / args ** 2)[:, None]
-                curv.append((spec.slog.coords, wmat.T @ wmat))
-            if s <= 0.0:
-                return None
-            val -= np.log(s)
-            gs = grad_s[spec.sup]
-            grad[spec.sup] -= gs / s
-            hess[np.ix_(spec.sup, spec.sup)] += np.outer(gs, gs) / (s * s)
-            for coords, gram in curv:
-                hess[np.ix_(coords, coords)] += gram / s
+                s[i] += float(slog.coefs @ np.log(args))
+                jac[i, slog.coords] += slog.weights.T @ (slog.coefs / args)
+                wmat = slog.weights * np.sqrt(slog.coefs / args ** 2)[:, None]
+                curv.append((i, slog.coords, wmat.T @ wmat))
+        if np.any(s <= 0.0):
+            return None
+        val -= float(np.sum(np.log(s)))
+        grad -= jac.T @ (1.0 / s)
+        scaled = jac / s[:, None]
+        hess += scaled.T @ scaled
+        for i, coords, gram in curv:
+            hess[np.ix_(coords, coords)] += gram / s[i]
         if self.box is not None:
             below, above = self._box_slacks(x)
             if np.any(below <= 0.0) or np.any(above <= 0.0):
@@ -688,10 +701,10 @@ def _heuristic_point(bp):
         np.arange(b.offset, b.offset + b.dim) for b in herm_blocks
     ]) if herm_blocks else np.zeros(0, dtype=np.intp)
     best = np.inf
-    for spec in bp.ineqs:
-        slope = float(np.sum(spec.a[all_diag])) if len(all_diag) else 0.0
-        if slope > 1e-12 and spec.b > 0:
-            best = min(best, spec.b / (2.0 * slope))
+    for a, b in zip(bp.A, bp.b):
+        slope = float(np.sum(a[all_diag])) if len(all_diag) else 0.0
+        if slope > 1e-12 and b > 0:
+            best = min(best, b / (2.0 * slope))
     x = np.zeros(bp.n)
     for blk in problem.blocks:
         if blk.kind == KIND_HERMITIAN:
@@ -731,20 +744,18 @@ def _phase1_problem(bp):
 
     relaxed.lmi_blocks = [extend_block(b, LMI_WEIGHT)
                           for b in bp.lmi_blocks + bp.obj_blocks]
-    relaxed.ineqs = []
-    for spec in bp.ineqs:
-        a = np.zeros(relaxed.n)
-        a[:bp.n] = spec.a
-        a[s_idx] = -1.0
-        matlogs = [extend_block(blk, blk.weight) for blk in spec.matlogs]
-        slog = None
-        if spec.slog is not None:
-            coords = np.concatenate([spec.slog.coords, [s_idx]]).astype(np.intp)
-            weights = np.hstack([spec.slog.weights,
-                                 np.ones((len(spec.slog.coefs), 1))])
-            slog = _ScalarLogGroup(spec.slog.coefs.copy(),
-                                   spec.slog.offsets.copy(), coords, weights)
-        relaxed.ineqs.append(_IneqData(a, spec.b, matlogs, slog))
+    relaxed.A = np.hstack([bp.A, -np.ones((len(bp.b), 1))])
+    relaxed.b = bp.b
+    relaxed.neglog_ineqs = []
+    for ineq in bp.neglog_ineqs:
+        matlogs = [extend_block(blk, blk.weight) for blk in ineq.matlogs]
+        slog = ineq.slog
+        if slog is not None:
+            coords = np.concatenate([slog.coords, [s_idx]]).astype(np.intp)
+            weights = np.hstack([slog.weights, np.ones((len(slog.coefs), 1))])
+            slog = _ScalarLogGroup(slog.coefs.copy(), slog.offsets.copy(),
+                                   coords, weights)
+        relaxed.neglog_ineqs.append(_IneqData(ineq.row, matlogs, slog))
     relaxed.box = None               # sized by the caller from the start point
     return relaxed
 

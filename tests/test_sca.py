@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,37 @@ def test_subproblem_maps_match_closed_forms():
     for mmap in prob.lmis + [obj_map]:
         assert close(mmap.mats, np.conj(mmap.mats.transpose(0, 2, 1)))
         assert close(mmap.offset, mmap.offset.conj().T)
+
+
+@pytest.mark.parametrize("channel_seed", [1, 2])
+def test_tiny_subproblem_solution_meets_its_constraints(channel_seed):
+    cfg = TINY
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
+    exp_w, exp_mats = sca.random_expansion(cfg, RngState(channel_seed))
+    state = sca.SCAState(exp_w, exp_mats, cfg.penalty_init, eve_cap=cfg.eve_mi_cap)
+    res = sca.solve(sca.build_subproblem_no_an(state, links, stats_r, stats_e, cfg))
+    mats = [res.values[f"W{k}"] for k in range(cfg.n_users)]
+    tx_cov = sum(mats)
+
+    # Recompute each constraint from the returned values.
+    targets = np.asarray(cfg.sinr_targets) * (1.0 + cfg.sinr_margin)
+    rates = metrics.sinr(links, mats, cfg.noise_comm)
+    assert np.all(rates >= targets * (1.0 - 1e-6))
+    assert np.trace(tx_cov).real <= cfg.power_budget * (1.0 + 1e-6)
+    eve_bound = metrics.sensing_mi_taylor_bound(stats_e, tx_cov, state.exp_cov,
+                                                cfg.frame_len)
+    assert eve_bound - res.values["kappa"] <= cfg.eve_mi_cap + 1e-6
+
+
+def test_design_status_reports_a_non_optimal_subproblem(monkeypatch):
+    cfg = TINY
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    solve = sca.solve
+
+    def max_iter_solve(*args, **kwargs):
+        return dataclasses.replace(solve(*args, **kwargs), status="max-iter")
+
+    monkeypatch.setattr(sca, "solve", max_iter_solve)
+    sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
+    assert trace.converged_at is not None
+    assert sol.status == "max-iter"

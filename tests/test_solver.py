@@ -60,7 +60,15 @@ def test_real_block_gradient_and_gram_match_direct_loops():
     d, m = 5, 7
     real_mats = np.stack([0.5 * (a + a.T) for a in rng.standard_normal((m, d, d))])
     herm_mats = np.stack([random_hermitian(rng, d) for _ in range(m)])
-    for mats in (real_mats, herm_mats):
+    # One stack on two coordinate ranges, as a map of W0 + W1 has it, then
+    # with the identity column that phase I adds for its slack.
+    shared = np.concatenate([herm_mats, herm_mats])
+    extended = np.concatenate([shared, np.eye(d)[None]])
+    # diag(2, 0) and diag(0, 1) share a fingerprint in the row grouping.
+    clashing = np.stack([np.diag([2.0, 0.0]), np.diag([0.0, 1.0]),
+                         np.diag([2.0, 0.0]), random_hermitian(rng, 2)])
+    for mats in (real_mats, herm_mats, shared, extended, clashing):
+        m, d = mats.shape[:2]
         blk = _RealBlock(np.arange(m), mats, 3.0 * np.eye(d))
         f = blk.assemble(rng.standard_normal(m) * 0.1)
         gvec, gram = blk.grad_gram(np.linalg.cholesky(f))
@@ -70,6 +78,22 @@ def test_real_block_gradient_and_gram_match_direct_loops():
                              for si in mats]).real
         assert np.abs(gvec - gvec_ref).max() < 1e-12
         assert np.abs(gram - gram_ref).max() < 1e-12
+
+
+def assert_derivatives_match_finite_differences(bp, x, t):
+    val, grad, hess = bp.merit_derivatives(x, t)
+    assert abs(val - bp.merit(x, t)) < 1e-9 * max(abs(val), 1.0)
+    step = 1e-6
+    for g in range(bp.n):
+        xp, xm = x.copy(), x.copy()
+        xp[g] += step
+        xm[g] -= step
+        fd = (bp.merit(xp, t) - bp.merit(xm, t)) / (2 * step)
+        assert abs(fd - grad[g]) < 2e-5 * max(abs(fd), 1.0)
+        _, gp, _ = bp.merit_derivatives(xp, t)
+        _, gm, _ = bp.merit_derivatives(xm, t)
+        col = (gp - gm) / (2 * step)
+        assert np.abs(col - hess[:, g]).max() < 1e-4 * max(np.abs(col).max(), 1.0)
 
 
 def test_barrier_derivatives_match_finite_differences():
@@ -100,19 +124,43 @@ def test_barrier_derivatives_match_finite_differences():
     w0 = 0.1 * random_complex(rng, 3)
     x = prob.pack({"W": np.outer(w0, w0.conj()) + 0.3 * np.eye(3),
                    "w": w0, "rho": 1.0})
-    t = 7.0
-    val, grad, hess = bp.merit_derivatives(x, t)
-    step = 1e-6
-    for g in range(bp.n):
-        xp, xm = x.copy(), x.copy()
-        xp[g] += step
-        xm[g] -= step
-        fd = (bp.merit(xp, t) - bp.merit(xm, t)) / (2 * step)
-        assert abs(fd - grad[g]) < 2e-5 * max(abs(fd), 1.0)
-        _, gp, _ = bp.merit_derivatives(xp, t)
-        _, gm, _ = bp.merit_derivatives(xm, t)
-        col = (gp - gm) / (2 * step)
-        assert np.abs(col - hess[:, g]).max() < 1e-4 * max(np.abs(col).max(), 1.0)
+    assert_derivatives_match_finite_differences(bp, x, 7.0)
+
+
+def test_stacked_inequality_derivatives_match_finite_differences():
+    from sensesec.solver import BarrierProblem, _phase1_problem
+    rng = np.random.default_rng(3)
+    prob = ConicSubproblem()
+    prob.add_hermitian("W0", 2)
+    prob.add_hermitian("W1", 2)
+    prob.add_scalar("y", lower=0.0, upper=3.0)
+    prob.add_scalar("z")
+    # A log-det of W0 + W1: the same coefficients on both.
+    legit = np.stack([random_psd(rng, 3) for _ in range(4)])
+    tx_cov = prob.matrix_map(np.eye(3), {"W0": legit, "W1": legit})
+    prob.set_objective(linear=prob.scalar_map(0.0, {"y": -0.3, "z": 0.2}),
+                       logdet_terms=[(1.0, tx_cov)])
+    trace = hermitian_weights(np.eye(2))
+    prob.add_ineq(prob.scalar_map(0.0, {"W0": trace, "W1": trace}), 2.0)
+    h = random_complex(rng, 2)
+    prob.add_ineq(prob.scalar_map(
+        0.0, {"W0": -hermitian_weights(np.outer(h, h.conj())), "y": 0.5}), 1.0)
+    # z - log(1 + y) <= 0.5 and z - 0.7 logdet(I + W0) <= 1.
+    prob.add_ineq(prob.scalar_map(0.0, {"z": 1.0}), 0.5, neglog_terms=[
+        (1.0, prob.matrix_map(np.eye(1), {"y": [np.eye(1)]}))])
+    prob.add_ineq(prob.scalar_map(0.0, {"z": 1.0}), 1.0, neglog_terms=[
+        (0.7, prob.matrix_map(np.eye(2), {"W0": hermitian_basis(2)}))])
+    bp = BarrierProblem(prob)
+    w0 = 0.2 * random_complex(rng, 2)
+    x = prob.pack({"W0": np.outer(w0, w0.conj()) + 0.3 * np.eye(2),
+                   "W1": 0.2 * np.eye(2), "y": 1.0, "z": 0.1})
+    assert len(bp.neglog_ineqs) == 2
+    assert_derivatives_match_finite_differences(bp, x, 7.0)
+
+    relaxed = _phase1_problem(bp)
+    x_ext = np.append(x, 0.05)
+    relaxed.box = (x_ext - 3.0, x_ext + 3.0)
+    assert_derivatives_match_finite_differences(relaxed, x_ext, 7.0)
 
 
 def scalar_logdet_problem(lin_coef):
