@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -248,14 +249,14 @@ class ScenarioConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kw = {}
-        n_users = int(raw.get("n_users", cls.n_users))
         for key in ("n_tx", "n_rx", "n_eve", "n_users", "frame_len",
                     "penalty_init", "penalty_growth", "max_outer_iters",
                     "tol_obj_nats", "tol_penalty", "sinr_margin",
                     "an_samples", "an_frame_len", "seed",
                     "noise_comm", "noise_radar", "noise_eve"):
             if key in raw:
-                kw[key] = _FILE_KEYS[key](raw[key])
+                conv = _FILE_KEYS[key]
+                kw[key] = _integer(key, raw[key]) if conv is int else conv(raw[key])
         if "power_budget_dbm" in raw:
             kw["power_budget"] = float(dbm_to_watt(raw["power_budget_dbm"]))
         if "eve_mi_cap_nats" in raw:
@@ -274,12 +275,22 @@ class ScenarioConfig:
                     math.radians(v) for v in _as_tuple(raw[akey]))
             if gkey in raw:
                 kw[f"{prefix}_target_gains"] = _as_tuple(raw[gkey])
-        kw.setdefault("n_users", n_users)
         return cls(**kw)
 
     @classmethod
     def from_file(cls, path):
         return cls.from_file_dict(parse_config_file(path))
+
+
+def _integer(key, val):
+    """An integer config entry; a fraction is an error, not truncated."""
+    if isinstance(val, float) and val.is_integer():
+        return int(val)
+    try:
+        return operator.index(val)
+    except TypeError:
+        raise ValueError(
+            f"config key {key!r} must be an integer, got {val!r}") from None
 
 
 def _as_tuple(val):
@@ -314,6 +325,8 @@ def parse_config_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, val = (part.strip() for part in line.split("=", 1))
+            if key in raw:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             parts = [p.strip() for p in val.split(",") if p.strip()]
             if len(parts) > 1:
                 raw[key] = [float(_parse_scalar(p)) for p in parts]
@@ -375,11 +388,3 @@ def build_scenario(cfg, rng):
                                   cfg.n_eve, cfg.n_tx, load_e, cfg.noise_eve,
                                   label="eve")
     return channels, stats_r, stats_e
-
-
-def sample_target_response(stats, rng, size=None):
-    """Draw vec(H) ~ CN(0, cov) and reshape to (n_rx, n_tx) response matrices."""
-    draws = sample_complex_gaussian(rng, np.zeros(stats.dim), stats.cov, size=size)
-    if size is None:
-        return draws.reshape(stats.n_rx, stats.n_tx, order="F")
-    return np.stack([d.reshape(stats.n_rx, stats.n_tx, order="F") for d in draws])

@@ -227,30 +227,6 @@ def rank_one_certificate(weight_mat):
 
 
 @dataclass
-class MIReport:
-    """Sensing-MI summary for one design point (all values nats)."""
-
-    mi_legit: float
-    mi_eve: float
-    taylor_bound: float
-    an_bound: float | None = None
-
-    @property
-    def gap(self):
-        return self.mi_legit - self.mi_eve
-
-    def validate(self):
-        vals = [self.mi_legit, self.mi_eve, self.taylor_bound]
-        if self.an_bound is not None:
-            vals.append(self.an_bound)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError("MI report contains non-finite entries")
-        if self.mi_legit < 0 or self.mi_eve < 0:
-            raise ValueError("MI values must be nonnegative")
-        return self
-
-
-@dataclass
 class BeamformerSolution:
     """Designed beamformers with achieved metrics.
 
@@ -269,12 +245,3 @@ class BeamformerSolution:
     power: float
     rank_certs: np.ndarray
     status: str = "optimal"
-
-    def validate(self, power_budget, power_tol=1e-6):
-        for w in self.weight_mats:
-            check_psd(w, name="per-user weight matrix")
-        if self.an_cov is not None:
-            check_psd(self.an_cov, name="AN covariance")
-        if self.power > power_budget + power_tol:
-            raise ValueError(f"power {self.power} exceeds budget {power_budget}")
-        return self

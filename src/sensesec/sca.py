@@ -39,6 +39,7 @@ from .solver import (
 RANK_ONE_THRESHOLD = 0.999
 RANDOMIZATION_CANDIDATES = 100
 EVE_RECHECK_SLACK = 1e-3
+ANCHOR_BLEND = 0.01          # weight of the interior anchor in a warm start
 
 
 @dataclass
@@ -48,7 +49,7 @@ class SCAState:
     exp_weights: list            # per-user expansion vectors
     exp_weight_mats: list        # per-user expansion matrices
     penalty_weight: float
-    eve_cap: float | None = None     # None disables the eavesdropper constraint
+    eve_cap: float               # inf drops the eavesdropper constraint
 
     @property
     def exp_cov(self):
@@ -74,12 +75,6 @@ class SCAIteration:
 class SCATrace:
     rows: list = field(default_factory=list)
     converged_at: int | None = None
-
-    def mi_legit_series(self):
-        return np.array([r.mi_legit for r in self.rows])
-
-    def max_penalty_series(self):
-        return np.array([max(r.kappa, r.rho_max) for r in self.rows])
 
 
 def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
@@ -130,7 +125,7 @@ def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
 
     # Eavesdropper constraint: affine expansion of the Eve MI around the
     # current covariance, slacked by kappa.
-    if state.eve_cap is not None and np.isfinite(state.eve_cap):
+    if np.isfinite(state.eve_cap):
         exp_cov = state.exp_cov
         grad = sensing_mi_gradient(stats_e, exp_cov, cfg.frame_len)
         const = sensing_mi(stats_e, exp_cov, cfg.frame_len) \
@@ -254,7 +249,7 @@ def _start_values(weights, mats, cfg, state, stats_e):
                     - 2.0 * np.real(exp_w.conj() @ w)
                     + np.real(exp_w.conj() @ exp_w))
         vals[f"rho{k}"] = max(tie, 0.0) + pad
-    if state.eve_cap is not None and np.isfinite(state.eve_cap):
+    if np.isfinite(state.eve_cap):
         cov = transmit_covariance([vals[f"W{k}"] for k in range(cfg.n_users)])
         bound = sensing_mi_taylor_bound(stats_e, cov, state.exp_cov, cfg.frame_len)
         vals["kappa"] = max(bound - state.eve_cap, 0.0) + pad
@@ -263,14 +258,14 @@ def _start_values(weights, mats, cfg, state, stats_e):
     return vals
 
 
-def _blend_with_anchor(prev_weights, prev_mats, anchor, alpha=0.01):
+def _blend_with_anchor(prev_weights, prev_mats, anchor):
     """Convex blend toward the interior anchor; all subproblem constraints
     are jointly affine/concave in (w, W), so the blend inherits at least
-    alpha times the anchor's margin."""
+    ANCHOR_BLEND times the anchor's margin."""
     aw, am = anchor
-    weights = [(1.0 - alpha) * np.asarray(w) + alpha * aw[k]
+    weights = [(1.0 - ANCHOR_BLEND) * np.asarray(w) + ANCHOR_BLEND * aw[k]
                for k, w in enumerate(prev_weights)]
-    mats = [(1.0 - alpha) * np.asarray(m) + alpha * am[k]
+    mats = [(1.0 - ANCHOR_BLEND) * np.asarray(m) + ANCHOR_BLEND * am[k]
             for k, m in enumerate(prev_mats)]
     return weights, mats
 
@@ -331,7 +326,7 @@ def _gaussian_randomization(weight_mats, fallback, channels, stats_r, stats_e,
         rates = sinr(vectors, cand, cfg.noise_comm)
         if np.any(rates < np.asarray(cfg.sinr_targets) * (1.0 - 1e-6)):
             continue
-        if state.eve_cap is not None and np.isfinite(state.eve_cap):
+        if np.isfinite(state.eve_cap):
             if sensing_mi(stats_e, r_x, cfg.frame_len) > state.eve_cap + EVE_RECHECK_SLACK:
                 continue
         cand_mi = sensing_mi(stats_r, r_x, cfg.frame_len)
@@ -340,16 +335,17 @@ def _gaussian_randomization(weight_mats, fallback, channels, stats_r, stats_e,
     return best if best is not None else fallback
 
 
-def run_sca_no_an(channels, stats_r, stats_e, cfg, rng, eve_cap="config"):
+def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     """Penalty-SCA outer loop; returns (BeamformerSolution, SCATrace).
 
     The trace records the true metrics of every accepted iterate, recomputed
     from the metrics module rather than trusted from the solver.  The
     solution's status is "optimal" only when the loop converged and every
     subproblem solve returned "optimal"; otherwise it is the first other
-    status, "max-iter" for a loop that did not converge.
+    status, "max-iter" for a loop that did not converge.  An infinite
+    ``cfg.eve_mi_cap`` designs without the eavesdropper constraint.
     """
-    cap = cfg.eve_mi_cap if eve_cap == "config" else eve_cap
+    cap = cfg.eve_mi_cap
     trace = SCATrace()
     vectors = [ch.vector for ch in channels]
     targets = np.asarray(cfg.sinr_targets)
@@ -379,21 +375,14 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng, eve_cap="config"):
         try:
             res = solve(problem, initial=initial,
                         t0=1.0 if result_values is None else 1e3)
-        except InfeasibleError:
-            if itn == 1:
-                exp_w, exp_mats = random_expansion(cfg, rng.child("reinit"))
-                state = SCAState(exp_w, exp_mats, cfg.penalty_init, eve_cap=cap)
-                problem = build_subproblem_no_an(state, channels, stats_r,
-                                                 stats_e, cfg)
-                try:
-                    res = solve(problem, initial=None)
-                except InfeasibleError as exc:
-                    raise InfeasibleError(
-                        "subproblem infeasible after re-randomization; the "
-                        "SINR targets are unreachable within the power budget "
-                        f"for this channel draw ({exc})") from exc
-            else:
+        except InfeasibleError as exc:
+            # Feasibility does not depend on the expansion point: kappa and
+            # rho slack every row that does.
+            if itn > 1:
                 raise
+            raise InfeasibleError(
+                "subproblem infeasible; the SINR targets are unreachable "
+                f"within the power budget for this channel draw ({exc})") from exc
         statuses.append(res.status)
         result_values = res.values
         weight_mats = [result_values[f"W{k}"] for k in range(cfg.n_users)]
@@ -438,8 +427,7 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng, eve_cap="config"):
 
     # The surrogate guarantees the true constraint in exact arithmetic; the
     # re-check below guards numerical slack with one extra pass.
-    if (cap is not None and np.isfinite(cap)
-            and solution.mi_eve > cap + EVE_RECHECK_SLACK):
+    if np.isfinite(cap) and solution.mi_eve > cap + EVE_RECHECK_SLACK:
         problem = build_subproblem_no_an(state, channels, stats_r, stats_e, cfg)
         if anchor is not None:
             warm_w, warm_m = _blend_with_anchor(solution.weights,

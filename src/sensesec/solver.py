@@ -26,6 +26,10 @@ from scipy.linalg import cho_factor, cho_solve
 NEWTON_TOL = 1e-9          # inner stopping threshold on lambda^2 / 2
 BARRIER_GROWTH = 10.0
 PHASE1_MARGIN = 1e-9
+PHASE1_MAX_STEPS = 400
+FEAS_TOL = 1e-7            # largest constraint violation of an "optimal" result
+OBJ_TOL = 1e-8             # duality-gap bound that ends the barrier
+MAX_NEWTON_STEPS = 600
 
 
 class SolverError(RuntimeError):
@@ -152,7 +156,6 @@ class IneqSpec:
 class ObjectiveSpec:
     linear: ScalarMap
     logdet_terms: list            # [(weight, MatrixMap)], weight > 0
-    constant: float = 0.0
 
 
 class ConicSubproblem:
@@ -266,14 +269,14 @@ class ConicSubproblem:
 
     # -- constraints and objective
 
-    def set_objective(self, linear=None, logdet_terms=(), constant=0.0):
-        """Maximize linear(x) + sum_t weight_t * logdet(map_t(x)) + constant."""
+    def set_objective(self, linear=None, logdet_terms=()):
+        """Maximize linear(x) + sum_t weight_t * logdet(map_t(x))."""
         linear = linear if linear is not None else self.scalar_map(0.0, {})
         terms = list(logdet_terms)
         for weight, mmap in terms:
             if weight <= 0:
                 raise ValueError("log-det objective weights must be positive")
-        self.objective = ObjectiveSpec(linear, terms, float(constant))
+        self.objective = ObjectiveSpec(linear, terms)
 
     def add_lmi(self, mmap):
         self.lmis.append(mmap)
@@ -294,7 +297,6 @@ class SolverResult:
     feas_residual: float
     iterations: int
     status: str                  # optimal | max-iter | infeasible-detected
-    gap: float
     history: list = field(default_factory=list)
 
 
@@ -387,29 +389,12 @@ class _RealBlock:
 
 
 @dataclass
-class _ScalarLogGroup:
-    """Vectorized bundle of 1x1 neg-log terms of one inequality:
-    sum_j coefs[j] * (-log(offsets[j] + weights[j] . x[coords]))."""
-
-    coefs: np.ndarray            # (J,)
-    offsets: np.ndarray          # (J,)
-    coords: np.ndarray           # (u,)
-    weights: np.ndarray          # (J, u)
-
-    def args(self, x):
-        if len(self.coords) == 0:
-            return self.offsets.copy()
-        return self.offsets + self.weights @ x[self.coords]
-
-
-@dataclass
 class _IneqData:
     """The neg-log terms of inequality ``row``: its slack b - a.x gains
-    sum_m weight_m logdet(map_m(x)) + sum_j coefs_j log(args_j(x))."""
+    sum_m weight_m logdet(map_m(x))."""
 
     row: int
-    matlogs: list                # [_RealBlock] of dim > 1, weight = coef
-    slog: _ScalarLogGroup | None
+    matlogs: list                # [_RealBlock], weight = coef
 
 
 # An LMI F >= 0 enters the barrier as -LMI_WEIGHT * logdet F, with barrier
@@ -430,7 +415,6 @@ class BarrierProblem:
         self.box = None              # optional (lo, hi) coordinate bounds
         obj = problem.objective
         self.c = obj.linear.dense(self.n)
-        self.const = obj.constant + 0.0
         self.obj_blocks = [_RealBlock(m.coords, m.mats, m.offset, weight=w)
                            for w, m in obj.logdet_terms]
         self.lmi_blocks = [_RealBlock(m.coords, m.mats, m.offset,
@@ -441,31 +425,10 @@ class BarrierProblem:
         for row, spec in enumerate(problem.ineqs):
             self.A[row, spec.affine.coords] = spec.affine.weights
             self.b[row] = spec.rhs - spec.affine.offset
-            matlogs, scoefs, soffs, scoords = [], [], [], set()
-            for coef, mmap in spec.neglog_terms:
-                if mmap.dim == 1:
-                    scoefs.append(coef)
-                    soffs.append(float(np.real(mmap.offset[0, 0])))
-                    scoords.update(mmap.coords.tolist())
-                else:
-                    matlogs.append(_RealBlock(mmap.coords, mmap.mats,
-                                              mmap.offset, weight=coef))
-            slog = None
-            if scoefs:
-                scoords = np.asarray(sorted(scoords), dtype=np.intp)
-                pos = {c: i for i, c in enumerate(scoords)}
-                weights = np.zeros((len(scoefs), len(scoords)))
-                j = 0
-                for coef, mmap in spec.neglog_terms:
-                    if mmap.dim != 1:
-                        continue
-                    for c, mat in zip(mmap.coords, mmap.mats):
-                        weights[j, pos[int(c)]] = float(np.real(mat[0, 0]))
-                    j += 1
-                slog = _ScalarLogGroup(np.asarray(scoefs), np.asarray(soffs),
-                                       scoords, weights)
-            if matlogs or slog is not None:
-                self.neglog_ineqs.append(_IneqData(row, matlogs, slog))
+            if spec.neglog_terms:
+                matlogs = [_RealBlock(m.coords, m.mats, m.offset, weight=coef)
+                           for coef, m in spec.neglog_terms]
+                self.neglog_ineqs.append(_IneqData(row, matlogs))
 
     def gap_degree(self):
         deg = len(self.b) + sum(blk.weight * blk.dim for blk in self.lmi_blocks)
@@ -481,7 +444,7 @@ class BarrierProblem:
 
     def objective_value(self, x):
         """Max-sense objective in original (complex) units."""
-        val = float(self.c @ x) + self.const
+        val = float(self.c @ x)
         for blk in self.obj_blocks:
             chol = blk.chol(x)
             if chol is None:
@@ -499,16 +462,7 @@ class BarrierProblem:
                 if chol is None:
                     return None
                 s[ineq.row] += blk.weight * blk.logdet(chol)
-            if ineq.slog is not None:
-                args = ineq.slog.args(x)
-                if np.any(args <= 0.0):
-                    return None
-                s[ineq.row] += float(ineq.slog.coefs @ np.log(args))
         return s
-
-    def ineq_values(self, x):
-        s = self._slacks(x)
-        return None if s is None else -s
 
     def strict_margin(self, x):
         """Smallest slack across all barrier arguments (negative: infeasible)."""
@@ -521,15 +475,6 @@ class BarrierProblem:
         if self.box is not None:
             below, above = self._box_slacks(x)
             worst = min(worst, float(np.min(below)), float(np.min(above)))
-        return worst
-
-    def feasibility_residual(self, x):
-        s = self._slacks(x)
-        if s is None:
-            return np.inf
-        worst = float(np.max(-s, initial=0.0))
-        for blk in self.lmi_blocks:
-            worst = max(worst, -blk.min_eig(x))
         return worst
 
     def merit(self, x, t):
@@ -587,15 +532,6 @@ class BarrierProblem:
                 gvec, gram = blk.grad_gram(chol)
                 jac[i, blk.coords] += blk.weight * gvec
                 curv.append((i, blk.coords, blk.weight * gram))
-            slog = ineq.slog
-            if slog is not None:
-                args = slog.args(x)
-                if np.any(args <= 0.0):
-                    return None
-                s[i] += float(slog.coefs @ np.log(args))
-                jac[i, slog.coords] += slog.weights.T @ (slog.coefs / args)
-                wmat = slog.weights * np.sqrt(slog.coefs / args ** 2)[:, None]
-                curv.append((i, slog.coords, wmat.T @ wmat))
         if np.any(s <= 0.0):
             return None
         val -= float(np.sum(np.log(s)))
@@ -676,7 +612,7 @@ def _run_barrier(bp, x0, obj_tol, max_iters, early_stop=None, t0=1.0):
                 break
             if early_stop is not None and early_stop(x):
                 history.append((t, bp.objective_value(x), stage_newton))
-                return x, total_newton, "optimal", degree / t, history
+                return x, total_newton, "optimal", history
             # At large t the Armijo bound rounds to val itself, so steps that
             # no longer lower the merit pass: the stage is at its round-off
             # floor and further steps only burn the stage cap.
@@ -688,7 +624,7 @@ def _run_barrier(bp, x0, obj_tol, max_iters, early_stop=None, t0=1.0):
         if degree / t <= obj_tol or degree == 0:
             break
         t *= BARRIER_GROWTH
-    return x, total_newton, status, degree / t, history
+    return x, total_newton, status, history
 
 
 def _heuristic_point(bp):
@@ -731,7 +667,6 @@ def _phase1_problem(bp):
     s_idx = bp.n
     relaxed.c = np.zeros(relaxed.n)
     relaxed.c[s_idx] = -1.0       # maximize -s
-    relaxed.const = 0.0
     relaxed.obj_blocks = []
 
     def extend_block(blk, weight):
@@ -746,28 +681,21 @@ def _phase1_problem(bp):
                           for b in bp.lmi_blocks + bp.obj_blocks]
     relaxed.A = np.hstack([bp.A, -np.ones((len(bp.b), 1))])
     relaxed.b = bp.b
-    relaxed.neglog_ineqs = []
-    for ineq in bp.neglog_ineqs:
-        matlogs = [extend_block(blk, blk.weight) for blk in ineq.matlogs]
-        slog = ineq.slog
-        if slog is not None:
-            coords = np.concatenate([slog.coords, [s_idx]]).astype(np.intp)
-            weights = np.hstack([slog.weights, np.ones((len(slog.coefs), 1))])
-            slog = _ScalarLogGroup(slog.coefs.copy(), slog.offsets.copy(),
-                                   coords, weights)
-        relaxed.neglog_ineqs.append(_IneqData(ineq.row, matlogs, slog))
+    relaxed.neglog_ineqs = [
+        _IneqData(ineq.row, [extend_block(b, b.weight) for b in ineq.matlogs])
+        for ineq in bp.neglog_ineqs]
     relaxed.box = None               # sized by the caller from the start point
     return relaxed
 
 
-def _find_strictly_feasible(bp, hint=None, margin=PHASE1_MARGIN, max_iters=400):
+def _find_strictly_feasible(bp, hint=None):
     """Strictly feasible x for bp, via hint, heuristic, or phase-I slack
     minimization.  Raises InfeasibleError when the slack optimum stays
     positive."""
     candidates = [] if hint is None else [hint]
     candidates.append(_heuristic_point(bp))
     for cand in candidates:
-        if bp.strict_margin(cand) >= margin:
+        if bp.strict_margin(cand) >= PHASE1_MARGIN:
             return cand
     relaxed = _phase1_problem(bp)
     # Geometric slack ladder: the fully-relaxed problem is strictly feasible
@@ -776,7 +704,7 @@ def _find_strictly_feasible(bp, hint=None, margin=PHASE1_MARGIN, max_iters=400):
     for base in candidates:
         for slack0 in (1.0, 1e2, 1e4, 1e6, 1e9, 1e12):
             cand = np.concatenate([base, [slack0]])
-            if relaxed.strict_margin(cand) >= margin:
+            if relaxed.strict_margin(cand) >= PHASE1_MARGIN:
                 start = cand
                 break
         if start is not None:
@@ -788,15 +716,13 @@ def _find_strictly_feasible(bp, hint=None, margin=PHASE1_MARGIN, max_iters=400):
     radius = 1e4 * np.maximum(1.0, np.abs(start))
     relaxed.box = (start - radius, start + radius)
 
-    target = 10.0 * margin
-
     def done(x_ext):
-        return x_ext[-1] <= -target
+        return x_ext[-1] <= -10.0 * PHASE1_MARGIN
 
-    x_ext, _, _, _, _ = _run_barrier(relaxed, start, obj_tol=margin, t0=1.0,
-                                     max_iters=max_iters, early_stop=done)
+    x_ext = _run_barrier(relaxed, start, obj_tol=PHASE1_MARGIN, t0=1.0,
+                         max_iters=PHASE1_MAX_STEPS, early_stop=done)[0]
     x, slack = x_ext[:bp.n], float(x_ext[-1])
-    if slack <= -margin and bp.strict_margin(x) >= margin:
+    if slack <= -PHASE1_MARGIN and bp.strict_margin(x) >= PHASE1_MARGIN:
         return x
     raise InfeasibleError(
         f"phase-I terminated with slack {slack:.3e}; problem has no strictly "
@@ -811,8 +737,7 @@ def phase1_feasible_point(problem):
     return problem.unpack(x)
 
 
-def solve(problem, initial=None, feas_tol=1e-7, obj_tol=1e-8, max_iters=600,
-          t0=1.0):
+def solve(problem, initial=None, t0=1.0):
     """Barrier solve of a ConicSubproblem.
 
     ``initial`` may carry variable values (dict) used when strictly feasible;
@@ -824,15 +749,14 @@ def solve(problem, initial=None, feas_tol=1e-7, obj_tol=1e-8, max_iters=600,
     bp = BarrierProblem(problem)
     hint = problem.pack(initial) if initial is not None else None
     x0 = _find_strictly_feasible(bp, hint=hint)
-    x, iters, status, gap, history = _run_barrier(bp, x0, obj_tol=obj_tol,
-                                                  max_iters=max_iters, t0=t0)
-    residual = bp.feasibility_residual(x)
-    if status == "optimal" and residual > feas_tol:
+    x, iters, status, history = _run_barrier(bp, x0, obj_tol=OBJ_TOL,
+                                             max_iters=MAX_NEWTON_STEPS, t0=t0)
+    residual = max(-bp.strict_margin(x), 0.0)
+    if status == "optimal" and residual > FEAS_TOL:
         status = "max-iter"
     return SolverResult(values=problem.unpack(x),
                         objective=bp.objective_value(x),
-                        feas_residual=max(residual, 0.0),
+                        feas_residual=residual,
                         iterations=iters,
                         status=status,
-                        gap=gap,
                         history=history)

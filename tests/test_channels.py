@@ -202,6 +202,28 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="cannot parse config value"):
             parse_config_file(path)
 
+    @pytest.mark.parametrize("line", ["n_tx = 6.5", "max_outer_iters = 2.9",
+                                      "seed = inf", "n_users = 1, 2"])
+    def test_non_integral_integer_key_rejected(self, tmp_path, line):
+        path = tmp_path / "frac.cfg"
+        path.write_text(line + "\n")
+        key = line.split("=")[0].strip()
+        with pytest.raises(ValueError, match=f"config key '{key}' must be an integer"):
+            ScenarioConfig.from_file(path)
+
+    def test_integral_float_accepted_for_integer_key(self, tmp_path):
+        path = tmp_path / "whole.cfg"
+        path.write_text("n_tx = 4.0\nmax_outer_iters = 1e1\n")
+        cfg = ScenarioConfig.from_file(path)
+        assert (cfg.n_tx, cfg.max_outer_iters) == (4, 10)
+        assert isinstance(cfg.n_tx, int) and isinstance(cfg.max_outer_iters, int)
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "dup.cfg"
+        path.write_text("n_tx = 4\n# override\nn_tx = 8\n")
+        with pytest.raises(ValueError, match=r"dup\.cfg:3: duplicate key 'n_tx'"):
+            parse_config_file(path)
+
     def test_dbm_conversion(self):
         assert abs(dbm_to_watt(30.0) - 1.0) < 1e-15
         assert abs(dbm_to_watt(10.0) - 0.01) < 1e-15

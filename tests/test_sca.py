@@ -1,10 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from sensesec import channels, metrics, sca
 from sensesec.linalg import RngState
+from sensesec.solver import InfeasibleError
 
 # Smallest scenario the SCA loop handles: two transmit antennas, one user.
 TINY = channels.ScenarioConfig(n_tx=2, n_rx=1, n_eve=1, n_users=1,
@@ -134,3 +136,41 @@ def test_design_status_reports_a_non_optimal_subproblem(monkeypatch):
     sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
     assert trace.converged_at is not None
     assert sol.status == "max-iter"
+
+
+def test_unreachable_sinr_targets_raise_infeasible(monkeypatch):
+    cfg = TINY.replace(sinr_targets=(1e9,), power_budget=1e-3)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    calls = []
+    solve = sca.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sca, "solve", counting_solve)
+    with pytest.raises(InfeasibleError,
+                       match="unreachable within the power budget"):
+        sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
+    # No expansion point makes the first subproblem feasible: one attempt.
+    assert len(calls) == 1
+
+
+def test_infinite_eve_cap_drops_the_eve_constraint(solver_results):
+    cfg = TINY.replace(eve_mi_cap=math.inf)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    exp_w, exp_mats = sca.random_expansion(cfg, RngState(1))
+    rows = {}
+    for cap in (TINY.eve_mi_cap, math.inf):
+        state = sca.SCAState(exp_w, exp_mats, cfg.penalty_init, eve_cap=cap)
+        prob = sca.build_subproblem_no_an(state, links, stats_r, stats_e, cfg)
+        rows[cap] = len(prob.ineqs)
+    assert rows == {TINY.eve_mi_cap: 6, math.inf: 5}
+
+    sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
+    assert sol.status == "optimal"
+    assert len(solver_results) == len(trace.rows)     # no Eve re-check solve
+    r_x = metrics.transmit_covariance(sol.weights)
+    rates = metrics.sinr(links, sol.weights, cfg.noise_comm)
+    assert np.all(rates >= np.asarray(cfg.sinr_targets) * (1.0 - 1e-6))
+    assert float(np.real(np.trace(r_x))) <= cfg.power_budget * (1.0 + 1e-6)
