@@ -77,6 +77,39 @@ class SCATrace:
     converged_at: int | None = None
 
 
+def _add_beam_constraints(prob, channels, cfg):
+    """The rows that involve the beams alone, on the variables W{k} and w{k}
+    of ``prob``: power budget, tightened per-user SINR and the per-user
+    Schur LMIs [[W_k, w_k], [w_k^H, 1]] >= 0."""
+    n = cfg.n_tx
+    mat_names = [f"W{k}" for k in range(cfg.n_users)]
+    vectors = [np.asarray(ch.vector) for ch in channels]
+
+    # Power budget.
+    trace_weights = hermitian_weights(np.eye(n))
+    prob.add_ineq(prob.scalar_map(0.0, dict.fromkeys(mat_names, trace_weights)),
+                  cfg.power_budget)
+
+    # Tightened per-user SINR (margin keeps the rank-one extraction within
+    # the reporting tolerance): target (interference + noise) >= signal.
+    for k in range(cfg.n_users):
+        target = cfg.sinr_targets[k] * (1.0 + cfg.sinr_margin)
+        gain = hermitian_weights(np.outer(vectors[k], vectors[k].conj()))
+        terms = {name: (-1.0 if j == k else target) * gain
+                 for j, name in enumerate(mat_names)}
+        prob.add_ineq(prob.scalar_map(0.0, terms), -target * cfg.noise_comm)
+
+    schur_w = np.pad(hermitian_basis(n), ((0, 0), (0, 1), (0, 1)))
+    vec_basis = cvec_basis(n)
+    schur_v = np.zeros((len(vec_basis), n + 1, n + 1), dtype=complex)
+    schur_v[:, :n, n] = vec_basis
+    schur_v[:, n, :n] = vec_basis.conj()
+    schur_offset = np.diag(np.append(np.zeros(n), 1.0))
+    for k, name in enumerate(mat_names):
+        prob.add_lmi(prob.matrix_map(schur_offset,
+                                     {name: schur_w, f"w{k}": schur_v}))
+
+
 def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
     """Convex subproblem of one SCA step.
 
@@ -91,7 +124,6 @@ def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
     for w in state.exp_weights:
         if np.asarray(w).shape != (cfg.n_tx,):
             raise ValueError("expansion vector dimension mismatch")
-    vectors = [np.asarray(ch.vector) for ch in channels]
 
     prob = ConicSubproblem()
     n = cfg.n_tx
@@ -110,13 +142,11 @@ def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
         """The same coefficients on every W_k: a map of sum_k W_k."""
         return {name: coefs for name in mat_names}
 
-    basis = hermitian_basis(n)
-    trace_weights = hermitian_weights(np.eye(n))
-
     # Objective: legitimate sensing MI (symmetrized log-det form) minus the
     # penalty terms.
     scale_r = cfg.frame_len / stats_r.noise_power
-    legit = np.stack([scale_r * _scaled_quadratic(stats_r, e) for e in basis])
+    legit = np.stack([scale_r * _scaled_quadratic(stats_r, e)
+                      for e in hermitian_basis(n)])
     obj_map = prob.matrix_map(np.eye(stats_r.dim), on_tx_cov(legit))
     pbar = state.penalty_weight
     penalty = prob.scalar_map(
@@ -134,34 +164,15 @@ def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
             0.0, {**on_tx_cov(hermitian_weights(grad)), "kappa": -1.0})
         prob.add_ineq(eve_affine, state.eve_cap - const)
 
-    # Power budget.
-    prob.add_ineq(prob.scalar_map(0.0, on_tx_cov(trace_weights)),
-                  cfg.power_budget)
+    _add_beam_constraints(prob, channels, cfg)
 
-    # Tightened per-user SINR (margin keeps the rank-one extraction within
-    # the reporting tolerance): target (interference + noise) >= signal.
+    # Rank-one coupling: the Schur LMIs plus the linearized trace ties.
+    trace_weights = hermitian_weights(np.eye(n))
     for k in range(n_users):
-        target = cfg.sinr_targets[k] * (1.0 + cfg.sinr_margin)
-        gain = hermitian_weights(np.outer(vectors[k], vectors[k].conj()))
-        terms = {name: (-1.0 if j == k else target) * gain
-                 for j, name in enumerate(mat_names)}
-        prob.add_ineq(prob.scalar_map(0.0, terms), -target * cfg.noise_comm)
-
-    # Rank-one coupling: Schur LMI [[W_k, w_k], [w_k^H, 1]] >= 0 plus the
-    # linearized trace tie.
-    schur_w = np.pad(basis, ((0, 0), (0, 1), (0, 1)))
-    vec_basis = cvec_basis(n)
-    schur_v = np.zeros((len(vec_basis), n + 1, n + 1), dtype=complex)
-    schur_v[:, :n, n] = vec_basis
-    schur_v[:, n, :n] = vec_basis.conj()
-    schur_offset = np.diag(np.append(np.zeros(n), 1.0))
-    for k in range(n_users):
-        wn, mn, rn = w_names[k], mat_names[k], rho_names[k]
-        prob.add_lmi(prob.matrix_map(schur_offset, {mn: schur_w, wn: schur_v}))
-
         w_exp = np.asarray(state.exp_weights[k])
-        tie = prob.scalar_map(0.0, {mn: trace_weights,
-                                    wn: -2.0 * pack_cvec(w_exp), rn: -1.0})
+        tie = prob.scalar_map(0.0, {mat_names[k]: trace_weights,
+                                    w_names[k]: -2.0 * pack_cvec(w_exp),
+                                    rho_names[k]: -1.0})
         prob.add_ineq(tie, -float(np.real(w_exp.conj() @ w_exp)))
     return prob
 
@@ -182,57 +193,26 @@ def random_expansion(cfg, rng):
     return weights, mats
 
 
-def zero_forcing_start(channels, cfg):
-    """Strictly feasible beams: zero-forcing directions with per-user power
-    meeting the (tightened) SINR target, or None when the budget is too
-    small for this construction.  The SINR headroom shrinks when the budget
-    is tight."""
-    vectors = [np.asarray(ch.vector) for ch in channels]
-    h = np.stack(vectors, axis=1)
-    gram = h.conj().T @ h
-    try:
-        binv = np.linalg.solve(gram, np.eye(cfg.n_users))
-    except np.linalg.LinAlgError:
-        return None
-    beams = h @ binv            # h_k^H beams[:, k] = 1, zero cross terms
-    norms_sq = np.real(np.einsum("ik,ik->k", beams.conj(), beams))
-    base_powers = np.array([
-        cfg.sinr_targets[k] * (1.0 + cfg.sinr_margin) * cfg.noise_comm
-        * norms_sq[k] for k in range(cfg.n_users)])
-    total_base = float(np.sum(base_powers))
-    if total_base >= 0.9 * cfg.power_budget / 1.02:
-        return None
-    # Boost well beyond the minimal SINR power (toward half the budget):
-    # large slacks keep the barrier Hessian well conditioned at the start.
-    boost = float(np.clip(0.5 * cfg.power_budget / total_base, 1.02,
-                          0.9 * cfg.power_budget / total_base))
-    powers = boost * base_powers
-    return [math.sqrt(powers[k] / norms_sq[k]) * beams[:, k]
-            for k in range(cfg.n_users)]
-
-
 def _anchor_point(channels, cfg):
-    """Interior anchor: boosted zero-forcing beams with a PSD bump sized to a
-    tenth of the anchor's own SINR slack (the bump leaks into interference),
-    or None when zero forcing does not fit the budget."""
-    weights = zero_forcing_start(channels, cfg)
-    if weights is None:
-        return None
-    vectors = [np.asarray(ch.vector) for ch in channels]
-    slack = np.inf
+    """Interior anchor (weights, mats): the analytic center of the power,
+    SINR and Schur rows (Boyd & Vandenberghe, Convex Optimization, sec.
+    8.5.3), which are the rows of every subproblem that involve the beams
+    alone.  Raises InfeasibleError when those rows have no interior."""
+    prob = ConicSubproblem()
     for k in range(cfg.n_users):
-        target = cfg.sinr_targets[k] * (1.0 + cfg.sinr_margin)
-        signal = abs(np.vdot(vectors[k], weights[k])) ** 2
-        interf = sum(abs(np.vdot(vectors[k], weights[j])) ** 2
-                     for j in range(cfg.n_users) if j != k)
-        slack = min(slack, signal - target * (interf + cfg.noise_comm))
-    leak_scale = max(
-        cfg.n_users * max(cfg.sinr_targets)
-        * max(float(np.real(v.conj() @ v)) for v in vectors), 1e-12)
-    bump = 0.1 * max(slack, 0.0) / leak_scale
-    bump = float(np.clip(bump, 1e-10, 1e-4 * cfg.power_budget / cfg.n_tx))
-    mats = [np.outer(w, np.conj(w)) + bump * np.eye(cfg.n_tx) for w in weights]
-    return weights, mats
+        prob.add_hermitian(f"W{k}", cfg.n_tx)
+    for k in range(cfg.n_users):
+        prob.add_cvec(f"w{k}", cfg.n_tx)
+    _add_beam_constraints(prob, channels, cfg)
+    prob.set_objective()
+    try:
+        values = solve(prob).values
+    except InfeasibleError as exc:
+        raise InfeasibleError(
+            "the SINR targets are unreachable within the power budget for "
+            f"this channel draw ({exc})") from exc
+    return ([values[f"w{k}"] for k in range(cfg.n_users)],
+            [values[f"W{k}"] for k in range(cfg.n_users)])
 
 
 def _start_values(weights, mats, cfg, state, stats_e):
@@ -338,12 +318,15 @@ def _gaussian_randomization(weight_mats, fallback, channels, stats_r, stats_e,
 def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     """Penalty-SCA outer loop; returns (BeamformerSolution, SCATrace).
 
-    The trace records the true metrics of every accepted iterate, recomputed
-    from the metrics module rather than trusted from the solver.  The
-    solution's status is "optimal" only when the loop converged and every
-    subproblem solve returned "optimal"; otherwise it is the first other
-    status, "max-iter" for a loop that did not converge.  An infinite
-    ``cfg.eve_mi_cap`` designs without the eavesdropper constraint.
+    One solve per design finds the interior anchor and raises
+    InfeasibleError when the SINR targets do not fit the power budget; the
+    first subproblem starts at the anchor, every later solve at the previous
+    solution blended toward it.  The trace records the true metrics of every
+    accepted iterate, recomputed from the metrics module rather than trusted
+    from the solver.  The solution's status is "optimal" only when the loop
+    converged and every subproblem solve returned "optimal"; otherwise it is
+    the first other status, "max-iter" for a loop that did not converge.  An
+    infinite ``cfg.eve_mi_cap`` designs without the eavesdropper constraint.
     """
     cap = cfg.eve_mi_cap
     trace = SCATrace()
@@ -355,34 +338,11 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     anchor = _anchor_point(channels, cfg)
 
     prev_mi = None
-    result_values = None
+    start = anchor
     statuses = []                # of every subproblem solve, in order
     for itn in range(1, cfg.max_outer_iters + 1):
         problem = build_subproblem_no_an(state, channels, stats_r, stats_e, cfg)
-        if result_values is None:
-            initial = None
-            if anchor is not None:
-                initial = _start_values(anchor[0], anchor[1], cfg, state,
-                                        stats_e)
-        else:
-            prev_w = [result_values[f"w{k}"] for k in range(cfg.n_users)]
-            prev_m = [result_values[f"W{k}"] for k in range(cfg.n_users)]
-            if anchor is not None:
-                warm_w, warm_m = _blend_with_anchor(prev_w, prev_m, anchor)
-            else:
-                warm_w, warm_m = prev_w, prev_m
-            initial = _start_values(warm_w, warm_m, cfg, state, stats_e)
-        try:
-            res = solve(problem, initial=initial,
-                        t0=1.0 if result_values is None else 1e3)
-        except InfeasibleError as exc:
-            # Feasibility does not depend on the expansion point: kappa and
-            # rho slack every row that does.
-            if itn > 1:
-                raise
-            raise InfeasibleError(
-                "subproblem infeasible; the SINR targets are unreachable "
-                f"within the power budget for this channel draw ({exc})") from exc
+        res = solve(problem, initial=_start_values(*start, cfg, state, stats_e))
         statuses.append(res.status)
         result_values = res.values
         weight_mats = [result_values[f"W{k}"] for k in range(cfg.n_users)]
@@ -420,6 +380,7 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
             trace.converged_at = itn
             break
         prev_mi = mi_r
+        start = _blend_with_anchor(weights, weight_mats, anchor)
 
     statuses.append("optimal" if trace.converged_at is not None else "max-iter")
     solution = _extract_solution(result_values, channels, stats_r, stats_e,
@@ -429,13 +390,9 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     # re-check below guards numerical slack with one extra pass.
     if np.isfinite(cap) and solution.mi_eve > cap + EVE_RECHECK_SLACK:
         problem = build_subproblem_no_an(state, channels, stats_r, stats_e, cfg)
-        if anchor is not None:
-            warm_w, warm_m = _blend_with_anchor(solution.weights,
-                                                solution.weight_mats, anchor)
-            initial = _start_values(warm_w, warm_m, cfg, state, stats_e)
-        else:
-            initial = None
-        res = solve(problem, initial=initial)
+        start = _blend_with_anchor(solution.weights, solution.weight_mats,
+                                   anchor)
+        res = solve(problem, initial=_start_values(*start, cfg, state, stats_e))
         statuses.append(res.status)
         solution = _extract_solution(res.values, channels, stats_r, stats_e,
                                      cfg, state, rng, _first_failure(statuses))

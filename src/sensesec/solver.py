@@ -11,9 +11,10 @@ Convex Optimization, sec. 11.3) runs on the real coordinates of the variables.
 Identical problems give identical iterates at a fixed BLAS thread count.
 Across thread counts, BLAS sums in another order and the iterates differ by
 round-off.  For the default ScenarioConfig at channel seed 1, run_sca_no_an
-takes (99, 70, 71) Newton steps per subproblem at one OpenBLAS thread and at
-two; its final legitimate MI agrees to 2e-15 nats and its eavesdropper MI to
-9e-13 nats (2-core x86 Xeon, OpenBLAS 0.3.31 in numpy, 0.3.30 in scipy).
+takes (75, 63, 64) Newton steps per subproblem at one OpenBLAS thread and
+(74, 63, 63) at two; its final legitimate MI agrees to 1.1e-13 nats and its
+eavesdropper MI to 1.2e-10 nats (2-core x86 Xeon, OpenBLAS 0.3.31 in numpy,
+0.3.30 in scipy).
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 NEWTON_TOL = 1e-9          # inner stopping threshold on lambda^2 / 2
+BARRIER_T0 = 1e3           # barrier parameter of the first stage of a solve
 BARRIER_GROWTH = 10.0
+STAGE_MAX_STEPS = 60       # Newton steps in one barrier stage
 PHASE1_MARGIN = 1e-9
 PHASE1_MAX_STEPS = 400
 FEAS_TOL = 1e-7            # largest constraint violation of an "optimal" result
@@ -296,7 +299,7 @@ class SolverResult:
     objective: float
     feas_residual: float
     iterations: int
-    status: str                  # optimal | max-iter | infeasible-detected
+    status: str        # optimal | max-iter | stage-cap | line-search-failed
     history: list = field(default_factory=list)
 
 
@@ -574,8 +577,11 @@ def _newton_direction(hess, grad):
     raise SolverError("Newton system could not be factorized")
 
 
-def _run_barrier(bp, x0, obj_tol, max_iters, early_stop=None, t0=1.0):
-    """Minimize the barrier sequence from a strictly feasible x0."""
+def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
+    """Minimize the barrier sequence from a strictly feasible x0.  The status
+    is "max-iter" when the step budget ran out, else "stage-cap" or
+    "line-search-failed" when the last failing stage hit its step cap or
+    found no step, else "optimal"."""
     x = x0.copy()
     t = t0
     degree = bp.gap_degree()
@@ -584,7 +590,7 @@ def _run_barrier(bp, x0, obj_tol, max_iters, early_stop=None, t0=1.0):
     status = "optimal"
     while True:
         stage_newton = 0
-        for _ in range(60):
+        for _ in range(STAGE_MAX_STEPS):
             if total_newton >= max_iters:
                 status = "max-iter"
                 break
@@ -609,19 +615,20 @@ def _run_barrier(bp, x0, obj_tol, max_iters, early_stop=None, t0=1.0):
             total_newton += 1
             stage_newton += 1
             if not accepted:
+                status = "line-search-failed"
                 break
             if early_stop is not None and early_stop(x):
                 history.append((t, bp.objective_value(x), stage_newton))
-                return x, total_newton, "optimal", history
+                return x, total_newton, status, history
             # At large t the Armijo bound rounds to val itself, so steps that
             # no longer lower the merit pass: the stage is at its round-off
             # floor and further steps only burn the stage cap.
             if mval >= val:
                 break
+        else:
+            status = "stage-cap"
         history.append((t, bp.objective_value(x), stage_newton))
-        if status == "max-iter":
-            break
-        if degree / t <= obj_tol or degree == 0:
+        if status == "max-iter" or degree / t <= obj_tol or degree == 0:
             break
         t *= BARRIER_GROWTH
     return x, total_newton, status, history
@@ -691,7 +698,7 @@ def _phase1_problem(bp):
 def _find_strictly_feasible(bp, hint=None):
     """Strictly feasible x for bp, via hint, heuristic, or phase-I slack
     minimization.  Raises InfeasibleError when the slack optimum stays
-    positive."""
+    positive, and SolverError when phase I stopped before reaching it."""
     candidates = [] if hint is None else [hint]
     candidates.append(_heuristic_point(bp))
     for cand in candidates:
@@ -719,11 +726,17 @@ def _find_strictly_feasible(bp, hint=None):
     def done(x_ext):
         return x_ext[-1] <= -10.0 * PHASE1_MARGIN
 
-    x_ext = _run_barrier(relaxed, start, obj_tol=PHASE1_MARGIN, t0=1.0,
-                         max_iters=PHASE1_MAX_STEPS, early_stop=done)[0]
+    x_ext, _, status, _ = _run_barrier(relaxed, start, t0=1.0,
+                                       obj_tol=PHASE1_MARGIN,
+                                       max_iters=PHASE1_MAX_STEPS,
+                                       early_stop=done)
     x, slack = x_ext[:bp.n], float(x_ext[-1])
     if slack <= -PHASE1_MARGIN and bp.strict_margin(x) >= PHASE1_MARGIN:
         return x
+    if status == "max-iter":
+        raise SolverError(
+            f"phase I stopped at its step cap (PHASE1_MAX_STEPS = "
+            f"{PHASE1_MAX_STEPS}) with slack {slack:.3e}; feasibility undecided")
     raise InfeasibleError(
         f"phase-I terminated with slack {slack:.3e}; problem has no strictly "
         "feasible point at the required margin")
@@ -737,20 +750,20 @@ def phase1_feasible_point(problem):
     return problem.unpack(x)
 
 
-def solve(problem, initial=None, t0=1.0):
+def solve(problem, initial=None):
     """Barrier solve of a ConicSubproblem.
 
     ``initial`` may carry variable values (dict) used when strictly feasible;
-    otherwise phase-I constructs a start.  ``t0`` sets the first barrier
-    stage; warm starts near the optimum tolerate (and benefit from) a large
-    one.  Returns a SolverResult whose objective is in the original complex
-    log-det units.
+    otherwise phase-I constructs a start.  The barrier starts at
+    ``BARRIER_T0`` whatever the start.  Returns a SolverResult whose
+    objective is in the original complex log-det units.
     """
     bp = BarrierProblem(problem)
     hint = problem.pack(initial) if initial is not None else None
     x0 = _find_strictly_feasible(bp, hint=hint)
-    x, iters, status, history = _run_barrier(bp, x0, obj_tol=OBJ_TOL,
-                                             max_iters=MAX_NEWTON_STEPS, t0=t0)
+    x, iters, status, history = _run_barrier(bp, x0, t0=BARRIER_T0,
+                                             obj_tol=OBJ_TOL,
+                                             max_iters=MAX_NEWTON_STEPS)
     residual = max(-bp.strict_margin(x), 0.0)
     if status == "optimal" and residual > FEAS_TOL:
         status = "max-iter"

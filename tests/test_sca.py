@@ -169,7 +169,37 @@ def test_infinite_eve_cap_drops_the_eve_constraint(solver_results):
 
     sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
     assert sol.status == "optimal"
-    assert len(solver_results) == len(trace.rows)     # no Eve re-check solve
+    # The anchor solve, and no Eve re-check solve.
+    assert len(solver_results) == len(trace.rows) + 1
+    r_x = metrics.transmit_covariance(sol.weights)
+    rates = metrics.sinr(links, sol.weights, cfg.noise_comm)
+    assert np.all(rates >= np.asarray(cfg.sinr_targets) * (1.0 - 1e-6))
+    assert float(np.real(np.trace(r_x))) <= cfg.power_budget * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("cfg", [TINY, channels.ScenarioConfig(power_budget=1e-3)],
+                         ids=["tiny", "one_milliwatt"])
+def test_anchor_is_strictly_inside_the_beam_constraints(cfg):
+    links, _, _ = channels.build_scenario(cfg, RngState(1))
+    weights, mats = sca._anchor_point(links, cfg)
+
+    power = float(np.real(np.trace(metrics.transmit_covariance(mats))))
+    assert power < cfg.power_budget
+    targets = np.asarray(cfg.sinr_targets) * (1.0 + cfg.sinr_margin)
+    assert np.all(metrics.sinr(links, mats, cfg.noise_comm) > targets)
+    for w, m in zip(weights, mats):
+        assert np.linalg.eigvalsh(m - np.outer(w, w.conj()))[0] > 0.0
+
+
+def test_eve_recheck_solves_once_more_and_keeps_the_design_feasible(
+        monkeypatch, solver_results):
+    cfg = TINY
+    monkeypatch.setattr(sca, "EVE_RECHECK_SLACK", -math.inf)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
+
+    # The anchor, one solve per outer iteration, and the re-check.
+    assert len(solver_results) == len(trace.rows) + 2
     r_x = metrics.transmit_covariance(sol.weights)
     rates = metrics.sinr(links, sol.weights, cfg.noise_comm)
     assert np.all(rates >= np.asarray(cfg.sinr_targets) * (1.0 - 1e-6))

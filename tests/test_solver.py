@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from sensesec import solver
 from sensesec.solver import (
     ConicSubproblem,
     InfeasibleError,
+    SolverError,
     cvec_basis,
     hermitian_basis,
     hermitian_weights,
@@ -322,6 +324,19 @@ class TestPhase1:
         with pytest.raises(InfeasibleError):
             solve(prob)
 
+    def test_step_cap_is_not_reported_as_infeasible(self, monkeypatch):
+        # 5 <= x <= 5.001 is feasible; the heuristic start x = 1 sends it to
+        # phase I, which one Newton step cannot finish.
+        monkeypatch.setattr(solver, "PHASE1_MAX_STEPS", 1)
+        prob = ConicSubproblem()
+        prob.add_scalar("x", lower=0.0)
+        prob.add_ineq(prob.scalar_map(0.0, {"x": -1.0}), -5.0)
+        prob.add_ineq(prob.scalar_map(0.0, {"x": 1.0}), 5.001)
+        prob.set_objective(linear=prob.scalar_map(0.0, {"x": -1.0}))
+        with pytest.raises(SolverError, match="step cap") as info:
+            solve(prob)
+        assert not isinstance(info.value, InfeasibleError)
+
     def test_found_point_has_margin(self):
         rng = np.random.default_rng(7)
         prob = ConicSubproblem()
@@ -383,3 +398,19 @@ def test_grid_search_oracle_sample(seed):
     res = solve(prob)
     assert res.status == "optimal"
     assert abs(res.objective - oracle()) < 5e-3
+
+
+def test_stage_that_hits_its_step_cap_is_reported(monkeypatch):
+    monkeypatch.setattr(solver, "STAGE_MAX_STEPS", 1)
+    prob, _ = make_grid_instance(0)
+    assert solve(prob).status == "stage-cap"
+
+
+def test_line_search_that_finds_no_step_is_reported(monkeypatch):
+    # maximize x over [0, 1]: the heuristic start x = 0.5 is interior, so
+    # only the main barrier calls the patched merit.
+    monkeypatch.setattr(solver.BarrierProblem, "merit", lambda self, x, t: None)
+    prob = ConicSubproblem()
+    prob.add_scalar("x", lower=0.0, upper=1.0)
+    prob.set_objective(linear=prob.scalar_map(0.0, {"x": 1.0}))
+    assert solve(prob).status == "line-search-failed"
