@@ -263,8 +263,12 @@ def _extract_solution(values, channels, stats_r, stats_e, cfg, state, rng,
         weights.append(math.sqrt(trace) * eigvecs[:, 0])
 
     if not np.all(certs >= RANK_ONE_THRESHOLD):
-        weights = _gaussian_randomization(weight_mats, weights, channels,
-                                          stats_r, stats_e, cfg, state, rng)
+        drawn = _gaussian_randomization(weight_mats, channels, stats_r,
+                                        stats_e, cfg, state, rng)
+        if drawn is None:
+            status = _first_failure([status, "randomization-failed"])
+        else:
+            weights = drawn
 
     vectors = [ch.vector for ch in channels]
     r_x = transmit_covariance(weights)
@@ -286,9 +290,10 @@ def _extract_solution(values, channels, stats_r, stats_e, cfg, state, rng,
     )
 
 
-def _gaussian_randomization(weight_mats, fallback, channels, stats_r, stats_e,
-                            cfg, state, rng):
-    """Draw candidate beam sets from CN(0, W_k) and keep the best feasible."""
+def _gaussian_randomization(weight_mats, channels, stats_r, stats_e, cfg,
+                            state, rng):
+    """Draw candidate beam sets from CN(0, W_k) and keep the best feasible,
+    or None when no draw is feasible."""
     vectors = [ch.vector for ch in channels]
     best, best_mi = None, -np.inf
     gen_rng = rng.child("randomization")
@@ -312,7 +317,7 @@ def _gaussian_randomization(weight_mats, fallback, channels, stats_r, stats_e,
         cand_mi = sensing_mi(stats_r, r_x, cfg.frame_len)
         if cand_mi > best_mi:
             best, best_mi = cand, cand_mi
-    return best if best is not None else fallback
+    return best
 
 
 def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
@@ -325,8 +330,11 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     accepted iterate, recomputed from the metrics module rather than trusted
     from the solver.  The solution's status is "optimal" only when the loop
     converged and every subproblem solve returned "optimal"; otherwise it is
-    the first other status, "max-iter" for a loop that did not converge.  An
-    infinite ``cfg.eve_mi_cap`` designs without the eavesdropper constraint.
+    the first other status, "max-iter" for a loop that did not converge, and
+    "randomization-failed" when the relaxed solution was not rank one and
+    no Gaussian randomization draw was feasible, so that the returned
+    eigenvector beams may violate a constraint.  An infinite
+    ``cfg.eve_mi_cap`` designs without the eavesdropper constraint.
     """
     cap = cfg.eve_mi_cap
     trace = SCATrace()

@@ -11,9 +11,9 @@ Convex Optimization, sec. 11.3) runs on the real coordinates of the variables.
 Identical problems give identical iterates at a fixed BLAS thread count.
 Across thread counts, BLAS sums in another order and the iterates differ by
 round-off.  For the default ScenarioConfig at channel seed 1, run_sca_no_an
-takes (75, 63, 64) Newton steps per subproblem at one OpenBLAS thread and
-(74, 63, 63) at two; its final legitimate MI agrees to 1.1e-13 nats and its
-eavesdropper MI to 1.2e-10 nats (2-core x86 Xeon, OpenBLAS 0.3.31 in numpy,
+takes (73, 63, 63) Newton steps per subproblem at one OpenBLAS thread and
+(73, 63, 62) at two; its final legitimate MI agrees to 8.9e-16 nats and its
+eavesdropper MI to 8.3e-13 nats (2-core x86 Xeon, OpenBLAS 0.3.31 in numpy,
 0.3.30 in scipy).
 """
 
@@ -309,9 +309,15 @@ class SolverResult:
 
 @dataclass
 class _RealBlock:
-    """One weighted log-det barrier term, weight * logdet F(x) with F(x) =
-    offset + sum_g x[coords[g]] * mats[g], over the complex Hermitian data of
-    a MatrixMap.
+    """One weighted log-det barrier term over the complex Hermitian data of a
+    MatrixMap, batched over maps that differ only in their coordinates:
+    weight * sum_k logdet F_k(x) with F_k(x) = offset + sum_g x[coords[k, g]]
+    * mats[g].
+
+    ``coords`` is (m,) for one map or (K, m) for K maps with equal
+    coefficients and offset, such as the per-user Schur LMIs.  assemble,
+    chol and grad_gram then carry the leading batch axis of length K, and
+    logdet and min_eig reduce over it, so a batch costs one call of each.
 
     Coordinates with equal coefficients share one row of the derivative
     kernel: a map of sum_k W_k puts the same stack on every W_k.
@@ -319,12 +325,13 @@ class _RealBlock:
     benchmark's layer tracer wraps ``_RealBlock.grad_gram`` by name.
     """
 
-    coords: np.ndarray           # (m,)
+    coords: np.ndarray           # (m,) or (K, m)
     mats: np.ndarray             # (m, d, d) complex Hermitian
     offset: np.ndarray           # (d, d) complex Hermitian
     weight: float = 1.0
 
     def __post_init__(self):
+        self.coords = np.asarray(self.coords, dtype=np.intp)
         self.mats = np.ascontiguousarray(self.mats, dtype=complex)
         # Real (m, 2 d^2) view of the coefficients: products with real
         # vectors run as real BLAS calls, which unlike complex ones stay
@@ -334,7 +341,7 @@ class _RealBlock:
         # Group the coordinates whose coefficient rows are equal (cheaper
         # than hashing whole rows): a row joins the first row with its
         # fingerprint, unless the two differ.
-        # _inv[g] is the group of coordinate g, rows[j] the first row of j.
+        # inv[g] is the group of coordinate g, rows[j] the first row of j.
         keys = self._flat @ np.sqrt(np.arange(2.0, 2.0 + 2 * d * d))
         first = {}
         rep = np.array([first.setdefault(key, g)
@@ -343,8 +350,11 @@ class _RealBlock:
             clash = np.any(self._flat != self._flat[rep], axis=1)
             rep[clash] = np.flatnonzero(clash)
         rows = np.flatnonzero(rep == np.arange(m))
-        self._inv = np.searchsorted(rows, rep)
+        inv = np.searchsorted(rows, rep)
         distinct, k = self.mats[rows], len(rows)
+        # Gather indices that expand distinct-row results to every
+        # coordinate; None when every row is distinct.
+        self._expand = None if k == m else (inv, inv[:, None] * k + inv)
         self._distinct_flat = distinct.reshape(k, d * d).view(np.float64)
         self._stacked = distinct.reshape(k * d, d)                  # [S_g; ...]
         self._side_by_side = np.ascontiguousarray(
@@ -354,11 +364,15 @@ class _RealBlock:
     def dim(self):
         return self.offset.shape[0]
 
+    @property
+    def batch_size(self):
+        """Number of maps K in the batch (1 for unbatched coords)."""
+        return int(np.prod(self.coords.shape[:-1]))
+
     def assemble(self, x):
-        if len(self.coords) == 0:
-            return self.offset.copy()
         acc = (x[self.coords] @ self._flat).view(complex)
-        return self.offset + acc.reshape(self.dim, self.dim)
+        return self.offset + acc.reshape(self.coords.shape[:-1]
+                                         + (self.dim, self.dim))
 
     def chol(self, x):
         try:
@@ -367,28 +381,39 @@ class _RealBlock:
             return None
 
     def logdet(self, chol):
-        return 2.0 * float(np.sum(np.log(np.diag(chol).real)))
+        """log det F summed over the batch, from its Cholesky factors."""
+        diag = np.diagonal(chol, axis1=-2, axis2=-1).real
+        return 2.0 * float(np.sum(np.log(diag)))
 
     def min_eig(self, x):
-        return float(np.linalg.eigvalsh(self.assemble(x))[0])
+        return float(np.min(np.linalg.eigvalsh(self.assemble(x))[..., 0]))
 
     def grad_gram(self, chol):
         """(gvec, gram) of logdet at the assembled point F = L L^H: gvec_g =
         Re tr(F^-1 S_g), gram_gh = Re tr(F^-1 S_g F^-1 S_h), over every
-        coordinate of the block.
+        coordinate of the block, with the batch axis of ``chol`` leading.
 
-        Both come from G = F^-1 on the distinct rows.  For Hermitian S,
-        Re tr(G S) is the real dot product of G and S, and Re tr(G S_g G S_h)
-        that of G S_g and S_h G, the conjugate transpose of G S_h.
+        Both come from G = F^-1 = L^-H L^-1 on the distinct rows.  For
+        Hermitian S, Re tr(G S) is the real dot product of G and S, and
+        Re tr(G S_g G S_h) that of G S_g and S_h G, the conjugate transpose
+        of G S_h.
         """
         d, k = self.dim, len(self._distinct_flat)
-        g = cho_solve((chol, True), np.eye(d, dtype=complex), check_finite=False)
-        gvec = self._distinct_flat @ np.ravel(g).view(np.float64)
-        sg = (self._stacked @ g).reshape(k, d * d)                    # S_g G
-        gs = np.ascontiguousarray(                                    # G S_g
-            (g @ self._side_by_side).reshape(d, k, d).transpose(1, 0, 2))
-        gram = gs.reshape(k, d * d).view(np.float64) @ sg.view(np.float64).T
-        return gvec[self._inv], gram.take(self._inv, 0).take(self._inv, 1)
+        batch = chol.shape[:-2]
+        linv = np.linalg.inv(chol)
+        g = linv.conj().swapaxes(-1, -2) @ linv
+        gvec = g.reshape(batch + (d * d,)).view(np.float64) \
+            @ self._distinct_flat.T
+        sg = (self._stacked @ g).reshape(batch + (k, d * d))          # S_g G
+        gs = (g @ self._side_by_side).reshape(batch + (d, k, d))     # G S_g
+        gs = np.ascontiguousarray(gs.swapaxes(-2, -3))
+        gram = gs.reshape(batch + (k, d * d)).view(np.float64) \
+            @ sg.view(np.float64).swapaxes(-1, -2)
+        if self._expand is None:
+            return gvec, gram
+        inv, pairs = self._expand
+        return (np.take(gvec, inv, axis=-1),
+                np.take(gram.reshape(batch + (k * k,)), pairs, axis=-1))
 
 
 @dataclass
@@ -420,8 +445,9 @@ class BarrierProblem:
         self.c = obj.linear.dense(self.n)
         self.obj_blocks = [_RealBlock(m.coords, m.mats, m.offset, weight=w)
                            for w, m in obj.logdet_terms]
-        self.lmi_blocks = [_RealBlock(m.coords, m.mats, m.offset,
-                                      weight=LMI_WEIGHT) for m in problem.lmis]
+        self.lmi_blocks = [_RealBlock(coords, m.mats, m.offset,
+                                      weight=LMI_WEIGHT)
+                           for coords, m in _batch_shared_maps(problem.lmis)]
         self.A = np.zeros((len(problem.ineqs), self.n))
         self.b = np.zeros(len(problem.ineqs))
         self.neglog_ineqs = []
@@ -432,9 +458,26 @@ class BarrierProblem:
                 matlogs = [_RealBlock(m.coords, m.mats, m.offset, weight=coef)
                            for coef, m in spec.neglog_terms]
                 self.neglog_ineqs.append(_IneqData(row, matlogs))
+        self._index_tables()
+
+    def _index_tables(self):
+        """Flat targets of the scatters in merit_derivatives: the gradient
+        entry of every block coordinate and the Hessian entry of every
+        coordinate pair, in the order the terms are evaluated.  Repeated
+        targets add up."""
+        n = self.n
+        blocks = self.obj_blocks + self.lmi_blocks
+        curv = [blk for ineq in self.neglog_ineqs for blk in ineq.matlogs]
+        empty = [np.zeros(0, dtype=np.intp)]
+        self._grad_idx = np.concatenate(
+            [np.ravel(blk.coords) for blk in blocks] + empty)
+        self._hess_idx = np.concatenate(
+            [np.ravel(blk.coords[..., :, None] * n + blk.coords[..., None, :])
+             for blk in blocks + curv] + empty)
 
     def gap_degree(self):
-        deg = len(self.b) + sum(blk.weight * blk.dim for blk in self.lmi_blocks)
+        deg = len(self.b) + sum(blk.weight * blk.dim * blk.batch_size
+                                for blk in self.lmi_blocks)
         if self.box is not None:
             deg += 2 * self.n
         return deg
@@ -508,8 +551,9 @@ class BarrierProblem:
         """(value, grad, hess) of the barrier merit at x."""
         n = self.n
         val = -t * float(self.c @ x)
-        grad = -t * self.c.copy()
-        hess = np.zeros((n, n))
+        # Scatter weights in _index_tables order; the empty seeds keep
+        # np.concatenate working for problems without blocks.
+        gvals, hvals = [np.zeros(0)], [np.zeros(0)]
         weighted = [(blk, t * blk.weight) for blk in self.obj_blocks]
         weighted += [(blk, blk.weight) for blk in self.lmi_blocks]
         for blk, w in weighted:
@@ -518,8 +562,8 @@ class BarrierProblem:
                 return None
             val -= w * blk.logdet(chol)
             gvec, gram = blk.grad_gram(chol)
-            grad[blk.coords] -= w * gvec
-            hess[np.ix_(blk.coords, blk.coords)] += w * gram
+            gvals.append(np.ravel(gvec) * -w)
+            hvals.append(np.ravel(gram) * w)
         # Row i of jac is the gradient of slack s_i; curv holds the PSD
         # -hess(s_i) parts of the log terms.
         s = self.b - self.A @ x
@@ -534,39 +578,58 @@ class BarrierProblem:
                 s[i] += blk.weight * blk.logdet(chol)
                 gvec, gram = blk.grad_gram(chol)
                 jac[i, blk.coords] += blk.weight * gvec
-                curv.append((i, blk.coords, blk.weight * gram))
+                curv.append((i, blk.weight * gram))
         if np.any(s <= 0.0):
             return None
         val -= float(np.sum(np.log(s)))
+        hvals += [np.ravel(gram) / s[i] for i, gram in curv]
+        grad = -t * self.c
+        grad += np.bincount(self._grad_idx, np.concatenate(gvals), minlength=n)
         grad -= jac.T @ (1.0 / s)
         scaled = jac / s[:, None]
-        hess += scaled.T @ scaled
-        for i, coords, gram in curv:
-            hess[np.ix_(coords, coords)] += gram / s[i]
+        hess = scaled.T @ scaled
+        hess += np.bincount(self._hess_idx, np.concatenate(hvals),
+                            minlength=n * n).reshape(n, n)
         if self.box is not None:
             below, above = self._box_slacks(x)
             if np.any(below <= 0.0) or np.any(above <= 0.0):
                 return None
             val -= float(np.sum(np.log(below)) + np.sum(np.log(above)))
             grad += 1.0 / above - 1.0 / below
-            hess[np.diag_indices(n)] += 1.0 / below ** 2 + 1.0 / above ** 2
+            hess.flat[::n + 1] += 1.0 / below ** 2 + 1.0 / above ** 2
         return val, grad, hess
+
+
+def _batch_shared_maps(maps):
+    """Maps grouped by equal coefficients and offset, in first-seen order:
+    [(coords, first map of the group)] with coords (K, m) stacking the
+    coordinates of the group's K maps."""
+    groups = {}
+    for mmap in maps:
+        key = (mmap.mats.shape, mmap.mats.tobytes(), mmap.offset.tobytes())
+        groups.setdefault(key, (mmap, []))[1].append(mmap.coords)
+    return [(np.stack(coords), first) for first, coords in groups.values()]
 
 
 def _newton_direction(hess, grad):
     """Newton step -H^-1 g with Jacobi preconditioning (the barrier mixes
-    widely different curvature scales) and escalating jitter on failure."""
+    widely different curvature scales) and escalating jitter on failure.
+    Scales ``hess`` in place."""
     n = hess.shape[0]
     if n == 0:
         return np.zeros(0), 0.0
     diag = np.abs(np.diag(hess))
     precond = 1.0 / np.sqrt(np.maximum(diag, 1e-30))
-    scaled = hess * precond[:, None] * precond[None, :]
+    hess *= precond[:, None]
+    hess *= precond[None, :]
+    scaled_diag = hess.diagonal().copy()
     g_scaled = grad * precond
     jitter = 0.0
     for _ in range(12):
+        if jitter > 0.0:
+            np.fill_diagonal(hess, scaled_diag + jitter)
         try:
-            factor = cho_factor(scaled + jitter * np.eye(n), check_finite=False)
+            factor = cho_factor(hess, check_finite=False)
             d = -precond * cho_solve(factor, g_scaled, check_finite=False)
             lam2 = float(-grad @ d)
             if np.isfinite(lam2) and lam2 >= 0.0:
@@ -585,6 +648,9 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
     x = x0.copy()
     t = t0
     degree = bp.gap_degree()
+    # Without an objective the merit does not depend on t: the first stage
+    # finds the analytic center and later stages could not move from it.
+    centering_only = not (np.any(bp.c) or bp.obj_blocks)
     total_newton = 0
     history = []
     status = "optimal"
@@ -628,7 +694,8 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
         else:
             status = "stage-cap"
         history.append((t, bp.objective_value(x), stage_newton))
-        if status == "max-iter" or degree / t <= obj_tol or degree == 0:
+        if (status == "max-iter" or degree / t <= obj_tol or degree == 0
+                or centering_only):
             break
         t *= BARRIER_GROWTH
     return x, total_newton, status, history
@@ -677,11 +744,12 @@ def _phase1_problem(bp):
     relaxed.obj_blocks = []
 
     def extend_block(blk, weight):
-        m = len(blk.coords)
+        m = blk.coords.shape[-1]
         mats = np.empty((m + 1,) + blk.mats.shape[1:], dtype=complex)
         mats[:m] = blk.mats
         mats[m] = np.eye(blk.dim)
-        coords = np.concatenate([blk.coords, [s_idx]]).astype(np.intp)
+        slack = np.full(blk.coords.shape[:-1] + (1,), s_idx)
+        coords = np.concatenate([blk.coords, slack], axis=-1)
         return _RealBlock(coords, mats, blk.offset, weight=weight)
 
     relaxed.lmi_blocks = [extend_block(b, LMI_WEIGHT)
@@ -692,6 +760,7 @@ def _phase1_problem(bp):
         _IneqData(ineq.row, [extend_block(b, b.weight) for b in ineq.matlogs])
         for ineq in bp.neglog_ineqs]
     relaxed.box = None               # sized by the caller from the start point
+    relaxed._index_tables()
     return relaxed
 
 

@@ -191,6 +191,56 @@ def test_anchor_is_strictly_inside_the_beam_constraints(cfg):
         assert np.linalg.eigvalsh(m - np.outer(w, w.conj()))[0] > 0.0
 
 
+@pytest.mark.parametrize("cfg", [TINY, channels.ScenarioConfig()],
+                         ids=["tiny", "default"])
+def test_anchor_solve_stops_after_its_first_stage(cfg, solver_results):
+    links, _, _ = channels.build_scenario(cfg, RngState(1))
+    sca._anchor_point(links, cfg)
+    # A solve without an objective is done once its first stage centers it.
+    assert [len(res.history) for res in solver_results] == [1]
+    assert solver_results[0].status == "optimal"
+
+
+def assert_beams_meet_the_limits(weights, links, stats_e, cfg):
+    r_x = metrics.transmit_covariance(weights)
+    rates = metrics.sinr(links, weights, cfg.noise_comm)
+    assert np.all(rates >= np.asarray(cfg.sinr_targets) * (1.0 - 1e-6))
+    assert float(np.real(np.trace(r_x))) <= cfg.power_budget * (1.0 + 1e-9)
+    mi_eve = metrics.sensing_mi(stats_e, r_x, cfg.frame_len)
+    assert mi_eve <= cfg.eve_mi_cap + sca.EVE_RECHECK_SLACK
+
+
+def test_randomization_without_a_feasible_draw_is_flagged(monkeypatch):
+    # No relaxed solution passes a rank-one threshold above 1, so every
+    # design randomizes; with no candidates, no draw can be feasible.
+    monkeypatch.setattr(sca, "RANK_ONE_THRESHOLD", 1.5)
+    monkeypatch.setattr(sca, "RANDOMIZATION_CANDIDATES", 0)
+    links, stats_r, stats_e = channels.build_scenario(TINY, RngState(1))
+    sol, _ = sca.run_sca_no_an(links, stats_r, stats_e, TINY, RngState(1))
+    assert sol.status == "randomization-failed"
+
+
+def test_accepted_randomization_draw_meets_the_limits(monkeypatch):
+    monkeypatch.setattr(sca, "RANK_ONE_THRESHOLD", 1.5)
+    links, stats_r, stats_e = channels.build_scenario(TINY, RngState(1))
+    sol, _ = sca.run_sca_no_an(links, stats_r, stats_e, TINY, RngState(1))
+    assert sol.status == "optimal"
+    assert_beams_meet_the_limits(sol.weights, links, stats_e, TINY)
+
+
+def test_randomization_keeps_only_draws_within_the_limits():
+    # The anchor's beam matrices have full rank: among three users, 88 of
+    # the 100 draws from them miss a SINR target.
+    cfg = channels.ScenarioConfig()
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    weights, mats = sca._anchor_point(links, cfg)
+    state = sca.SCAState(weights, mats, cfg.penalty_init, cfg.eve_mi_cap)
+    beams = sca._gaussian_randomization(mats, links, stats_r, stats_e, cfg,
+                                        state, RngState(1))
+    assert beams is not None
+    assert_beams_meet_the_limits(beams, links, stats_e, cfg)
+
+
 def test_eve_recheck_solves_once_more_and_keeps_the_design_feasible(
         monkeypatch, solver_results):
     cfg = TINY

@@ -81,6 +81,29 @@ def test_real_block_gradient_and_gram_match_direct_loops():
         assert np.abs(gvec - gvec_ref).max() < 1e-12
         assert np.abs(gram - gram_ref).max() < 1e-12
 
+        # A batch of three maps with this stack on disjoint, shuffled
+        # coordinates, as the per-user Schur LMIs have it.
+        coords = rng.permutation(3 * m).reshape(3, m)
+        batch = _RealBlock(coords, mats, 3.0 * np.eye(d))
+        x = rng.standard_normal(3 * m) * 0.1
+        f = batch.assemble(x)
+        chol = np.linalg.cholesky(f)
+        gvec, gram = batch.grad_gram(chol)
+        assert f.shape == (3, d, d) and gvec.shape == (3, m)
+        assert gram.shape == (3, m, m) and batch.batch_size == 3
+        for k in range(3):
+            f_ref = 3.0 * np.eye(d) + np.tensordot(x[coords[k]], mats, axes=1)
+            assert np.abs(f[k] - f_ref).max() < 1e-14
+            finv = np.linalg.inv(f_ref)
+            gvec_ref = np.array([np.trace(finv @ s) for s in mats]).real
+            gram_ref = np.array([[np.trace(finv @ si @ finv @ sj)
+                                  for sj in mats] for si in mats]).real
+            assert np.abs(gvec[k] - gvec_ref).max() < 1e-12
+            assert np.abs(gram[k] - gram_ref).max() < 1e-12
+        logdets = [np.linalg.slogdet(fk)[1] for fk in f]
+        assert abs(batch.logdet(chol) - sum(logdets)) < 1e-12
+        assert abs(batch.min_eig(x) - np.linalg.eigvalsh(f)[:, 0].min()) < 1e-12
+
 
 def assert_derivatives_match_finite_differences(bp, x, t):
     val, grad, hess = bp.merit_derivatives(x, t)
@@ -160,6 +183,53 @@ def test_stacked_inequality_derivatives_match_finite_differences():
     assert_derivatives_match_finite_differences(bp, x, 7.0)
 
     relaxed = _phase1_problem(bp)
+    x_ext = np.append(x, 0.05)
+    relaxed.box = (x_ext - 3.0, x_ext + 3.0)
+    assert_derivatives_match_finite_differences(relaxed, x_ext, 7.0)
+
+
+def test_batched_schur_lmi_derivatives_match_finite_differences():
+    from sensesec.solver import LMI_WEIGHT, BarrierProblem, _phase1_problem
+    rng = np.random.default_rng(4)
+    prob = ConicSubproblem()
+    for k in range(2):
+        prob.add_hermitian(f"W{k}", 3)
+    for k in range(2):
+        prob.add_cvec(f"w{k}", 3)
+    prob.add_scalar("rho", lower=0.0)
+    # Two Schur LMIs [[W_k, w_k], [w_k^H, 1]] >= 0 with one coefficient
+    # stack, as sca.py builds them per user.
+    schur_w = np.pad(hermitian_basis(3), ((0, 0), (0, 1), (0, 1)))
+    schur_v = np.zeros((6, 4, 4), dtype=complex)
+    schur_v[:, :3, 3] = cvec_basis(3)
+    schur_v[:, 3, :3] = cvec_basis(3).conj()
+    for k in range(2):
+        prob.add_lmi(prob.matrix_map(np.diag([0.0, 0.0, 0.0, 1.0]),
+                                     {f"W{k}": schur_w, f"w{k}": schur_v}))
+    trace = hermitian_weights(np.eye(3))
+    prob.add_ineq(prob.scalar_map(0.0, {"W0": trace, "W1": trace}), 3.0)
+    legit = np.stack([random_psd(rng, 2) for _ in range(9)])
+    prob.set_objective(
+        linear=prob.scalar_map(0.0, {"rho": -0.3}),
+        logdet_terms=[(1.0, prob.matrix_map(np.eye(2),
+                                            {"W0": legit, "W1": legit}))])
+    bp = BarrierProblem(prob)
+    assert len(bp.lmi_blocks) == 1
+    assert bp.lmi_blocks[0].coords.shape == (2, 15)
+    assert bp.gap_degree() == len(bp.b) + sum(LMI_WEIGHT * mmap.dim
+                                              for mmap in prob.lmis)
+    values = {"rho": 0.5}
+    for k in range(2):
+        w = 0.2 * random_complex(rng, 3)
+        values[f"w{k}"] = w
+        values[f"W{k}"] = np.outer(w, w.conj()) + 0.2 * np.eye(3)
+    x = prob.pack(values)
+    assert_derivatives_match_finite_differences(bp, x, 7.0)
+
+    # Phase I puts its slack coordinate in every block and batch member, so
+    # the scatter targets repeat.
+    relaxed = _phase1_problem(bp)
+    assert relaxed.lmi_blocks[0].coords.shape == (2, 16)
     x_ext = np.append(x, 0.05)
     relaxed.box = (x_ext - 3.0, x_ext + 3.0)
     assert_derivatives_match_finite_differences(relaxed, x_ext, 7.0)
