@@ -11,9 +11,9 @@ Convex Optimization, sec. 11.3) runs on the real coordinates of the variables.
 Identical problems give identical iterates at a fixed BLAS thread count.
 Across thread counts, BLAS sums in another order and the iterates differ by
 round-off.  For the default ScenarioConfig at channel seed 1, run_sca_no_an
-takes (73, 63, 63) Newton steps per subproblem at one OpenBLAS thread and
-(73, 63, 62) at two; its final legitimate MI agrees to 8.9e-16 nats and its
-eavesdropper MI to 8.3e-13 nats (2-core x86 Xeon, OpenBLAS 0.3.31 in numpy,
+takes (73, 63, 62) Newton steps per subproblem at one OpenBLAS thread and
+(73, 64, 64) at two; its final legitimate MI agrees to 8.9e-16 nats and its
+eavesdropper MI to 1.1e-10 nats (2-core x86 Xeon, OpenBLAS 0.3.31 in numpy,
 0.3.30 in scipy).
 """
 
@@ -28,7 +28,7 @@ NEWTON_TOL = 1e-9          # inner stopping threshold on lambda^2 / 2
 BARRIER_T0 = 1e3           # barrier parameter of the first stage of a solve
 BARRIER_GROWTH = 10.0
 STAGE_MAX_STEPS = 60       # Newton steps in one barrier stage
-PHASE1_MARGIN = 1e-9
+PHASE1_MARGIN = 1e-9       # margin phase I aims at; a start needs none
 PHASE1_MAX_STEPS = 400
 FEAS_TOL = 1e-7            # largest constraint violation of an "optimal" result
 OBJ_TOL = 1e-8             # duality-gap bound that ends the barrier
@@ -510,6 +510,19 @@ class BarrierProblem:
                 s[ineq.row] += blk.weight * blk.logdet(chol)
         return s
 
+    def in_domain(self, x):
+        """True when x is strictly inside the barrier domain: every slack is
+        positive and every block has a Cholesky factor, so merit_derivatives
+        can evaluate x."""
+        s = self._slacks(x)
+        if s is None or np.any(s <= 0.0):
+            return False
+        if self.box is not None and any(np.any(side <= 0.0)
+                                        for side in self._box_slacks(x)):
+            return False
+        return all(blk.chol(x) is not None
+                   for blk in self.obj_blocks + self.lmi_blocks)
+
     def strict_margin(self, x):
         """Smallest slack across all barrier arguments (negative: infeasible)."""
         s = self._slacks(x)
@@ -765,13 +778,16 @@ def _phase1_problem(bp):
 
 
 def _find_strictly_feasible(bp, hint=None):
-    """Strictly feasible x for bp, via hint, heuristic, or phase-I slack
-    minimization.  Raises InfeasibleError when the slack optimum stays
-    positive, and SolverError when phase I stopped before reaching it."""
+    """Strictly feasible x for bp: the hint or else the heuristic point when
+    it lies strictly inside the barrier domain (BarrierProblem.in_domain),
+    however small its margin; otherwise phase-I slack minimization, whose
+    point has a margin of at least PHASE1_MARGIN.  Raises InfeasibleError
+    when the slack optimum stays positive, and SolverError when phase I
+    stopped before reaching it."""
     candidates = [] if hint is None else [hint]
     candidates.append(_heuristic_point(bp))
     for cand in candidates:
-        if bp.strict_margin(cand) >= PHASE1_MARGIN:
+        if bp.in_domain(cand):
             return cand
     relaxed = _phase1_problem(bp)
     # Geometric slack ladder: the fully-relaxed problem is strictly feasible
@@ -780,7 +796,7 @@ def _find_strictly_feasible(bp, hint=None):
     for base in candidates:
         for slack0 in (1.0, 1e2, 1e4, 1e6, 1e9, 1e12):
             cand = np.concatenate([base, [slack0]])
-            if relaxed.strict_margin(cand) >= PHASE1_MARGIN:
+            if relaxed.in_domain(cand):
                 start = cand
                 break
         if start is not None:
@@ -795,7 +811,9 @@ def _find_strictly_feasible(bp, hint=None):
     def done(x_ext):
         return x_ext[-1] <= -10.0 * PHASE1_MARGIN
 
-    x_ext, _, status, _ = _run_barrier(relaxed, start, t0=1.0,
+    # The first stage aims at a duality gap equal to the start's slack.
+    t0 = relaxed.gap_degree() / start[-1]
+    x_ext, _, status, _ = _run_barrier(relaxed, start, t0=t0,
                                        obj_tol=PHASE1_MARGIN,
                                        max_iters=PHASE1_MAX_STEPS,
                                        early_stop=done)
@@ -811,19 +829,12 @@ def _find_strictly_feasible(bp, hint=None):
         "feasible point at the required margin")
 
 
-def phase1_feasible_point(problem):
-    """Strictly feasible variable values for every barrier argument, or
-    InfeasibleError."""
-    bp = BarrierProblem(problem)
-    x = _find_strictly_feasible(bp)
-    return problem.unpack(x)
-
-
 def solve(problem, initial=None):
     """Barrier solve of a ConicSubproblem.
 
-    ``initial`` may carry variable values (dict) used when strictly feasible;
-    otherwise phase-I constructs a start.  The barrier starts at
+    ``initial`` may carry variable values (dict), used as the start when
+    they lie strictly inside the barrier domain, however close to its
+    boundary; otherwise phase I constructs a start.  The barrier starts at
     ``BARRIER_T0`` whatever the start.  Returns a SolverResult whose
     objective is in the original complex log-det units.
     """

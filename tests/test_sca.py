@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sensesec import channels, metrics, sca
+from sensesec import channels, metrics, sca, solver
 from sensesec.linalg import RngState
 from sensesec.solver import InfeasibleError
 
@@ -48,6 +50,49 @@ def test_tiny_design_is_feasible_and_no_stage_hits_the_cap(channel_seed,
     assert float(np.real(np.trace(r_x))) <= cfg.power_budget * (1.0 + 1e-6)
     mi_eve = metrics.sensing_mi(stats_e, r_x, cfg.frame_len)
     assert mi_eve <= cfg.eve_mi_cap + sca.EVE_RECHECK_SLACK
+
+
+def test_one_milliwatt_design_runs_phase_one_only_for_its_anchor(monkeypatch):
+    # The anchor's heuristic start misses the SINR rows; every warm start
+    # keeps ANCHOR_BLEND of the anchor's small margin and is interior.
+    built = []
+    phase1_problem = solver._phase1_problem
+
+    def counting_phase1_problem(bp):
+        built.append(bp)
+        return phase1_problem(bp)
+
+    monkeypatch.setattr(solver, "_phase1_problem", counting_phase1_problem)
+    cfg = channels.ScenarioConfig(power_budget=1e-3)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(2))
+    sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(2))
+
+    # One phase I, on the anchor: the only solve without an objective.
+    assert [bp.obj_blocks for bp in built] == [[]]
+    assert len(trace.rows) > 1
+    assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
+
+
+@given(channel_seed=st.integers(1, 1000),
+       power_budget=st.sampled_from([1e-3, 1.0]),
+       eve_mi_cap=st.floats(0.01, 5.0))
+@settings(max_examples=15, deadline=None)
+def test_tiny_designs_meet_their_limits(channel_seed, power_budget, eve_mi_cap):
+    cfg = TINY.replace(power_budget=power_budget, eve_mi_cap=eve_mi_cap)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
+    try:
+        sol, _ = sca.run_sca_no_an(links, stats_r, stats_e, cfg,
+                                   RngState(channel_seed))
+    except InfeasibleError:
+        # One user sees no interference: its best SINR is P |h|^2 / noise.
+        h = np.asarray(links[0].vector)
+        best = power_budget * np.vdot(h, h).real / cfg.noise_comm
+        assert best <= cfg.sinr_targets[0] * (1.0 + cfg.sinr_margin)
+        return
+
+    assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
+    if sol.status == "optimal":
+        assert np.all(sol.rank_certs >= sca.RANK_ONE_THRESHOLD)
 
 
 def test_subproblem_maps_match_closed_forms():

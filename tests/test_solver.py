@@ -5,15 +5,16 @@ import pytest
 
 from sensesec import solver
 from sensesec.solver import (
+    BarrierProblem,
     ConicSubproblem,
     InfeasibleError,
     SolverError,
+    _find_strictly_feasible,
     cvec_basis,
     hermitian_basis,
     hermitian_weights,
     pack_cvec,
     pack_hermitian,
-    phase1_feasible_point,
     solve,
     unpack_cvec,
     unpack_hermitian,
@@ -376,7 +377,7 @@ class TestPhase1:
         prob.add_lmi(rmap)
         prob.add_ineq(tr, 4.0)
         prob.set_objective(linear=prob.scalar_map(0.0, {}))
-        vals = phase1_feasible_point(prob)
+        vals = prob.unpack(_find_strictly_feasible(BarrierProblem(prob)))
         assert np.max(np.abs(vals["R"] - (4.0 / 6.0) * np.eye(3))) < 1e-12
 
     def test_contradictory_bounds(self):
@@ -384,7 +385,7 @@ class TestPhase1:
         prob.add_scalar("x", lower=0.0, upper=-1.0)
         prob.set_objective(linear=prob.scalar_map(0.0, {"x": 1.0}))
         with pytest.raises(InfeasibleError):
-            phase1_feasible_point(prob)
+            _find_strictly_feasible(BarrierProblem(prob))
 
     def test_infeasible_solve_raises(self):
         prob = ConicSubproblem()
@@ -417,7 +418,7 @@ class TestPhase1:
         prob.add_ineq(prob.scalar_map(
             0.0, {"W": hermitian_weights(np.eye(3))}), 1.0)
         prob.set_objective(linear=prob.scalar_map(0.0, {}))
-        vals = phase1_feasible_point(prob)
+        vals = prob.unpack(_find_strictly_feasible(BarrierProblem(prob)))
         w = vals["W"]
         assert np.min(np.linalg.eigvalsh(w)) >= 1e-9
         assert np.min(np.linalg.eigvalsh(g0 - w)) >= 1e-9
@@ -484,3 +485,81 @@ def test_line_search_that_finds_no_step_is_reported(monkeypatch):
     prob.add_scalar("x", lower=0.0, upper=1.0)
     prob.set_objective(linear=prob.scalar_map(0.0, {"x": 1.0}))
     assert solve(prob).status == "line-search-failed"
+
+
+def floored_logdet_problem():
+    """maximize logdet(I + W) over 2x2 W >= 0 with tr W <= 10 and W_00 >= 8.
+    The heuristic start 2.5 I misses W_00 >= 8 by 5.5."""
+    prob = ConicSubproblem()
+    prob.add_hermitian("W", 2)
+    prob.add_lmi(prob.matrix_map(np.zeros((2, 2)), {"W": hermitian_basis(2)}))
+    prob.add_ineq(prob.scalar_map(
+        0.0, {"W": hermitian_weights(np.eye(2))}), 10.0)
+    prob.add_ineq(prob.scalar_map(
+        0.0, {"W": -hermitian_weights(np.diag([1.0, 0.0]))}), -8.0)
+    prob.set_objective(logdet_terms=[(1.0, prob.matrix_map(
+        np.eye(2), {"W": hermitian_basis(2)}))])
+    return prob
+
+
+@pytest.fixture
+def phase1_builds(monkeypatch):
+    """Every phase-I problem built while the test runs."""
+    built = []
+
+    def recording_phase1_problem(bp):
+        relaxed = phase1_problem(bp)
+        built.append(relaxed)
+        return relaxed
+
+    phase1_problem = solver._phase1_problem
+    monkeypatch.setattr(solver, "_phase1_problem", recording_phase1_problem)
+    return built
+
+
+def test_hint_inside_the_domain_skips_phase_one_at_any_margin(phase1_builds):
+    # The hint, a rank-one matrix plus 5e-10 I, meets every row.
+    prob = floored_logdet_problem()
+    u = np.array([3.0, -1.0j])
+    hint = {"W": 0.95 * np.outer(u, u.conj()) + 5e-10 * np.eye(2)}
+    margin = BarrierProblem(prob).strict_margin(prob.pack(hint))
+    assert 0.0 < margin < solver.PHASE1_MARGIN
+
+    res = solve(prob, initial=hint)
+    assert phase1_builds == []
+    assert res.status == "optimal"
+    assert abs(res.objective - solve(prob).objective) < 1e-8
+
+
+def test_hint_outside_the_domain_runs_phase_one(phase1_builds):
+    # The heuristic start misses a row as well.
+    prob = floored_logdet_problem()
+    bp = BarrierProblem(prob)
+    hint = prob.pack({"W": np.diag([7.9, 0.1])})
+    assert bp.strict_margin(hint) < 0.0
+
+    x = _find_strictly_feasible(bp, hint=hint)
+    assert len(phase1_builds) == 1
+    assert bp.strict_margin(x) >= solver.PHASE1_MARGIN
+
+
+def test_phase_one_starts_its_barrier_at_the_gap_of_its_slack(monkeypatch,
+                                                             phase1_builds):
+    runs = []
+
+    def recording_run_barrier(bp, x0, *args, **kwargs):
+        out = run_barrier(bp, x0, *args, **kwargs)
+        runs.append((bp, x0, out[3]))
+        return out
+
+    run_barrier = solver._run_barrier
+    monkeypatch.setattr(solver, "_run_barrier", recording_run_barrier)
+    # The heuristic start misses a row by 5.5, so the slack ladder passes
+    # its first rung, 1.
+    prob = floored_logdet_problem()
+    _find_strictly_feasible(BarrierProblem(prob))
+
+    (relaxed, start, history), = runs
+    assert phase1_builds == [relaxed]
+    assert start[-1] == 1e2
+    assert history[0][0] == relaxed.gap_degree() / 1e2
