@@ -11,10 +11,10 @@ Convex Optimization, sec. 11.3) runs on the real coordinates of the variables.
 Identical problems give identical iterates at a fixed BLAS thread count.
 Across thread counts, BLAS sums in another order and the iterates differ by
 round-off.  For the default ScenarioConfig at channel seed 1, run_sca_no_an
-takes (73, 63, 62) Newton steps per subproblem at one OpenBLAS thread and
-(73, 64, 64) at two; its final legitimate MI agrees to 8.9e-16 nats and its
-eavesdropper MI to 1.1e-10 nats (2-core x86 Xeon, OpenBLAS 0.3.31 in numpy,
-0.3.30 in scipy).
+takes (55, 48, 46) Newton steps per subproblem at one OpenBLAS thread and at
+two; its final legitimate MI agrees to 5.9e-13 nats and its eavesdropper MI
+to 4.9e-11 nats (2-core x86 Xeon, OpenBLAS 0.3.31 in numpy, 0.3.30 in
+scipy).
 """
 
 from __future__ import annotations
@@ -24,7 +24,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-NEWTON_TOL = 1e-9          # inner stopping threshold on lambda^2 / 2
+# Newton's stopping thresholds on lambda^2 / 2.  The last barrier stage and a
+# centering-only solve center to NEWTON_TOL.  An earlier stage only seeds the
+# next one, so it stops once Newton's method is in its quadratic phase,
+# lambda <= (1 - 2 alpha) / 4 for the Armijo parameter alpha (Boyd &
+# Vandenberghe, Convex Optimization, sec. 9.6.4; inexact centering, sec.
+# 11.3.1).
+ARMIJO_ALPHA = 0.01        # sufficient-decrease fraction of the line search
+NEWTON_TOL = 1e-9
+CENTERING_TOL = 0.5 * ((1.0 - 2.0 * ARMIJO_ALPHA) / 4.0) ** 2
 BARRIER_T0 = 1e3           # barrier parameter of the first stage of a solve
 BARRIER_GROWTH = 10.0
 STAGE_MAX_STEPS = 60       # Newton steps in one barrier stage
@@ -654,9 +662,12 @@ def _newton_direction(hess, grad):
 
 
 def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
-    """Minimize the barrier sequence from a strictly feasible x0.  The status
-    is "max-iter" when the step budget ran out, else "stage-cap" or
-    "line-search-failed" when the last failing stage hit its step cap or
+    """Minimize the barrier sequence from a strictly feasible x0.  The last
+    stage (degree / t <= obj_tol) and a centering-only solve stop Newton at
+    lambda^2 / 2 <= NEWTON_TOL; earlier stages stop at CENTERING_TOL, in
+    Newton's quadratic phase (Boyd & Vandenberghe, secs. 9.6.4 and 11.3.1).
+    The status is "max-iter" when the step budget ran out, else "stage-cap"
+    or "line-search-failed" when the last failing stage hit its step cap or
     found no step, else "optimal"."""
     x = x0.copy()
     t = t0
@@ -668,6 +679,8 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
     history = []
     status = "optimal"
     while True:
+        last_stage = degree / t <= obj_tol or degree == 0 or centering_only
+        tol = NEWTON_TOL if last_stage else CENTERING_TOL
         stage_newton = 0
         for _ in range(STAGE_MAX_STEPS):
             if total_newton >= max_iters:
@@ -678,7 +691,7 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
                 raise SolverError("iterate left the barrier domain")
             val, grad, hess = out
             d, lam2 = _newton_direction(hess, grad)
-            if 0.5 * lam2 <= NEWTON_TOL:
+            if 0.5 * lam2 <= tol:
                 break
             slope = float(grad @ d)
             step = 1.0
@@ -686,7 +699,8 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
             while step > 1e-14:
                 cand = x + step * d
                 mval = bp.merit(cand, t)
-                if mval is not None and mval <= val + 0.01 * step * slope:
+                if (mval is not None
+                        and mval <= val + ARMIJO_ALPHA * step * slope):
                     x = cand
                     accepted = True
                     break
@@ -707,8 +721,7 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
         else:
             status = "stage-cap"
         history.append((t, bp.objective_value(x), stage_newton))
-        if (status == "max-iter" or degree / t <= obj_tol or degree == 0
-                or centering_only):
+        if status == "max-iter" or last_stage:
             break
         t *= BARRIER_GROWTH
     return x, total_newton, status, history

@@ -13,7 +13,6 @@ from sensesec.solver import InfeasibleError
 # Smallest scenario the SCA loop handles: two transmit antennas, one user.
 TINY = channels.ScenarioConfig(n_tx=2, n_rx=1, n_eve=1, n_users=1,
                                sinr_targets=(10.0,), rician_factors=(2.0,))
-STAGE_CAP = 60
 
 
 @pytest.fixture
@@ -41,7 +40,7 @@ def test_tiny_design_is_feasible_and_no_stage_hits_the_cap(channel_seed,
 
     assert solver_results and len(trace.rows) >= 1
     stage_steps = [stage[2] for res in solver_results for stage in res.history]
-    assert max(stage_steps) < STAGE_CAP
+    assert max(stage_steps) < solver.STAGE_MAX_STEPS
 
     # Recompute the design's numbers rather than trusting its status.
     r_x = metrics.transmit_covariance(sol.weights)
@@ -50,6 +49,30 @@ def test_tiny_design_is_feasible_and_no_stage_hits_the_cap(channel_seed,
     assert float(np.real(np.trace(r_x))) <= cfg.power_budget * (1.0 + 1e-6)
     mi_eve = metrics.sensing_mi(stats_e, r_x, cfg.frame_len)
     assert mi_eve <= cfg.eve_mi_cap + sca.EVE_RECHECK_SLACK
+
+
+@pytest.mark.parametrize("cfg, channel_seed", [
+    (TINY, 1), (TINY, 2), (TINY.replace(power_budget=1e-3), 1)],
+    ids=["tiny-1", "tiny-2", "tiny-1mW-1"])
+def test_loose_intermediate_centering_keeps_every_iterate(cfg, channel_seed,
+                                                          monkeypatch):
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
+
+    def design():
+        _, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg,
+                                     RngState(channel_seed))
+        return trace.rows
+
+    loose = design()
+    monkeypatch.setattr(solver, "CENTERING_TOL", solver.NEWTON_TOL)
+    tight = design()
+
+    assert len(loose) == len(tight)
+    for a, b in zip(loose, tight):
+        assert abs(a.mi_legit - b.mi_legit) <= 1e-9
+        assert abs(a.mi_eve - b.mi_eve) <= 1e-9
+    assert (sum(row.solver_iterations for row in loose)
+            < sum(row.solver_iterations for row in tight))
 
 
 def test_one_milliwatt_design_runs_phase_one_only_for_its_anchor(monkeypatch):

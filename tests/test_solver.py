@@ -563,3 +563,89 @@ def test_phase_one_starts_its_barrier_at_the_gap_of_its_slack(monkeypatch,
     assert phase1_builds == [relaxed]
     assert start[-1] == 1e2
     assert history[0][0] == relaxed.gap_degree() / 1e2
+
+
+@pytest.fixture
+def newton_directions(monkeypatch):
+    """(t, lambda^2) of every Newton direction computed while the test runs,
+    t read from the merit_derivatives call that precedes it."""
+    directions = []
+
+    def recording_derivatives(self, x, t):
+        directions.append([t, None])
+        return merit_derivatives(self, x, t)
+
+    def recording_direction(hess, grad):
+        d, lam2 = newton_direction(hess, grad)
+        directions[-1][1] = lam2
+        return d, lam2
+
+    merit_derivatives = solver.BarrierProblem.merit_derivatives
+    newton_direction = solver._newton_direction
+    monkeypatch.setattr(solver.BarrierProblem, "merit_derivatives",
+                        recording_derivatives)
+    monkeypatch.setattr(solver, "_newton_direction", recording_direction)
+    return directions
+
+
+def stage_decrements(history, directions):
+    """lambda^2 / 2 of every Newton direction, split by the barrier stages of
+    ``history``: [(steps taken, [lambda^2 / 2, ...])].  A stage stopped by
+    its Newton tolerance computed one direction more than it took steps."""
+    stages, pos = [], 0
+    for t, _, steps in history:
+        end = pos
+        while end < len(directions) and directions[end][0] == t:
+            end += 1
+        stages.append((steps, [0.5 * lam2 for _, lam2 in directions[pos:end]]))
+        assert end - pos in (steps, steps + 1)
+        pos = end
+    assert pos == len(directions)
+    return stages
+
+
+def assert_stops_at_first_decrement_below(steps, decrements, tol):
+    """The stage stopped at its first decrement <= tol, or took a step along
+    every direction (round-off floor or stage cap) with none below tol."""
+    stopped_by_tol = len(decrements) == steps + 1
+    assert all(dec > tol for dec in decrements[:-1])
+    assert (decrements[-1] <= tol) == stopped_by_tol
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_intermediate_stages_stop_in_the_quadratic_phase(seed,
+                                                         newton_directions):
+    prob, _ = make_grid_instance(seed)
+    res = solve(prob)
+    assert res.status == "optimal"
+
+    *early, last = stage_decrements(res.history, newton_directions)
+    assert len(early) >= 5
+    for steps, decrements in early:
+        assert_stops_at_first_decrement_below(steps, decrements,
+                                              solver.CENTERING_TOL)
+    assert_stops_at_first_decrement_below(*last, solver.NEWTON_TOL)
+
+
+def test_centering_only_solve_centers_to_the_newton_tolerance(
+        newton_directions):
+    prob, _ = make_grid_instance(2)
+    prob.set_objective()
+    res = solve(prob)
+
+    (stage,) = stage_decrements(res.history, newton_directions)
+    steps, decrements = stage
+    assert steps >= 3 and len(decrements) == steps + 1
+    assert_stops_at_first_decrement_below(*stage, solver.NEWTON_TOL)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_loose_intermediate_centering_keeps_the_optimum(seed, monkeypatch):
+    prob, _ = make_grid_instance(seed)
+    loose = solve(prob)
+    monkeypatch.setattr(solver, "CENTERING_TOL", solver.NEWTON_TOL)
+    tight = solve(prob)
+
+    assert loose.status == tight.status == "optimal"
+    assert abs(loose.objective - tight.objective) <= 1e-9 * abs(tight.objective)
+    assert loose.iterations < tight.iterations
