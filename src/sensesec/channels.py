@@ -159,6 +159,11 @@ _FILE_KEYS = {
 }
 
 
+# ScenarioConfig fields that may be +inf (no Eve constraint, pure line of
+# sight); every other value must be finite.
+_INF_ALLOWED = ("eve_mi_cap", "rician_factors")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """All physical and algorithmic parameters of one scenario.
@@ -204,6 +209,13 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self):
+        for f in fields(self):
+            vals = np.asarray(getattr(self, f.name), dtype=float).ravel()
+            inf_ok = f.name in _INF_ALLOWED
+            if not np.all(np.isfinite(vals) | (inf_ok & (vals == np.inf))):
+                raise ValueError(f"{f.name} must be finite"
+                                 f"{' or +inf' if inf_ok else ''}, got "
+                                 f"{getattr(self, f.name)!r}")
         if min(self.n_tx, self.n_rx, self.n_eve, self.n_users) < 1:
             raise ValueError("antenna and user counts must be >= 1")
         if self.frame_len < 1 or self.an_frame_len < 1:

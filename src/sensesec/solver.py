@@ -424,24 +424,17 @@ class _RealBlock:
                 np.take(gram.reshape(batch + (k * k,)), pairs, axis=-1))
 
 
-@dataclass
-class _IneqData:
-    """The neg-log terms of inequality ``row``: its slack b - a.x gains
-    sum_m weight_m logdet(map_m(x))."""
-
-    row: int
-    matlogs: list                # [_RealBlock], weight = coef
-
-
 # An LMI F >= 0 enters the barrier as -LMI_WEIGHT * logdet F, with barrier
 # parameter LMI_WEIGHT * dim F.
 LMI_WEIGHT = 2.0
 
 
 class BarrierProblem:
-    """Solve-ready form: minimize -(c.x + sum w logdet F(x)) subject to scalar
-    inequalities b - A x + (log terms of the rows in neglog_ineqs) > 0 and
-    LMIs."""
+    """Solve-ready form: minimize -(c.x + sum w logdet F(x)) subject to LMIs,
+    the optional box lo < x < hi and inequalities whose slacks are b - A x
+    plus their neg-log terms, listed flat in neglog_ineqs as (row, block):
+    slack ``row`` gains block.weight * logdet.  One pass, _terms, defines
+    the barrier domain; in_domain, merit and merit_derivatives read it."""
 
     def __init__(self, problem: ConicSubproblem):
         if problem.objective is None:
@@ -462,10 +455,9 @@ class BarrierProblem:
         for row, spec in enumerate(problem.ineqs):
             self.A[row, spec.affine.coords] = spec.affine.weights
             self.b[row] = spec.rhs - spec.affine.offset
-            if spec.neglog_terms:
-                matlogs = [_RealBlock(m.coords, m.mats, m.offset, weight=coef)
-                           for coef, m in spec.neglog_terms]
-                self.neglog_ineqs.append(_IneqData(row, matlogs))
+            self.neglog_ineqs += [
+                (row, _RealBlock(m.coords, m.mats, m.offset, weight=coef))
+                for coef, m in spec.neglog_terms]
         self._index_tables()
 
     def _index_tables(self):
@@ -475,7 +467,7 @@ class BarrierProblem:
         targets add up."""
         n = self.n
         blocks = self.obj_blocks + self.lmi_blocks
-        curv = [blk for ineq in self.neglog_ineqs for blk in ineq.matlogs]
+        curv = [blk for _, blk in self.neglog_ineqs]
         empty = [np.zeros(0, dtype=np.intp)]
         self._grad_idx = np.concatenate(
             [np.ravel(blk.coords) for blk in blocks] + empty)
@@ -490,12 +482,6 @@ class BarrierProblem:
             deg += 2 * self.n
         return deg
 
-    def _box_slacks(self, x):
-        lo, hi = self.box
-        return x - lo, hi - x
-
-    # -- merit evaluation
-
     def objective_value(self, x):
         """Max-sense objective in original (complex) units."""
         val = float(self.c @ x)
@@ -506,104 +492,102 @@ class BarrierProblem:
             val += blk.weight * blk.logdet(chol)
         return val
 
+    # -- the barrier domain and the merit
+
     def _slacks(self, x):
-        """Slack of every inequality, or None where a log term leaves its
-        domain."""
+        """(s, chols, sides): every inequality slack, the Cholesky factors of
+        the log terms (neglog_ineqs order) and the box sides x - lo, hi - x
+        (none without a box); None where a log term has no factor."""
         s = self.b - self.A @ x
-        for ineq in self.neglog_ineqs:
-            for blk in ineq.matlogs:
-                chol = blk.chol(x)
-                if chol is None:
-                    return None
-                s[ineq.row] += blk.weight * blk.logdet(chol)
-        return s
+        chols = []
+        for row, blk in self.neglog_ineqs:
+            chol = blk.chol(x)
+            if chol is None:
+                return None
+            s[row] += blk.weight * blk.logdet(chol)
+            chols.append(chol)
+        sides = () if self.box is None else (x - self.box[0], self.box[1] - x)
+        return s, chols, sides
+
+    def _terms(self, x):
+        """The one test of the barrier domain: (chols, s, log_chols, sides),
+        with chols of the objective then the LMI blocks and the rest from
+        _slacks, when every block factors and every slack and box side is
+        positive; else None.  The pass stops at the first block without a
+        factor."""
+        chols = []
+        for blk in self.obj_blocks + self.lmi_blocks:
+            chol = blk.chol(x)
+            if chol is None:
+                return None
+            chols.append(chol)
+        slacks = self._slacks(x)
+        if slacks is None:
+            return None
+        s, log_chols, sides = slacks
+        if (s <= 0.0).any() or any((side <= 0.0).any() for side in sides):
+            return None
+        return chols, s, log_chols, sides
+
+    def _weighted(self, t):
+        """(block, weight) of the objective and LMI blocks in _terms order;
+        the objective's log-dets carry the barrier parameter t."""
+        return ([(blk, t * blk.weight) for blk in self.obj_blocks]
+                + [(blk, blk.weight) for blk in self.lmi_blocks])
+
+    def _merit_value(self, x, t, terms):
+        """Barrier merit at x from its pass terms = _terms(x)."""
+        chols, s, _, sides = terms
+        val = -t * float(self.c @ x)
+        for (blk, w), chol in zip(self._weighted(t), chols):
+            val -= w * blk.logdet(chol)
+        val -= float(np.sum(np.log(s)))
+        if sides:
+            below, above = sides
+            val -= float(np.sum(np.log(below)) + np.sum(np.log(above)))
+        return val
 
     def in_domain(self, x):
-        """True when x is strictly inside the barrier domain: every slack is
-        positive and every block has a Cholesky factor, so merit_derivatives
-        can evaluate x."""
-        s = self._slacks(x)
-        if s is None or np.any(s <= 0.0):
-            return False
-        if self.box is not None and any(np.any(side <= 0.0)
-                                        for side in self._box_slacks(x)):
-            return False
-        return all(blk.chol(x) is not None
-                   for blk in self.obj_blocks + self.lmi_blocks)
+        """True when merit_derivatives can evaluate x (see _terms)."""
+        return self._terms(x) is not None
 
     def strict_margin(self, x):
         """Smallest slack across all barrier arguments (negative: infeasible)."""
-        s = self._slacks(x)
-        if s is None:
+        slacks = self._slacks(x)
+        if slacks is None:
             return -np.inf
-        worst = float(np.min(s, initial=np.inf))
+        s, _, sides = slacks
+        worst = min(float(np.min(v, initial=np.inf)) for v in (s, *sides))
         for blk in self.lmi_blocks + self.obj_blocks:
             worst = min(worst, blk.min_eig(x))
-        if self.box is not None:
-            below, above = self._box_slacks(x)
-            worst = min(worst, float(np.min(below)), float(np.min(above)))
         return worst
 
     def merit(self, x, t):
         """Barrier merit at x, or None outside the domain."""
-        val = -t * (float(self.c @ x))
-        for blk in self.obj_blocks:
-            chol = blk.chol(x)
-            if chol is None:
-                return None
-            val -= t * blk.weight * blk.logdet(chol)
-        for blk in self.lmi_blocks:
-            chol = blk.chol(x)
-            if chol is None:
-                return None
-            val -= blk.weight * blk.logdet(chol)
-        s = self._slacks(x)
-        if s is None or np.any(s <= 0.0):
-            return None
-        val -= float(np.sum(np.log(s)))
-        if self.box is not None:
-            below, above = self._box_slacks(x)
-            if np.any(below <= 0.0) or np.any(above <= 0.0):
-                return None
-            val -= float(np.sum(np.log(below)) + np.sum(np.log(above)))
-        return val
+        terms = self._terms(x)
+        return None if terms is None else self._merit_value(x, t, terms)
 
     def merit_derivatives(self, x, t):
-        """(value, grad, hess) of the barrier merit at x."""
+        """(value, grad, hess) of the barrier merit at x, or None outside."""
+        terms = self._terms(x)
+        if terms is None:
+            return None
+        chols, s, log_chols, sides = terms
         n = self.n
-        val = -t * float(self.c @ x)
         # Scatter weights in _index_tables order; the empty seeds keep
         # np.concatenate working for problems without blocks.
         gvals, hvals = [np.zeros(0)], [np.zeros(0)]
-        weighted = [(blk, t * blk.weight) for blk in self.obj_blocks]
-        weighted += [(blk, blk.weight) for blk in self.lmi_blocks]
-        for blk, w in weighted:
-            chol = blk.chol(x)
-            if chol is None:
-                return None
-            val -= w * blk.logdet(chol)
+        for (blk, w), chol in zip(self._weighted(t), chols):
             gvec, gram = blk.grad_gram(chol)
             gvals.append(np.ravel(gvec) * -w)
             hvals.append(np.ravel(gram) * w)
-        # Row i of jac is the gradient of slack s_i; curv holds the PSD
-        # -hess(s_i) parts of the log terms.
-        s = self.b - self.A @ x
+        # Row i of jac is the gradient of slack s_i; a log term of row i
+        # adds its PSD -hess(s_i) part, scaled by 1 / s_i.
         jac = -self.A
-        curv = []
-        for ineq in self.neglog_ineqs:
-            i = ineq.row
-            for blk in ineq.matlogs:
-                chol = blk.chol(x)
-                if chol is None:
-                    return None
-                s[i] += blk.weight * blk.logdet(chol)
-                gvec, gram = blk.grad_gram(chol)
-                jac[i, blk.coords] += blk.weight * gvec
-                curv.append((i, blk.weight * gram))
-        if np.any(s <= 0.0):
-            return None
-        val -= float(np.sum(np.log(s)))
-        hvals += [np.ravel(gram) / s[i] for i, gram in curv]
+        for (i, blk), chol in zip(self.neglog_ineqs, log_chols):
+            gvec, gram = blk.grad_gram(chol)
+            jac[i, blk.coords] += blk.weight * gvec
+            hvals.append(np.ravel(blk.weight * gram) / s[i])
         grad = -t * self.c
         grad += np.bincount(self._grad_idx, np.concatenate(gvals), minlength=n)
         grad -= jac.T @ (1.0 / s)
@@ -611,14 +595,11 @@ class BarrierProblem:
         hess = scaled.T @ scaled
         hess += np.bincount(self._hess_idx, np.concatenate(hvals),
                             minlength=n * n).reshape(n, n)
-        if self.box is not None:
-            below, above = self._box_slacks(x)
-            if np.any(below <= 0.0) or np.any(above <= 0.0):
-                return None
-            val -= float(np.sum(np.log(below)) + np.sum(np.log(above)))
+        if sides:
+            below, above = sides
             grad += 1.0 / above - 1.0 / below
             hess.flat[::n + 1] += 1.0 / below ** 2 + 1.0 / above ** 2
-        return val, grad, hess
+        return self._merit_value(x, t, terms), grad, hess
 
 
 def _batch_shared_maps(maps):
@@ -782,9 +763,8 @@ def _phase1_problem(bp):
                           for b in bp.lmi_blocks + bp.obj_blocks]
     relaxed.A = np.hstack([bp.A, -np.ones((len(bp.b), 1))])
     relaxed.b = bp.b
-    relaxed.neglog_ineqs = [
-        _IneqData(ineq.row, [extend_block(b, b.weight) for b in ineq.matlogs])
-        for ineq in bp.neglog_ineqs]
+    relaxed.neglog_ineqs = [(row, extend_block(blk, blk.weight))
+                            for row, blk in bp.neglog_ineqs]
     relaxed.box = None               # sized by the caller from the start point
     relaxed._index_tables()
     return relaxed
@@ -795,8 +775,9 @@ def _find_strictly_feasible(bp, hint=None):
     it lies strictly inside the barrier domain (BarrierProblem.in_domain),
     however small its margin; otherwise phase-I slack minimization, whose
     point has a margin of at least PHASE1_MARGIN.  Raises InfeasibleError
-    when the slack optimum stays positive, and SolverError when phase I
-    stopped before reaching it."""
+    when phase I converged ("optimal") with its slack still positive, and
+    SolverError when it ended with any other status, which certifies
+    nothing."""
     candidates = [] if hint is None else [hint]
     candidates.append(_heuristic_point(bp))
     for cand in candidates:
@@ -833,10 +814,10 @@ def _find_strictly_feasible(bp, hint=None):
     x, slack = x_ext[:bp.n], float(x_ext[-1])
     if slack <= -PHASE1_MARGIN and bp.strict_margin(x) >= PHASE1_MARGIN:
         return x
-    if status == "max-iter":
+    if status != "optimal":
         raise SolverError(
-            f"phase I stopped at its step cap (PHASE1_MAX_STEPS = "
-            f"{PHASE1_MAX_STEPS}) with slack {slack:.3e}; feasibility undecided")
+            f"phase I ended {status!r} at slack {slack:.3e} (step cap "
+            f"PHASE1_MAX_STEPS = {PHASE1_MAX_STEPS}); feasibility undecided")
     raise InfeasibleError(
         f"phase-I terminated with slack {slack:.3e}; problem has no strictly "
         "feasible point at the required margin")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -149,6 +150,20 @@ class TestScenarioConfig:
             ScenarioConfig(max_outer_iters=0)
         with pytest.raises(ValueError):
             ScenarioConfig(sinr_margin=-1e-3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig)])
+    def test_non_finite_value_rejected(self, name, bad):
+        # A tuple field gets the value in its last entry.
+        value = getattr(ScenarioConfig(), name)
+        value = value[:-1] + (bad,) if isinstance(value, tuple) else bad
+        if bad == math.inf and name in ("eve_mi_cap", "rician_factors"):
+            # No Eve constraint, or a pure line-of-sight channel.
+            assert getattr(ScenarioConfig(**{name: value}), name) == value
+        else:
+            with pytest.raises(ValueError):
+                ScenarioConfig(**{name: value})
 
     def test_hash_stable_and_sensitive(self):
         a, b = ScenarioConfig(), ScenarioConfig()

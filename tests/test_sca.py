@@ -1,5 +1,10 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,3 +327,92 @@ def test_eve_recheck_solves_once_more_and_keeps_the_design_feasible(
     rates = metrics.sinr(links, sol.weights, cfg.noise_comm)
     assert np.all(rates >= np.asarray(cfg.sinr_targets) * (1.0 - 1e-6))
     assert float(np.real(np.trace(r_x))) <= cfg.power_budget * (1.0 + 1e-6)
+
+
+def plain_sdr(links, stats_r, cfg):
+    """Per-user matrices W_k of the semidefinite relaxation without an Eve
+    constraint (Luo et al., IEEE SP Mag. 2010): maximize the legitimate
+    sensing MI of sum_k W_k over W_k >= 0, power <= budget and SINR >=
+    target (1 - 1e-6), with every row written out here from its closed
+    form."""
+    n, users = cfg.n_tx, range(cfg.n_users)
+    prob = solver.ConicSubproblem()
+    names = [f"W{k}" for k in users]
+    for name in names:
+        prob.add_hermitian(name, n)
+        prob.add_lmi(prob.matrix_map(np.zeros((n, n)),
+                                     {name: solver.hermitian_basis(n)}))
+    prob.add_ineq(prob.scalar_map(0.0, dict.fromkeys(
+        names, solver.hermitian_weights(np.eye(n)))), cfg.power_budget)
+    for k, link in enumerate(links):
+        # target (sum_{j != k} h^H W_j h + noise) - h^H W_k h <= 0
+        h = np.asarray(link.vector)
+        gain = solver.hermitian_weights(np.outer(h, h.conj()))
+        target = cfg.sinr_targets[k] * (1.0 - 1e-6)
+        prob.add_ineq(prob.scalar_map(0.0, {
+            name: (-1.0 if j == k else target) * gain
+            for j, name in enumerate(names)}), -target * cfg.noise_comm)
+    # MI = logdet(I + (L / sigma^2) sqrt(Lam) sum_i B_i R* B_i^H sqrt(Lam)),
+    # linear in R = sum_k W_k inside the log-det.
+    root = np.sqrt(stats_r.eigvals)
+    coefs = np.stack([
+        root[:, None] * sum(b @ e.conj() @ b.conj().T for b in stats_r.blocks)
+        * root[None, :] for e in solver.hermitian_basis(n)])
+    scale = cfg.frame_len / stats_r.noise_power
+    prob.set_objective(logdet_terms=[(1.0, prob.matrix_map(
+        np.eye(stats_r.dim), dict.fromkeys(names, scale * coefs)))])
+    res = solver.solve(prob)
+    assert res.status == "optimal"
+    return [res.values[name] for name in names]
+
+
+@pytest.mark.parametrize("channel_seed", [1, 2])
+@pytest.mark.parametrize("power_budget", [1.0, 1e-3], ids=["1W", "1mW"])
+@pytest.mark.parametrize("base", [TINY, channels.ScenarioConfig()],
+                         ids=["tiny", "default"])
+def test_design_without_eve_cap_matches_the_plain_sdr(base, power_budget,
+                                                      channel_seed):
+    cfg = base.replace(power_budget=power_budget, eve_mi_cap=math.inf)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
+    sol, _ = sca.run_sca_no_an(links, stats_r, stats_e, cfg,
+                               RngState(channel_seed))
+    mats = plain_sdr(links, stats_r, cfg)
+    sdr_mi = metrics.sensing_mi(stats_r, sum(mats), cfg.frame_len)
+
+    # The rank-one design is feasible for the relaxation, so it cannot beat
+    # it; a rank-one relaxation is tight and the design must reach it.
+    assert sol.mi_legit <= sdr_mi + 1e-7
+    if all(metrics.rank_one_certificate(m) >= sca.RANK_ONE_THRESHOLD
+           for m in mats):
+        assert sol.mi_legit >= sdr_mi - 1e-3
+
+
+DEFAULT_DESIGN = """
+import json
+from sensesec import channels, sca
+from sensesec.linalg import RngState
+cfg = channels.ScenarioConfig()
+links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
+print(json.dumps([sol.status, len(trace.rows), sol.mi_legit, sol.mi_eve]))
+"""
+
+
+def test_default_design_agrees_at_one_and_two_blas_threads():
+    # BLAS reads its thread count at import, so each count needs a fresh
+    # interpreter.
+    src = str(Path(sca.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs.append(subprocess.Popen([sys.executable, "-c", DEFAULT_DESIGN],
+                                     env=env, stdout=subprocess.PIPE, text=True))
+    (status1, outer1, legit1, eve1), (status2, outer2, legit2, eve2) = [
+        json.loads(run.communicate()[0]) for run in runs]
+    assert all(run.returncode == 0 for run in runs)
+    assert (status1, outer1) == (status2, outer2)
+    assert abs(legit1 - legit2) <= 1e-9
+    assert abs(eve1 - eve2) <= 1e-9

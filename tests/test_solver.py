@@ -153,8 +153,9 @@ def test_barrier_derivatives_match_finite_differences():
     assert_derivatives_match_finite_differences(bp, x, 7.0)
 
 
-def test_stacked_inequality_derivatives_match_finite_differences():
-    from sensesec.solver import BarrierProblem, _phase1_problem
+def stacked_inequality_problem():
+    """(problem, interior point): stacked inequality rows, two of them with
+    neg-log terms, and a log-det objective over W0 + W1."""
     rng = np.random.default_rng(3)
     prob = ConicSubproblem()
     prob.add_hermitian("W0", 2)
@@ -176,10 +177,16 @@ def test_stacked_inequality_derivatives_match_finite_differences():
         (1.0, prob.matrix_map(np.eye(1), {"y": [np.eye(1)]}))])
     prob.add_ineq(prob.scalar_map(0.0, {"z": 1.0}), 1.0, neglog_terms=[
         (0.7, prob.matrix_map(np.eye(2), {"W0": hermitian_basis(2)}))])
-    bp = BarrierProblem(prob)
     w0 = 0.2 * random_complex(rng, 2)
     x = prob.pack({"W0": np.outer(w0, w0.conj()) + 0.3 * np.eye(2),
                    "W1": 0.2 * np.eye(2), "y": 1.0, "z": 0.1})
+    return prob, x
+
+
+def test_stacked_inequality_derivatives_match_finite_differences():
+    from sensesec.solver import BarrierProblem, _phase1_problem
+    prob, x = stacked_inequality_problem()
+    bp = BarrierProblem(prob)
     assert len(bp.neglog_ineqs) == 2
     assert_derivatives_match_finite_differences(bp, x, 7.0)
 
@@ -234,6 +241,51 @@ def test_batched_schur_lmi_derivatives_match_finite_differences():
     x_ext = np.append(x, 0.05)
     relaxed.box = (x_ext - 3.0, x_ext + 3.0)
     assert_derivatives_match_finite_differences(relaxed, x_ext, 7.0)
+
+
+@pytest.fixture(scope="module")
+def domain_cases():
+    """(barrier problem, interior point): the default SCA subproblem, its
+    phase-I problem inside a coordinate box, and the stacked neg-log
+    problem."""
+    from sensesec import channels, sca
+    from sensesec.linalg import RngState
+    cfg = channels.ScenarioConfig()
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    exp_w, exp_mats = sca.random_expansion(cfg, RngState(1))
+    state = sca.SCAState(exp_w, exp_mats, cfg.penalty_init, cfg.eve_mi_cap)
+    bp = BarrierProblem(sca.build_subproblem_no_an(state, links, stats_r,
+                                                   stats_e, cfg))
+    x = _find_strictly_feasible(bp)
+    relaxed = solver._phase1_problem(bp)
+    x_ext = np.append(x, 0.05)
+    relaxed.box = (x_ext - 3.0, x_ext + 3.0)
+    prob, x_log = stacked_inequality_problem()
+    return [(bp, x), (relaxed, x_ext), (BarrierProblem(prob), x_log)]
+
+
+@pytest.mark.parametrize("case", [0, 1, 2],
+                         ids=["subproblem", "phase1-box", "neglog"])
+def test_merit_paths_share_one_domain_and_value(domain_cases, case):
+    # Points on random rays from an interior point, from well inside the
+    # domain to well outside it, and one past the phase-I box alone: a
+    # larger phase-I slack (the last coordinate) only relaxes the rows.
+    bp, x0 = domain_cases[case]
+    rays = np.random.default_rng(case).standard_normal((8, bp.n))
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    points = [x0 + step * ray for ray in rays
+              for step in 10.0 ** np.arange(-6, 2)]
+    points.append(x0 + 3.5 * np.eye(bp.n)[-1])
+    inside = 0
+    for x in points:
+        for t in (7.0, 1e6):
+            val = bp.merit(x, t)
+            out = bp.merit_derivatives(x, t)
+            assert bp.in_domain(x) == (val is not None) == (out is not None)
+            if val is not None:
+                inside += 1
+                assert val == out[0]        # bitwise
+    assert 0 < inside < 2 * len(points)
 
 
 def scalar_logdet_problem(lin_coef):
@@ -395,17 +447,31 @@ class TestPhase1:
         with pytest.raises(InfeasibleError):
             solve(prob)
 
-    def test_step_cap_is_not_reported_as_infeasible(self, monkeypatch):
-        # 5 <= x <= 5.001 is feasible; the heuristic start x = 1 sends it to
-        # phase I, which one Newton step cannot finish.
-        monkeypatch.setattr(solver, "PHASE1_MAX_STEPS", 1)
+    @staticmethod
+    def narrow_interval_problem():
+        """5 <= x <= 5.001: feasible, but the heuristic start x = 1 sends it
+        to phase I."""
         prob = ConicSubproblem()
         prob.add_scalar("x", lower=0.0)
         prob.add_ineq(prob.scalar_map(0.0, {"x": -1.0}), -5.0)
         prob.add_ineq(prob.scalar_map(0.0, {"x": 1.0}), 5.001)
         prob.set_objective(linear=prob.scalar_map(0.0, {"x": -1.0}))
+        return prob
+
+    def test_step_cap_is_not_reported_as_infeasible(self, monkeypatch):
+        # One Newton step cannot finish phase I.
+        monkeypatch.setattr(solver, "PHASE1_MAX_STEPS", 1)
         with pytest.raises(SolverError, match="step cap") as info:
-            solve(prob)
+            solve(self.narrow_interval_problem())
+        assert not isinstance(info.value, InfeasibleError)
+
+    def test_unconverged_phase_one_is_not_reported_as_infeasible(
+            self, monkeypatch):
+        # One Newton step per stage leaves phase I's barrier at the stage cap
+        # with its slack still positive.
+        monkeypatch.setattr(solver, "STAGE_MAX_STEPS", 1)
+        with pytest.raises(SolverError, match="'stage-cap'") as info:
+            solve(self.narrow_interval_problem())
         assert not isinstance(info.value, InfeasibleError)
 
     def test_found_point_has_margin(self):
