@@ -199,6 +199,10 @@ class ScenarioConfig:
     seed: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "int":
+                object.__setattr__(self, f.name,
+                                   _integer(f.name, getattr(self, f.name)))
         object.__setattr__(self, "sinr_targets",
                            _per_user(self.sinr_targets, self.n_users, "sinr_targets"))
         object.__setattr__(self, "rician_factors",
@@ -268,7 +272,7 @@ class ScenarioConfig:
                     "noise_comm", "noise_radar", "noise_eve"):
             if key in raw:
                 conv = _FILE_KEYS[key]
-                kw[key] = _integer(key, raw[key]) if conv is int else conv(raw[key])
+                kw[key] = raw[key] if conv is int else conv(raw[key])
         if "power_budget_dbm" in raw:
             kw["power_budget"] = float(dbm_to_watt(raw["power_budget_dbm"]))
         if "eve_mi_cap_nats" in raw:

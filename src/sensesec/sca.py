@@ -3,9 +3,11 @@ over semidefinite-relaxed per-user beamformers.
 
 Each outer iteration solves one convex max-det subproblem in which the
 eavesdropper MI is replaced by its affine global upper bound at the current
-expansion point, the rank-one requirement is a Schur-complement LMI plus a
-linearized trace tie, and both couplings carry penalty slacks whose weight
-grows geometrically.
+expansion point, the rank-one requirement tr W_k - ||W_k||_2 = 0 is
+linearized in its concave part at the expansion point (difference-of-convex
+form; Yang, Jiang, Shi & Ding, IEEE TWC 2020), and both couplings carry
+penalty slacks whose weight grows geometrically (penalty convex-concave
+procedure; Lipp & Boyd, Optim. Eng. 2016).
 """
 
 from __future__ import annotations
@@ -29,10 +31,8 @@ from .metrics import (
 from .solver import (
     ConicSubproblem,
     InfeasibleError,
-    cvec_basis,
     hermitian_basis,
     hermitian_weights,
-    pack_cvec,
     solve,
 )
 
@@ -46,7 +46,6 @@ ANCHOR_BLEND = 0.01          # weight of the interior anchor in a warm start
 class SCAState:
     """Expansion points and penalty weight for one SCA iteration."""
 
-    exp_weights: list            # per-user expansion vectors
     exp_weight_mats: list        # per-user expansion matrices
     penalty_weight: float
     eve_cap: float               # inf drops the eavesdropper constraint
@@ -78,9 +77,8 @@ class SCATrace:
 
 
 def _add_beam_constraints(prob, channels, cfg):
-    """The rows that involve the beams alone, on the variables W{k} and w{k}
-    of ``prob``: power budget, tightened per-user SINR and the per-user
-    Schur LMIs [[W_k, w_k], [w_k^H, 1]] >= 0."""
+    """The rows that involve the beams alone, on the variables W{k} of
+    ``prob``: power budget, tightened per-user SINR and W_k >= 0."""
     n = cfg.n_tx
     mat_names = [f"W{k}" for k in range(cfg.n_users)]
     vectors = [np.asarray(ch.vector) for ch in channels]
@@ -99,15 +97,14 @@ def _add_beam_constraints(prob, channels, cfg):
                  for j, name in enumerate(mat_names)}
         prob.add_ineq(prob.scalar_map(0.0, terms), -target * cfg.noise_comm)
 
-    schur_w = np.pad(hermitian_basis(n), ((0, 0), (0, 1), (0, 1)))
-    vec_basis = cvec_basis(n)
-    schur_v = np.zeros((len(vec_basis), n + 1, n + 1), dtype=complex)
-    schur_v[:, :n, n] = vec_basis
-    schur_v[:, n, :n] = vec_basis.conj()
-    schur_offset = np.diag(np.append(np.zeros(n), 1.0))
-    for k, name in enumerate(mat_names):
-        prob.add_lmi(prob.matrix_map(schur_offset,
-                                     {name: schur_w, f"w{k}": schur_v}))
+    basis = hermitian_basis(n)
+    for name in mat_names:
+        prob.add_lmi(prob.matrix_map(np.zeros((n, n)), {name: basis}))
+
+
+def _top_direction(mat):
+    """Unit eigenvector of the largest eigenvalue of a Hermitian matrix."""
+    return np.linalg.eigh(mat)[1][:, -1]
 
 
 def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
@@ -115,24 +112,22 @@ def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
 
     maximize   MI_legit(sum_k W_k) - p (kappa + sum_k rho_k)
     subject to affine eavesdropper-MI bound <= cap + kappa, power cap,
-    tightened SINR, per-user Schur LMIs, linearized rank ties, and
+    tightened SINR, W_k >= 0, the rank ties tr W_k - u_k^H W_k u_k <= rho_k
+    with u_k the top unit eigenvector of the expansion matrix, and
     nonnegative slacks.
     """
     n_users = cfg.n_users
-    if len(state.exp_weights) != n_users or len(state.exp_weight_mats) != n_users:
+    if len(state.exp_weight_mats) != n_users:
         raise ValueError("expansion point count does not match user count")
-    for w in state.exp_weights:
-        if np.asarray(w).shape != (cfg.n_tx,):
-            raise ValueError("expansion vector dimension mismatch")
+    for m in state.exp_weight_mats:
+        if np.asarray(m).shape != (cfg.n_tx, cfg.n_tx):
+            raise ValueError("expansion matrix dimension mismatch")
 
     prob = ConicSubproblem()
     n = cfg.n_tx
-    w_names = [f"w{k}" for k in range(n_users)]
     mat_names = [f"W{k}" for k in range(n_users)]
     for name in mat_names:
         prob.add_hermitian(name, n)
-    for name in w_names:
-        prob.add_cvec(name, n)
     rho_names = [f"rho{k}" for k in range(n_users)]
     for name in rho_names:
         prob.add_scalar(name, lower=0.0)
@@ -166,20 +161,19 @@ def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
 
     _add_beam_constraints(prob, channels, cfg)
 
-    # Rank-one coupling: the Schur LMIs plus the linearized trace ties.
-    trace_weights = hermitian_weights(np.eye(n))
+    # Rank-one ties: tr W_k - ||W_k||_2 with ||W_k||_2 >= u_k^H W_k u_k.
     for k in range(n_users):
-        w_exp = np.asarray(state.exp_weights[k])
-        tie = prob.scalar_map(0.0, {mat_names[k]: trace_weights,
-                                    w_names[k]: -2.0 * pack_cvec(w_exp),
-                                    rho_names[k]: -1.0})
-        prob.add_ineq(tie, -float(np.real(w_exp.conj() @ w_exp)))
+        u = _top_direction(state.exp_weight_mats[k])
+        tie = prob.scalar_map(0.0, {
+            mat_names[k]: hermitian_weights(np.eye(n) - np.outer(u, u.conj())),
+            rho_names[k]: -1.0})
+        prob.add_ineq(tie, 0.0)
     return prob
 
 
 def random_expansion(cfg, rng):
-    """Random initial beams: CN(0, (P/(K n_tx)) I) projected to the power
-    ball."""
+    """Per-user rank-one matrices w_k w_k^H of random initial beams:
+    CN(0, (P/(K n_tx)) I) projected to the power ball."""
     gen = rng.generator()
     scale = math.sqrt(cfg.power_budget / (cfg.n_users * cfg.n_tx))
     weights = [scale * (gen.standard_normal(cfg.n_tx)
@@ -189,20 +183,17 @@ def random_expansion(cfg, rng):
     if total > cfg.power_budget:
         factor = math.sqrt(cfg.power_budget / total)
         weights = [w * factor for w in weights]
-    mats = [np.outer(w, w.conj()) for w in weights]
-    return weights, mats
+    return [np.outer(w, w.conj()) for w in weights]
 
 
 def _anchor_point(channels, cfg):
-    """Interior anchor (weights, mats): the analytic center of the power,
-    SINR and Schur rows (Boyd & Vandenberghe, Convex Optimization, sec.
+    """Interior anchor, per-user matrices: the analytic center of the power,
+    SINR and W_k >= 0 rows (Boyd & Vandenberghe, Convex Optimization, sec.
     8.5.3), which are the rows of every subproblem that involve the beams
     alone.  Raises InfeasibleError when those rows have no interior."""
     prob = ConicSubproblem()
     for k in range(cfg.n_users):
         prob.add_hermitian(f"W{k}", cfg.n_tx)
-    for k in range(cfg.n_users):
-        prob.add_cvec(f"w{k}", cfg.n_tx)
     _add_beam_constraints(prob, channels, cfg)
     prob.set_objective()
     try:
@@ -211,23 +202,19 @@ def _anchor_point(channels, cfg):
         raise InfeasibleError(
             "the SINR targets are unreachable within the power budget for "
             f"this channel draw ({exc})") from exc
-    return ([values[f"w{k}"] for k in range(cfg.n_users)],
-            [values[f"W{k}"] for k in range(cfg.n_users)])
+    return [values[f"W{k}"] for k in range(cfg.n_users)]
 
 
-def _start_values(weights, mats, cfg, state, stats_e):
-    """Solver warm start from explicit (w, W) pairs; slack variables sized to
-    the actual violations plus a pad that keeps barrier arguments strict."""
+def _start_values(mats, cfg, state, stats_e):
+    """Solver warm start from explicit W_k; slack variables sized to the
+    actual violations plus a pad that keeps barrier arguments strict."""
     vals = {}
     pad = 1e-4 * max(1.0, cfg.power_budget)
     for k in range(cfg.n_users):
-        w = np.asarray(weights[k], dtype=complex)
-        vals[f"w{k}"] = w
-        vals[f"W{k}"] = np.asarray(mats[k], dtype=complex)
-        exp_w = np.asarray(state.exp_weights[k])
-        tie = float(np.real(np.trace(vals[f"W{k}"]))
-                    - 2.0 * np.real(exp_w.conj() @ w)
-                    + np.real(exp_w.conj() @ exp_w))
+        mat = np.asarray(mats[k], dtype=complex)
+        vals[f"W{k}"] = mat
+        u = _top_direction(state.exp_weight_mats[k])
+        tie = float(np.real(np.trace(mat) - u.conj() @ mat @ u))
         vals[f"rho{k}"] = max(tie, 0.0) + pad
     if np.isfinite(state.eve_cap):
         cov = transmit_covariance([vals[f"W{k}"] for k in range(cfg.n_users)])
@@ -238,16 +225,12 @@ def _start_values(weights, mats, cfg, state, stats_e):
     return vals
 
 
-def _blend_with_anchor(prev_weights, prev_mats, anchor):
-    """Convex blend toward the interior anchor; all subproblem constraints
-    are jointly affine/concave in (w, W), so the blend inherits at least
-    ANCHOR_BLEND times the anchor's margin."""
-    aw, am = anchor
-    weights = [(1.0 - ANCHOR_BLEND) * np.asarray(w) + ANCHOR_BLEND * aw[k]
-               for k, w in enumerate(prev_weights)]
-    mats = [(1.0 - ANCHOR_BLEND) * np.asarray(m) + ANCHOR_BLEND * am[k]
+def _blend_with_anchor(prev_mats, anchor):
+    """Convex blend of the W_k toward the interior anchor; the power, SINR
+    and W_k >= 0 rows are affine in W, so the blend inherits at least
+    ANCHOR_BLEND times the anchor's margin in them."""
+    return [(1.0 - ANCHOR_BLEND) * np.asarray(m) + ANCHOR_BLEND * anchor[k]
             for k, m in enumerate(prev_mats)]
-    return weights, mats
 
 
 def _extract_solution(values, channels, stats_r, stats_e, cfg, state, rng,
@@ -341,8 +324,8 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     vectors = [ch.vector for ch in channels]
     targets = np.asarray(cfg.sinr_targets)
 
-    exp_w, exp_mats = random_expansion(cfg, rng.child("init"))
-    state = SCAState(exp_w, exp_mats, cfg.penalty_init, eve_cap=cap)
+    state = SCAState(random_expansion(cfg, rng.child("init")),
+                     cfg.penalty_init, eve_cap=cap)
     anchor = _anchor_point(channels, cfg)
 
     prev_mi = None
@@ -350,11 +333,10 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     statuses = []                # of every subproblem solve, in order
     for itn in range(1, cfg.max_outer_iters + 1):
         problem = build_subproblem_no_an(state, channels, stats_r, stats_e, cfg)
-        res = solve(problem, initial=_start_values(*start, cfg, state, stats_e))
+        res = solve(problem, initial=_start_values(start, cfg, state, stats_e))
         statuses.append(res.status)
         result_values = res.values
         weight_mats = [result_values[f"W{k}"] for k in range(cfg.n_users)]
-        weights = [result_values[f"w{k}"] for k in range(cfg.n_users)]
         kappa = float(result_values["kappa"])
         rho_max = max(float(result_values[f"rho{k}"])
                       for k in range(cfg.n_users))
@@ -380,15 +362,14 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
         converged = (prev_mi is not None
                      and abs(mi_r - prev_mi) <= cfg.tol_obj_nats
                      and max(kappa, rho_max) <= cfg.tol_penalty)
-        state = SCAState([w.copy() for w in weights],
-                         [m.copy() for m in weight_mats],
+        state = SCAState([m.copy() for m in weight_mats],
                          state.penalty_weight * cfg.penalty_growth,
                          eve_cap=cap)
         if converged:
             trace.converged_at = itn
             break
         prev_mi = mi_r
-        start = _blend_with_anchor(weights, weight_mats, anchor)
+        start = _blend_with_anchor(weight_mats, anchor)
 
     statuses.append("optimal" if trace.converged_at is not None else "max-iter")
     solution = _extract_solution(result_values, channels, stats_r, stats_e,
@@ -398,9 +379,8 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     # re-check below guards numerical slack with one extra pass.
     if np.isfinite(cap) and solution.mi_eve > cap + EVE_RECHECK_SLACK:
         problem = build_subproblem_no_an(state, channels, stats_r, stats_e, cfg)
-        start = _blend_with_anchor(solution.weights, solution.weight_mats,
-                                   anchor)
-        res = solve(problem, initial=_start_values(*start, cfg, state, stats_e))
+        start = _blend_with_anchor(solution.weight_mats, anchor)
+        res = solve(problem, initial=_start_values(start, cfg, state, stats_e))
         statuses.append(res.status)
         solution = _extract_solution(res.values, channels, stats_r, stats_e,
                                      cfg, state, rng, _first_failure(statuses))

@@ -1,7 +1,7 @@
 """Self-contained barrier interior-point solver for small conic subproblems:
-maximize a concave log-det-plus-linear objective over complex Hermitian /
-complex vector / real scalar variables subject to affine inequalities and
-linear matrix inequalities.
+maximize a concave log-det-plus-linear objective over complex Hermitian and
+real scalar variables subject to affine inequalities and linear matrix
+inequalities.
 
 Problems are declared at the complex level (ConicSubproblem) by the
 coefficients of their affine maps, as in MAXDET (Vandenberghe, Boyd & Wu
@@ -9,12 +9,12 @@ coefficients of their affine maps, as in MAXDET (Vandenberghe, Boyd & Wu
 Convex Optimization, sec. 11.3) runs on the real coordinates of the variables.
 
 Identical problems give identical iterates at a fixed BLAS thread count.
-Across thread counts, BLAS sums in another order and the iterates differ by
-round-off.  For the default ScenarioConfig at channel seed 1, run_sca_no_an
-takes (55, 48, 46) Newton steps per subproblem at one OpenBLAS thread and at
-two; its final legitimate MI agrees to 5.9e-13 nats and its eavesdropper MI
-to 4.9e-11 nats (2-core x86 Xeon, OpenBLAS 0.3.31 in numpy, 0.3.30 in
-scipy).
+Across thread counts, BLAS may sum in another order and the iterates may
+differ by round-off.  For the default ScenarioConfig at channel seed 1,
+run_sca_no_an takes (55, 50) Newton steps per subproblem at one OpenBLAS
+thread and at two, and its final MIs agree bitwise; so do its designs at
+eve_mi_cap 5 and 1 on channel seeds 1-3 (2-core x86 Xeon, OpenBLAS 0.3.31
+in numpy, 0.3.30 in scipy).
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class InfeasibleError(SolverError):
 # Variable blocks and coordinate packing
 
 KIND_HERMITIAN = "hermitian"
-KIND_CVEC = "cvec"
 KIND_SCALAR = "scalar"
 
 
@@ -92,26 +91,9 @@ def unpack_hermitian(coords, dim):
     return h
 
 
-def pack_cvec(v):
-    """Real coordinates (re, then im) of a complex vector; pack_cvec(u) is
-    also the weight vector of w -> Re(u^H w)."""
-    v = np.asarray(v, dtype=complex)
-    return np.concatenate([v.real, v.imag])
-
-
-def unpack_cvec(coords, dim):
-    coords = np.asarray(coords, dtype=float)
-    return coords[:dim] + 1j * coords[dim:]
-
-
 def hermitian_basis(dim):
     """(dim^2, dim, dim) stack E with sum_g x_g E_g == unpack_hermitian(x)."""
     return np.stack([unpack_hermitian(e, dim) for e in np.eye(dim * dim)])
-
-
-def cvec_basis(dim):
-    """(2 dim, dim) stack [I; iI] with sum_l x_l e_l == unpack_cvec(x)."""
-    return np.stack([unpack_cvec(e, dim) for e in np.eye(2 * dim)])
 
 
 def hermitian_weights(g):
@@ -175,8 +157,7 @@ class ConicSubproblem:
     Each map is stated by its coefficients: one complex Hermitian matrix
     (matrix_map) or real weight (scalar_map) per real coordinate of each
     variable it involves, in packing order.  That order is private to this
-    module; hermitian_basis, cvec_basis, hermitian_weights and pack_cvec
-    build coefficients in it.
+    module; hermitian_basis and hermitian_weights build coefficients in it.
     """
 
     def __init__(self):
@@ -202,9 +183,6 @@ class ConicSubproblem:
     def add_hermitian(self, name, dim):
         return self._add_block(name, KIND_HERMITIAN, dim, dim * dim)
 
-    def add_cvec(self, name, dim):
-        return self._add_block(name, KIND_CVEC, dim, 2 * dim)
-
     def add_scalar(self, name, lower=None, upper=None):
         blk = self._add_block(name, KIND_SCALAR, 1, 1)
         self.scalar_bounds[name] = (lower, upper)
@@ -227,8 +205,6 @@ class ConicSubproblem:
             sl = slice(blk.offset, blk.offset + blk.size)
             if blk.kind == KIND_HERMITIAN:
                 x[sl] = pack_hermitian(val)
-            elif blk.kind == KIND_CVEC:
-                x[sl] = pack_cvec(val)
             else:
                 x[sl] = float(val)
         return x
@@ -239,8 +215,6 @@ class ConicSubproblem:
             sl = slice(blk.offset, blk.offset + blk.size)
             if blk.kind == KIND_HERMITIAN:
                 vals[blk.name] = unpack_hermitian(x[sl], blk.dim)
-            elif blk.kind == KIND_CVEC:
-                vals[blk.name] = unpack_cvec(x[sl], blk.dim)
             else:
                 vals[blk.name] = float(x[sl][0])
         return vals
@@ -323,7 +297,7 @@ class _RealBlock:
     * mats[g].
 
     ``coords`` is (m,) for one map or (K, m) for K maps with equal
-    coefficients and offset, such as the per-user Schur LMIs.  assemble,
+    coefficients and offset, such as the per-user LMIs W_k >= 0.  assemble,
     chol and grad_gram then carry the leading batch axis of length K, and
     logdet and min_eig reduce over it, so a batch costs one call of each.
 
@@ -711,7 +685,7 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
 def _heuristic_point(bp):
     """Analytic interior guess: identity-scaled Hermitian blocks sized to half
     the tightest trace-type cap (counting every Hermitian block the cap
-    touches), zero vectors, bound-respecting scalars."""
+    touches) and bound-respecting scalars."""
     problem = bp.problem
     herm_blocks = [b for b in problem.blocks if b.kind == KIND_HERMITIAN]
     all_diag = np.concatenate([

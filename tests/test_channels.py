@@ -151,6 +151,21 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(sinr_margin=-1e-3)
 
+    @pytest.mark.parametrize("kw", [
+        {"n_tx": 2.5}, {"frame_len": 30.5}, {"max_outer_iters": 2.5},
+        {"seed": 1.5},
+        {"n_users": 2.5, "sinr_targets": (10.0,), "rician_factors": (2.0,)}],
+        ids=["n_tx", "frame_len", "max_outer_iters", "seed", "n_users"])
+    def test_fractional_count_rejected(self, kw):
+        key = next(iter(kw))
+        with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
+            ScenarioConfig(**kw)
+
+    def test_integral_float_count_becomes_int(self):
+        cfg = ScenarioConfig(n_tx=4.0, seed=3.0)
+        assert (cfg.n_tx, cfg.seed) == (4, 3)
+        assert isinstance(cfg.n_tx, int) and isinstance(cfg.seed, int)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig)])

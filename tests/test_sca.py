@@ -109,8 +109,8 @@ def test_tiny_designs_meet_their_limits(channel_seed, power_budget, eve_mi_cap):
     cfg = TINY.replace(power_budget=power_budget, eve_mi_cap=eve_mi_cap)
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
     try:
-        sol, _ = sca.run_sca_no_an(links, stats_r, stats_e, cfg,
-                                   RngState(channel_seed))
+        sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg,
+                                       RngState(channel_seed))
     except InfeasibleError:
         # One user sees no interference: its best SINR is P |h|^2 / noise.
         h = np.asarray(links[0].vector)
@@ -121,19 +121,25 @@ def test_tiny_designs_meet_their_limits(channel_seed, power_budget, eve_mi_cap):
     assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
     if sol.status == "optimal":
         assert np.all(sol.rank_certs >= sca.RANK_ONE_THRESHOLD)
+    if trace.converged_at is not None:
+        last = trace.rows[-1]
+        assert max(last.kappa, last.rho_max) <= cfg.tol_penalty
+        # The rank-one residual tr W - lambda_max(W) of each returned matrix.
+        for mat in sol.weight_mats:
+            eigs = np.linalg.eigvalsh(mat)
+            assert np.sum(eigs) - eigs[-1] <= cfg.tol_penalty
 
 
 def test_subproblem_maps_match_closed_forms():
     cfg = channels.ScenarioConfig()
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
-    exp_w, exp_mats = sca.random_expansion(cfg, RngState(1))
-    state = sca.SCAState(exp_w, exp_mats, 0.3, eve_cap=cfg.eve_mi_cap)
+    exp_mats = sca.random_expansion(cfg, RngState(1))
+    state = sca.SCAState(exp_mats, 0.3, eve_cap=cfg.eve_mi_cap)
     prob = sca.build_subproblem_no_an(state, links, stats_r, stats_e, cfg)
     x = np.random.default_rng(0).standard_normal(prob.n)
     vals = prob.unpack(x)
     users = range(cfg.n_users)
     mats = [vals[f"W{k}"] for k in users]
-    vecs = [vals[f"w{k}"] for k in users]
     rho = [vals[f"rho{k}"] for k in users]
     kappa = vals["kappa"]
     tx_cov = sum(mats)
@@ -159,8 +165,11 @@ def test_subproblem_maps_match_closed_forms():
         gains = [np.real(h.conj() @ m @ h) for m in mats]
         target = cfg.sinr_targets[k] * (1.0 + cfg.sinr_margin)
         sinrs.append(target * (sum(gains) - gains[k] + cfg.noise_comm) - gains[k])
-    ties = [np.trace(mats[k]).real - 2.0 * np.vdot(exp_w[k], vecs[k]).real
-            - rho[k] + np.vdot(exp_w[k], exp_w[k]).real for k in users]
+    # tr W_k - u_k^H W_k u_k - rho_k, u_k the top unit eigenvector of the
+    # expansion matrix.
+    tops = [np.linalg.eigh(m)[1][:, -1] for m in exp_mats]
+    ties = [np.trace(mats[k]).real - np.vdot(tops[k], mats[k] @ tops[k]).real
+            - rho[k] for k in users]
     expected = [-r for r in rho] + [-kappa, eve, power] + sinrs + ties
     got = [spec.affine.evaluate(x) - spec.rhs for spec in prob.ineqs]
     assert len(got) == len(expected)
@@ -169,20 +178,76 @@ def test_subproblem_maps_match_closed_forms():
 
     assert len(prob.lmis) == cfg.n_users
     for k, lmi in enumerate(prob.lmis):
-        schur = np.block([[mats[k], vecs[k][:, None]],
-                          [vecs[k].conj()[None, :], np.ones((1, 1))]])
-        assert close(lmi.evaluate(x), schur)
+        assert close(lmi.evaluate(x), mats[k])
     for mmap in prob.lmis + [obj_map]:
         assert close(mmap.mats, np.conj(mmap.mats.transpose(0, 2, 1)))
         assert close(mmap.offset, mmap.offset.conj().T)
+
+
+def tiny_optimum_lower_bound(links, stats_r, stats_e, cfg):
+    """Best legitimate MI over rank-one TINY designs R = p u u^H, on a grid
+    of unit directions u = (cos a, sin a e^{ib}) refined around its best
+    cell.  Each MI is log(1 + g p) with g = (L / sigma^2) ||S B conj(u)||^2,
+    so a direction's best power is min(P, (e^cap - 1) / g_eve), kept when it
+    meets the SINR floor.  Every grid value is reachable, so the result
+    bounds the global optimum from below."""
+    h = np.asarray(links[0].vector)
+
+    def gain(stats, u):
+        (block,) = stats.blocks
+        v = np.tensordot(block, u.conj(), axes=1)
+        return (cfg.frame_len / stats.noise_power
+                * np.tensordot(stats.eigvals, np.abs(v) ** 2, axes=1))
+
+    def best_mi(a, b):
+        u = np.stack([np.cos(a), np.sin(a) * np.exp(1j * b)])
+        power = np.minimum(cfg.power_budget,
+                           np.expm1(cfg.eve_mi_cap) / gain(stats_e, u))
+        signal = power * np.abs(np.tensordot(h.conj(), u, axes=1)) ** 2
+        return np.where(signal >= cfg.sinr_targets[0] * cfg.noise_comm,
+                        np.log1p(gain(stats_r, u) * power), -np.inf)
+
+    # A 101 x 201 grid over every direction, then windows of +-4 cells
+    # around the best point, each with a third of the previous cell size.
+    a, b = np.linspace(0.0, np.pi / 2, 101), np.linspace(0.0, 2 * np.pi, 201)
+    cell = np.array([a[1] - a[0], b[1] - b[0]])
+    best = -np.inf
+    for _ in range(15):
+        grid = np.meshgrid(a, b, indexing="ij")
+        vals = best_mi(*grid)
+        top = np.unravel_index(np.argmax(vals), vals.shape)
+        best = max(best, float(vals[top]))
+        a, b = (g[top] + 4.0 * c * np.linspace(-1.0, 1.0, 41)
+                for g, c in zip(grid, cell))
+        cell /= 3.0
+    return best
+
+
+# Optima of TINY at 1 W from a 2001 x 4001 direction grid, equal on channel
+# seeds 1 and 2 (the SINR target does not bind).
+TINY_OPTIMA = {1.0: 3.3495, 0.1: 3.0319, 0.01: 1.9403}
+
+
+@pytest.mark.parametrize("channel_seed", [1, 2])
+@pytest.mark.parametrize("eve_mi_cap", sorted(TINY_OPTIMA))
+def test_tiny_design_reaches_the_global_optimum(eve_mi_cap, channel_seed):
+    cfg = TINY.replace(eve_mi_cap=eve_mi_cap)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
+    bound = tiny_optimum_lower_bound(links, stats_r, stats_e, cfg)
+    assert bound >= TINY_OPTIMA[eve_mi_cap] - 1e-4
+
+    sol, _ = sca.run_sca_no_an(links, stats_r, stats_e, cfg,
+                               RngState(channel_seed))
+    assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
+    assert sol.mi_legit >= bound - 1e-3
 
 
 @pytest.mark.parametrize("channel_seed", [1, 2])
 def test_tiny_subproblem_solution_meets_its_constraints(channel_seed):
     cfg = TINY
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
-    exp_w, exp_mats = sca.random_expansion(cfg, RngState(channel_seed))
-    state = sca.SCAState(exp_w, exp_mats, cfg.penalty_init, eve_cap=cfg.eve_mi_cap)
+    exp_mats = sca.random_expansion(cfg, RngState(channel_seed))
+    state = sca.SCAState(exp_mats, cfg.penalty_init, eve_cap=cfg.eve_mi_cap)
     res = sca.solve(sca.build_subproblem_no_an(state, links, stats_r, stats_e, cfg))
     mats = [res.values[f"W{k}"] for k in range(cfg.n_users)]
     tx_cov = sum(mats)
@@ -232,10 +297,10 @@ def test_unreachable_sinr_targets_raise_infeasible(monkeypatch):
 def test_infinite_eve_cap_drops_the_eve_constraint(solver_results):
     cfg = TINY.replace(eve_mi_cap=math.inf)
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
-    exp_w, exp_mats = sca.random_expansion(cfg, RngState(1))
+    exp_mats = sca.random_expansion(cfg, RngState(1))
     rows = {}
     for cap in (TINY.eve_mi_cap, math.inf):
-        state = sca.SCAState(exp_w, exp_mats, cfg.penalty_init, eve_cap=cap)
+        state = sca.SCAState(exp_mats, cfg.penalty_init, eve_cap=cap)
         prob = sca.build_subproblem_no_an(state, links, stats_r, stats_e, cfg)
         rows[cap] = len(prob.ineqs)
     assert rows == {TINY.eve_mi_cap: 6, math.inf: 5}
@@ -254,14 +319,14 @@ def test_infinite_eve_cap_drops_the_eve_constraint(solver_results):
                          ids=["tiny", "one_milliwatt"])
 def test_anchor_is_strictly_inside_the_beam_constraints(cfg):
     links, _, _ = channels.build_scenario(cfg, RngState(1))
-    weights, mats = sca._anchor_point(links, cfg)
+    mats = sca._anchor_point(links, cfg)
 
     power = float(np.real(np.trace(metrics.transmit_covariance(mats))))
     assert power < cfg.power_budget
     targets = np.asarray(cfg.sinr_targets) * (1.0 + cfg.sinr_margin)
     assert np.all(metrics.sinr(links, mats, cfg.noise_comm) > targets)
-    for w, m in zip(weights, mats):
-        assert np.linalg.eigvalsh(m - np.outer(w, w.conj()))[0] > 0.0
+    for m in mats:
+        assert np.linalg.eigvalsh(m)[0] > 0.0
 
 
 @pytest.mark.parametrize("cfg", [TINY, channels.ScenarioConfig()],
@@ -306,8 +371,8 @@ def test_randomization_keeps_only_draws_within_the_limits():
     # the 100 draws from them miss a SINR target.
     cfg = channels.ScenarioConfig()
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
-    weights, mats = sca._anchor_point(links, cfg)
-    state = sca.SCAState(weights, mats, cfg.penalty_init, cfg.eve_mi_cap)
+    mats = sca._anchor_point(links, cfg)
+    state = sca.SCAState(mats, cfg.penalty_init, cfg.eve_mi_cap)
     beams = sca._gaussian_randomization(mats, links, stats_r, stats_e, cfg,
                                         state, RngState(1))
     assert beams is not None
@@ -388,17 +453,22 @@ def test_design_without_eve_cap_matches_the_plain_sdr(base, power_budget,
 
 
 DEFAULT_DESIGN = """
-import json
+import json, sys
 from sensesec import channels, sca
 from sensesec.linalg import RngState
-cfg = channels.ScenarioConfig()
-links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
-sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
+cfg = channels.ScenarioConfig(eve_mi_cap=float(sys.argv[1]))
+seed = int(sys.argv[2])
+links, stats_r, stats_e = channels.build_scenario(cfg, RngState(seed))
+sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(seed))
 print(json.dumps([sol.status, len(trace.rows), sol.mi_legit, sol.mi_eve]))
 """
 
 
-def test_default_design_agrees_at_one_and_two_blas_threads():
+@pytest.mark.parametrize("eve_mi_cap, channel_seed",
+                         [(channels.ScenarioConfig.eve_mi_cap, 1), (1.0, 2)],
+                         ids=["default-cap", "binding-cap"])
+def test_default_design_agrees_at_one_and_two_blas_threads(eve_mi_cap,
+                                                           channel_seed):
     # BLAS reads its thread count at import, so each count needs a fresh
     # interpreter.
     src = str(Path(sca.__file__).resolve().parents[1])
@@ -408,8 +478,9 @@ def test_default_design_agrees_at_one_and_two_blas_threads():
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
-        runs.append(subprocess.Popen([sys.executable, "-c", DEFAULT_DESIGN],
-                                     env=env, stdout=subprocess.PIPE, text=True))
+        runs.append(subprocess.Popen(
+            [sys.executable, "-c", DEFAULT_DESIGN, repr(eve_mi_cap),
+             str(channel_seed)], env=env, stdout=subprocess.PIPE, text=True))
     (status1, outer1, legit1, eve1), (status2, outer2, legit2, eve2) = [
         json.loads(run.communicate()[0]) for run in runs]
     assert all(run.returncode == 0 for run in runs)

@@ -10,13 +10,10 @@ from sensesec.solver import (
     InfeasibleError,
     SolverError,
     _find_strictly_feasible,
-    cvec_basis,
     hermitian_basis,
     hermitian_weights,
-    pack_cvec,
     pack_hermitian,
     solve,
-    unpack_cvec,
     unpack_hermitian,
 )
 
@@ -48,13 +45,9 @@ def test_coefficient_helpers_match_packing(d):
     x = rng.standard_normal(d * d)
     assert np.abs(np.tensordot(x, hermitian_basis(d), axes=1)
                   - unpack_hermitian(x, d)).max() < 1e-14
-    y = rng.standard_normal(2 * d)
-    assert np.abs(y @ cvec_basis(d) - unpack_cvec(y, d)).max() < 1e-14
     g, w = random_hermitian(rng, d), random_hermitian(rng, d)
     assert abs(hermitian_weights(g) @ pack_hermitian(w)
                - np.trace(g @ w).real) < 1e-12
-    u, v = random_complex(rng, d), random_complex(rng, d)
-    assert abs(pack_cvec(u) @ pack_cvec(v) - np.vdot(u, v).real) < 1e-12
 
 
 def test_real_block_gradient_and_gram_match_direct_loops():
@@ -83,7 +76,7 @@ def test_real_block_gradient_and_gram_match_direct_loops():
         assert np.abs(gram - gram_ref).max() < 1e-12
 
         # A batch of three maps with this stack on disjoint, shuffled
-        # coordinates, as the per-user Schur LMIs have it.
+        # coordinates, as the per-user LMIs W_k >= 0 have it.
         coords = rng.permutation(3 * m).reshape(3, m)
         batch = _RealBlock(coords, mats, 3.0 * np.eye(d))
         x = rng.standard_normal(3 * m) * 0.1
@@ -127,16 +120,15 @@ def test_barrier_derivatives_match_finite_differences():
     from sensesec.solver import BarrierProblem
     prob = ConicSubproblem()
     prob.add_hermitian("W", 3)
-    prob.add_cvec("w", 3)
     prob.add_scalar("rho", lower=0.0)
 
-    # Schur LMI [[W, w], [w^H, 1]] >= 0, with coefficients as in sca.py.
-    schur_w = np.pad(hermitian_basis(3), ((0, 0), (0, 1), (0, 1)))
-    schur_v = np.zeros((6, 4, 4), dtype=complex)
-    schur_v[:, :3, 3] = cvec_basis(3)
-    schur_v[:, 3, :3] = cvec_basis(3).conj()
-    prob.add_lmi(prob.matrix_map(np.diag([0.0, 0.0, 0.0, 1.0]),
-                                 {"W": schur_w, "w": schur_v}))
+    # W >= 0 and the rank tie tr W - u^H W u <= rho, as in sca.py.
+    prob.add_lmi(prob.matrix_map(np.zeros((3, 3)), {"W": hermitian_basis(3)}))
+    u = random_complex(rng, 3)
+    u /= np.linalg.norm(u)
+    prob.add_ineq(prob.scalar_map(0.0, {
+        "W": hermitian_weights(np.eye(3) - np.outer(u, u.conj())),
+        "rho": -1.0}), 0.0)
     prob.add_ineq(prob.scalar_map(0.0, {"W": hermitian_weights(np.eye(3))}), 2.0)
     h = random_complex(rng, 3)
     prob.add_ineq(prob.scalar_map(
@@ -149,7 +141,7 @@ def test_barrier_derivatives_match_finite_differences():
     bp = BarrierProblem(prob)
     w0 = 0.1 * random_complex(rng, 3)
     x = prob.pack({"W": np.outer(w0, w0.conj()) + 0.3 * np.eye(3),
-                   "w": w0, "rho": 1.0})
+                   "rho": 1.0})
     assert_derivatives_match_finite_differences(bp, x, 7.0)
 
 
@@ -202,18 +194,17 @@ def test_batched_schur_lmi_derivatives_match_finite_differences():
     prob = ConicSubproblem()
     for k in range(2):
         prob.add_hermitian(f"W{k}", 3)
-    for k in range(2):
-        prob.add_cvec(f"w{k}", 3)
     prob.add_scalar("rho", lower=0.0)
-    # Two Schur LMIs [[W_k, w_k], [w_k^H, 1]] >= 0 with one coefficient
-    # stack, as sca.py builds them per user.
-    schur_w = np.pad(hermitian_basis(3), ((0, 0), (0, 1), (0, 1)))
-    schur_v = np.zeros((6, 4, 4), dtype=complex)
-    schur_v[:, :3, 3] = cvec_basis(3)
-    schur_v[:, 3, :3] = cvec_basis(3).conj()
+    # Two LMIs W_k >= 0 with one coefficient stack, and the rank ties
+    # tr W_k - u_k^H W_k u_k <= rho, as sca.py builds them per user.
     for k in range(2):
-        prob.add_lmi(prob.matrix_map(np.diag([0.0, 0.0, 0.0, 1.0]),
-                                     {f"W{k}": schur_w, f"w{k}": schur_v}))
+        prob.add_lmi(prob.matrix_map(np.zeros((3, 3)),
+                                     {f"W{k}": hermitian_basis(3)}))
+        u = random_complex(rng, 3)
+        u /= np.linalg.norm(u)
+        prob.add_ineq(prob.scalar_map(0.0, {
+            f"W{k}": hermitian_weights(np.eye(3) - np.outer(u, u.conj())),
+            "rho": -1.0}), 0.0)
     trace = hermitian_weights(np.eye(3))
     prob.add_ineq(prob.scalar_map(0.0, {"W0": trace, "W1": trace}), 3.0)
     legit = np.stack([random_psd(rng, 2) for _ in range(9)])
@@ -223,13 +214,12 @@ def test_batched_schur_lmi_derivatives_match_finite_differences():
                                             {"W0": legit, "W1": legit}))])
     bp = BarrierProblem(prob)
     assert len(bp.lmi_blocks) == 1
-    assert bp.lmi_blocks[0].coords.shape == (2, 15)
+    assert bp.lmi_blocks[0].coords.shape == (2, 9)
     assert bp.gap_degree() == len(bp.b) + sum(LMI_WEIGHT * mmap.dim
                                               for mmap in prob.lmis)
-    values = {"rho": 0.5}
+    values = {"rho": 1.0}
     for k in range(2):
         w = 0.2 * random_complex(rng, 3)
-        values[f"w{k}"] = w
         values[f"W{k}"] = np.outer(w, w.conj()) + 0.2 * np.eye(3)
     x = prob.pack(values)
     assert_derivatives_match_finite_differences(bp, x, 7.0)
@@ -237,7 +227,7 @@ def test_batched_schur_lmi_derivatives_match_finite_differences():
     # Phase I puts its slack coordinate in every block and batch member, so
     # the scatter targets repeat.
     relaxed = _phase1_problem(bp)
-    assert relaxed.lmi_blocks[0].coords.shape == (2, 16)
+    assert relaxed.lmi_blocks[0].coords.shape == (2, 10)
     x_ext = np.append(x, 0.05)
     relaxed.box = (x_ext - 3.0, x_ext + 3.0)
     assert_derivatives_match_finite_differences(relaxed, x_ext, 7.0)
@@ -252,8 +242,8 @@ def domain_cases():
     from sensesec.linalg import RngState
     cfg = channels.ScenarioConfig()
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
-    exp_w, exp_mats = sca.random_expansion(cfg, RngState(1))
-    state = sca.SCAState(exp_w, exp_mats, cfg.penalty_init, cfg.eve_mi_cap)
+    exp_mats = sca.random_expansion(cfg, RngState(1))
+    state = sca.SCAState(exp_mats, cfg.penalty_init, cfg.eve_mi_cap)
     bp = BarrierProblem(sca.build_subproblem_no_an(state, links, stats_r,
                                                    stats_e, cfg))
     x = _find_strictly_feasible(bp)
