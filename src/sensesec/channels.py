@@ -144,8 +144,8 @@ def default_loading(angles, gains, n_rx, n_tx, fraction=1e-3):
     return fraction * trace / (n_rx * n_tx)
 
 
-# Config keys that the flat config file expresses in dB/dBm/degrees; all
-# other numerics are taken verbatim.
+# Keys of the flat config file.  Those that are also ScenarioConfig fields
+# are taken verbatim; the others are renamed or in dB/dBm/degrees.
 _FILE_KEYS = {
     "n_tx": int, "n_rx": int, "n_eve": int, "n_users": int, "frame_len": int,
     "power_budget_dbm": float, "sinr_db": tuple, "eve_mi_cap_nats": float,
@@ -153,8 +153,6 @@ _FILE_KEYS = {
     "rician_k": tuple, "user_angles_deg": tuple,
     "radar_target_angles_deg": tuple, "radar_target_gains": tuple,
     "eve_target_angles_deg": tuple, "eve_target_gains": tuple,
-    "penalty_init": float, "penalty_growth": float, "max_outer_iters": int,
-    "tol_obj_nats": float, "tol_penalty": float, "sinr_margin": float,
     "an_samples": int, "an_frame_len": int, "seed": int,
 }
 
@@ -166,7 +164,8 @@ _INF_ALLOWED = ("eve_mi_cap", "rician_factors")
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """All physical and algorithmic parameters of one scenario.
+    """One scenario: antennas, users, budgets, noise, targets and the seed.
+    The SCA constants of the design live in ``sca``.
 
     Stored units: watts, linear SINR, radians, nats.
     """
@@ -188,12 +187,6 @@ class ScenarioConfig:
     radar_target_gains: tuple = (1.0,)
     eve_target_angles: tuple = (math.radians(30.0),)
     eve_target_gains: tuple = (1.0,)
-    penalty_init: float = 1e-3
-    penalty_growth: float = 3.0
-    max_outer_iters: int = 30
-    tol_obj_nats: float = 1e-3
-    tol_penalty: float = 1e-6
-    sinr_margin: float = 1e-4                 # relative tightening inside subproblems
     an_samples: int = 100
     an_frame_len: int = 30
     seed: int = 1
@@ -225,17 +218,11 @@ class ScenarioConfig:
         if self.frame_len < 1 or self.an_frame_len < 1:
             raise ValueError("frame length must be >= 1")
         for name in ("power_budget", "eve_mi_cap", "noise_comm", "noise_radar",
-                     "noise_eve", "penalty_init", "tol_obj_nats", "tol_penalty"):
+                     "noise_eve"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if any(g <= 0 for g in self.sinr_targets):
             raise ValueError("SINR targets must be positive")
-        if self.penalty_growth <= 1:
-            raise ValueError("penalty growth factor must exceed 1")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
-        if self.sinr_margin < 0:
-            raise ValueError("sinr_margin must be nonnegative")
         if len(self.radar_target_angles) != len(self.radar_target_gains):
             raise ValueError("radar target angles/gains length mismatch")
         if len(self.eve_target_angles) != len(self.eve_target_gains):
@@ -264,15 +251,11 @@ class ScenarioConfig:
         unknown = set(raw) - set(_FILE_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kw = {}
-        for key in ("n_tx", "n_rx", "n_eve", "n_users", "frame_len",
-                    "penalty_init", "penalty_growth", "max_outer_iters",
-                    "tol_obj_nats", "tol_penalty", "sinr_margin",
-                    "an_samples", "an_frame_len", "seed",
-                    "noise_comm", "noise_radar", "noise_eve"):
-            if key in raw:
-                conv = _FILE_KEYS[key]
-                kw[key] = raw[key] if conv is int else conv(raw[key])
+        names = {f.name for f in fields(cls)}
+        # Integers pass as given, so that __post_init__ rejects fractions.
+        convert = {int: lambda v: v, float: float, tuple: _as_tuple}
+        kw = {key: convert[conv](raw[key]) for key, conv in _FILE_KEYS.items()
+              if key in raw and key in names}
         if "power_budget_dbm" in raw:
             kw["power_budget"] = float(dbm_to_watt(raw["power_budget_dbm"]))
         if "eve_mi_cap_nats" in raw:
@@ -285,12 +268,10 @@ class ScenarioConfig:
         if "user_angles_deg" in raw:
             kw["user_angles"] = tuple(math.radians(v) for v in _as_tuple(raw["user_angles_deg"]))
         for prefix in ("radar", "eve"):
-            akey, gkey = f"{prefix}_target_angles_deg", f"{prefix}_target_gains"
+            akey = f"{prefix}_target_angles_deg"
             if akey in raw:
                 kw[f"{prefix}_target_angles"] = tuple(
                     math.radians(v) for v in _as_tuple(raw[akey]))
-            if gkey in raw:
-                kw[f"{prefix}_target_gains"] = _as_tuple(raw[gkey])
         return cls(**kw)
 
     @classmethod

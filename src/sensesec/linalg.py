@@ -29,14 +29,6 @@ def vec(a):
     return a.reshape(-1, order="F")
 
 
-def unvec(v, rows, cols):
-    """Inverse of vec(): reshape a length rows*cols vector column-wise."""
-    v = np.asarray(v)
-    if v.size != rows * cols:
-        raise ValueError(f"cannot unvec length {v.size} into {rows}x{cols}")
-    return v.reshape(rows, cols, order="F")
-
-
 def commutation_matrix(m, n):
     """Real permutation K with K @ vec(A) = vec(A.T) for every m x n matrix A.
 
@@ -145,15 +137,17 @@ class RngState:
 
 
 def sample_complex_gaussian(rng, mean, covariance, size=None):
-    """Circularly-symmetric complex Gaussian samples around ``mean``.
+    """Circularly-symmetric complex Gaussian samples around the vector
+    ``mean``.
 
-    ``covariance`` is over vec(mean); samples keep the mean's shape.  A
-    Cholesky factor is used, with 1e-12 diagonal loading retried when the
+    A Cholesky factor is used, with 1e-12 diagonal loading retried when the
     covariance is numerically rank deficient.  size=None returns one sample,
     otherwise an array of ``size`` stacked samples along axis 0.
     """
     mean = np.asarray(mean, dtype=complex)
     cov = require_hermitian(covariance, name="covariance")
+    if mean.ndim != 1:
+        raise ValueError(f"mean must be a vector, got shape {mean.shape}")
     n = mean.size
     if cov.shape != (n, n):
         raise ValueError(f"covariance shape {cov.shape} does not match mean size {n}")
@@ -175,9 +169,5 @@ def sample_complex_gaussian(rng, mean, covariance, size=None):
     # x = mean + F u with u ~ CN(0, I) gives E[(x-m)(x-m)^H] = F F^H.
     white = gen.standard_normal((count, n)) + 1j * gen.standard_normal((count, n))
     white *= np.sqrt(0.5)
-    flat = vec(mean) + white @ factor.T
-    if mean.ndim > 1:
-        out = np.stack([unvec(row, *mean.shape) for row in flat])
-    else:
-        out = flat
+    out = mean + white @ factor.T
     return out[0] if size is None else out

@@ -40,15 +40,21 @@ RANK_ONE_THRESHOLD = 0.999
 RANDOMIZATION_CANDIDATES = 100
 EVE_RECHECK_SLACK = 1e-3
 ANCHOR_BLEND = 0.01          # weight of the interior anchor in a warm start
+PENALTY_INIT = 1e-3          # penalty weight of the first subproblem
+PENALTY_GROWTH = 3.0         # factor on the penalty weight per iteration
+MAX_OUTER_ITERS = 30
+TOL_OBJ_NATS = 1e-3          # convergence: change of the legitimate MI
+TOL_PENALTY = 1e-6           # convergence: largest penalty slack
+SINR_MARGIN = 1e-4           # relative SINR tightening inside subproblems
 
 
 @dataclass
 class SCAState:
-    """Expansion points and penalty weight for one SCA iteration."""
+    """Expansion point and penalty weight of one SCA iteration; the
+    eavesdropper cap is the scenario's ``eve_mi_cap``."""
 
     exp_weight_mats: list        # per-user expansion matrices
     penalty_weight: float
-    eve_cap: float               # inf drops the eavesdropper constraint
 
     @property
     def exp_cov(self):
@@ -91,7 +97,7 @@ def _add_beam_constraints(prob, channels, cfg):
     # Tightened per-user SINR (margin keeps the rank-one extraction within
     # the reporting tolerance): target (interference + noise) >= signal.
     for k in range(cfg.n_users):
-        target = cfg.sinr_targets[k] * (1.0 + cfg.sinr_margin)
+        target = cfg.sinr_targets[k] * (1.0 + SINR_MARGIN)
         gain = hermitian_weights(np.outer(vectors[k], vectors[k].conj()))
         terms = {name: (-1.0 if j == k else target) * gain
                  for j, name in enumerate(mat_names)}
@@ -150,14 +156,14 @@ def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
 
     # Eavesdropper constraint: affine expansion of the Eve MI around the
     # current covariance, slacked by kappa.
-    if np.isfinite(state.eve_cap):
+    if np.isfinite(cfg.eve_mi_cap):
         exp_cov = state.exp_cov
         grad = sensing_mi_gradient(stats_e, exp_cov, cfg.frame_len)
         const = sensing_mi(stats_e, exp_cov, cfg.frame_len) \
             - float(np.real(np.trace(grad @ exp_cov)))
         eve_affine = prob.scalar_map(
             0.0, {**on_tx_cov(hermitian_weights(grad)), "kappa": -1.0})
-        prob.add_ineq(eve_affine, state.eve_cap - const)
+        prob.add_ineq(eve_affine, cfg.eve_mi_cap - const)
 
     _add_beam_constraints(prob, channels, cfg)
 
@@ -169,21 +175,6 @@ def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
             rho_names[k]: -1.0})
         prob.add_ineq(tie, 0.0)
     return prob
-
-
-def random_expansion(cfg, rng):
-    """Per-user rank-one matrices w_k w_k^H of random initial beams:
-    CN(0, (P/(K n_tx)) I) projected to the power ball."""
-    gen = rng.generator()
-    scale = math.sqrt(cfg.power_budget / (cfg.n_users * cfg.n_tx))
-    weights = [scale * (gen.standard_normal(cfg.n_tx)
-                        + 1j * gen.standard_normal(cfg.n_tx)) * math.sqrt(0.5)
-               for _ in range(cfg.n_users)]
-    total = sum(float(np.real(w.conj() @ w)) for w in weights)
-    if total > cfg.power_budget:
-        factor = math.sqrt(cfg.power_budget / total)
-        weights = [w * factor for w in weights]
-    return [np.outer(w, w.conj()) for w in weights]
 
 
 def _anchor_point(channels, cfg):
@@ -216,10 +207,10 @@ def _start_values(mats, cfg, state, stats_e):
         u = _top_direction(state.exp_weight_mats[k])
         tie = float(np.real(np.trace(mat) - u.conj() @ mat @ u))
         vals[f"rho{k}"] = max(tie, 0.0) + pad
-    if np.isfinite(state.eve_cap):
+    if np.isfinite(cfg.eve_mi_cap):
         cov = transmit_covariance([vals[f"W{k}"] for k in range(cfg.n_users)])
         bound = sensing_mi_taylor_bound(stats_e, cov, state.exp_cov, cfg.frame_len)
-        vals["kappa"] = max(bound - state.eve_cap, 0.0) + pad
+        vals["kappa"] = max(bound - cfg.eve_mi_cap, 0.0) + pad
     else:
         vals["kappa"] = pad
     return vals
@@ -294,8 +285,8 @@ def _gaussian_randomization(weight_mats, channels, stats_r, stats_e, cfg,
         rates = sinr(vectors, cand, cfg.noise_comm)
         if np.any(rates < np.asarray(cfg.sinr_targets) * (1.0 - 1e-6)):
             continue
-        if np.isfinite(state.eve_cap):
-            if sensing_mi(stats_e, r_x, cfg.frame_len) > state.eve_cap + EVE_RECHECK_SLACK:
+        if np.isfinite(cfg.eve_mi_cap):
+            if sensing_mi(stats_e, r_x, cfg.frame_len) > cfg.eve_mi_cap + EVE_RECHECK_SLACK:
                 continue
         cand_mi = sensing_mi(stats_r, r_x, cfg.frame_len)
         if cand_mi > best_mi:
@@ -307,9 +298,12 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     """Penalty-SCA outer loop; returns (BeamformerSolution, SCATrace).
 
     One solve per design finds the interior anchor and raises
-    InfeasibleError when the SINR targets do not fit the power budget; the
-    first subproblem starts at the anchor, every later solve at the previous
-    solution blended toward it.  The trace records the true metrics of every
+    InfeasibleError when the SINR targets do not fit the power budget.  The
+    anchor is the first subproblem's expansion point and start; every later
+    subproblem expands at the previous solution and starts at it blended
+    toward the anchor.  ``rng`` feeds only the Gaussian randomization of a
+    relaxed solution that is not rank one, so a rank-one design depends on
+    the scenario alone.  The trace records the true metrics of every
     accepted iterate, recomputed from the metrics module rather than trusted
     from the solver.  The solution's status is "optimal" only when the loop
     converged and every subproblem solve returned "optimal"; otherwise it is
@@ -319,19 +313,17 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     eigenvector beams may violate a constraint.  An infinite
     ``cfg.eve_mi_cap`` designs without the eavesdropper constraint.
     """
-    cap = cfg.eve_mi_cap
     trace = SCATrace()
     vectors = [ch.vector for ch in channels]
     targets = np.asarray(cfg.sinr_targets)
 
-    state = SCAState(random_expansion(cfg, rng.child("init")),
-                     cfg.penalty_init, eve_cap=cap)
     anchor = _anchor_point(channels, cfg)
+    state = SCAState([m.copy() for m in anchor], PENALTY_INIT)
 
     prev_mi = None
     start = anchor
     statuses = []                # of every subproblem solve, in order
-    for itn in range(1, cfg.max_outer_iters + 1):
+    for itn in range(1, MAX_OUTER_ITERS + 1):
         problem = build_subproblem_no_an(state, channels, stats_r, stats_e, cfg)
         res = solve(problem, initial=_start_values(start, cfg, state, stats_e))
         statuses.append(res.status)
@@ -360,11 +352,10 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
             solver_iterations=res.iterations,
         ))
         converged = (prev_mi is not None
-                     and abs(mi_r - prev_mi) <= cfg.tol_obj_nats
-                     and max(kappa, rho_max) <= cfg.tol_penalty)
+                     and abs(mi_r - prev_mi) <= TOL_OBJ_NATS
+                     and max(kappa, rho_max) <= TOL_PENALTY)
         state = SCAState([m.copy() for m in weight_mats],
-                         state.penalty_weight * cfg.penalty_growth,
-                         eve_cap=cap)
+                         state.penalty_weight * PENALTY_GROWTH)
         if converged:
             trace.converged_at = itn
             break
@@ -377,7 +368,8 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
 
     # The surrogate guarantees the true constraint in exact arithmetic; the
     # re-check below guards numerical slack with one extra pass.
-    if np.isfinite(cap) and solution.mi_eve > cap + EVE_RECHECK_SLACK:
+    if (np.isfinite(cfg.eve_mi_cap)
+            and solution.mi_eve > cfg.eve_mi_cap + EVE_RECHECK_SLACK):
         problem = build_subproblem_no_an(state, channels, stats_r, stats_e, cfg)
         start = _blend_with_anchor(solution.weight_mats, anchor)
         res = solve(problem, initial=_start_values(start, cfg, state, stats_e))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_expansion
 from sensesec import channels, metrics, sca, solver
 from sensesec.linalg import RngState
 from sensesec.solver import InfeasibleError
@@ -54,6 +55,20 @@ def test_tiny_design_is_feasible_and_no_stage_hits_the_cap(channel_seed,
     assert float(np.real(np.trace(r_x))) <= cfg.power_budget * (1.0 + 1e-6)
     mi_eve = metrics.sensing_mi(stats_e, r_x, cfg.frame_len)
     assert mi_eve <= cfg.eve_mi_cap + sca.EVE_RECHECK_SLACK
+
+
+@pytest.mark.parametrize("cfg", [TINY, channels.ScenarioConfig()],
+                         ids=["tiny", "default"])
+def test_design_depends_on_the_scenario_alone(cfg):
+    # The first expansion point is the interior anchor, so the design's
+    # random stream matters only to Gaussian randomization.
+    scenario = channels.build_scenario(cfg, RngState(1))
+    (sol1, trace1), (sol2, trace2) = [
+        sca.run_sca_no_an(*scenario, cfg, RngState(seed)) for seed in (1, 2)]
+    assert np.array_equal(sol1.weights, sol2.weights)
+    assert (sol1.mi_legit, sol1.mi_eve, sol1.status) \
+        == (sol2.mi_legit, sol2.mi_eve, sol2.status)
+    assert trace1 == trace2
 
 
 @pytest.mark.parametrize("cfg, channel_seed", [
@@ -115,7 +130,7 @@ def test_tiny_designs_meet_their_limits(channel_seed, power_budget, eve_mi_cap):
         # One user sees no interference: its best SINR is P |h|^2 / noise.
         h = np.asarray(links[0].vector)
         best = power_budget * np.vdot(h, h).real / cfg.noise_comm
-        assert best <= cfg.sinr_targets[0] * (1.0 + cfg.sinr_margin)
+        assert best <= cfg.sinr_targets[0] * (1.0 + sca.SINR_MARGIN)
         return
 
     assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
@@ -123,18 +138,18 @@ def test_tiny_designs_meet_their_limits(channel_seed, power_budget, eve_mi_cap):
         assert np.all(sol.rank_certs >= sca.RANK_ONE_THRESHOLD)
     if trace.converged_at is not None:
         last = trace.rows[-1]
-        assert max(last.kappa, last.rho_max) <= cfg.tol_penalty
+        assert max(last.kappa, last.rho_max) <= sca.TOL_PENALTY
         # The rank-one residual tr W - lambda_max(W) of each returned matrix.
         for mat in sol.weight_mats:
             eigs = np.linalg.eigvalsh(mat)
-            assert np.sum(eigs) - eigs[-1] <= cfg.tol_penalty
+            assert np.sum(eigs) - eigs[-1] <= sca.TOL_PENALTY
 
 
 def test_subproblem_maps_match_closed_forms():
     cfg = channels.ScenarioConfig()
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
-    exp_mats = sca.random_expansion(cfg, RngState(1))
-    state = sca.SCAState(exp_mats, 0.3, eve_cap=cfg.eve_mi_cap)
+    exp_mats = random_expansion(cfg, RngState(1))
+    state = sca.SCAState(exp_mats, 0.3)
     prob = sca.build_subproblem_no_an(state, links, stats_r, stats_e, cfg)
     x = np.random.default_rng(0).standard_normal(prob.n)
     vals = prob.unpack(x)
@@ -163,7 +178,7 @@ def test_subproblem_maps_match_closed_forms():
     for k, link in enumerate(links):
         h = np.asarray(link.vector)
         gains = [np.real(h.conj() @ m @ h) for m in mats]
-        target = cfg.sinr_targets[k] * (1.0 + cfg.sinr_margin)
+        target = cfg.sinr_targets[k] * (1.0 + sca.SINR_MARGIN)
         sinrs.append(target * (sum(gains) - gains[k] + cfg.noise_comm) - gains[k])
     # tr W_k - u_k^H W_k u_k - rho_k, u_k the top unit eigenvector of the
     # expansion matrix.
@@ -246,14 +261,14 @@ def test_tiny_design_reaches_the_global_optimum(eve_mi_cap, channel_seed):
 def test_tiny_subproblem_solution_meets_its_constraints(channel_seed):
     cfg = TINY
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
-    exp_mats = sca.random_expansion(cfg, RngState(channel_seed))
-    state = sca.SCAState(exp_mats, cfg.penalty_init, eve_cap=cfg.eve_mi_cap)
+    exp_mats = random_expansion(cfg, RngState(channel_seed))
+    state = sca.SCAState(exp_mats, sca.PENALTY_INIT)
     res = sca.solve(sca.build_subproblem_no_an(state, links, stats_r, stats_e, cfg))
     mats = [res.values[f"W{k}"] for k in range(cfg.n_users)]
     tx_cov = sum(mats)
 
     # Recompute each constraint from the returned values.
-    targets = np.asarray(cfg.sinr_targets) * (1.0 + cfg.sinr_margin)
+    targets = np.asarray(cfg.sinr_targets) * (1.0 + sca.SINR_MARGIN)
     rates = metrics.sinr(links, mats, cfg.noise_comm)
     assert np.all(rates >= targets * (1.0 - 1e-6))
     assert np.trace(tx_cov).real <= cfg.power_budget * (1.0 + 1e-6)
@@ -297,11 +312,11 @@ def test_unreachable_sinr_targets_raise_infeasible(monkeypatch):
 def test_infinite_eve_cap_drops_the_eve_constraint(solver_results):
     cfg = TINY.replace(eve_mi_cap=math.inf)
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
-    exp_mats = sca.random_expansion(cfg, RngState(1))
+    state = sca.SCAState(random_expansion(cfg, RngState(1)), sca.PENALTY_INIT)
     rows = {}
     for cap in (TINY.eve_mi_cap, math.inf):
-        state = sca.SCAState(exp_mats, cfg.penalty_init, eve_cap=cap)
-        prob = sca.build_subproblem_no_an(state, links, stats_r, stats_e, cfg)
+        prob = sca.build_subproblem_no_an(state, links, stats_r, stats_e,
+                                          cfg.replace(eve_mi_cap=cap))
         rows[cap] = len(prob.ineqs)
     assert rows == {TINY.eve_mi_cap: 6, math.inf: 5}
 
@@ -323,7 +338,7 @@ def test_anchor_is_strictly_inside_the_beam_constraints(cfg):
 
     power = float(np.real(np.trace(metrics.transmit_covariance(mats))))
     assert power < cfg.power_budget
-    targets = np.asarray(cfg.sinr_targets) * (1.0 + cfg.sinr_margin)
+    targets = np.asarray(cfg.sinr_targets) * (1.0 + sca.SINR_MARGIN)
     assert np.all(metrics.sinr(links, mats, cfg.noise_comm) > targets)
     for m in mats:
         assert np.linalg.eigvalsh(m)[0] > 0.0
@@ -372,7 +387,7 @@ def test_randomization_keeps_only_draws_within_the_limits():
     cfg = channels.ScenarioConfig()
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
     mats = sca._anchor_point(links, cfg)
-    state = sca.SCAState(mats, cfg.penalty_init, cfg.eve_mi_cap)
+    state = sca.SCAState(mats, sca.PENALTY_INIT)
     beams = sca._gaussian_randomization(mats, links, stats_r, stats_e, cfg,
                                         state, RngState(1))
     assert beams is not None

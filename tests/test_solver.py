@@ -238,12 +238,12 @@ def domain_cases():
     """(barrier problem, interior point): the default SCA subproblem, its
     phase-I problem inside a coordinate box, and the stacked neg-log
     problem."""
+    from conftest import random_expansion
     from sensesec import channels, sca
     from sensesec.linalg import RngState
     cfg = channels.ScenarioConfig()
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
-    exp_mats = sca.random_expansion(cfg, RngState(1))
-    state = sca.SCAState(exp_mats, cfg.penalty_init, cfg.eve_mi_cap)
+    state = sca.SCAState(random_expansion(cfg, RngState(1)), sca.PENALTY_INIT)
     bp = BarrierProblem(sca.build_subproblem_no_an(state, links, stats_r,
                                                    stats_e, cfg))
     x = _find_strictly_feasible(bp)
