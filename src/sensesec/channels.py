@@ -8,8 +8,6 @@ only at the config-file and report boundaries.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import operator
 from dataclasses import dataclass, fields, replace
@@ -232,17 +230,6 @@ class ScenarioConfig:
 
     def replace(self, **kw):
         return replace(self, **kw)
-
-    def to_dict(self):
-        out = {}
-        for f in fields(self):
-            val = getattr(self, f.name)
-            out[f.name] = list(val) if isinstance(val, tuple) else val
-        return out
-
-    def config_hash(self):
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     @classmethod
     def from_file_dict(cls, raw):

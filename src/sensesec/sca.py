@@ -3,11 +3,12 @@ over semidefinite-relaxed per-user beamformers.
 
 Each outer iteration solves one convex max-det subproblem in which the
 eavesdropper MI is replaced by its affine global upper bound at the current
-expansion point, the rank-one requirement tr W_k - ||W_k||_2 = 0 is
+expansion point, and the rank-one requirement tr W_k - ||W_k||_2 = 0 is
 linearized in its concave part at the expansion point (difference-of-convex
-form; Yang, Jiang, Shi & Ding, IEEE TWC 2020), and both couplings carry
-penalty slacks whose weight grows geometrically (penalty convex-concave
-procedure; Lipp & Boyd, Optim. Eng. 2016).
+form; Yang, Jiang, Shi & Ding, IEEE TWC 2020).  The objective penalizes the
+linearized rank residuals and the eavesdropper bound's slack with a weight
+that grows geometrically (penalty convex-concave procedure; Lipp & Boyd,
+Optim. Eng. 2016).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ PENALTY_INIT = 1e-3          # penalty weight of the first subproblem
 PENALTY_GROWTH = 3.0         # factor on the penalty weight per iteration
 MAX_OUTER_ITERS = 30
 TOL_OBJ_NATS = 1e-3          # convergence: change of the legitimate MI
-TOL_PENALTY = 1e-6           # convergence: largest penalty slack
+TOL_PENALTY = 1e-6           # convergence: largest penalty residual
 SINR_MARGIN = 1e-4           # relative SINR tightening inside subproblems
 
 
@@ -67,8 +68,8 @@ class SCAIteration:
     mi_legit: float
     mi_eve: float
     mi_eve_surrogate: float
-    kappa: float
-    rho_max: float
+    kappa: float                 # max(0, mi_eve_surrogate - cap)
+    rho_max: float               # max_k tr W_k - u_k^H W_k u_k, expansion u_k
     power: float
     sinr_margin: float           # min_k SINR_k / target_k
     penalty_weight: float
@@ -116,11 +117,12 @@ def _top_direction(mat):
 def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
     """Convex subproblem of one SCA step.
 
-    maximize   MI_legit(sum_k W_k) - p (kappa + sum_k rho_k)
-    subject to affine eavesdropper-MI bound <= cap + kappa, power cap,
-    tightened SINR, W_k >= 0, the rank ties tr W_k - u_k^H W_k u_k <= rho_k
-    with u_k the top unit eigenvector of the expansion matrix, and
-    nonnegative slacks.
+    maximize   MI_legit(sum_k W_k)
+               - p (kappa + sum_k (tr W_k - u_k^H W_k u_k))
+    subject to affine eavesdropper-MI bound <= cap + kappa, kappa >= 0,
+    power cap, tightened SINR and W_k >= 0, with u_k the top unit eigenvector
+    of the expansion matrix.  The rank residuals are nonnegative on W_k >= 0,
+    so they need no slack; an infinite cap drops kappa with the Eve row.
     """
     n_users = cfg.n_users
     if len(state.exp_weight_mats) != n_users:
@@ -134,29 +136,25 @@ def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
     mat_names = [f"W{k}" for k in range(n_users)]
     for name in mat_names:
         prob.add_hermitian(name, n)
-    rho_names = [f"rho{k}" for k in range(n_users)]
-    for name in rho_names:
-        prob.add_scalar(name, lower=0.0)
-    prob.add_scalar("kappa", lower=0.0)
 
     def on_tx_cov(coefs):
         """The same coefficients on every W_k: a map of sum_k W_k."""
         return {name: coefs for name in mat_names}
 
-    # Objective: legitimate sensing MI (symmetrized log-det form) minus the
-    # penalty terms.
-    scale_r = cfg.frame_len / stats_r.noise_power
-    legit = np.stack([scale_r * _scaled_quadratic(stats_r, e)
-                      for e in hermitian_basis(n)])
-    obj_map = prob.matrix_map(np.eye(stats_r.dim), on_tx_cov(legit))
+    # Penalty on the rank residuals tr W_k - ||W_k||_2, with ||W_k||_2 >=
+    # u_k^H W_k u_k.
     pbar = state.penalty_weight
-    penalty = prob.scalar_map(
-        0.0, {name: -pbar for name in rho_names + ["kappa"]})
-    prob.set_objective(linear=penalty, logdet_terms=[(1.0, obj_map)])
+    penalty = {}
+    for name, mat in zip(mat_names, state.exp_weight_mats):
+        u = _top_direction(mat)
+        penalty[name] = -pbar * hermitian_weights(
+            np.eye(n) - np.outer(u, u.conj()))
 
     # Eavesdropper constraint: affine expansion of the Eve MI around the
-    # current covariance, slacked by kappa.
+    # current covariance, slacked by a penalized kappa >= 0.
     if np.isfinite(cfg.eve_mi_cap):
+        prob.add_scalar("kappa", lower=0.0)
+        penalty["kappa"] = -pbar
         exp_cov = state.exp_cov
         grad = sensing_mi_gradient(stats_e, exp_cov, cfg.frame_len)
         const = sensing_mi(stats_e, exp_cov, cfg.frame_len) \
@@ -165,15 +163,16 @@ def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
             0.0, {**on_tx_cov(hermitian_weights(grad)), "kappa": -1.0})
         prob.add_ineq(eve_affine, cfg.eve_mi_cap - const)
 
-    _add_beam_constraints(prob, channels, cfg)
+    # Objective: legitimate sensing MI (symmetrized log-det form) minus the
+    # penalty terms.
+    scale_r = cfg.frame_len / stats_r.noise_power
+    legit = np.stack([scale_r * _scaled_quadratic(stats_r, e)
+                      for e in hermitian_basis(n)])
+    obj_map = prob.matrix_map(np.eye(stats_r.dim), on_tx_cov(legit))
+    prob.set_objective(linear=prob.scalar_map(0.0, penalty),
+                       logdet_terms=[(1.0, obj_map)])
 
-    # Rank-one ties: tr W_k - ||W_k||_2 with ||W_k||_2 >= u_k^H W_k u_k.
-    for k in range(n_users):
-        u = _top_direction(state.exp_weight_mats[k])
-        tie = prob.scalar_map(0.0, {
-            mat_names[k]: hermitian_weights(np.eye(n) - np.outer(u, u.conj())),
-            rho_names[k]: -1.0})
-        prob.add_ineq(tie, 0.0)
+    _add_beam_constraints(prob, channels, cfg)
     return prob
 
 
@@ -197,22 +196,15 @@ def _anchor_point(channels, cfg):
 
 
 def _start_values(mats, cfg, state, stats_e):
-    """Solver warm start from explicit W_k; slack variables sized to the
-    actual violations plus a pad that keeps barrier arguments strict."""
-    vals = {}
-    pad = 1e-4 * max(1.0, cfg.power_budget)
-    for k in range(cfg.n_users):
-        mat = np.asarray(mats[k], dtype=complex)
-        vals[f"W{k}"] = mat
-        u = _top_direction(state.exp_weight_mats[k])
-        tie = float(np.real(np.trace(mat) - u.conj() @ mat @ u))
-        vals[f"rho{k}"] = max(tie, 0.0) + pad
+    """Solver warm start from explicit W_k; with a finite Eve cap, kappa is
+    sized to the Eve bound's violation plus a pad that keeps its barrier
+    arguments strict."""
+    vals = {f"W{k}": m for k, m in enumerate(mats)}
     if np.isfinite(cfg.eve_mi_cap):
-        cov = transmit_covariance([vals[f"W{k}"] for k in range(cfg.n_users)])
-        bound = sensing_mi_taylor_bound(stats_e, cov, state.exp_cov, cfg.frame_len)
+        pad = 1e-4 * max(1.0, cfg.power_budget)
+        bound = sensing_mi_taylor_bound(stats_e, transmit_covariance(mats),
+                                        state.exp_cov, cfg.frame_len)
         vals["kappa"] = max(bound - cfg.eve_mi_cap, 0.0) + pad
-    else:
-        vals["kappa"] = pad
     return vals
 
 
@@ -329,14 +321,16 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
         statuses.append(res.status)
         result_values = res.values
         weight_mats = [result_values[f"W{k}"] for k in range(cfg.n_users)]
-        kappa = float(result_values["kappa"])
-        rho_max = max(float(result_values[f"rho{k}"])
-                      for k in range(cfg.n_users))
         r_x = transmit_covariance(weight_mats)
         mi_r = sensing_mi(stats_r, r_x, cfg.frame_len)
         mi_e = sensing_mi(stats_e, r_x, cfg.frame_len)
         surrogate = sensing_mi_taylor_bound(stats_e, r_x, state.exp_cov,
                                             cfg.frame_len)
+        # The residuals the objective penalizes, read from the iterate.
+        kappa = max(0.0, surrogate - cfg.eve_mi_cap)
+        tops = map(_top_direction, state.exp_weight_mats)
+        rho_max = max(float(np.real(np.trace(m) - u.conj() @ m @ u))
+                      for m, u in zip(weight_mats, tops))
         rates = sinr(vectors, weight_mats, cfg.noise_comm)
         trace.rows.append(SCAIteration(
             index=itn,

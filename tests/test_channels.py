@@ -174,11 +174,6 @@ class TestScenarioConfig:
             with pytest.raises(ValueError):
                 ScenarioConfig(**{name: value})
 
-    def test_hash_stable_and_sensitive(self):
-        a, b = ScenarioConfig(), ScenarioConfig()
-        assert a.config_hash() == b.config_hash()
-        assert a.config_hash() != a.replace(seed=2).config_hash()
-
     def test_config_file_roundtrip(self, tmp_path):
         path = tmp_path / "scenario.cfg"
         path.write_text(

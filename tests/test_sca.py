@@ -150,53 +150,94 @@ def test_subproblem_maps_match_closed_forms():
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
     exp_mats = random_expansion(cfg, RngState(1))
     state = sca.SCAState(exp_mats, 0.3)
-    prob = sca.build_subproblem_no_an(state, links, stats_r, stats_e, cfg)
-    x = np.random.default_rng(0).standard_normal(prob.n)
-    vals = prob.unpack(x)
     users = range(cfg.n_users)
-    mats = [vals[f"W{k}"] for k in users]
-    rho = [vals[f"rho{k}"] for k in users]
-    kappa = vals["kappa"]
-    tx_cov = sum(mats)
+    # tr W_k - u_k^H W_k u_k, u_k the top unit eigenvector of the expansion
+    # matrix.
+    tops = [np.linalg.eigh(m)[1][:, -1] for m in exp_mats]
 
     def close(a, b):
         return np.abs(np.asarray(a) - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
 
-    scale_r = cfg.frame_len / stats_r.noise_power
-    obj_map = prob.objective.logdet_terms[0][1]
-    assert close(obj_map.evaluate(x), np.eye(stats_r.dim)
-                 + scale_r * metrics._scaled_quadratic(stats_r, tx_cov))
-    pbar = state.penalty_weight
-    assert close(prob.objective.linear.evaluate(x), -pbar * (kappa + sum(rho)))
+    for cap in (cfg.eve_mi_cap, math.inf):
+        prob = sca.build_subproblem_no_an(state, links, stats_r, stats_e,
+                                          cfg.replace(eve_mi_cap=cap))
+        # The W_k, and kappa only with the Eve row.
+        eve_row = math.isfinite(cap)
+        names = [f"W{k}" for k in users] + ["kappa"] * eve_row
+        assert [blk.name for blk in prob.blocks] == names
+        assert prob.n == cfg.n_users * cfg.n_tx ** 2 + eve_row
+        x = np.random.default_rng(0).standard_normal(prob.n)
+        vals = prob.unpack(x)
+        mats = [vals[f"W{k}"] for k in users]
+        kappa = vals["kappa"] if eve_row else 0.0
+        tx_cov = sum(mats)
 
-    # Each inequality affine(x) <= rhs, as affine(x) - rhs, in build order:
-    # slack bounds, Eve bound, power, SINR, rank ties.
-    eve = metrics.sensing_mi_taylor_bound(stats_e, tx_cov, state.exp_cov,
-                                          cfg.frame_len) - kappa - cfg.eve_mi_cap
-    power = np.trace(tx_cov).real - cfg.power_budget
-    sinrs = []
-    for k, link in enumerate(links):
-        h = np.asarray(link.vector)
-        gains = [np.real(h.conj() @ m @ h) for m in mats]
-        target = cfg.sinr_targets[k] * (1.0 + sca.SINR_MARGIN)
-        sinrs.append(target * (sum(gains) - gains[k] + cfg.noise_comm) - gains[k])
-    # tr W_k - u_k^H W_k u_k - rho_k, u_k the top unit eigenvector of the
-    # expansion matrix.
-    tops = [np.linalg.eigh(m)[1][:, -1] for m in exp_mats]
-    ties = [np.trace(mats[k]).real - np.vdot(tops[k], mats[k] @ tops[k]).real
-            - rho[k] for k in users]
-    expected = [-r for r in rho] + [-kappa, eve, power] + sinrs + ties
-    got = [spec.affine.evaluate(x) - spec.rhs for spec in prob.ineqs]
-    assert len(got) == len(expected)
-    for g, e in zip(got, expected):
-        assert close(g, e)
+        scale_r = cfg.frame_len / stats_r.noise_power
+        obj_map = prob.objective.logdet_terms[0][1]
+        assert close(obj_map.evaluate(x), np.eye(stats_r.dim)
+                     + scale_r * metrics._scaled_quadratic(stats_r, tx_cov))
+        residuals = [np.trace(mats[k]).real
+                     - np.vdot(tops[k], mats[k] @ tops[k]).real for k in users]
+        assert close(prob.objective.linear.evaluate(x),
+                     -state.penalty_weight * (kappa + sum(residuals)))
 
-    assert len(prob.lmis) == cfg.n_users
-    for k, lmi in enumerate(prob.lmis):
-        assert close(lmi.evaluate(x), mats[k])
-    for mmap in prob.lmis + [obj_map]:
-        assert close(mmap.mats, np.conj(mmap.mats.transpose(0, 2, 1)))
-        assert close(mmap.offset, mmap.offset.conj().T)
+        # Each inequality affine(x) <= rhs, as affine(x) - rhs, in build
+        # order: kappa bound and Eve bound (finite cap only), power, SINR.
+        eve = metrics.sensing_mi_taylor_bound(
+            stats_e, tx_cov, state.exp_cov, cfg.frame_len) - kappa - cap
+        power = np.trace(tx_cov).real - cfg.power_budget
+        sinrs = []
+        for k, link in enumerate(links):
+            h = np.asarray(link.vector)
+            gains = [np.real(h.conj() @ m @ h) for m in mats]
+            target = cfg.sinr_targets[k] * (1.0 + sca.SINR_MARGIN)
+            sinrs.append(target * (sum(gains) - gains[k] + cfg.noise_comm)
+                         - gains[k])
+        expected = [-kappa, eve] * eve_row + [power] + sinrs
+        got = [spec.affine.evaluate(x) - spec.rhs for spec in prob.ineqs]
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert close(g, e)
+
+        assert len(prob.lmis) == cfg.n_users
+        for k, lmi in enumerate(prob.lmis):
+            assert close(lmi.evaluate(x), mats[k])
+        for mmap in prob.lmis + [obj_map]:
+            assert close(mmap.mats, np.conj(mmap.mats.transpose(0, 2, 1)))
+            assert close(mmap.offset, mmap.offset.conj().T)
+
+
+@pytest.mark.parametrize("cfg", [
+    TINY, channels.ScenarioConfig(power_budget=1e-3),
+    channels.ScenarioConfig(eve_mi_cap=1.0)],
+    ids=["tiny", "one_milliwatt", "binding_cap"])
+def test_trace_rows_report_the_residuals_of_their_iterate(cfg, solver_results,
+                                                          monkeypatch):
+    states = []
+    build = sca.build_subproblem_no_an
+
+    def recording_build(state, *args):
+        states.append(state)
+        return build(state, *args)
+
+    monkeypatch.setattr(sca, "build_subproblem_no_an", recording_build)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    _, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
+
+    # After the anchor solve, one build and one solve per outer iteration.
+    # The binding cap's first iterate exceeds the cap, so kappa > 0 there.
+    rows = trace.rows
+    assert len(rows) > 1 and len(states) >= len(rows)
+    for row, state, res in zip(rows, states, solver_results[1:]):
+        mats = [res.values[f"W{k}"] for k in range(cfg.n_users)]
+        tops = [np.linalg.eigh(m)[1][:, -1] for m in state.exp_weight_mats]
+        residual = max(np.trace(m).real - np.vdot(u, m @ u).real
+                       for m, u in zip(mats, tops))
+        bound = metrics.sensing_mi_taylor_bound(
+            stats_e, metrics.transmit_covariance(mats), state.exp_cov,
+            cfg.frame_len)
+        assert abs(row.rho_max - residual) <= 1e-12
+        assert abs(row.kappa - max(0.0, bound - cfg.eve_mi_cap)) <= 1e-12
 
 
 def tiny_optimum_lower_bound(links, stats_r, stats_e, cfg):
@@ -318,7 +359,7 @@ def test_infinite_eve_cap_drops_the_eve_constraint(solver_results):
         prob = sca.build_subproblem_no_an(state, links, stats_r, stats_e,
                                           cfg.replace(eve_mi_cap=cap))
         rows[cap] = len(prob.ineqs)
-    assert rows == {TINY.eve_mi_cap: 6, math.inf: 5}
+    assert rows == {TINY.eve_mi_cap: 4, math.inf: 2}
 
     sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
     assert sol.status == "optimal"

@@ -122,7 +122,7 @@ def test_barrier_derivatives_match_finite_differences():
     prob.add_hermitian("W", 3)
     prob.add_scalar("rho", lower=0.0)
 
-    # W >= 0 and the rank tie tr W - u^H W u <= rho, as in sca.py.
+    # W >= 0 and a slacked rank tie tr W - u^H W u <= rho, rho penalized.
     prob.add_lmi(prob.matrix_map(np.zeros((3, 3)), {"W": hermitian_basis(3)}))
     u = random_complex(rng, 3)
     u /= np.linalg.norm(u)
@@ -195,8 +195,8 @@ def test_batched_schur_lmi_derivatives_match_finite_differences():
     for k in range(2):
         prob.add_hermitian(f"W{k}", 3)
     prob.add_scalar("rho", lower=0.0)
-    # Two LMIs W_k >= 0 with one coefficient stack, and the rank ties
-    # tr W_k - u_k^H W_k u_k <= rho, as sca.py builds them per user.
+    # Two LMIs W_k >= 0 with one coefficient stack, and slacked rank ties
+    # tr W_k - u_k^H W_k u_k <= rho sharing one penalized rho.
     for k in range(2):
         prob.add_lmi(prob.matrix_map(np.zeros((3, 3)),
                                      {f"W{k}": hermitian_basis(3)}))
