@@ -221,6 +221,13 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be positive")
         if any(g <= 0 for g in self.sinr_targets):
             raise ValueError("SINR targets must be positive")
+        if any(k < 0 for k in self.rician_factors):
+            raise ValueError(f"rician_factors must be nonnegative, got "
+                             f"{self.rician_factors!r}")
+        for name in ("user_angles", "radar_target_angles", "eve_target_angles"):
+            if not all(0.0 <= a <= math.pi for a in getattr(self, name)):
+                raise ValueError(f"{name} must lie in [0, pi], got "
+                                 f"{getattr(self, name)!r}")
         if len(self.radar_target_angles) != len(self.radar_target_gains):
             raise ValueError("radar target angles/gains length mismatch")
         if len(self.eve_target_angles) != len(self.eve_target_gains):

@@ -39,6 +39,8 @@ from .solver import (
 
 RANK_ONE_THRESHOLD = 0.999
 RANDOMIZATION_CANDIDATES = 100
+# Eve MI (nats) above the cap that a returned design may carry: the affine
+# surrogate bounds the true MI in exact arithmetic, so only round-off is left.
 EVE_RECHECK_SLACK = 1e-3
 ANCHOR_BLEND = 0.01          # weight of the interior anchor in a warm start
 PENALTY_INIT = 1e-3          # penalty weight of the first subproblem
@@ -218,7 +220,9 @@ def _blend_with_anchor(prev_mats, anchor):
 
 def _extract_solution(values, channels, stats_r, stats_e, cfg, state, rng,
                       status):
-    """Rank-one beams from the relaxed solution plus re-verified metrics."""
+    """Rank-one beams from the relaxed solution plus re-verified metrics;
+    beams that miss a limit report "limits-violated" after any earlier
+    failure."""
     n_users = cfg.n_users
     weight_mats = [values[f"W{k}"] for k in range(n_users)]
     certs = np.array([rank_one_certificate(w) for w in weight_mats])
@@ -242,6 +246,10 @@ def _extract_solution(values, channels, stats_r, stats_e, cfg, state, rng,
     mi_e = sensing_mi(stats_e, r_x, cfg.frame_len)
     surrogate = sensing_mi_taylor_bound(stats_e, r_x, state.exp_cov,
                                         cfg.frame_len)
+    power = float(np.real(np.trace(r_x)))
+    rates = sinr(vectors, weights, cfg.noise_comm)
+    if not _meets_limits(power, rates, mi_e, cfg):
+        status = _first_failure([status, "limits-violated"])
     return BeamformerSolution(
         weights=weights,
         weight_mats=weight_mats,
@@ -249,11 +257,18 @@ def _extract_solution(values, channels, stats_r, stats_e, cfg, state, rng,
         mi_legit=mi_r,
         mi_eve=mi_e,
         mi_eve_surrogate=surrogate,
-        sinrs=sinr(vectors, weights, cfg.noise_comm),
-        power=float(np.real(np.trace(r_x))),
+        sinrs=rates,
+        power=power,
         rank_certs=certs,
         status=status,
     )
+
+
+def _meets_limits(power, rates, mi_eve, cfg):
+    """Power <= budget, SINR >= target and Eve MI <= cap, within slacks."""
+    return (power <= cfg.power_budget * (1 + 1e-9)
+            and np.all(rates >= np.asarray(cfg.sinr_targets) * (1.0 - 1e-6))
+            and mi_eve <= cfg.eve_mi_cap + EVE_RECHECK_SLACK)
 
 
 def _gaussian_randomization(weight_mats, channels, stats_r, stats_e, cfg,
@@ -272,14 +287,10 @@ def _gaussian_randomization(weight_mats, channels, stats_r, stats_e, cfg,
             trace = math.sqrt(max(float(np.real(np.trace(wmat))), 0.0))
             cand.append(draw / norm * trace if norm > 0 else draw)
         r_x = transmit_covariance(cand)
-        if float(np.real(np.trace(r_x))) > cfg.power_budget * (1 + 1e-9):
+        if not _meets_limits(float(np.real(np.trace(r_x))),
+                             sinr(vectors, cand, cfg.noise_comm),
+                             sensing_mi(stats_e, r_x, cfg.frame_len), cfg):
             continue
-        rates = sinr(vectors, cand, cfg.noise_comm)
-        if np.any(rates < np.asarray(cfg.sinr_targets) * (1.0 - 1e-6)):
-            continue
-        if np.isfinite(cfg.eve_mi_cap):
-            if sensing_mi(stats_e, r_x, cfg.frame_len) > cfg.eve_mi_cap + EVE_RECHECK_SLACK:
-                continue
         cand_mi = sensing_mi(stats_r, r_x, cfg.frame_len)
         if cand_mi > best_mi:
             best, best_mi = cand, cand_mi
@@ -293,17 +304,18 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     InfeasibleError when the SINR targets do not fit the power budget.  The
     anchor is the first subproblem's expansion point and start; every later
     subproblem expands at the previous solution and starts at it blended
-    toward the anchor.  ``rng`` feeds only the Gaussian randomization of a
-    relaxed solution that is not rank one, so a rank-one design depends on
-    the scenario alone.  The trace records the true metrics of every
-    accepted iterate, recomputed from the metrics module rather than trusted
-    from the solver.  The solution's status is "optimal" only when the loop
-    converged and every subproblem solve returned "optimal"; otherwise it is
-    the first other status, "max-iter" for a loop that did not converge, and
-    "randomization-failed" when the relaxed solution was not rank one and
-    no Gaussian randomization draw was feasible, so that the returned
-    eigenvector beams may violate a constraint.  An infinite
-    ``cfg.eve_mi_cap`` designs without the eavesdropper constraint.
+    toward the anchor, one solve per outer iteration and none after the
+    last.  ``rng`` feeds only the Gaussian randomization of a relaxed
+    solution that is not rank one, so a rank-one design depends on the
+    scenario alone.  The trace records the true metrics of every accepted
+    iterate, recomputed from the metrics module rather than trusted from the
+    solver.  The solution's status is "optimal" only when the loop converged,
+    every solve returned "optimal" and the returned beams meet the power,
+    SINR and Eve limits (_meets_limits); otherwise it is the first failure:
+    a solve's status, "max-iter" for a loop that did not converge,
+    "randomization-failed" when no randomization draw was feasible, or
+    "limits-violated".  An infinite ``cfg.eve_mi_cap`` designs without the
+    eavesdropper constraint.
     """
     trace = SCATrace()
     vectors = [ch.vector for ch in channels]
@@ -357,20 +369,8 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
         start = _blend_with_anchor(weight_mats, anchor)
 
     statuses.append("optimal" if trace.converged_at is not None else "max-iter")
-    solution = _extract_solution(result_values, channels, stats_r, stats_e,
-                                 cfg, state, rng, _first_failure(statuses))
-
-    # The surrogate guarantees the true constraint in exact arithmetic; the
-    # re-check below guards numerical slack with one extra pass.
-    if (np.isfinite(cfg.eve_mi_cap)
-            and solution.mi_eve > cfg.eve_mi_cap + EVE_RECHECK_SLACK):
-        problem = build_subproblem_no_an(state, channels, stats_r, stats_e, cfg)
-        start = _blend_with_anchor(solution.weight_mats, anchor)
-        res = solve(problem, initial=_start_values(start, cfg, state, stats_e))
-        statuses.append(res.status)
-        solution = _extract_solution(res.values, channels, stats_r, stats_e,
-                                     cfg, state, rng, _first_failure(statuses))
-    return solution, trace
+    return _extract_solution(result_values, channels, stats_r, stats_e, cfg,
+                             state, rng, _first_failure(statuses)), trace
 
 
 def _first_failure(statuses):

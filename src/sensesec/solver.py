@@ -11,7 +11,7 @@ Convex Optimization, sec. 11.3) runs on the real coordinates of the variables.
 Identical problems give identical iterates at a fixed BLAS thread count.
 Across thread counts, BLAS may sum in another order and the iterates may
 differ by round-off.  For the default ScenarioConfig at channel seed 1,
-run_sca_no_an takes (52, 46) Newton steps per subproblem at one OpenBLAS
+run_sca_no_an takes (50, 46) Newton steps per subproblem at one OpenBLAS
 thread and at two, and its final MIs agree bitwise; so do its designs at
 eve_mi_cap 5 and 1 on channel seeds 1-3 (2-core x86 Xeon, OpenBLAS 0.3.31
 in numpy, 0.3.30 in scipy).
@@ -167,7 +167,6 @@ class ConicSubproblem:
         self.objective = None
         self.lmis = []
         self.ineqs = []
-        self.scalar_bounds = {}
 
     # -- variable declaration
 
@@ -185,7 +184,6 @@ class ConicSubproblem:
 
     def add_scalar(self, name, lower=None, upper=None):
         blk = self._add_block(name, KIND_SCALAR, 1, 1)
-        self.scalar_bounds[name] = (lower, upper)
         if lower is not None:
             self.add_ineq(self.scalar_map(0.0, {name: -1.0}), -float(lower))
         if upper is not None:
@@ -413,7 +411,6 @@ class BarrierProblem:
     def __init__(self, problem: ConicSubproblem):
         if problem.objective is None:
             raise ValueError("objective not set")
-        self.problem = problem
         self.n = problem.n
         self.box = None              # optional (lo, hi) coordinate bounds
         obj = problem.objective
@@ -682,42 +679,11 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
     return x, total_newton, status, history
 
 
-def _heuristic_point(bp):
-    """Analytic interior guess: identity-scaled Hermitian blocks sized to half
-    the tightest trace-type cap (counting every Hermitian block the cap
-    touches) and bound-respecting scalars."""
-    problem = bp.problem
-    herm_blocks = [b for b in problem.blocks if b.kind == KIND_HERMITIAN]
-    all_diag = np.concatenate([
-        np.arange(b.offset, b.offset + b.dim) for b in herm_blocks
-    ]) if herm_blocks else np.zeros(0, dtype=np.intp)
-    best = np.inf
-    for a, b in zip(bp.A, bp.b):
-        slope = float(np.sum(a[all_diag])) if len(all_diag) else 0.0
-        if slope > 1e-12 and b > 0:
-            best = min(best, b / (2.0 * slope))
-    x = np.zeros(bp.n)
-    for blk in problem.blocks:
-        if blk.kind == KIND_HERMITIAN:
-            diag_coords = np.arange(blk.offset, blk.offset + blk.dim)
-            x[diag_coords] = best if np.isfinite(best) else 1.0
-        elif blk.kind == KIND_SCALAR:
-            lower, upper = problem.scalar_bounds.get(blk.name, (None, None))
-            if lower is not None and upper is not None:
-                x[blk.offset] = 0.5 * (lower + upper)
-            elif lower is not None:
-                x[blk.offset] = lower + 1.0
-            elif upper is not None:
-                x[blk.offset] = upper - 1.0
-    return x
-
-
 def _phase1_problem(bp):
     """Relaxed copy with one extra slack coordinate s: minimize s subject to
     every barrier argument shifted by +s (scalar slacks, +s I on blocks).
     The objective log-dets become LMIs of the relaxed problem."""
     relaxed = BarrierProblem.__new__(BarrierProblem)
-    relaxed.problem = bp.problem
     relaxed.n = bp.n + 1
     s_idx = bp.n
     relaxed.c = np.zeros(relaxed.n)
@@ -745,31 +711,26 @@ def _phase1_problem(bp):
 
 
 def _find_strictly_feasible(bp, hint=None):
-    """Strictly feasible x for bp: the hint or else the heuristic point when
-    it lies strictly inside the barrier domain (BarrierProblem.in_domain),
-    however small its margin; otherwise phase-I slack minimization, whose
-    point has a margin of at least PHASE1_MARGIN.  Raises InfeasibleError
-    when phase I converged ("optimal") with its slack still positive, and
-    SolverError when it ended with any other status, which certifies
-    nothing."""
-    candidates = [] if hint is None else [hint]
-    candidates.append(_heuristic_point(bp))
-    for cand in candidates:
-        if bp.in_domain(cand):
-            return cand
+    """Strictly feasible x for bp: the hint when it lies strictly inside the
+    barrier domain (BarrierProblem.in_domain), however small its margin; a
+    hint outside raises SolverError.  Without a hint, phase-I slack
+    minimization starts from the origin and returns a point with a margin of
+    at least PHASE1_MARGIN.  Raises InfeasibleError when phase I converged
+    ("optimal") with its slack still positive, and SolverError when it ended
+    with any other status, which certifies nothing."""
+    if hint is not None:
+        if bp.in_domain(hint):
+            return hint
+        raise SolverError("the start lies outside the barrier domain")
     relaxed = _phase1_problem(bp)
     # Geometric slack ladder: the fully-relaxed problem is strictly feasible
-    # at any base point for large enough s.
-    start = None
-    for base in candidates:
-        for slack0 in (1.0, 1e2, 1e4, 1e6, 1e9, 1e12):
-            cand = np.concatenate([base, [slack0]])
-            if relaxed.in_domain(cand):
-                start = cand
-                break
-        if start is not None:
+    # at the origin for large enough s (Boyd & Vandenberghe, Convex
+    # Optimization, sec. 11.4.1).
+    for slack0 in (1.0, 1e2, 1e4, 1e6, 1e9, 1e12):
+        start = np.append(np.zeros(bp.n), slack0)
+        if relaxed.in_domain(start):
             break
-    if start is None:
+    else:
         raise SolverError("could not initialize phase-I slack problem")
     # Coordinate box keeps the phase-I merit bounded: slack-coupled
     # coordinates otherwise drift to infinity while s is minimized.
@@ -800,11 +761,12 @@ def _find_strictly_feasible(bp, hint=None):
 def solve(problem, initial=None):
     """Barrier solve of a ConicSubproblem.
 
-    ``initial`` may carry variable values (dict), used as the start when
-    they lie strictly inside the barrier domain, however close to its
-    boundary; otherwise phase I constructs a start.  The barrier starts at
-    ``BARRIER_T0`` whatever the start.  Returns a SolverResult whose
-    objective is in the original complex log-det units.
+    ``initial`` may carry variable values (dict), the start, which must lie
+    strictly inside the barrier domain, however close to its boundary; a
+    start outside it raises SolverError.  Without one, phase I constructs a
+    start from the origin.  The barrier starts at ``BARRIER_T0`` whatever
+    the start.  Returns a SolverResult whose objective is in the original
+    complex log-det units.
     """
     bp = BarrierProblem(problem)
     hint = problem.pack(initial) if initial is not None else None

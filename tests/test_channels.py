@@ -174,6 +174,23 @@ class TestScenarioConfig:
             with pytest.raises(ValueError):
                 ScenarioConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("rician_factors", (-1.0,)), ("rician_factors", (-0.5,)),
+        ("rician_factors", (2.0, 2.0, -2.0)),
+        ("user_angles", (-0.1,)), ("user_angles", (1.0, 2.0, math.pi + 0.1)),
+        ("radar_target_angles", (-1e-3,)), ("eve_target_angles", (4.0,))],
+        ids=["rician-1", "rician-0.5", "rician-2", "user-0.1", "user-pi+0.1",
+             "radar-1e-3", "eve-4"])
+    def test_out_of_range_value_rejected(self, name, value):
+        # build_scenario would fail on these without naming the field.
+        with pytest.raises(ValueError, match=name):
+            ScenarioConfig(**{name: value})
+
+    def test_range_ends_accepted(self):
+        cfg = ScenarioConfig(rician_factors=(0.0,), user_angles=(0.0, 1.0, math.pi),
+                             radar_target_angles=(math.pi,), eve_target_angles=(0.0,))
+        build_scenario(cfg, RngState(1))
+
     def test_config_file_roundtrip(self, tmp_path):
         path = tmp_path / "scenario.cfg"
         path.write_text(

@@ -411,17 +411,6 @@ class TestScalarLogConstraints:
 
 
 class TestPhase1:
-    def test_trace_only_heuristic(self):
-        prob = ConicSubproblem()
-        prob.add_hermitian("R", 3)
-        rmap = prob.matrix_map(np.zeros((3, 3)), {"R": hermitian_basis(3)})
-        tr = prob.scalar_map(0.0, {"R": hermitian_weights(np.eye(3))})
-        prob.add_lmi(rmap)
-        prob.add_ineq(tr, 4.0)
-        prob.set_objective(linear=prob.scalar_map(0.0, {}))
-        vals = prob.unpack(_find_strictly_feasible(BarrierProblem(prob)))
-        assert np.max(np.abs(vals["R"] - (4.0 / 6.0) * np.eye(3))) < 1e-12
-
     def test_contradictory_bounds(self):
         prob = ConicSubproblem()
         prob.add_scalar("x", lower=0.0, upper=-1.0)
@@ -439,8 +428,8 @@ class TestPhase1:
 
     @staticmethod
     def narrow_interval_problem():
-        """5 <= x <= 5.001: feasible, but the heuristic start x = 1 sends it
-        to phase I."""
+        """5 <= x <= 5.001: feasible, but phase I must cross from the origin
+        to an interval of width 1e-3."""
         prob = ConicSubproblem()
         prob.add_scalar("x", lower=0.0)
         prob.add_ineq(prob.scalar_map(0.0, {"x": -1.0}), -5.0)
@@ -534,18 +523,18 @@ def test_stage_that_hits_its_step_cap_is_reported(monkeypatch):
 
 
 def test_line_search_that_finds_no_step_is_reported(monkeypatch):
-    # maximize x over [0, 1]: the heuristic start x = 0.5 is interior, so
-    # only the main barrier calls the patched merit.
+    # maximize x over [0, 1] from the interior start x = 0.5, so no phase I
+    # runs and only the main barrier calls the patched merit.
     monkeypatch.setattr(solver.BarrierProblem, "merit", lambda self, x, t: None)
     prob = ConicSubproblem()
     prob.add_scalar("x", lower=0.0, upper=1.0)
     prob.set_objective(linear=prob.scalar_map(0.0, {"x": 1.0}))
-    assert solve(prob).status == "line-search-failed"
+    assert solve(prob, initial={"x": 0.5}).status == "line-search-failed"
 
 
 def floored_logdet_problem():
     """maximize logdet(I + W) over 2x2 W >= 0 with tr W <= 10 and W_00 >= 8.
-    The heuristic start 2.5 I misses W_00 >= 8 by 5.5."""
+    The origin misses W_00 >= 8 by 8."""
     prob = ConicSubproblem()
     prob.add_hermitian("W", 2)
     prob.add_lmi(prob.matrix_map(np.zeros((2, 2)), {"W": hermitian_basis(2)}))
@@ -587,16 +576,16 @@ def test_hint_inside_the_domain_skips_phase_one_at_any_margin(phase1_builds):
     assert abs(res.objective - solve(prob).objective) < 1e-8
 
 
-def test_hint_outside_the_domain_runs_phase_one(phase1_builds):
-    # The heuristic start misses a row as well.
+def test_start_outside_the_domain_raises(phase1_builds):
+    # W_00 = 7.9 misses the floor W_00 >= 8.
     prob = floored_logdet_problem()
-    bp = BarrierProblem(prob)
-    hint = prob.pack({"W": np.diag([7.9, 0.1])})
-    assert bp.strict_margin(hint) < 0.0
+    hint = {"W": np.diag([7.9, 0.1])}
+    assert BarrierProblem(prob).strict_margin(prob.pack(hint)) < 0.0
 
-    x = _find_strictly_feasible(bp, hint=hint)
-    assert len(phase1_builds) == 1
-    assert bp.strict_margin(x) >= solver.PHASE1_MARGIN
+    with pytest.raises(SolverError, match="outside the barrier domain") as info:
+        solve(prob, initial=hint)
+    assert not isinstance(info.value, InfeasibleError)
+    assert phase1_builds == []
 
 
 def test_phase_one_starts_its_barrier_at_the_gap_of_its_slack(monkeypatch,
@@ -610,13 +599,14 @@ def test_phase_one_starts_its_barrier_at_the_gap_of_its_slack(monkeypatch,
 
     run_barrier = solver._run_barrier
     monkeypatch.setattr(solver, "_run_barrier", recording_run_barrier)
-    # The heuristic start misses a row by 5.5, so the slack ladder passes
-    # its first rung, 1.
+    # Phase I starts from the origin, which misses W_00 >= 8 by 8, so the
+    # slack ladder passes its first rung, 1.
     prob = floored_logdet_problem()
     _find_strictly_feasible(BarrierProblem(prob))
 
     (relaxed, start, history), = runs
     assert phase1_builds == [relaxed]
+    assert not start[:-1].any()
     assert start[-1] == 1e2
     assert history[0][0] == relaxed.gap_degree() / 1e2
 
@@ -642,6 +632,12 @@ def newton_directions(monkeypatch):
                         recording_derivatives)
     monkeypatch.setattr(solver, "_newton_direction", recording_direction)
     return directions
+
+
+def interior_start(prob):
+    """Variable values inside the barrier domain of ``prob``, from phase I:
+    a start with which solve runs no phase I."""
+    return prob.unpack(_find_strictly_feasible(BarrierProblem(prob)))
 
 
 def stage_decrements(history, directions):
@@ -672,7 +668,9 @@ def assert_stops_at_first_decrement_below(steps, decrements, tol):
 def test_intermediate_stages_stop_in_the_quadratic_phase(seed,
                                                          newton_directions):
     prob, _ = make_grid_instance(seed)
-    res = solve(prob)
+    start = interior_start(prob)
+    newton_directions.clear()
+    res = solve(prob, initial=start)
     assert res.status == "optimal"
 
     *early, last = stage_decrements(res.history, newton_directions)
@@ -687,7 +685,9 @@ def test_centering_only_solve_centers_to_the_newton_tolerance(
         newton_directions):
     prob, _ = make_grid_instance(2)
     prob.set_objective()
-    res = solve(prob)
+    start = interior_start(prob)
+    newton_directions.clear()
+    res = solve(prob, initial=start)
 
     (stage,) = stage_decrements(res.history, newton_directions)
     steps, decrements = stage
