@@ -11,7 +11,7 @@ Convex Optimization, sec. 11.3) runs on the real coordinates of the variables.
 Identical problems give identical iterates at a fixed BLAS thread count.
 Across thread counts, BLAS may sum in another order and the iterates may
 differ by round-off.  For the default ScenarioConfig at channel seed 1,
-run_sca_no_an takes (50, 46) Newton steps per subproblem at one OpenBLAS
+run_sca_no_an takes (44, 33) Newton steps per subproblem at one OpenBLAS
 thread and at two, and its final MIs agree bitwise; so do its designs at
 eve_mi_cap 5 and 1 on channel seeds 1-3 (2-core x86 Xeon, OpenBLAS 0.3.31
 in numpy, 0.3.30 in scipy).
@@ -24,12 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-# Newton's stopping thresholds on lambda^2 / 2.  The last barrier stage and a
-# centering-only solve center to NEWTON_TOL.  An earlier stage only seeds the
-# next one, so it stops once Newton's method is in its quadratic phase,
+# Newton's stopping thresholds on lambda^2 / 2.  A centering-only solve
+# centers to NEWTON_TOL.  Every stage of a solve with an objective, the last
+# one included, stops once Newton's method is in its quadratic phase,
 # lambda <= (1 - 2 alpha) / 4 for the Armijo parameter alpha (Boyd &
 # Vandenberghe, Convex Optimization, sec. 9.6.4; inexact centering, sec.
-# 11.3.1).
+# 11.3.1); _run_barrier says why the last stage needs no more.
 ARMIJO_ALPHA = 0.01        # sufficient-decrease fraction of the line search
 NEWTON_TOL = 1e-9
 CENTERING_TOL = 0.5 * ((1.0 - 2.0 * ARMIJO_ALPHA) / 4.0) ** 2
@@ -442,6 +442,7 @@ class BarrierProblem:
         empty = [np.zeros(0, dtype=np.intp)]
         self._grad_idx = np.concatenate(
             [np.ravel(blk.coords) for blk in blocks] + empty)
+        self._obj_grad_len = sum(blk.coords.size for blk in self.obj_blocks)
         self._hess_idx = np.concatenate(
             [np.ravel(blk.coords[..., :, None] * n + blk.coords[..., None, :])
              for blk in blocks + curv] + empty)
@@ -538,19 +539,28 @@ class BarrierProblem:
         terms = self._terms(x)
         return None if terms is None else self._merit_value(x, t, terms)
 
+    @property
+    def centering_only(self):
+        """No objective: the merit does not depend on t."""
+        return not (np.any(self.c) or self.obj_blocks)
+
     def merit_derivatives(self, x, t):
-        """(value, grad, hess) of the barrier merit at x, or None outside."""
+        """(value, grad, hess) of the barrier merit at x, or None outside.
+        Also sets self.objective_grad to the gradient g0 of the minimized
+        objective -(c.x + sum w logdet F) at x: the merit's gradient is
+        t g0 plus a part free of t."""
         terms = self._terms(x)
         if terms is None:
             return None
         chols, s, log_chols, sides = terms
         n = self.n
-        # Scatter weights in _index_tables order; the empty seeds keep
-        # np.concatenate working for problems without blocks.
+        # Scatter weights in _index_tables order, the objective's without
+        # their factor t; the empty seeds keep np.concatenate working for
+        # problems without blocks.
         gvals, hvals = [np.zeros(0)], [np.zeros(0)]
         for (blk, w), chol in zip(self._weighted(t), chols):
             gvec, gram = blk.grad_gram(chol)
-            gvals.append(np.ravel(gvec) * -w)
+            gvals.append(np.ravel(gvec) * -blk.weight)
             hvals.append(np.ravel(gram) * w)
         # Row i of jac is the gradient of slack s_i; a log term of row i
         # adds its PSD -hess(s_i) part, scaled by 1 / s_i.
@@ -559,8 +569,11 @@ class BarrierProblem:
             gvec, gram = blk.grad_gram(chol)
             jac[i, blk.coords] += blk.weight * gvec
             hvals.append(np.ravel(blk.weight * gram) / s[i])
-        grad = -t * self.c
-        grad += np.bincount(self._grad_idx, np.concatenate(gvals), minlength=n)
+        gvals, split = np.concatenate(gvals), self._obj_grad_len
+        self.objective_grad = np.bincount(
+            self._grad_idx[:split], gvals[:split], minlength=n) - self.c
+        grad = t * self.objective_grad
+        grad += np.bincount(self._grad_idx[split:], gvals[split:], minlength=n)
         grad -= jac.T @ (1.0 / s)
         scaled = jac / s[:, None]
         hess = scaled.T @ scaled
@@ -585,26 +598,29 @@ def _batch_shared_maps(maps):
 
 
 def _newton_direction(hess, grad):
-    """Newton step -H^-1 g with Jacobi preconditioning (the barrier mixes
-    widely different curvature scales) and escalating jitter on failure.
-    Scales ``hess`` in place."""
+    """Newton step d = -H^-1 g and the decrement lambda^2 = -g.d, with Jacobi
+    preconditioning (the barrier mixes widely different curvature scales)
+    and escalating jitter on failure.  ``grad`` may stack further right-hand
+    sides below the gradient, (k, n); d then stacks -H^-1 of each row from
+    one factorization, and lambda^2 is the first row's.  Scales ``hess`` in
+    place."""
     n = hess.shape[0]
     if n == 0:
-        return np.zeros(0), 0.0
+        return np.zeros(np.shape(grad)), 0.0
     diag = np.abs(np.diag(hess))
     precond = 1.0 / np.sqrt(np.maximum(diag, 1e-30))
     hess *= precond[:, None]
     hess *= precond[None, :]
     scaled_diag = hess.diagonal().copy()
-    g_scaled = grad * precond
+    g_scaled = (grad * precond).T
     jitter = 0.0
     for _ in range(12):
         if jitter > 0.0:
             np.fill_diagonal(hess, scaled_diag + jitter)
         try:
             factor = cho_factor(hess, check_finite=False)
-            d = -precond * cho_solve(factor, g_scaled, check_finite=False)
-            lam2 = float(-grad @ d)
+            d = -precond * cho_solve(factor, g_scaled, check_finite=False).T
+            lam2 = float(-np.atleast_2d(grad)[0] @ np.atleast_2d(d)[0])
             if np.isfinite(lam2) and lam2 >= 0.0:
                 return d, lam2
         except np.linalg.LinAlgError:
@@ -614,26 +630,41 @@ def _newton_direction(hess, grad):
 
 
 def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
-    """Minimize the barrier sequence from a strictly feasible x0.  The last
-    stage (degree / t <= obj_tol) and a centering-only solve stop Newton at
-    lambda^2 / 2 <= NEWTON_TOL; earlier stages stop at CENTERING_TOL, in
-    Newton's quadratic phase (Boyd & Vandenberghe, secs. 9.6.4 and 11.3.1).
-    The status is "max-iter" when the step budget ran out, else "stage-cap"
-    or "line-search-failed" when the last failing stage hit its step cap or
-    found no step, else "optimal"."""
+    """Minimize the barrier sequence from a strictly feasible x0, from t0
+    up by BARRIER_GROWTH per stage to the last stage, degree / t <= obj_tol.
+
+    A centering-only solve stops Newton at lambda^2 / 2 <= NEWTON_TOL.  With
+    an objective, every stage stops at CENTERING_TOL, in Newton's quadratic
+    phase (Boyd & Vandenberghe, secs. 9.6.4 and 11.3.1), the last one too:
+    the central path matters only as a route to the optimum (sec. 11.3.1),
+    and a point with lambda <= 1/4 sits within about lambda of the central
+    point in the merit's local norm, which moves the objective by a term of
+    order lambda sqrt(degree) / t against the degree / t gap bound.
+    Centering further buys nothing at the last t, and can cost a whole
+    stage: there the Jacobi-scaled Newton matrix can be singular to double
+    precision (condition near 1e18), its computed decrement then stays near
+    1e-2 while each full step still lowers the merit by about as much, so
+    a NEWTON_TOL last stage can run to its step cap.
+
+    A stage that stopped on its tolerance hands the next one a predictor
+    step (_predict) along the central-path tangent, solved with the factor
+    of its last Newton system.  The status is "max-iter" when the step
+    budget ran out, else "stage-cap" or "line-search-failed" when the last
+    failing stage hit its step cap or found no step, else "optimal"."""
     x = x0.copy()
     t = t0
     degree = bp.gap_degree()
     # Without an objective the merit does not depend on t: the first stage
     # finds the analytic center and later stages could not move from it.
-    centering_only = not (np.any(bp.c) or bp.obj_blocks)
+    centering_only = bp.centering_only
+    tol = NEWTON_TOL if centering_only else CENTERING_TOL
     total_newton = 0
     history = []
     status = "optimal"
     while True:
         last_stage = degree / t <= obj_tol or degree == 0 or centering_only
-        tol = NEWTON_TOL if last_stage else CENTERING_TOL
         stage_newton = 0
+        centered = False
         for _ in range(STAGE_MAX_STEPS):
             if total_newton >= max_iters:
                 status = "max-iter"
@@ -642,8 +673,10 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
             if out is None:
                 raise SolverError("iterate left the barrier domain")
             val, grad, hess = out
-            d, lam2 = _newton_direction(hess, grad)
+            (d, tangent), lam2 = _newton_direction(
+                hess, np.stack([grad, bp.objective_grad]))
             if 0.5 * lam2 <= tol:
+                centered = True
                 break
             slope = float(grad @ d)
             step = 1.0
@@ -672,11 +705,55 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
                 break
         else:
             status = "stage-cap"
-        history.append((t, bp.objective_value(x), stage_newton))
+        obj = bp.objective_value(x)
+        history.append((t, obj, stage_newton))
         if status == "max-iter" or last_stage:
             break
+        if centered:
+            x = _predict(bp, x, t, val, obj, tangent)
         t *= BARRIER_GROWTH
     return x, total_newton, status, history
+
+
+def _predict(bp, x, t, val, obj, tangent):
+    """Predictor step of path following (Nesterov & Nemirovski,
+    Interior-Point Polynomial Algorithms in Convex Programming, 1994) from
+    x, centered at t with merit val and objective obj, to the next stage's
+    t' = t BARRIER_GROWTH: x + (t' - t) tangent, with tangent = dx/dt =
+    -H^-1 objective_grad.  The step halves while the merit at t' does not
+    fall below its value at x or the objective falls below obj; x itself
+    when no step passes."""
+    t_next = t * BARRIER_GROWTH
+    # The merit is affine in t: merit_t'(x) = merit_t(x) - (t' - t) obj.
+    base = val - (t_next - t) * obj
+    step = t_next - t
+    while step > 1e-14 * (t_next - t):
+        cand = x + step * tangent
+        mval = bp.merit(cand, t_next)
+        if (mval is not None and mval < base
+                and bp.objective_value(cand) >= obj):
+            return cand
+        step *= 0.5
+    return x
+
+
+def _central_t(bp, x):
+    """Barrier parameter at which x is most central: the minimizer t* =
+    -(g0' H^-1 g_phi) / (g0' H^-1 g0) of the Newton decrement lambda^2(t) =
+    (t g0 + g_phi)' H^-1 (t g0 + g_phi), where t g0 + g_phi is the merit's
+    gradient at t (g0 = bp.objective_grad) and H its Hessian at BARRIER_T0;
+    one derivative pass and one factorization.  Clipped to
+    [BARRIER_T0 / BARRIER_GROWTH, BARRIER_T0 BARRIER_GROWTH^3]."""
+    _, grad, hess = bp.merit_derivatives(x, BARRIER_T0)
+    g0 = bp.objective_grad
+    (d, tangent), _ = _newton_direction(hess, np.stack([grad, g0]))
+    # d = -H^-1 grad and tangent = -H^-1 g0, so t* = T0 - g0.d / g0.tangent.
+    curvature = -float(g0 @ tangent)
+    if curvature <= 0.0:        # g0 = 0 at x: no t is preferred
+        return BARRIER_T0
+    t = BARRIER_T0 + float(g0 @ d) / curvature
+    return min(max(t, BARRIER_T0 / BARRIER_GROWTH),
+               BARRIER_T0 * BARRIER_GROWTH ** 3)
 
 
 def _phase1_problem(bp):
@@ -764,14 +841,18 @@ def solve(problem, initial=None):
     ``initial`` may carry variable values (dict), the start, which must lie
     strictly inside the barrier domain, however close to its boundary; a
     start outside it raises SolverError.  Without one, phase I constructs a
-    start from the origin.  The barrier starts at ``BARRIER_T0`` whatever
-    the start.  Returns a SolverResult whose objective is in the original
-    complex log-det units.
+    start from the origin.  With a start and an objective, the barrier
+    begins at the t where the start is most central (_central_t), so a warm
+    start near an earlier optimum is not pulled back to an early stage;
+    otherwise at ``BARRIER_T0``.  Returns a SolverResult whose objective is
+    in the original complex log-det units.
     """
     bp = BarrierProblem(problem)
     hint = problem.pack(initial) if initial is not None else None
     x0 = _find_strictly_feasible(bp, hint=hint)
-    x, iters, status, history = _run_barrier(bp, x0, t0=BARRIER_T0,
+    warm = hint is not None and not bp.centering_only
+    t0 = _central_t(bp, x0) if warm else BARRIER_T0
+    x, iters, status, history = _run_barrier(bp, x0, t0=t0,
                                              obj_tol=OBJ_TOL,
                                              max_iters=MAX_NEWTON_STEPS)
     residual = max(-bp.strict_margin(x), 0.0)

@@ -295,8 +295,34 @@ def test_tiny_design_reaches_the_global_optimum(eve_mi_cap, channel_seed):
 
     sol, _ = sca.run_sca_no_an(links, stats_r, stats_e, cfg,
                                RngState(channel_seed))
+    assert sol.status == "optimal"
     assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
     assert sol.mi_legit >= bound - 1e-3
+
+
+# Scenarios whose warm-started subproblems ran barrier stages to their step
+# cap while every solve began at BARRIER_T0: TINY at 1 W, and the default
+# scenario with Eve's target at 50 degrees, where the cap costs 0.6-0.7
+# nats of legitimate MI.
+STALL_CASES = [(TINY.replace(eve_mi_cap=cap), seed)
+               for seed in (1, 2, 3, 4) for cap in (0.01, 0.3, 1.0)]
+STALL_CASES.append((channels.ScenarioConfig(
+    eve_target_angles=(math.radians(50.0),), eve_mi_cap=1.0), 1))
+
+
+@pytest.mark.parametrize(
+    "cfg, channel_seed", STALL_CASES,
+    ids=[f"{'tiny' if cfg.n_tx == 2 else 'eve50deg'}-cap{cfg.eve_mi_cap}-{seed}"
+         for cfg, seed in STALL_CASES])
+def test_no_barrier_stage_stalls_at_its_cap(cfg, channel_seed, solver_results):
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
+    sol, _ = sca.run_sca_no_an(links, stats_r, stats_e, cfg,
+                               RngState(channel_seed))
+
+    assert sol.status == "optimal"
+    assert all(steps < solver.STAGE_MAX_STEPS
+               for res in solver_results for _, _, steps in res.history)
+    assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
 
 
 @pytest.mark.parametrize("channel_seed", [1, 2])

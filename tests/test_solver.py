@@ -313,6 +313,13 @@ class TestSolveScalar:
         assert abs(res.values["x"] - 3.0) < 1e-3
         assert abs(res.objective - (math.log(4.0) - 0.75)) < 1e-6
 
+    def test_start_where_the_objective_gradient_vanishes(self):
+        # No barrier parameter is most central for a start at x = 3.
+        res = solve(scalar_logdet_problem(-0.25), initial={"x": 3.0})
+        assert res.status == "optimal"
+        assert res.history[0][0] == solver.BARRIER_T0
+        assert abs(res.values["x"] - 3.0) < 1e-3
+
     def test_determinism(self):
         a = solve(scalar_logdet_problem(-0.25))
         b = solve(scalar_logdet_problem(-0.25))
@@ -673,12 +680,16 @@ def test_intermediate_stages_stop_in_the_quadratic_phase(seed,
     res = solve(prob, initial=start)
     assert res.status == "optimal"
 
-    *early, last = stage_decrements(res.history, newton_directions)
-    assert len(early) >= 5
-    for steps, decrements in early:
+    # The warm start's first direction is the start-t pass at BARRIER_T0,
+    # before any stage; every stage, the last one too, stops in Newton's
+    # quadratic phase.
+    (start_t, _), *directions = newton_directions
+    assert start_t == solver.BARRIER_T0
+    stages = stage_decrements(res.history, directions)
+    assert len(stages) >= 6
+    for steps, decrements in stages:
         assert_stops_at_first_decrement_below(steps, decrements,
                                               solver.CENTERING_TOL)
-    assert_stops_at_first_decrement_below(*last, solver.NEWTON_TOL)
 
 
 def test_centering_only_solve_centers_to_the_newton_tolerance(
@@ -705,3 +716,51 @@ def test_loose_intermediate_centering_keeps_the_optimum(seed, monkeypatch):
     assert loose.status == tight.status == "optimal"
     assert abs(loose.objective - tight.objective) <= 1e-9 * abs(tight.objective)
     assert loose.iterations < tight.iterations
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+def test_start_t_of_a_centered_point_is_its_own_t(seed, monkeypatch):
+    prob, _ = make_grid_instance(seed)
+    bp = BarrierProblem(prob)
+    # One barrier stage at t = 1e4, centered to its round-off floor: at
+    # NEWTON_TOL the leftover gradient alone moves the estimate by up to
+    # 1.6e-5 relative on these instances.
+    monkeypatch.setattr(solver, "CENTERING_TOL", 0.0)
+    x, _, status, history = solver._run_barrier(
+        bp, _find_strictly_feasible(bp), t0=1e4,
+        obj_tol=bp.gap_degree() / 1e4, max_iters=solver.MAX_NEWTON_STEPS)
+    assert status == "optimal" and len(history) == 1
+
+    assert abs(solver._central_t(bp, x) - 1e4) <= 1e-6 * 1e4
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_predictor_keeps_the_optimum_in_fewer_steps(seed, monkeypatch):
+    prob, _ = make_grid_instance(seed)
+    predicted = solve(prob)
+    monkeypatch.setattr(solver, "_predict", lambda bp, x, *args: x)
+    corrected = solve(prob)
+
+    assert predicted.status == corrected.status == "optimal"
+    assert (abs(predicted.objective - corrected.objective)
+            <= 1e-9 * abs(corrected.objective))
+    assert predicted.iterations < corrected.iterations
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_last_stage_in_the_quadratic_phase_keeps_the_objective(seed,
+                                                               monkeypatch):
+    prob, _ = make_grid_instance(seed)
+    res = solve(prob)
+    t_last = res.history[-1][0]
+    # A NEWTON_TOL last stage takes the same Newton steps until its
+    # decrement first reaches CENTERING_TOL, then continues from there.
+    bp = BarrierProblem(prob)
+    monkeypatch.setattr(solver, "CENTERING_TOL", solver.NEWTON_TOL)
+    x, steps, status, history = solver._run_barrier(
+        bp, prob.pack(res.values), t0=t_last,
+        obj_tol=bp.gap_degree() / t_last, max_iters=solver.MAX_NEWTON_STEPS)
+    assert res.status == status == "optimal" and len(history) == 1
+    assert steps > 0
+
+    assert abs(res.objective - bp.objective_value(x)) <= solver.OBJ_TOL
