@@ -74,8 +74,10 @@ def sinr(channels, beamformers, noise_power, an_cov=None):
 
 
 def _scaled_quadratic(stats, r_x):
-    """sqrt(L)-free core: sqrt(Lam) (sum_i B_i R* B_i^H) sqrt(Lam)."""
-    acc = np.zeros((stats.dim, stats.dim), dtype=complex)
+    """sqrt(L)-free core: sqrt(Lam) (sum_i B_i R* B_i^H) sqrt(Lam).  ``r_x``
+    may stack covariances on leading axes; each result equals that of its
+    covariance alone, bit for bit."""
+    acc = np.zeros(r_x.shape[:-2] + (stats.dim, stats.dim), dtype=complex)
     rc = r_x.conj()
     for block in stats.blocks:
         acc += block @ rc @ block.conj().T

@@ -168,8 +168,7 @@ def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
     # Objective: legitimate sensing MI (symmetrized log-det form) minus the
     # penalty terms.
     scale_r = cfg.frame_len / stats_r.noise_power
-    legit = np.stack([scale_r * _scaled_quadratic(stats_r, e)
-                      for e in hermitian_basis(n)])
+    legit = scale_r * _scaled_quadratic(stats_r, hermitian_basis(n))
     obj_map = prob.matrix_map(np.eye(stats_r.dim), on_tx_cov(legit))
     prob.set_objective(linear=prob.scalar_map(0.0, penalty),
                        logdet_terms=[(1.0, obj_map)])

@@ -11,7 +11,7 @@ Convex Optimization, sec. 11.3) runs on the real coordinates of the variables.
 Identical problems give identical iterates at a fixed BLAS thread count.
 Across thread counts, BLAS may sum in another order and the iterates may
 differ by round-off.  For the default ScenarioConfig at channel seed 1,
-run_sca_no_an takes (44, 33) Newton steps per subproblem at one OpenBLAS
+run_sca_no_an takes (38, 29) Newton steps per subproblem at one OpenBLAS
 thread and at two, and its final MIs agree bitwise; so do its designs at
 eve_mi_cap 5 and 1 on channel seeds 1-3 (2-core x86 Xeon, OpenBLAS 0.3.31
 in numpy, 0.3.30 in scipy).
@@ -93,7 +93,15 @@ def unpack_hermitian(coords, dim):
 
 def hermitian_basis(dim):
     """(dim^2, dim, dim) stack E with sum_g x_g E_g == unpack_hermitian(x)."""
-    return np.stack([unpack_hermitian(e, dim) for e in np.eye(dim * dim)])
+    basis = np.zeros((dim * dim, dim, dim), dtype=complex)
+    diag = np.arange(dim)
+    basis[diag, diag, diag] = 1.0
+    iu, ju = np.triu_indices(dim, 1)
+    re = dim + 2 * np.arange(len(iu))     # (re, im) coordinate pairs
+    basis[re, iu, ju] = basis[re, ju, iu] = 1.0
+    basis[re + 1, iu, ju] = 1j
+    basis[re + 1, ju, iu] = -1j
+    return basis
 
 
 def hermitian_weights(g):
@@ -719,14 +727,22 @@ def _predict(bp, x, t, val, obj, tangent):
     """Predictor step of path following (Nesterov & Nemirovski,
     Interior-Point Polynomial Algorithms in Convex Programming, 1994) from
     x, centered at t with merit val and objective obj, to the next stage's
-    t' = t BARRIER_GROWTH: x + (t' - t) tangent, with tangent = dx/dt =
-    -H^-1 objective_grad.  The step halves while the merit at t' does not
-    fall below its value at x or the objective falls below obj; x itself
-    when no step passes."""
+    t' = t BARRIER_GROWTH, along tangent = dx/dt = -H^-1 objective_grad.
+
+    The central path is close to linear in mu = 1/t, not in t: its duality
+    gap is degree * mu, and near the optimum x*(t) ~ x* + a mu, so dx/dt =
+    -a mu^2.  The first trial is the step first-order in mu, (mu' - mu)
+    dx/dmu = (t' - t) (t / t') tangent, which moves x as far as the path
+    moves, a (mu' - mu).  The step linear in t, (t' - t) tangent, carries
+    the slope at t, which fades as 1/t^2, over the whole stage: it is
+    BARRIER_GROWTH times longer and overshoots the path about as many
+    times.  The step halves while the merit at t' does not fall below its
+    value at x or the objective falls below obj; x itself when no step
+    passes."""
     t_next = t * BARRIER_GROWTH
     # The merit is affine in t: merit_t'(x) = merit_t(x) - (t' - t) obj.
     base = val - (t_next - t) * obj
-    step = t_next - t
+    step = (t_next - t) * t / t_next
     while step > 1e-14 * (t_next - t):
         cand = x + step * tangent
         mval = bp.merit(cand, t_next)

@@ -6,6 +6,7 @@ import pytest
 from sensesec.channels import build_sensing_stats, stats_from_covariance
 from sensesec.linalg import commutation_matrix, psd_sqrt, vec
 from sensesec.metrics import (
+    _scaled_quadratic,
     an_conditional_entropy,
     an_eve_covariance,
     an_eve_gram,
@@ -421,3 +422,15 @@ def test_rank_one_certificate():
     assert abs(rank_one_certificate(np.outer(v, v.conj())) - 1.0) < 1e-12
     assert abs(rank_one_certificate(np.eye(3)) - 1.0 / 3.0) < 1e-12
     assert rank_one_certificate(np.zeros((2, 2))) == 0.0
+
+
+def test_scaled_quadratic_of_a_stack_is_the_stack_of_its_results():
+    rng = np.random.default_rng(3)
+    stats = random_stats(rng, 2, 3)
+    stack = np.stack([[random_hermitian(rng, 3) for _ in range(4)]
+                      for _ in range(2)])
+    batched = _scaled_quadratic(stats, stack)
+    single = np.stack([[_scaled_quadratic(stats, r) for r in row]
+                       for row in stack])
+    assert batched.shape == (2, 4, 6, 6)
+    assert batched.tobytes() == single.tobytes()

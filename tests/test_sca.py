@@ -95,6 +95,60 @@ def test_loose_intermediate_centering_keeps_every_iterate(cfg, channel_seed,
             < sum(row.solver_iterations for row in tight))
 
 
+@pytest.mark.parametrize("channel_seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("cfg", [channels.ScenarioConfig(eve_mi_cap=1.0),
+                                 channels.ScenarioConfig(power_budget=1e-3)],
+                         ids=["eve-cap-1", "1mW"])
+def test_loose_centering_costs_fewer_steps_over_a_whole_design(
+        cfg, channel_seed, monkeypatch):
+    # Tight centering can win on a single subproblem; summed over the warm
+    # subproblem solves of a design, loose centering must win.
+    warm = []
+
+    def recording_solve(problem, initial=None):
+        res = solve(problem, initial=initial)
+        if initial is not None:
+            warm.append((problem, initial, res.iterations))
+        return res
+
+    solve = sca.solve
+    monkeypatch.setattr(sca, "solve", recording_solve)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
+    sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(channel_seed))
+    monkeypatch.setattr(solver, "CENTERING_TOL", solver.NEWTON_TOL)
+    tight = [solve(problem, initial=initial).iterations
+             for problem, initial, _ in warm]
+
+    assert warm
+    assert sum(steps for _, _, steps in warm) < sum(tight)
+
+
+def test_predictor_lands_within_two_trials(monkeypatch):
+    # Each trial of solver._predict costs one merit call; a step first-order
+    # in 1/t passes at its first or second trial.
+    merit_calls, predictions = [0], []
+
+    def counting_merit(self, x, t):
+        merit_calls[0] += 1
+        return merit(self, x, t)
+
+    def recording_predict(bp, x, *args):
+        before = merit_calls[0]
+        out = predict(bp, x, *args)
+        predictions.append((merit_calls[0] - before, not np.array_equal(out, x)))
+        return out
+
+    merit, predict = solver.BarrierProblem.merit, solver._predict
+    monkeypatch.setattr(solver.BarrierProblem, "merit", counting_merit)
+    monkeypatch.setattr(solver, "_predict", recording_predict)
+    cfg = channels.ScenarioConfig(eve_mi_cap=1.0)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
+
+    assert predictions
+    assert all(trials <= 2 and moved for trials, moved in predictions)
+
+
 def test_one_milliwatt_design_runs_phase_one_only_for_its_anchor(monkeypatch):
     # The anchor solve has no start, so phase I builds one from the origin;
     # every warm start keeps ANCHOR_BLEND of the anchor's small margin and

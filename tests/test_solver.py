@@ -39,6 +39,13 @@ class TestRealify:
         assert np.max(np.abs(unpack_hermitian(pack_hermitian(h), 4) - h)) < 1e-14
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_hermitian_basis_unpacks_each_unit_coordinate(d):
+    assert np.array_equal(
+        hermitian_basis(d),
+        np.stack([unpack_hermitian(e, d) for e in np.eye(d * d)]))
+
+
 @pytest.mark.parametrize("d", [1, 2, 4])
 def test_coefficient_helpers_match_packing(d):
     rng = np.random.default_rng(d)
@@ -713,9 +720,11 @@ def test_loose_intermediate_centering_keeps_the_optimum(seed, monkeypatch):
     monkeypatch.setattr(solver, "CENTERING_TOL", solver.NEWTON_TOL)
     tight = solve(prob)
 
+    # Which one takes fewer steps varies per instance once the predictor
+    # lands on the next stage's path (tight is cheaper on seed 5);
+    # tests/test_sca.py compares the two over whole designs.
     assert loose.status == tight.status == "optimal"
     assert abs(loose.objective - tight.objective) <= 1e-9 * abs(tight.objective)
-    assert loose.iterations < tight.iterations
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
