@@ -2,8 +2,8 @@
 statistics (target-response covariances with their eigenstructure) for the
 legitimate radar receiver and the eavesdropper.
 
-Powers are stored in watts and SINR targets as linear ratios; dB/dBm appear
-only at the config-file and report boundaries.
+A scenario is a ScenarioConfig built in Python.  Every quantity is in linear
+units: powers in watts, SINR targets as ratios, angles in radians.
 """
 
 from __future__ import annotations
@@ -22,22 +22,6 @@ from .linalg import (
     sample_complex_gaussian,
     vec,
 )
-
-
-def db_to_linear(db):
-    return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
-
-
-def linear_to_db(x):
-    return 10.0 * np.log10(np.asarray(x, dtype=float))
-
-
-def dbm_to_watt(dbm):
-    return 10.0 ** ((np.asarray(dbm, dtype=float) - 30.0) / 10.0)
-
-
-def watt_to_dbm(w):
-    return 30.0 + 10.0 * np.log10(np.asarray(w, dtype=float))
 
 
 def steering_vector(angle, n):
@@ -142,19 +126,6 @@ def default_loading(angles, gains, n_rx, n_tx, fraction=1e-3):
     return fraction * trace / (n_rx * n_tx)
 
 
-# Keys of the flat config file.  Those that are also ScenarioConfig fields
-# are taken verbatim; the others are renamed or in dB/dBm/degrees.
-_FILE_KEYS = {
-    "n_tx": int, "n_rx": int, "n_eve": int, "n_users": int, "frame_len": int,
-    "power_budget_dbm": float, "sinr_db": tuple, "eve_mi_cap_nats": float,
-    "noise_comm": float, "noise_radar": float, "noise_eve": float,
-    "rician_k": tuple, "user_angles_deg": tuple,
-    "radar_target_angles_deg": tuple, "radar_target_gains": tuple,
-    "eve_target_angles_deg": tuple, "eve_target_gains": tuple,
-    "an_samples": int, "an_frame_len": int, "seed": int,
-}
-
-
 # ScenarioConfig fields that may be +inf (no Eve constraint, pure line of
 # sight); every other value must be finite.
 _INF_ALLOWED = ("eve_mi_cap", "rician_factors")
@@ -162,8 +133,9 @@ _INF_ALLOWED = ("eve_mi_cap", "rician_factors")
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One scenario: antennas, users, budgets, noise, targets and the seed.
-    The SCA constants of the design live in ``sca``.
+    """One scenario: antennas, users, budgets, noise and targets.  The
+    channel draw is the RngState given to ``build_scenario``, and the SCA
+    constants of the design live in ``sca``.
 
     Stored units: watts, linear SINR, radians, nats.
     """
@@ -187,7 +159,6 @@ class ScenarioConfig:
     eve_target_gains: tuple = (1.0,)
     an_samples: int = 100
     an_frame_len: int = 30
-    seed: int = 1
 
     def __post_init__(self):
         for f in fields(self):
@@ -238,50 +209,16 @@ class ScenarioConfig:
     def replace(self, **kw):
         return replace(self, **kw)
 
-    @classmethod
-    def from_file_dict(cls, raw):
-        """Build from flat config-file keys (dBm/dB/degrees at the boundary)."""
-        raw = dict(raw)
-        unknown = set(raw) - set(_FILE_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        names = {f.name for f in fields(cls)}
-        # Integers pass as given, so that __post_init__ rejects fractions.
-        convert = {int: lambda v: v, float: float, tuple: _as_tuple}
-        kw = {key: convert[conv](raw[key]) for key, conv in _FILE_KEYS.items()
-              if key in raw and key in names}
-        if "power_budget_dbm" in raw:
-            kw["power_budget"] = float(dbm_to_watt(raw["power_budget_dbm"]))
-        if "eve_mi_cap_nats" in raw:
-            kw["eve_mi_cap"] = float(raw["eve_mi_cap_nats"])
-        if "sinr_db" in raw:
-            vals = _as_tuple(raw["sinr_db"])
-            kw["sinr_targets"] = tuple(float(db_to_linear(v)) for v in vals)
-        if "rician_k" in raw:
-            kw["rician_factors"] = _as_tuple(raw["rician_k"])
-        if "user_angles_deg" in raw:
-            kw["user_angles"] = tuple(math.radians(v) for v in _as_tuple(raw["user_angles_deg"]))
-        for prefix in ("radar", "eve"):
-            akey = f"{prefix}_target_angles_deg"
-            if akey in raw:
-                kw[f"{prefix}_target_angles"] = tuple(
-                    math.radians(v) for v in _as_tuple(raw[akey]))
-        return cls(**kw)
-
-    @classmethod
-    def from_file(cls, path):
-        return cls.from_file_dict(parse_config_file(path))
-
 
 def _integer(key, val):
-    """An integer config entry; a fraction is an error, not truncated."""
+    """An integer field; a fraction is an error, not truncated."""
     if isinstance(val, float) and val.is_integer():
         return int(val)
     try:
         return operator.index(val)
     except TypeError:
         raise ValueError(
-            f"config key {key!r} must be an integer, got {val!r}") from None
+            f"field {key!r} must be an integer, got {val!r}") from None
 
 
 def _as_tuple(val):
@@ -303,42 +240,6 @@ def _spread_angles(n_users):
     # Users evenly placed over (30, 150) degrees, away from array endfire.
     degs = np.linspace(40.0, 140.0, n_users)
     return tuple(math.radians(d) for d in degs)
-
-
-def parse_config_file(path):
-    """Read a flat ``key = value`` config file (lists comma-separated)."""
-    raw = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key in raw:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            parts = [p.strip() for p in val.split(",") if p.strip()]
-            if len(parts) > 1:
-                raw[key] = [float(_parse_scalar(p)) for p in parts]
-            else:
-                raw[key] = _parse_scalar(parts[0] if parts else "")
-    return raw
-
-
-def _parse_scalar(token):
-    if token == "":
-        raise ValueError("empty config value")
-    try:
-        as_float = float(token)
-    except ValueError as exc:
-        raise ValueError(f"cannot parse config value {token!r}") from exc
-    if math.isnan(as_float):
-        raise ValueError(f"cannot parse config value {token!r}")
-    if (math.isfinite(as_float) and as_float == int(as_float)
-            and "." not in token and "e" not in token.lower()):
-        return int(as_float)
-    return as_float
 
 
 RICIAN_CAP = 1e12

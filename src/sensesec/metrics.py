@@ -1,7 +1,9 @@
 """Closed-form performance metrics: per-user SINR, sensing mutual
-information for the legitimate receiver and the eavesdropper (with and
-without artificial noise), the MI gradient with respect to the transmit
-covariance, and the affine/sampled surrogates used by the optimizer.
+information for the legitimate receiver and the eavesdropper, the MI
+gradient with respect to the transmit covariance, and the affine Eve-MI
+bound that the SCA design enforces.  The artificial-noise metrics
+(sensing_mi_with_an and the sampled an_* surrogates) have no caller yet:
+no design uses artificial noise.
 
 All mutual information values are in nats.
 """
@@ -233,8 +235,8 @@ class BeamformerSolution:
     """Designed beamformers with achieved metrics.
 
     ``mi_eve`` is always the closed-form eavesdropper MI at the returned
-    transmit covariance; ``mi_eve_surrogate`` is whatever bound the design
-    enforced (affine expansion without AN, sampled bound with AN).
+    transmit covariance; ``mi_eve_surrogate`` is the bound the design
+    enforced, the last subproblem's affine expansion, at that covariance.
     """
 
     weights: list                  # per-user vectors

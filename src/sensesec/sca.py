@@ -300,13 +300,15 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     """Penalty-SCA outer loop; returns (BeamformerSolution, SCATrace).
 
     One solve per design finds the interior anchor and raises
-    InfeasibleError when the SINR targets do not fit the power budget.  The
-    anchor is the first subproblem's expansion point and start; every later
-    subproblem expands at the previous solution and starts at it blended
-    toward the anchor, one solve per outer iteration and none after the
-    last.  ``rng`` feeds only the Gaussian randomization of a relaxed
-    solution that is not rank one, so a rank-one design depends on the
-    scenario alone.  The trace records the true metrics of every accepted
+    InfeasibleError when the SINR targets do not fit the power budget, or
+    SolverError when its phase I cannot decide that.  The anchor is the
+    first subproblem's expansion point and start; every later subproblem
+    expands at the previous solution and starts at it blended toward the
+    anchor, one solve per outer iteration and none after the last.  The
+    solution's ``mi_eve_surrogate`` is the Eve bound that the last solved
+    subproblem enforced.  ``rng`` feeds only the Gaussian randomization of a
+    relaxed solution that is not rank one, so a rank-one design depends on
+    the scenario alone.  The trace records the true metrics of every accepted
     iterate, recomputed from the metrics module rather than trusted from the
     solver.  The solution's status is "optimal" only when the loop converged,
     every solve returned "optimal" and the returned beams meet the power,
@@ -327,6 +329,10 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     start = anchor
     statuses = []                # of every subproblem solve, in order
     for itn in range(1, MAX_OUTER_ITERS + 1):
+        if itn > 1:
+            state = SCAState([m.copy() for m in weight_mats],
+                             state.penalty_weight * PENALTY_GROWTH)
+            start = _blend_with_anchor(weight_mats, anchor)
         problem = build_subproblem_no_an(state, channels, stats_r, stats_e, cfg)
         res = solve(problem, initial=_start_values(start, cfg, state, stats_e))
         statuses.append(res.status)
@@ -359,13 +365,10 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
         converged = (prev_mi is not None
                      and abs(mi_r - prev_mi) <= TOL_OBJ_NATS
                      and max(kappa, rho_max) <= TOL_PENALTY)
-        state = SCAState([m.copy() for m in weight_mats],
-                         state.penalty_weight * PENALTY_GROWTH)
         if converged:
             trace.converged_at = itn
             break
         prev_mi = mi_r
-        start = _blend_with_anchor(weight_mats, anchor)
 
     statuses.append("optimal" if trace.converged_at is not None else "max-iter")
     return _extract_solution(result_values, channels, stats_r, stats_e, cfg,

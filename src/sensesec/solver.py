@@ -48,7 +48,8 @@ class SolverError(RuntimeError):
 
 
 class InfeasibleError(SolverError):
-    """Raised when phase-I slack minimization certifies infeasibility."""
+    """Raised when phase-I slack minimization certifies infeasibility: it
+    converged with its slack still positive, off its coordinate box."""
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +811,9 @@ def _find_strictly_feasible(bp, hint=None):
     minimization starts from the origin and returns a point with a margin of
     at least PHASE1_MARGIN.  Raises InfeasibleError when phase I converged
     ("optimal") with its slack still positive, and SolverError when it ended
-    with any other status, which certifies nothing."""
+    with any other status or on its coordinate box, neither of which
+    certifies anything: a feasible set outside the box looks infeasible from
+    inside it."""
     if hint is not None:
         if bp.in_domain(hint):
             return hint
@@ -846,6 +849,15 @@ def _find_strictly_feasible(bp, hint=None):
         raise SolverError(
             f"phase I ended {status!r} at slack {slack:.3e} (step cap "
             f"PHASE1_MAX_STEPS = {PHASE1_MAX_STEPS}); feasibility undecided")
+    # A coordinate the box does not hold back sits far from its faces; one
+    # that the box stops sits within about the final barrier gap of a face.
+    lo, hi = relaxed.box
+    on_box = np.minimum(x_ext - lo, hi - x_ext) <= 1e-3 * radius
+    if on_box.any():
+        i = int(np.argmax(on_box))
+        raise SolverError(
+            f"phase I stopped on its coordinate box (coordinate {i}, radius "
+            f"{radius[i]:.1e}) at slack {slack:.3e}; feasibility undecided")
     raise InfeasibleError(
         f"phase-I terminated with slack {slack:.3e}; problem has no strictly "
         "feasible point at the required margin")

@@ -295,6 +295,30 @@ def test_trace_rows_report_the_residuals_of_their_iterate(cfg, solver_results,
         assert abs(row.kappa - max(0.0, bound - cfg.eve_mi_cap)) <= 1e-12
 
 
+@pytest.mark.parametrize("channel_seed", [1, 2, 3])
+def test_solution_reports_the_eve_bound_its_last_subproblem_enforced(
+        channel_seed, monkeypatch):
+    states = []
+    build = sca.build_subproblem_no_an
+
+    def recording_build(state, *args):
+        states.append(state)
+        return build(state, *args)
+
+    monkeypatch.setattr(sca, "build_subproblem_no_an", recording_build)
+    cfg = channels.ScenarioConfig(eve_mi_cap=1.0)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
+    sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
+
+    # One state per solved subproblem; none is built after the last.
+    assert len(states) == len(trace.rows) > 1
+    enforced = metrics.sensing_mi_taylor_bound(
+        stats_e, metrics.transmit_covariance(sol.weights), states[-1].exp_cov,
+        cfg.frame_len)
+    assert abs(sol.mi_eve_surrogate - enforced) <= 1e-12
+    assert sol.mi_eve <= sol.mi_eve_surrogate + 1e-12
+
+
 def tiny_optimum_lower_bound(links, stats_r, stats_e, cfg):
     """Best legitimate MI over rank-one TINY designs R = p u u^H, on a grid
     of unit directions u = (cos a, sin a e^{ib}) refined around its best
@@ -429,6 +453,17 @@ def test_unreachable_sinr_targets_raise_infeasible(monkeypatch):
         sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
     # No expansion point makes the first subproblem feasible: one attempt.
     assert len(calls) == 1
+
+
+def test_anchor_outside_the_phase_one_box_is_not_reported_infeasible():
+    # At 1e9 W the anchor's traces are of order 1e8 W, far beyond phase I's
+    # box of radius 1e4 about the origin.
+    cfg = channels.ScenarioConfig(power_budget=1e9, noise_comm=1e4,
+                                  eve_mi_cap=math.inf)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    with pytest.raises(solver.SolverError, match="coordinate box") as info:
+        sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
+    assert not isinstance(info.value, InfeasibleError)
 
 
 def test_infinite_eve_cap_drops_the_eve_constraint(solver_results):

@@ -467,6 +467,16 @@ class TestPhase1:
             solve(self.narrow_interval_problem())
         assert not isinstance(info.value, InfeasibleError)
 
+    def test_feasible_set_outside_the_box_is_not_reported_infeasible(self):
+        # 2e4 <= x <= 2e4 + 10 lies beyond phase I's box of radius 1e4 about
+        # the origin, so the slack it reaches there certifies nothing.
+        prob = ConicSubproblem()
+        prob.add_scalar("x", lower=2e4, upper=2e4 + 10.0)
+        prob.set_objective(linear=prob.scalar_map(0.0, {"x": -1.0}))
+        with pytest.raises(SolverError, match="coordinate box") as info:
+            solve(prob)
+        assert not isinstance(info.value, InfeasibleError)
+
     def test_found_point_has_margin(self):
         rng = np.random.default_rng(7)
         prob = ConicSubproblem()
