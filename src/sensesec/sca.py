@@ -6,9 +6,12 @@ eavesdropper MI is replaced by its affine global upper bound at the current
 expansion point, and the rank-one requirement tr W_k - ||W_k||_2 = 0 is
 linearized in its concave part at the expansion point (difference-of-convex
 form; Yang, Jiang, Shi & Ding, IEEE TWC 2020).  The objective penalizes the
-linearized rank residuals and the eavesdropper bound's slack with a weight
-that grows geometrically (penalty convex-concave procedure; Lipp & Boyd,
-Optim. Eng. 2016).
+linearized rank residuals, in watts, and the eavesdropper bound's slack, in
+nats, each with its own weight; both weights grow geometrically (penalty
+convex-concave procedure; Lipp & Boyd, Optim. Eng. 2016).  The slack's weight
+starts at a least-squares estimate of the Eve row's multiplier at the anchor,
+since an exact penalty must price the slack above that multiplier (Nocedal &
+Wright, Numerical Optimization, 2nd ed., sec. 17.2).
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ RANDOMIZATION_CANDIDATES = 100
 # surrogate bounds the true MI in exact arithmetic, so only round-off is left.
 EVE_RECHECK_SLACK = 1e-3
 ANCHOR_BLEND = 0.01          # weight of the interior anchor in a warm start
-PENALTY_INIT = 1e-3          # penalty weight of the first subproblem
-PENALTY_GROWTH = 3.0         # factor on the penalty weight per iteration
+PENALTY_INIT = 1e-3          # least penalty weight of the first subproblem
+PENALTY_GROWTH = 3.0         # factor on the penalty weights per iteration
 MAX_OUTER_ITERS = 30
 TOL_OBJ_NATS = 1e-3          # convergence: change of the legitimate MI
 TOL_PENALTY = 1e-6           # convergence: largest penalty residual
@@ -53,11 +56,12 @@ SINR_MARGIN = 1e-4           # relative SINR tightening inside subproblems
 
 @dataclass
 class SCAState:
-    """Expansion point and penalty weight of one SCA iteration; the
+    """Expansion point and penalty weights of one SCA iteration; the
     eavesdropper cap is the scenario's ``eve_mi_cap``."""
 
     exp_weight_mats: list        # per-user expansion matrices
-    penalty_weight: float
+    penalty_weight: float        # on the rank residuals, nats per watt
+    eve_weight: float            # on the Eve slack kappa, nats per nat
 
     @property
     def exp_cov(self):
@@ -75,6 +79,7 @@ class SCAIteration:
     power: float
     sinr_margin: float           # min_k SINR_k / target_k
     penalty_weight: float
+    eve_weight: float
     solver_status: str
     solver_iterations: int
 
@@ -120,10 +125,11 @@ def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
     """Convex subproblem of one SCA step.
 
     maximize   MI_legit(sum_k W_k)
-               - p (kappa + sum_k (tr W_k - u_k^H W_k u_k))
+               - e kappa - p sum_k (tr W_k - u_k^H W_k u_k)
     subject to affine eavesdropper-MI bound <= cap + kappa, kappa >= 0,
     power cap, tightened SINR and W_k >= 0, with u_k the top unit eigenvector
-    of the expansion matrix.  The rank residuals are nonnegative on W_k >= 0,
+    of the expansion matrix, p = ``state.penalty_weight`` and
+    e = ``state.eve_weight``.  The rank residuals are nonnegative on W_k >= 0,
     so they need no slack; an infinite cap drops kappa with the Eve row.
     """
     n_users = cfg.n_users
@@ -156,7 +162,7 @@ def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
     # current covariance, slacked by a penalized kappa >= 0.
     if np.isfinite(cfg.eve_mi_cap):
         prob.add_scalar("kappa", lower=0.0)
-        penalty["kappa"] = -pbar
+        penalty["kappa"] = -state.eve_weight
         exp_cov = state.exp_cov
         grad = sensing_mi_gradient(stats_e, exp_cov, cfg.frame_len)
         const = sensing_mi(stats_e, exp_cov, cfg.frame_len) \
@@ -196,6 +202,20 @@ def _anchor_point(channels, cfg):
     return [values[f"W{k}"] for k in range(cfg.n_users)]
 
 
+def _eve_multiplier_estimate(mats, stats_r, stats_e, cfg):
+    """Least-squares estimate of the Eve row's multiplier at the covariance
+    sum_k W_k: the w >= 0 that brings grad MI_legit closest to w grad MI_eve
+    in the Hermitian inner product <A, B> = Re tr(A^H B), in nats of legit MI
+    per nat of Eve MI; 0 when the Eve MI is flat there (an Eve without target
+    gain sees nothing)."""
+    r_x = transmit_covariance(mats)
+    grad_r = sensing_mi_gradient(stats_r, r_x, cfg.frame_len)
+    grad_e = sensing_mi_gradient(stats_e, r_x, cfg.frame_len)
+    inner = float(np.real(np.vdot(grad_e, grad_r)))
+    norm2 = float(np.real(np.vdot(grad_e, grad_e)))
+    return max(0.0, inner) / norm2 if norm2 > 0.0 else 0.0
+
+
 def _start_values(mats, cfg, state, stats_e):
     """Solver warm start from explicit W_k; with a finite Eve cap, kappa is
     sized to the Eve bound's violation plus a pad that keeps its barrier
@@ -233,7 +253,7 @@ def _extract_solution(values, channels, stats_r, stats_e, cfg, state, rng,
 
     if not np.all(certs >= RANK_ONE_THRESHOLD):
         drawn = _gaussian_randomization(weight_mats, channels, stats_r,
-                                        stats_e, cfg, state, rng)
+                                        stats_e, cfg, rng)
         if drawn is None:
             status = _first_failure([status, "randomization-failed"])
         else:
@@ -271,7 +291,7 @@ def _meets_limits(power, rates, mi_eve, cfg):
 
 
 def _gaussian_randomization(weight_mats, channels, stats_r, stats_e, cfg,
-                            state, rng):
+                            rng):
     """Draw candidate beam sets from CN(0, W_k) and keep the best feasible,
     or None when no draw is feasible."""
     vectors = [ch.vector for ch in channels]
@@ -323,7 +343,11 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     targets = np.asarray(cfg.sinr_targets)
 
     anchor = _anchor_point(channels, cfg)
-    state = SCAState([m.copy() for m in anchor], PENALTY_INIT)
+    eve_weight = PENALTY_INIT
+    if np.isfinite(cfg.eve_mi_cap):
+        eve_weight = max(PENALTY_INIT, _eve_multiplier_estimate(
+            anchor, stats_r, stats_e, cfg))
+    state = SCAState([m.copy() for m in anchor], PENALTY_INIT, eve_weight)
 
     prev_mi = None
     start = anchor
@@ -331,7 +355,8 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     for itn in range(1, MAX_OUTER_ITERS + 1):
         if itn > 1:
             state = SCAState([m.copy() for m in weight_mats],
-                             state.penalty_weight * PENALTY_GROWTH)
+                             state.penalty_weight * PENALTY_GROWTH,
+                             state.eve_weight * PENALTY_GROWTH)
             start = _blend_with_anchor(weight_mats, anchor)
         problem = build_subproblem_no_an(state, channels, stats_r, stats_e, cfg)
         res = solve(problem, initial=_start_values(start, cfg, state, stats_e))
@@ -359,6 +384,7 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
             power=float(np.real(np.trace(r_x))),
             sinr_margin=float(np.min(rates / targets)),
             penalty_weight=state.penalty_weight,
+            eve_weight=state.eve_weight,
             solver_status=res.status,
             solver_iterations=res.iterations,
         ))

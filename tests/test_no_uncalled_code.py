@@ -1,8 +1,11 @@
-"""Every module-level function and class of ``sensesec`` has a caller.
+"""Every module-level function and class of ``sensesec`` has a caller, and
+every ``ScenarioConfig`` field has a reader.
 
 A name counts as used when ``src/`` or ``perfbench/`` refers to it outside
 its own definition: as a name, an attribute, or a string naming it (the
 benchmark tracer wraps functions by name).  Imports alone do not count.
+A field counts as read when ``src/`` or ``perfbench/`` refers to it as an
+attribute outside the class body; the class's own validation does not count.
 Tests do not count either; code that only tests reach goes, together with
 those tests.
 """
@@ -23,16 +26,30 @@ ALLOWED = {
     "an_eve_mi_bound": "artificial-noise metric held for the AN design",
 }
 
+# ScenarioConfig field -> why nothing reads it.
+UNREAD_FIELDS = {
+    "an_samples": "held for the AN design (ROADMAP item 6)",
+    "an_frame_len": "held for the AN design (ROADMAP item 6)",
+}
 
-def definitions():
-    """(module path, definition node) of every module-level function and
-    class of the package."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                yield path, node
+
+def source_trees():
+    """Parsed module of every Python file under ``src/`` and ``perfbench/``."""
+    sources = sorted((ROOT / "src").rglob("*.py")) \
+        + sorted((ROOT / "perfbench").rglob("*.py"))
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sources}
+
+
+def definitions(trees):
+    """Every module-level function and class of the package, as nodes of
+    ``trees``."""
+    for path, tree in trees.items():
+        if path.parent == PACKAGE:
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    yield node
 
 
 def references(tree, skip):
@@ -54,16 +71,10 @@ def references(tree, skip):
 
 
 def uncalled_names():
-    sources = sorted((ROOT / "src").rglob("*.py")) \
-        + sorted((ROOT / "perfbench").rglob("*.py"))
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sources}
-    unused = set()
-    for module, node in definitions():
-        if not any(node.name in references(tree, node if path == module else None)
-                   for path, tree in trees.items()):
-            unused.add(node.name)
-    return unused
+    trees = source_trees()
+    return {node.name for node in definitions(trees)
+            if not any(node.name in references(tree, node)
+                       for tree in trees.values())}
 
 
 def test_every_definition_has_a_caller_or_a_stated_reason():
@@ -71,3 +82,29 @@ def test_every_definition_has_a_caller_or_a_stated_reason():
     assert unused - set(ALLOWED) == set()
     # An allowlisted name that gained a caller leaves the list.
     assert set(ALLOWED) <= unused
+
+
+def unread_fields():
+    """Fields of ScenarioConfig that no attribute outside its body names."""
+    trees = source_trees()
+    (cls,) = [node for node in definitions(trees)
+              if node.name == "ScenarioConfig"]
+    fields = {stmt.target.id for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign)}
+    read = set()
+    stack = list(trees.values())
+    while stack:
+        node = stack.pop()
+        if node is cls:
+            continue
+        if isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return fields - read
+
+
+def test_every_scenario_field_is_read_or_has_a_stated_reason():
+    unread = unread_fields()
+    assert unread - set(UNREAD_FIELDS) == set()
+    # An allowlisted field that gained a reader leaves the list.
+    assert set(UNREAD_FIELDS) <= unread

@@ -204,7 +204,7 @@ def test_subproblem_maps_match_closed_forms():
     cfg = channels.ScenarioConfig()
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
     exp_mats = random_expansion(cfg, RngState(1))
-    state = sca.SCAState(exp_mats, 0.3)
+    state = sca.SCAState(exp_mats, 0.3, 2.0)
     users = range(cfg.n_users)
     # tr W_k - u_k^H W_k u_k, u_k the top unit eigenvector of the expansion
     # matrix.
@@ -234,7 +234,8 @@ def test_subproblem_maps_match_closed_forms():
         residuals = [np.trace(mats[k]).real
                      - np.vdot(tops[k], mats[k] @ tops[k]).real for k in users]
         assert close(prob.objective.linear.evaluate(x),
-                     -state.penalty_weight * (kappa + sum(residuals)))
+                     -state.eve_weight * kappa
+                     - state.penalty_weight * sum(residuals))
 
         # Each inequality affine(x) <= rhs, as affine(x) - rhs, in build
         # order: kappa bound and Eve bound (finite cap only), power, SINR.
@@ -293,6 +294,98 @@ def test_trace_rows_report_the_residuals_of_their_iterate(cfg, solver_results,
             cfg.frame_len)
         assert abs(row.rho_max - residual) <= 1e-12
         assert abs(row.kappa - max(0.0, bound - cfg.eve_mi_cap)) <= 1e-12
+
+
+@pytest.mark.parametrize("cfg", [channels.ScenarioConfig(eve_mi_cap=1.0),
+                                 channels.ScenarioConfig(power_budget=1e-3)],
+                         ids=["eve-cap-1", "1mW"])
+def test_eve_slack_is_priced_at_the_anchor_multiplier_estimate(cfg,
+                                                               monkeypatch):
+    problems = []
+    build = sca.build_subproblem_no_an
+
+    def recording_build(*args):
+        problems.append(build(*args))
+        return problems[-1]
+
+    monkeypatch.setattr(sca, "build_subproblem_no_an", recording_build)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    _, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
+
+    # Least-squares multiplier of the Eve row at the anchor covariance R0:
+    # <grad MI_r, grad MI_e> / ||grad MI_e||^2, with <A, B> = Re tr(A B) on
+    # Hermitian matrices.
+    r0 = metrics.transmit_covariance(sca._anchor_point(links, cfg))
+    grad_r, grad_e = (metrics.sensing_mi_gradient(stats, r0, cfg.frame_len)
+                      for stats in (stats_r, stats_e))
+    w_hat = max(0.0, np.trace(grad_r @ grad_e).real) \
+        / np.trace(grad_e @ grad_e).real
+    first = max(sca.PENALTY_INIT, w_hat)
+
+    # kappa's coefficient in the first objective, read at its unit vector.
+    (kappa,) = [blk for blk in problems[0].blocks if blk.name == "kappa"]
+    unit = np.zeros(problems[0].n)
+    unit[kappa.offset] = 1.0
+    assert problems[0].objective.linear.evaluate(unit) \
+        == pytest.approx(-first, rel=1e-12)
+    assert len(trace.rows) > 1
+    for i, row in enumerate(trace.rows):
+        assert row.eve_weight == pytest.approx(
+            first * sca.PENALTY_GROWTH ** i, rel=1e-12)
+        assert row.penalty_weight == pytest.approx(
+            sca.PENALTY_INIT * sca.PENALTY_GROWTH ** i, rel=1e-12)
+
+
+def test_infinite_eve_cap_computes_no_multiplier_estimate(monkeypatch):
+    def no_gradient(*args):
+        raise AssertionError("gradient computed without an Eve row")
+
+    monkeypatch.setattr(sca, "sensing_mi_gradient", no_gradient)
+    cfg = TINY.replace(eve_mi_cap=math.inf)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    sol, _ = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
+    assert sol.status == "optimal"
+
+
+def test_eve_without_target_gain_gives_a_zero_multiplier_estimate():
+    # A zero target response gives an Eve MI of 0 for every design.
+    cfg = TINY.replace(eve_target_gains=(0.0,), eve_mi_cap=1.0)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
+    assert sol.status == "optimal" and sol.mi_eve == 0.0
+    assert trace.rows[0].eve_weight == sca.PENALTY_INIT
+
+
+@pytest.mark.parametrize("channel_seed", [2, 7, 12])
+def test_binding_eve_cap_converges_in_few_outer_iterations(channel_seed):
+    # Priced at 1e-3 nats per nat, kappa needed 8 outer iterations of
+    # penalty growth on each of these channels before it reached 0.
+    cfg = channels.ScenarioConfig(eve_mi_cap=1.0)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
+    sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg,
+                                   RngState(channel_seed))
+    assert sol.status == "optimal"
+    assert len(trace.rows) <= 6
+
+
+# Legitimate MI that the loop reaches at eve_mi_cap 1 when run to
+# TOL_OBJ_NATS = 1e-9 with kappa priced like the rank residuals: the limits
+# of the SCA iterates on these channels, which a design at the default
+# tolerance may stop up to 2e-6 nats short of.
+EVE_CAP_LIMITS = {14: 5.6966022050, 17: 5.8230151844, 28: 5.8672897313}
+
+
+@pytest.mark.parametrize("channel_seed", sorted(EVE_CAP_LIMITS))
+def test_tightly_converged_binding_cap_design_reaches_the_limit(channel_seed,
+                                                                monkeypatch):
+    monkeypatch.setattr(sca, "TOL_OBJ_NATS", 1e-9)
+    cfg = channels.ScenarioConfig(eve_mi_cap=1.0)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
+    sol, _ = sca.run_sca_no_an(links, stats_r, stats_e, cfg,
+                               RngState(channel_seed))
+    assert sol.status == "optimal"
+    assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
+    assert sol.mi_legit >= EVE_CAP_LIMITS[channel_seed] - 1e-8
 
 
 @pytest.mark.parametrize("channel_seed", [1, 2, 3])
@@ -408,7 +501,7 @@ def test_tiny_subproblem_solution_meets_its_constraints(channel_seed):
     cfg = TINY
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
     exp_mats = random_expansion(cfg, RngState(channel_seed))
-    state = sca.SCAState(exp_mats, sca.PENALTY_INIT)
+    state = sca.SCAState(exp_mats, sca.PENALTY_INIT, sca.PENALTY_INIT)
     res = sca.solve(sca.build_subproblem_no_an(state, links, stats_r, stats_e, cfg))
     mats = [res.values[f"W{k}"] for k in range(cfg.n_users)]
     tx_cov = sum(mats)
@@ -469,7 +562,8 @@ def test_anchor_outside_the_phase_one_box_is_not_reported_infeasible():
 def test_infinite_eve_cap_drops_the_eve_constraint(solver_results):
     cfg = TINY.replace(eve_mi_cap=math.inf)
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
-    state = sca.SCAState(random_expansion(cfg, RngState(1)), sca.PENALTY_INIT)
+    state = sca.SCAState(random_expansion(cfg, RngState(1)), sca.PENALTY_INIT,
+                         sca.PENALTY_INIT)
     rows = {}
     for cap in (TINY.eve_mi_cap, math.inf):
         prob = sca.build_subproblem_no_an(state, links, stats_r, stats_e,
@@ -544,9 +638,8 @@ def test_randomization_keeps_only_draws_within_the_limits():
     cfg = channels.ScenarioConfig()
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
     mats = sca._anchor_point(links, cfg)
-    state = sca.SCAState(mats, sca.PENALTY_INIT)
     beams = sca._gaussian_randomization(mats, links, stats_r, stats_e, cfg,
-                                        state, RngState(1))
+                                        RngState(1))
     assert beams is not None
     assert_beams_meet_the_limits(beams, links, stats_e, cfg)
 

@@ -250,7 +250,8 @@ def domain_cases():
     from sensesec.linalg import RngState
     cfg = channels.ScenarioConfig()
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
-    state = sca.SCAState(random_expansion(cfg, RngState(1)), sca.PENALTY_INIT)
+    state = sca.SCAState(random_expansion(cfg, RngState(1)), sca.PENALTY_INIT,
+                         sca.PENALTY_INIT)
     bp = BarrierProblem(sca.build_subproblem_no_an(state, links, stats_r,
                                                    stats_e, cfg))
     x = _find_strictly_feasible(bp)
