@@ -237,6 +237,9 @@ class BeamformerSolution:
     ``mi_eve`` is always the closed-form eavesdropper MI at the returned
     transmit covariance; ``mi_eve_surrogate`` is the bound the design
     enforced, the last subproblem's affine expansion, at that covariance.
+    A ``certified`` design is globally optimal for the tightened SINR
+    targets, within the solver's duality gap; any other design is only a
+    stationary point of the penalty SCA.
     """
 
     weights: list                  # per-user vectors
@@ -249,3 +252,4 @@ class BeamformerSolution:
     power: float
     rank_certs: np.ndarray
     status: str = "optimal"
+    certified: bool = False

@@ -12,6 +12,17 @@ convex-concave procedure; Lipp & Boyd, Optim. Eng. 2016).  The slack's weight
 starts at a least-squares estimate of the Eve row's multiplier at the anchor,
 since an exact penalty must price the slack above that multiplier (Nocedal &
 Wright, Numerical Optimization, 2nd ed., sec. 17.2).
+
+The first subproblem carries no rank penalty, so it is the semidefinite
+relaxation (SDR) with the Eve row linearized at the anchor.  When that row is
+inactive and the eigenvector beams of its solution meet the limits and reach
+its legitimate MI, the loop stops there with a certificate of global
+optimality for the tightened SINR targets: an inactive row of a convex
+problem can be dropped, the cap-free SDR bounds the nonconvex design from
+above, and the beams are feasible for the design.  SDRs with few constraints
+are typically tight for downlink beamforming (Luo, Ma, So, Ye & Zhang, IEEE
+SP Mag. 2010; Huang & Palomar, IEEE TSP 2010).  Every other design is a
+stationary point of the penalty SCA.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ RANDOMIZATION_CANDIDATES = 100
 # surrogate bounds the true MI in exact arithmetic, so only round-off is left.
 EVE_RECHECK_SLACK = 1e-3
 ANCHOR_BLEND = 0.01          # weight of the interior anchor in a warm start
-PENALTY_INIT = 1e-3          # least penalty weight of the first subproblem
+PENALTY_INIT = 1e-3          # least penalty weights of the second subproblem
 PENALTY_GROWTH = 3.0         # factor on the penalty weights per iteration
 MAX_OUTER_ITERS = 30
 TOL_OBJ_NATS = 1e-3          # convergence: change of the legitimate MI
@@ -75,19 +86,24 @@ class SCAIteration:
     mi_eve: float
     mi_eve_surrogate: float
     kappa: float                 # max(0, mi_eve_surrogate - cap)
-    rho_max: float               # max_k tr W_k - u_k^H W_k u_k, expansion u_k
+    rho_max: float               # max_k tr W_k - u_k^H W_k u_k, expansion u_k;
+                                 # on a certified row, u_k the top of W_k
     power: float
     sinr_margin: float           # min_k SINR_k / target_k
     penalty_weight: float
     eve_weight: float
     solver_status: str
     solver_iterations: int
+    # MI_legit(sum_k W_k) minus the MI of its eigenvector beams, on a row
+    # whose certificate was tried; None elsewhere.
+    beam_mi_gap: float | None = None
 
 
 @dataclass
 class SCATrace:
     rows: list = field(default_factory=list)
     converged_at: int | None = None
+    certified: bool = False      # stopped on the tight-relaxation certificate
 
 
 def _add_beam_constraints(prob, channels, cfg):
@@ -324,19 +340,25 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     SolverError when its phase I cannot decide that.  The anchor is the
     first subproblem's expansion point and start; every later subproblem
     expands at the previous solution and starts at it blended toward the
-    anchor, one solve per outer iteration and none after the last.  The
-    solution's ``mi_eve_surrogate`` is the Eve bound that the last solved
-    subproblem enforced.  ``rng`` feeds only the Gaussian randomization of a
-    relaxed solution that is not rank one, so a rank-one design depends on
-    the scenario alone.  The trace records the true metrics of every accepted
-    iterate, recomputed from the metrics module rather than trusted from the
-    solver.  The solution's status is "optimal" only when the loop converged,
-    every solve returned "optimal" and the returned beams meet the power,
-    SINR and Eve limits (_meets_limits); otherwise it is the first failure:
-    a solve's status, "max-iter" for a loop that did not converge,
-    "randomization-failed" when no randomization draw was feasible, or
-    "limits-violated".  An infinite ``cfg.eve_mi_cap`` designs without the
-    eavesdropper constraint.
+    anchor, one solve per outer iteration and none after the last.  The first
+    subproblem is the SDR: its rank-penalty weight is 0, and the i-th one's
+    is PENALTY_INIT * PENALTY_GROWTH**(i - 2).  The loop stops after the first
+    solve, certified global, when that solve is "optimal", its Eve surrogate
+    lies strictly below the cap (always, for an infinite cap), and the
+    eigenvector beams that _extract_solution returns meet the limits and come
+    within 1e-9 nats of the relaxed legitimate MI; the solution and the trace
+    then read ``certified``.  The solution's ``mi_eve_surrogate`` is the Eve
+    bound that the last solved subproblem enforced.  ``rng`` feeds only the
+    Gaussian randomization of a relaxed solution that is not rank one, so a
+    rank-one design depends on the scenario alone.  The trace records the
+    true metrics of every accepted iterate, recomputed from the metrics
+    module rather than trusted from the solver.  The solution's status is
+    "optimal" only when the loop converged, every solve returned "optimal"
+    and the returned beams meet the power, SINR and Eve limits
+    (_meets_limits); otherwise it is the first failure: a solve's status,
+    "max-iter" for a loop that did not converge, "randomization-failed" when
+    no randomization draw was feasible, or "limits-violated".  An infinite
+    ``cfg.eve_mi_cap`` designs without the eavesdropper constraint.
     """
     trace = SCATrace()
     vectors = [ch.vector for ch in channels]
@@ -347,7 +369,7 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     if np.isfinite(cfg.eve_mi_cap):
         eve_weight = max(PENALTY_INIT, _eve_multiplier_estimate(
             anchor, stats_r, stats_e, cfg))
-    state = SCAState([m.copy() for m in anchor], PENALTY_INIT, eve_weight)
+    state = SCAState([m.copy() for m in anchor], 0.0, eve_weight)
 
     prev_mi = None
     start = anchor
@@ -355,7 +377,7 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     for itn in range(1, MAX_OUTER_ITERS + 1):
         if itn > 1:
             state = SCAState([m.copy() for m in weight_mats],
-                             state.penalty_weight * PENALTY_GROWTH,
+                             PENALTY_INIT * PENALTY_GROWTH ** (itn - 2),
                              state.eve_weight * PENALTY_GROWTH)
             start = _blend_with_anchor(weight_mats, anchor)
         problem = build_subproblem_no_an(state, channels, stats_r, stats_e, cfg)
@@ -368,9 +390,23 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
         mi_e = sensing_mi(stats_e, r_x, cfg.frame_len)
         surrogate = sensing_mi_taylor_bound(stats_e, r_x, state.exp_cov,
                                             cfg.frame_len)
-        # The residuals the objective penalizes, read from the iterate.
+        # The tight-relaxation certificate, tried on the SDR's solution with
+        # the Eve row inactive; the beams are the ones returned, so a matrix
+        # that randomization would replace is not tried.
+        gap = None
+        if (itn == 1 and res.status == "optimal"
+                and surrogate < cfg.eve_mi_cap
+                and all(rank_one_certificate(m) >= RANK_ONE_THRESHOLD
+                        for m in weight_mats)):
+            sol = _extract_solution(result_values, channels, stats_r, stats_e,
+                                    cfg, state, rng, res.status)
+            gap = mi_r - sol.mi_legit
+            trace.certified = sol.status == "optimal" and gap <= 1e-9
+        # The residuals the objective penalizes, read from the iterate; a
+        # certified iterate's own rank residuals tr W_k - lambda_max(W_k).
         kappa = max(0.0, surrogate - cfg.eve_mi_cap)
-        tops = map(_top_direction, state.exp_weight_mats)
+        tops = map(_top_direction, weight_mats if trace.certified
+                   else state.exp_weight_mats)
         rho_max = max(float(np.real(np.trace(m) - u.conj() @ m @ u))
                       for m, u in zip(weight_mats, tops))
         rates = sinr(vectors, weight_mats, cfg.noise_comm)
@@ -387,15 +423,20 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
             eve_weight=state.eve_weight,
             solver_status=res.status,
             solver_iterations=res.iterations,
+            beam_mi_gap=gap,
         ))
-        converged = (prev_mi is not None
-                     and abs(mi_r - prev_mi) <= TOL_OBJ_NATS
-                     and max(kappa, rho_max) <= TOL_PENALTY)
+        converged = trace.certified or (
+            prev_mi is not None
+            and abs(mi_r - prev_mi) <= TOL_OBJ_NATS
+            and max(kappa, rho_max) <= TOL_PENALTY)
         if converged:
             trace.converged_at = itn
             break
         prev_mi = mi_r
 
+    if trace.certified:
+        sol.certified = True
+        return sol, trace
     statuses.append("optimal" if trace.converged_at is not None else "max-iter")
     return _extract_solution(result_values, channels, stats_r, stats_e, cfg,
                              state, rng, _first_failure(statuses)), trace

@@ -11,10 +11,10 @@ Convex Optimization, sec. 11.3) runs on the real coordinates of the variables.
 Identical problems give identical iterates at a fixed BLAS thread count.
 Across thread counts, BLAS may sum in another order and the iterates may
 differ by round-off.  For the default ScenarioConfig at channel seed 1,
-run_sca_no_an takes (32, 23) Newton steps per subproblem at one OpenBLAS
-thread and at two, and its final MIs agree bitwise; so do its designs at
-eve_mi_cap 5 and 1 on channel seeds 1-3 (2-core x86 Xeon, OpenBLAS 0.3.31
-in numpy, 0.3.30 in scipy).
+run_sca_no_an solves one subproblem, certified at the relaxation, in 31
+Newton steps at one OpenBLAS thread and at two, and its final MIs agree
+bitwise; so do its designs at eve_mi_cap 5 and 1 on channel seeds 1-3
+(2-core x86 Xeon, OpenBLAS 0.3.31 in numpy, 0.3.30 in scipy).
 """
 
 from __future__ import annotations

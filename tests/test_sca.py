@@ -149,10 +149,8 @@ def test_predictor_lands_within_two_trials(monkeypatch):
     assert all(trials <= 2 and moved for trials, moved in predictions)
 
 
-def test_one_milliwatt_design_runs_phase_one_only_for_its_anchor(monkeypatch):
-    # The anchor solve has no start, so phase I builds one from the origin;
-    # every warm start keeps ANCHOR_BLEND of the anchor's small margin and
-    # is interior.
+def count_phase_one_problems(monkeypatch):
+    """The barrier problems that phase I is built for while the test runs."""
     built = []
     phase1_problem = solver._phase1_problem
 
@@ -161,13 +159,36 @@ def test_one_milliwatt_design_runs_phase_one_only_for_its_anchor(monkeypatch):
         return phase1_problem(bp)
 
     monkeypatch.setattr(solver, "_phase1_problem", counting_phase1_problem)
+    return built
+
+
+def test_one_milliwatt_design_runs_phase_one_only_for_its_anchor(monkeypatch):
+    # The anchor solve has no start, so phase I builds one from the origin;
+    # the SDR starts at the anchor itself, and the design is certified there.
+    built = count_phase_one_problems(monkeypatch)
     cfg = channels.ScenarioConfig(power_budget=1e-3)
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(2))
     sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(2))
 
     # One phase I, on the anchor: the only solve without an objective.
     assert [bp.obj_blocks for bp in built] == [[]]
-    assert len(trace.rows) > 1
+    assert sol.certified and trace.certified and len(trace.rows) == 1
+    assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
+
+
+def test_one_milliwatt_binding_cap_design_runs_phase_one_only_for_its_anchor(
+        monkeypatch):
+    # The certified design of the test above has an Eve MI of 0.072 nats; a
+    # cap of 0.065 binds, so the loop runs past the SDR.  Every later warm
+    # start keeps ANCHOR_BLEND of the anchor's small margin and is interior.
+    built = count_phase_one_problems(monkeypatch)
+    cfg = channels.ScenarioConfig(power_budget=1e-3, eve_mi_cap=0.065)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(2))
+    sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(2))
+
+    assert [bp.obj_blocks for bp in built] == [[]]
+    assert not sol.certified and not trace.certified
+    assert len(trace.rows) > 1 and sol.status == "optimal"
     assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
 
 
@@ -195,9 +216,19 @@ def test_tiny_designs_meet_their_limits(channel_seed, power_budget, eve_mi_cap):
         last = trace.rows[-1]
         assert max(last.kappa, last.rho_max) <= sca.TOL_PENALTY
         # The rank-one residual tr W - lambda_max(W) of each returned matrix.
+        residuals = []
         for mat in sol.weight_mats:
             eigs = np.linalg.eigvalsh(mat)
-            assert np.sum(eigs) - eigs[-1] <= sca.TOL_PENALTY
+            residuals.append(np.sum(eigs) - eigs[-1])
+            assert residuals[-1] <= sca.TOL_PENALTY
+        # A certified stop reports that residual, on the first and only row,
+        # with the Eve row inactive and the beams at the relaxed MI.
+        assert sol.certified == trace.certified
+        if trace.certified:
+            assert trace.converged_at == len(trace.rows) == 1
+            assert abs(last.rho_max - max(residuals)) <= 1e-12
+            assert last.kappa == 0.0 and last.mi_eve_surrogate < eve_mi_cap
+            assert last.mi_legit - sol.mi_legit == last.beam_mi_gap <= 1e-9
 
 
 def test_subproblem_maps_match_closed_forms():
@@ -263,11 +294,12 @@ def test_subproblem_maps_match_closed_forms():
             assert close(mmap.offset, mmap.offset.conj().T)
 
 
-@pytest.mark.parametrize("cfg", [
-    TINY, channels.ScenarioConfig(power_budget=1e-3),
-    channels.ScenarioConfig(eve_mi_cap=1.0)],
+@pytest.mark.parametrize("cfg, certified", [
+    (TINY, True), (channels.ScenarioConfig(power_budget=1e-3), True),
+    (channels.ScenarioConfig(eve_mi_cap=1.0), False)],
     ids=["tiny", "one_milliwatt", "binding_cap"])
-def test_trace_rows_report_the_residuals_of_their_iterate(cfg, solver_results,
+def test_trace_rows_report_the_residuals_of_their_iterate(cfg, certified,
+                                                          solver_results,
                                                           monkeypatch):
     states = []
     build = sca.build_subproblem_no_an
@@ -281,19 +313,42 @@ def test_trace_rows_report_the_residuals_of_their_iterate(cfg, solver_results,
     _, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
 
     # After the anchor solve, one build and one solve per outer iteration.
-    # The binding cap's first iterate exceeds the cap, so kappa > 0 there.
+    # The binding cap's first iterate exceeds the cap, so kappa > 0 there;
+    # a certified design stops after its first.
     rows = trace.rows
-    assert len(rows) > 1 and len(states) >= len(rows)
+    assert trace.certified is certified
+    assert len(rows) == 1 if certified else len(rows) > 1
+    assert len(states) == len(rows) == len(solver_results) - 1
     for row, state, res in zip(rows, states, solver_results[1:]):
         mats = [res.values[f"W{k}"] for k in range(cfg.n_users)]
-        tops = [np.linalg.eigh(m)[1][:, -1] for m in state.exp_weight_mats]
+        # The certified row's rank residual is the iterate's own,
+        # tr W_k - lambda_max(W_k); every other row's is the penalized one,
+        # along the top eigenvector of the expansion matrix.
+        own = certified and row.index == 1
+        tops = [np.linalg.eigh(m)[1][:, -1]
+                for m in (mats if own else state.exp_weight_mats)]
         residual = max(np.trace(m).real - np.vdot(u, m @ u).real
                        for m, u in zip(mats, tops))
+        tx_cov = metrics.transmit_covariance(mats)
         bound = metrics.sensing_mi_taylor_bound(
-            stats_e, metrics.transmit_covariance(mats), state.exp_cov,
-            cfg.frame_len)
+            stats_e, tx_cov, state.exp_cov, cfg.frame_len)
         assert abs(row.rho_max - residual) <= 1e-12
         assert abs(row.kappa - max(0.0, bound - cfg.eve_mi_cap)) <= 1e-12
+        if own:
+            assert abs(residual - max(np.trace(m).real
+                                      - np.linalg.eigvalsh(m)[-1]
+                                      for m in mats)) <= 1e-12
+            # Relaxed MI minus the MI of the beams sqrt(tr W_k) u_k.
+            beams = [np.sqrt(np.trace(m).real) * u for m, u in zip(mats, tops)]
+            gap = (metrics.sensing_mi(stats_r, tx_cov, cfg.frame_len)
+                   - metrics.sensing_mi(stats_r,
+                                        metrics.transmit_covariance(beams),
+                                        cfg.frame_len))
+            assert abs(row.beam_mi_gap - gap) <= 1e-12
+            assert row.beam_mi_gap <= 1e-9
+        elif row.index > 1 or bound >= cfg.eve_mi_cap:
+            # No certificate is tried after the SDR or with the Eve row on.
+            assert row.beam_mi_gap is None
 
 
 @pytest.mark.parametrize("cfg", [channels.ScenarioConfig(eve_mi_cap=1.0),
@@ -328,12 +383,25 @@ def test_eve_slack_is_priced_at_the_anchor_multiplier_estimate(cfg,
     unit[kappa.offset] = 1.0
     assert problems[0].objective.linear.evaluate(unit) \
         == pytest.approx(-first, rel=1e-12)
-    assert len(trace.rows) > 1
-    for i, row in enumerate(trace.rows):
+    # The 1 mW design is certified at the SDR; the binding cap runs on.
+    assert len(problems) == len(trace.rows)
+    assert len(trace.rows) == 1 if trace.certified else len(trace.rows) > 1
+    assert trace.certified is (cfg.power_budget < 1.0)
+    for i, (row, problem) in enumerate(zip(trace.rows, problems)):
         assert row.eve_weight == pytest.approx(
             first * sca.PENALTY_GROWTH ** i, rel=1e-12)
-        assert row.penalty_weight == pytest.approx(
-            sca.PENALTY_INIT * sca.PENALTY_GROWTH ** i, rel=1e-12)
+        # The first subproblem is the SDR, with no rank penalty.
+        penalty = 0.0 if i == 0 \
+            else sca.PENALTY_INIT * sca.PENALTY_GROWTH ** (i - 1)
+        assert row.penalty_weight == pytest.approx(penalty, rel=1e-12)
+        # At W_0 = I and every other coordinate 0, the linear objective is
+        # -p (tr I - u^H I u) = -p (n - 1).
+        (w0,) = [blk for blk in problem.blocks if blk.name == "W0"]
+        x = np.zeros(problem.n)
+        x[w0.offset:w0.offset + w0.size] = solver.pack_hermitian(
+            np.eye(cfg.n_tx))
+        assert problem.objective.linear.evaluate(x) == pytest.approx(
+            -penalty * (cfg.n_tx - 1), rel=1e-12)
 
 
 def test_infinite_eve_cap_computes_no_multiplier_estimate(monkeypatch):
@@ -656,11 +724,11 @@ def test_design_over_the_eve_cap_is_not_reported_optimal(monkeypatch,
     assert len(solver_results) == len(trace.rows) + 1
 
 
-def plain_sdr(links, stats_r, cfg):
+def plain_sdr(links, stats_r, cfg, sinr_scale=1.0 - 1e-6):
     """Per-user matrices W_k of the semidefinite relaxation without an Eve
     constraint (Luo et al., IEEE SP Mag. 2010): maximize the legitimate
     sensing MI of sum_k W_k over W_k >= 0, power <= budget and SINR >=
-    target (1 - 1e-6), with every row written out here from its closed
+    target * sinr_scale, with every row written out here from its closed
     form."""
     n, users = cfg.n_tx, range(cfg.n_users)
     prob = solver.ConicSubproblem()
@@ -675,7 +743,7 @@ def plain_sdr(links, stats_r, cfg):
         # target (sum_{j != k} h^H W_j h + noise) - h^H W_k h <= 0
         h = np.asarray(link.vector)
         gain = solver.hermitian_weights(np.outer(h, h.conj()))
-        target = cfg.sinr_targets[k] * (1.0 - 1e-6)
+        target = cfg.sinr_targets[k] * sinr_scale
         prob.add_ineq(prob.scalar_map(0.0, {
             name: (-1.0 if j == k else target) * gain
             for j, name in enumerate(names)}), -target * cfg.noise_comm)
@@ -712,6 +780,55 @@ def test_design_without_eve_cap_matches_the_plain_sdr(base, power_budget,
     if all(metrics.rank_one_certificate(m) >= sca.RANK_ONE_THRESHOLD
            for m in mats):
         assert sol.mi_legit >= sdr_mi - 1e-3
+
+
+# Scenarios whose Eve cap does not bind: perfbench's cold_start workload
+# (1 mW) on channel seeds 1-3, its tight_sinr workload (40 dB targets) on
+# seed 1, and the default scenario.
+CERTIFIED_CASES = [(channels.ScenarioConfig(power_budget=1e-3), seed)
+                   for seed in (1, 2, 3)]
+CERTIFIED_CASES += [(channels.ScenarioConfig(sinr_targets=(1e4,)), 1),
+                    (channels.ScenarioConfig(), 1)]
+
+
+@pytest.mark.parametrize(
+    "cfg, channel_seed", CERTIFIED_CASES,
+    ids=["cold_start-1", "cold_start-2", "cold_start-3", "tight_sinr-1",
+         "default-1"])
+def test_certified_design_reaches_the_cap_free_sdr_bound(cfg, channel_seed):
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
+    sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg,
+                                   RngState(channel_seed))
+    assert sol.status == "optimal"
+    assert sol.certified and trace.certified and trace.converged_at == 1
+    assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
+
+    # The SDR at the design's tightened SINR targets, without the Eve row,
+    # bounds every design from above; a certified one reaches it.
+    mats = plain_sdr(links, stats_r, cfg.replace(eve_mi_cap=math.inf),
+                     sinr_scale=1.0 + sca.SINR_MARGIN)
+    bound = metrics.sensing_mi(stats_r, sum(mats), cfg.frame_len)
+    assert sol.mi_legit >= bound - solver.OBJ_TOL
+
+
+# Outer iterations of perfbench's eve_active designs (Eve cap 1 nat) on
+# channel seeds 1-3 while the first subproblem carried the rank penalty
+# PENALTY_INIT.
+EVE_ACTIVE_OUTER_ITERS = {1: 3, 2: 5, 3: 5}
+
+
+@pytest.mark.parametrize("channel_seed", sorted(EVE_ACTIVE_OUTER_ITERS))
+def test_binding_cap_design_is_never_certified(channel_seed):
+    cfg = channels.ScenarioConfig(eve_mi_cap=1.0)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
+    sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg,
+                                   RngState(channel_seed))
+    assert sol.status == "optimal"
+    assert not sol.certified and not trace.certified
+    # The SDR's Eve surrogate reaches the cap, so no certificate is tried.
+    assert trace.rows[0].mi_eve_surrogate >= cfg.eve_mi_cap
+    assert trace.rows[0].beam_mi_gap is None
+    assert len(trace.rows) == EVE_ACTIVE_OUTER_ITERS[channel_seed]
 
 
 DEFAULT_DESIGN = """
