@@ -46,6 +46,7 @@ from .metrics import (
 from .solver import (
     ConicSubproblem,
     InfeasibleError,
+    SolverError,
     hermitian_basis,
     hermitian_weights,
     solve,
@@ -63,6 +64,9 @@ MAX_OUTER_ITERS = 30
 TOL_OBJ_NATS = 1e-3          # convergence: change of the legitimate MI
 TOL_PENALTY = 1e-6           # convergence: largest penalty residual
 SINR_MARGIN = 1e-4           # relative SINR tightening inside subproblems
+ANCHOR_HEADROOM = 1e-2       # relative SINR headroom of the anchor's start
+MIN_POWER_TOL = 1e-9         # relative step that settles _min_power_filters
+MIN_POWER_MAX_ITERS = 1000
 
 
 @dataclass
@@ -104,6 +108,7 @@ class SCATrace:
     rows: list = field(default_factory=list)
     converged_at: int | None = None
     certified: bool = False      # stopped on the tight-relaxation certificate
+    anchor_newton_steps: int = 0  # of the anchor solve, outside every row
 
 
 def _add_beam_constraints(prob, channels, cfg):
@@ -199,23 +204,94 @@ def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
     return prob
 
 
+def _min_power_filters(links, targets, noise, budget):
+    """MMSE filters M^-1 h_k of the least-power beams that meet the SINR
+    ``targets``, with ``links`` holding the channels h_k as columns.
+
+    q is the least fixed point of Yates' standard interference function
+    q_k <- targets_k (1 - q_k a_k) / a_k, with a_k = h_k^H M^-1 h_k and M =
+    I + sum_j q_j h_j h_j^H, iterated from q = 0 (Yates, IEEE JSAC 1995).
+    By uplink-downlink duality, noise * sum_k q_k at the fixed point is the
+    least downlink power that meets the targets (Schubert & Boche, IEEE TVT
+    2004).  The iterates rise monotonically, so None, returned as soon as
+    noise * sum_k q_k reaches ``budget``, certifies that no beams meet the
+    targets within the budget.  Raises SolverError when the iterates neither
+    settle nor reach the budget within MIN_POWER_MAX_ITERS."""
+    q = np.zeros(links.shape[1])
+    for _ in range(MIN_POWER_MAX_ITERS):
+        filters = np.linalg.solve(
+            np.eye(len(links)) + (links * q) @ links.conj().T, links)
+        a = np.real(np.sum(links.conj() * filters, axis=0))
+        q, prev = targets * (1.0 - q * a) / a, q
+        if noise * np.sum(q) >= budget:
+            return None
+        if np.all(q - prev <= MIN_POWER_TOL * q):
+            return filters
+    raise SolverError(
+        f"the min-power fixed point neither settled nor reached the power "
+        f"budget in {MIN_POWER_MAX_ITERS} iterations; feasibility undecided")
+
+
+def _anchor_start(channels, cfg):
+    """Per-user matrices strictly inside the power, SINR and W_k >= 0 rows,
+    in closed form, or InfeasibleError when those rows have no interior.
+
+    The verdict comes from _min_power_filters at the tightened targets.  The
+    start uses min-power beams for targets with ANCHOR_HEADROOM more (less
+    headroom, down to none, where those do not fit): unit MMSE directions
+    u_k, with the downlink powers that meet those targets exactly, scaled up
+    to the midpoint between their sum and the budget, which only raises
+    every SINR.  Each W_k = p_k u_k u_k^H + eps I, with eps small enough to
+    keep at least half of the power slack and of every SINR row's slack."""
+    links = np.column_stack([ch.vector for ch in channels])
+    targets = np.asarray(cfg.sinr_targets) * (1.0 + SINR_MARGIN)
+    noise, budget = cfg.noise_comm, cfg.power_budget
+    if _min_power_filters(links, targets, noise, budget) is None:
+        raise InfeasibleError(
+            "the SINR targets are unreachable within the power budget for "
+            "this channel draw (their least power, from the uplink fixed "
+            "point, reaches the budget)")
+    headroom = ANCHOR_HEADROOM
+    # Once 1 + headroom rounds to 1, these are the targets that just fit.
+    while (filters := _min_power_filters(links, targets * (1.0 + headroom),
+                                         noise, budget)) is None:
+        headroom *= 0.1
+    dirs = filters / np.linalg.norm(filters, axis=0)
+    gains = np.abs(links.conj().T @ dirs) ** 2      # |h_k^H u_j|^2 at [k, j]
+    signal = np.diag(gains)
+    # p_k |h_k^H u_k|^2 / target_k - sum_{j != k} p_j |h_k^H u_j|^2 = noise
+    system = np.diag(signal / (targets * (1.0 + headroom)) + signal) - gains
+    powers = np.linalg.solve(system, np.full(len(signal), noise))
+    powers *= (budget + powers.sum()) / (2.0 * powers.sum())
+
+    # Slacks of the rows, and their loss per unit of eps: n_users n_tx of
+    # power, and on SINR row k, |h_k|^2 (target_k (n_users - 1) - 1).
+    n_tx, n_users = links.shape
+    sinr_slack = (1.0 + targets) * signal * powers \
+        - targets * (gains @ powers + noise)
+    loss = np.sum(np.abs(links) ** 2, axis=0) * (targets * (n_users - 1) - 1.0)
+    lossy = loss > 0.0
+    eps = 0.5 * min((budget - powers.sum()) / (n_users * n_tx),
+                    np.min(sinr_slack[lossy] / loss[lossy], initial=np.inf))
+    return [p * np.outer(u, u.conj()) + eps * np.eye(n_tx)
+            for p, u in zip(powers, dirs.T)]
+
+
 def _anchor_point(channels, cfg):
-    """Interior anchor, per-user matrices: the analytic center of the power,
-    SINR and W_k >= 0 rows (Boyd & Vandenberghe, Convex Optimization, sec.
-    8.5.3), which are the rows of every subproblem that involve the beams
-    alone.  Raises InfeasibleError when those rows have no interior."""
+    """Interior anchor, per-user matrices, and the Newton steps its solve
+    took: the analytic center of the power, SINR and W_k >= 0 rows (Boyd &
+    Vandenberghe, Convex Optimization, sec. 8.5.3), which are the rows of
+    every subproblem that involve the beams alone.  The solve starts at
+    _anchor_start, which raises InfeasibleError, certified in closed form,
+    when those rows have no interior."""
     prob = ConicSubproblem()
     for k in range(cfg.n_users):
         prob.add_hermitian(f"W{k}", cfg.n_tx)
     _add_beam_constraints(prob, channels, cfg)
     prob.set_objective()
-    try:
-        values = solve(prob).values
-    except InfeasibleError as exc:
-        raise InfeasibleError(
-            "the SINR targets are unreachable within the power budget for "
-            f"this channel draw ({exc})") from exc
-    return [values[f"W{k}"] for k in range(cfg.n_users)]
+    start = _anchor_start(channels, cfg)
+    res = solve(prob, initial={f"W{k}": m for k, m in enumerate(start)})
+    return [res.values[f"W{k}"] for k in range(cfg.n_users)], res.iterations
 
 
 def _eve_multiplier_estimate(mats, stats_r, stats_e, cfg):
@@ -335,17 +411,19 @@ def _gaussian_randomization(weight_mats, channels, stats_r, stats_e, cfg,
 def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     """Penalty-SCA outer loop; returns (BeamformerSolution, SCATrace).
 
-    One solve per design finds the interior anchor and raises
-    InfeasibleError when the SINR targets do not fit the power budget, or
-    SolverError when its phase I cannot decide that.  The anchor is the
-    first subproblem's expansion point and start; every later subproblem
-    expands at the previous solution and starts at it blended toward the
-    anchor, one solve per outer iteration and none after the last.  The first
-    subproblem is the SDR: its rank-penalty weight is 0, and the i-th one's
-    is PENALTY_INIT * PENALTY_GROWTH**(i - 2).  The loop stops after the first
-    solve, certified global, when that solve is "optimal", its Eve surrogate
-    lies strictly below the cap (always, for an infinite cap), and the
-    eigenvector beams that _extract_solution returns meet the limits and come
+    One solve per design finds the interior anchor, from a start built in
+    closed form (_anchor_start), which raises InfeasibleError when the SINR
+    targets do not fit the power budget, certified by the min-power fixed
+    point, or SolverError when that fixed point cannot decide it; the trace
+    counts the anchor solve's Newton steps in ``anchor_newton_steps``.  The
+    anchor is the first subproblem's expansion point and start; every later
+    subproblem expands at the previous solution and starts at it blended
+    toward the anchor, one solve per outer iteration and none after the last.
+    The first subproblem is the SDR: its rank-penalty weight is 0, and the
+    i-th one's is PENALTY_INIT * PENALTY_GROWTH**(i - 2).  The loop stops
+    after the first solve, certified global, when that solve is "optimal",
+    its Eve surrogate lies strictly below the cap (always, for an infinite
+    cap), and the eigenvector beams that _extract_solution returns meet the limits and come
     within 1e-9 nats of the relaxed legitimate MI; the solution and the trace
     then read ``certified``.  The solution's ``mi_eve_surrogate`` is the Eve
     bound that the last solved subproblem enforced.  ``rng`` feeds only the
@@ -364,7 +442,7 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     vectors = [ch.vector for ch in channels]
     targets = np.asarray(cfg.sinr_targets)
 
-    anchor = _anchor_point(channels, cfg)
+    anchor, trace.anchor_newton_steps = _anchor_point(channels, cfg)
     eve_weight = PENALTY_INIT
     if np.isfinite(cfg.eve_mi_cap):
         eve_weight = max(PENALTY_INIT, _eve_multiplier_estimate(

@@ -48,8 +48,10 @@ class SolverError(RuntimeError):
 
 
 class InfeasibleError(SolverError):
-    """Raised when phase-I slack minimization certifies infeasibility: it
-    converged with its slack still positive, off its coordinate box."""
+    """Raised when a problem is certified to have no strictly feasible point:
+    here when phase-I slack minimization converged with its slack still
+    positive, off its coordinate box, and in sca when the min-power fixed
+    point shows that the SINR targets do not fit the power budget."""
 
 
 # ---------------------------------------------------------------------------

@@ -162,22 +162,20 @@ def count_phase_one_problems(monkeypatch):
     return built
 
 
-def test_one_milliwatt_design_runs_phase_one_only_for_its_anchor(monkeypatch):
-    # The anchor solve has no start, so phase I builds one from the origin;
-    # the SDR starts at the anchor itself, and the design is certified there.
+def test_one_milliwatt_design_runs_no_phase_one(monkeypatch):
+    # The anchor solve starts at closed-form min-power beams, the SDR at the
+    # anchor itself, and the design is certified there.
     built = count_phase_one_problems(monkeypatch)
     cfg = channels.ScenarioConfig(power_budget=1e-3)
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(2))
     sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(2))
 
-    # One phase I, on the anchor: the only solve without an objective.
-    assert [bp.obj_blocks for bp in built] == [[]]
+    assert built == []
     assert sol.certified and trace.certified and len(trace.rows) == 1
     assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
 
 
-def test_one_milliwatt_binding_cap_design_runs_phase_one_only_for_its_anchor(
-        monkeypatch):
+def test_one_milliwatt_binding_cap_design_runs_no_phase_one(monkeypatch):
     # The certified design of the test above has an Eve MI of 0.072 nats; a
     # cap of 0.065 binds, so the loop runs past the SDR.  Every later warm
     # start keeps ANCHOR_BLEND of the anchor's small margin and is interior.
@@ -186,7 +184,7 @@ def test_one_milliwatt_binding_cap_design_runs_phase_one_only_for_its_anchor(
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(2))
     sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(2))
 
-    assert [bp.obj_blocks for bp in built] == [[]]
+    assert built == []
     assert not sol.certified and not trace.certified
     assert len(trace.rows) > 1 and sol.status == "optimal"
     assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
@@ -370,7 +368,7 @@ def test_eve_slack_is_priced_at_the_anchor_multiplier_estimate(cfg,
     # Least-squares multiplier of the Eve row at the anchor covariance R0:
     # <grad MI_r, grad MI_e> / ||grad MI_e||^2, with <A, B> = Re tr(A B) on
     # Hermitian matrices.
-    r0 = metrics.transmit_covariance(sca._anchor_point(links, cfg))
+    r0 = metrics.transmit_covariance(sca._anchor_point(links, cfg)[0])
     grad_r, grad_e = (metrics.sensing_mi_gradient(stats, r0, cfg.frame_len)
                       for stats in (stats_r, stats_e))
     w_hat = max(0.0, np.trace(grad_r @ grad_e).real) \
@@ -612,19 +610,20 @@ def test_unreachable_sinr_targets_raise_infeasible(monkeypatch):
     with pytest.raises(InfeasibleError,
                        match="unreachable within the power budget"):
         sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
-    # No expansion point makes the first subproblem feasible: one attempt.
-    assert len(calls) == 1
+    # The min-power fixed point certifies it before any solve.
+    assert calls == []
 
 
-def test_anchor_outside_the_phase_one_box_is_not_reported_infeasible():
-    # At 1e9 W the anchor's traces are of order 1e8 W, far beyond phase I's
-    # box of radius 1e4 about the origin.
+def test_anchor_beyond_the_phase_one_box_designs():
+    # At 1e9 W the anchor's traces are of order 1e8 W, far beyond the box of
+    # radius 1e4 about the origin that phase I searches; the closed-form
+    # start needs no box.
     cfg = channels.ScenarioConfig(power_budget=1e9, noise_comm=1e4,
                                   eve_mi_cap=math.inf)
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
-    with pytest.raises(solver.SolverError, match="coordinate box") as info:
-        sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
-    assert not isinstance(info.value, InfeasibleError)
+    sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
+    assert sol.status == "optimal" and trace.converged_at == len(trace.rows)
+    assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
 
 
 def test_infinite_eve_cap_drops_the_eve_constraint(solver_results):
@@ -653,7 +652,7 @@ def test_infinite_eve_cap_drops_the_eve_constraint(solver_results):
                          ids=["tiny", "one_milliwatt"])
 def test_anchor_is_strictly_inside_the_beam_constraints(cfg):
     links, _, _ = channels.build_scenario(cfg, RngState(1))
-    mats = sca._anchor_point(links, cfg)
+    mats, _ = sca._anchor_point(links, cfg)
 
     power = float(np.real(np.trace(metrics.transmit_covariance(mats))))
     assert power < cfg.power_budget
@@ -671,6 +670,74 @@ def test_anchor_solve_stops_after_its_first_stage(cfg, solver_results):
     # A solve without an objective is done once its first stage centers it.
     assert [len(res.history) for res in solver_results] == [1]
     assert solver_results[0].status == "optimal"
+
+
+def beam_rows_problem(links, cfg):
+    """The anchor's problem: the power, SINR and W_k >= 0 rows alone."""
+    prob = solver.ConicSubproblem()
+    for k in range(cfg.n_users):
+        prob.add_hermitian(f"W{k}", cfg.n_tx)
+    sca._add_beam_constraints(prob, links, cfg)
+    prob.set_objective()
+    return prob
+
+
+def closed_form_start_agrees_with_phase_one(links, cfg):
+    """True when the closed-form start exists, which must then lie inside
+    the barrier domain; either way phase I, run from the origin by a solve
+    without a start, must reach the same verdict."""
+    prob = beam_rows_problem(links, cfg)
+    try:
+        start = sca._anchor_start(links, cfg)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            solver.solve(prob)
+        return False
+    values = {f"W{k}": m for k, m in enumerate(start)}
+    assert solver.BarrierProblem(prob).in_domain(prob.pack(values))
+    assert solver.solve(prob).status == "optimal"
+    return True
+
+
+def test_closed_form_verdict_matches_phase_one_on_cold_start_channels():
+    # perfbench's cold_start workload (1 mW) on channel seeds 1-58.
+    cfg = channels.ScenarioConfig(power_budget=1e-3)
+    infeasible = [seed for seed in range(1, 59)
+                  if not closed_form_start_agrees_with_phase_one(
+                      channels.build_scenario(cfg, RngState(seed))[0], cfg)]
+    assert infeasible == [21, 22, 25, 47, 50]
+
+
+@given(channel_seed=st.integers(1, 1000), n_users=st.sampled_from([1, 2]),
+       sinr_target=st.floats(1.0, 1e4),
+       power_budget=st.sampled_from([1e-3, 1.0]))
+@settings(max_examples=30, deadline=None)
+def test_closed_form_verdict_matches_phase_one_on_tiny_draws(
+        channel_seed, n_users, sinr_target, power_budget):
+    cfg = TINY.replace(n_users=n_users, user_angles=(),
+                       sinr_targets=(sinr_target,), power_budget=power_budget)
+    links, _, _ = channels.build_scenario(cfg, RngState(channel_seed))
+    closed_form_start_agrees_with_phase_one(links, cfg)
+
+
+def test_anchor_takes_fewer_newton_steps_than_with_phase_one(monkeypatch):
+    cfg = channels.ScenarioConfig(power_budget=1e-3)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    _, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
+
+    # The same solve without a start: phase I's barrier, then centering.
+    steps = []
+    run_barrier = solver._run_barrier
+
+    def counting_run_barrier(*args, **kwargs):
+        out = run_barrier(*args, **kwargs)
+        steps.append(out[1])
+        return out
+
+    monkeypatch.setattr(solver, "_run_barrier", counting_run_barrier)
+    res = solver.solve(beam_rows_problem(links, cfg))
+    assert len(steps) == 2 and steps[1] == res.iterations
+    assert 0 < trace.anchor_newton_steps < sum(steps)
 
 
 def assert_beams_meet_the_limits(weights, links, stats_e, cfg):
@@ -705,7 +772,7 @@ def test_randomization_keeps_only_draws_within_the_limits():
     # the 100 draws from them miss a SINR target.
     cfg = channels.ScenarioConfig()
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
-    mats = sca._anchor_point(links, cfg)
+    mats, _ = sca._anchor_point(links, cfg)
     beams = sca._gaussian_randomization(mats, links, stats_r, stats_e, cfg,
                                         RngState(1))
     assert beams is not None
