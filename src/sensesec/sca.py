@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .metrics import (
     transmit_covariance,
 )
 from .solver import (
+    BarrierProblem,
     ConicSubproblem,
     InfeasibleError,
     SolverError,
@@ -57,7 +59,9 @@ RANDOMIZATION_CANDIDATES = 100
 # Eve MI (nats) above the cap that a returned design may carry: the affine
 # surrogate bounds the true MI in exact arithmetic, so only round-off is left.
 EVE_RECHECK_SLACK = 1e-3
-ANCHOR_BLEND = 0.01          # weight of the interior anchor in a warm start
+# Least fraction of the anchor's margin in the beam rows that a warm start
+# keeps (_warm_start).
+ANCHOR_BLEND = 1e-3
 PENALTY_INIT = 1e-3          # least penalty weights of the second subproblem
 PENALTY_GROWTH = 3.0         # factor on the penalty weights per iteration
 MAX_OUTER_ITERS = 30
@@ -277,20 +281,25 @@ def _anchor_start(channels, cfg):
             for p, u in zip(powers, dirs.T)]
 
 
-def _anchor_point(channels, cfg):
-    """Interior anchor, per-user matrices, and the Newton steps its solve
-    took: the analytic center of the power, SINR and W_k >= 0 rows (Boyd &
-    Vandenberghe, Convex Optimization, sec. 8.5.3), which are the rows of
-    every subproblem that involve the beams alone.  The solve starts at
-    _anchor_start, which raises InfeasibleError, certified in closed form,
-    when those rows have no interior."""
+def _beam_rows_problem(channels, cfg):
+    """The power, SINR and W_k >= 0 rows, the rows of every subproblem that
+    involve the beams alone, with no objective."""
     prob = ConicSubproblem()
     for k in range(cfg.n_users):
         prob.add_hermitian(f"W{k}", cfg.n_tx)
     _add_beam_constraints(prob, channels, cfg)
     prob.set_objective()
+    return prob
+
+
+def _anchor_point(rows, channels, cfg):
+    """Interior anchor, per-user matrices, and the Newton steps its solve
+    took: the analytic center of ``rows``, the _beam_rows_problem of
+    ``channels`` (Boyd & Vandenberghe, Convex Optimization, sec. 8.5.3).
+    The solve starts at _anchor_start, which raises InfeasibleError,
+    certified in closed form, when those rows have no interior."""
     start = _anchor_start(channels, cfg)
-    res = solve(prob, initial={f"W{k}": m for k, m in enumerate(start)})
+    res = solve(rows, initial={f"W{k}": m for k, m in enumerate(start)})
     return [res.values[f"W{k}"] for k in range(cfg.n_users)], res.iterations
 
 
@@ -321,12 +330,28 @@ def _start_values(mats, cfg, state, stats_e):
     return vals
 
 
-def _blend_with_anchor(prev_mats, anchor):
-    """Convex blend of the W_k toward the interior anchor; the power, SINR
-    and W_k >= 0 rows are affine in W, so the blend inherits at least
-    ANCHOR_BLEND times the anchor's margin in them."""
-    return [(1.0 - ANCHOR_BLEND) * np.asarray(m) + ANCHOR_BLEND * anchor[k]
-            for k, m in enumerate(prev_mats)]
+def _warm_start(problem, res, anchor, beam_margin):
+    """Per-user matrices that start the subproblem after ``problem``, whose
+    solve returned ``res``: the deepest centered stage point of that solve
+    whose ``beam_margin``, the smallest slack of the beam rows, is at least
+    ANCHOR_BLEND times the anchor's, else its final iterate blended toward
+    the anchor.  The margin is a minimum of affine slacks and smallest
+    eigenvalues, so it is concave, and the blend keeps at least ANCHOR_BLEND
+    times the anchor's margin: it is the last candidate of the same rule.
+    A point of the central path far enough from the boundary restarts the
+    perturbed problem better than the final, near-boundary iterate (Gondzio
+    & Grothey, SIAM J. Optim. 2003; Yildirim & Wright, SIAM J. Optim.
+    2002)."""
+    def mats(values):
+        return [values[f"W{k}"] for k in range(len(anchor))]
+
+    floor = ANCHOR_BLEND * beam_margin(anchor)
+    blend = [(1.0 - ANCHOR_BLEND) * m + ANCHOR_BLEND * a
+             for m, a in zip(mats(res.values), anchor)]
+    # Deepest first, unpacked only as far as the search reads.
+    points = (mats(problem.unpack(x)) for _, x in reversed(res.stage_points))
+    return next((start for start in chain(points, [blend])
+                 if beam_margin(start) >= floor), blend)
 
 
 def _extract_solution(values, channels, stats_r, stats_e, cfg, state, rng,
@@ -417,13 +442,15 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     point, or SolverError when that fixed point cannot decide it; the trace
     counts the anchor solve's Newton steps in ``anchor_newton_steps``.  The
     anchor is the first subproblem's expansion point and start; every later
-    subproblem expands at the previous solution and starts at it blended
-    toward the anchor, one solve per outer iteration and none after the last.
-    The first subproblem is the SDR: its rank-penalty weight is 0, and the
-    i-th one's is PENALTY_INIT * PENALTY_GROWTH**(i - 2).  The loop stops
-    after the first solve, certified global, when that solve is "optimal",
-    its Eve surrogate lies strictly below the cap (always, for an infinite
-    cap), and the eigenvector beams that _extract_solution returns meet the limits and come
+    subproblem expands at the previous solution and starts at the deepest
+    centered stage point of the previous solve that keeps ANCHOR_BLEND of
+    the anchor's margin in the beam rows (_warm_start), one solve per outer
+    iteration and none after the last.  The first subproblem is the SDR: its
+    rank-penalty weight is 0, and the i-th one's is PENALTY_INIT *
+    PENALTY_GROWTH**(i - 2).  The loop stops after the first solve,
+    certified global, when that solve is "optimal", its Eve surrogate lies
+    strictly below the cap (always, for an infinite cap), and the
+    eigenvector beams that _extract_solution returns meet the limits and come
     within 1e-9 nats of the relaxed legitimate MI; the solution and the trace
     then read ``certified``.  The solution's ``mi_eve_surrogate`` is the Eve
     bound that the last solved subproblem enforced.  ``rng`` feeds only the
@@ -442,7 +469,14 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     vectors = [ch.vector for ch in channels]
     targets = np.asarray(cfg.sinr_targets)
 
-    anchor, trace.anchor_newton_steps = _anchor_point(channels, cfg)
+    rows = _beam_rows_problem(channels, cfg)
+    anchor, trace.anchor_newton_steps = _anchor_point(rows, channels, cfg)
+    rows_barrier = BarrierProblem(rows)
+    names = [f"W{k}" for k in range(cfg.n_users)]
+
+    def beam_margin(mats):
+        return rows_barrier.strict_margin(rows.pack(dict(zip(names, mats))))
+
     eve_weight = PENALTY_INIT
     if np.isfinite(cfg.eve_mi_cap):
         eve_weight = max(PENALTY_INIT, _eve_multiplier_estimate(
@@ -457,12 +491,12 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
             state = SCAState([m.copy() for m in weight_mats],
                              PENALTY_INIT * PENALTY_GROWTH ** (itn - 2),
                              state.eve_weight * PENALTY_GROWTH)
-            start = _blend_with_anchor(weight_mats, anchor)
+            start = _warm_start(problem, res, anchor, beam_margin)
         problem = build_subproblem_no_an(state, channels, stats_r, stats_e, cfg)
         res = solve(problem, initial=_start_values(start, cfg, state, stats_e))
         statuses.append(res.status)
         result_values = res.values
-        weight_mats = [result_values[f"W{k}"] for k in range(cfg.n_users)]
+        weight_mats = [result_values[name] for name in names]
         r_x = transmit_covariance(weight_mats)
         mi_r = sensing_mi(stats_r, r_x, cfg.frame_len)
         mi_e = sensing_mi(stats_e, r_x, cfg.frame_len)

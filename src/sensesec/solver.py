@@ -74,23 +74,16 @@ def pack_hermitian(h):
     """Real coordinates of a Hermitian matrix: diagonal first, then
     (re, im) pairs of the strict upper triangle, row-major."""
     h = np.asarray(h, dtype=complex)
-    dim = h.shape[0]
-    iu, ju = np.triu_indices(dim, 1)
-    upper = h[iu, ju]
-    return np.concatenate([
-        np.real(np.diag(h)),
-        np.column_stack([upper.real, upper.imag]).ravel(),
-    ])
+    upper = h[~np.tri(len(h), dtype=bool)]        # row-major
+    return np.concatenate([h.real.diagonal(), upper.view(np.float64)])
 
 
 def unpack_hermitian(coords, dim):
     h = np.zeros((dim, dim), dtype=complex)
+    pairs = np.ascontiguousarray(coords[dim:], dtype=float)
+    h[~np.tri(dim, dtype=bool)] = pairs.view(complex)
+    h += h.conj().T
     h[np.diag_indices(dim)] = coords[:dim]
-    iu, ju = np.triu_indices(dim, 1)
-    pairs = np.asarray(coords[dim:], dtype=float).reshape(-1, 2)
-    vals = pairs[:, 0] + 1j * pairs[:, 1]
-    h[iu, ju] = vals
-    h[ju, iu] = vals.conj()
     return h
 
 
@@ -292,6 +285,10 @@ class SolverResult:
     iterations: int
     status: str        # optimal | max-iter | stage-cap | line-search-failed
     history: list = field(default_factory=list)
+    # (t, x) of every stage that ended centered, in stage order: the point
+    # before the predictor step, centered at t to its stage tolerance, in
+    # the problem's real coordinates (ConicSubproblem.unpack reads them).
+    stage_points: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -657,11 +654,14 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
     1e-2 while each full step still lowers the merit by about as much, so
     a NEWTON_TOL last stage can run to its step cap.
 
-    A stage that stopped on its tolerance hands the next one a predictor
-    step (_predict) along the central-path tangent, solved with the factor
-    of its last Newton system.  The status is "max-iter" when the step
+    A stage that stopped on its tolerance records its point, with its t, in
+    ``points`` and hands the next stage a predictor step (_predict) along
+    the central-path tangent, solved with the factor of its last Newton
+    system.  The points are the iterates themselves, not copies: x is
+    rebound, never changed in place.  The status is "max-iter" when the step
     budget ran out, else "stage-cap" or "line-search-failed" when the last
-    failing stage hit its step cap or found no step, else "optimal"."""
+    failing stage hit its step cap or found no step, else "optimal".
+    Returns (x, Newton steps, status, history, points)."""
     x = x0.copy()
     t = t0
     degree = bp.gap_degree()
@@ -670,7 +670,7 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
     centering_only = bp.centering_only
     tol = NEWTON_TOL if centering_only else CENTERING_TOL
     total_newton = 0
-    history = []
+    history, points = [], []
     status = "optimal"
     while True:
         last_stage = degree / t <= obj_tol or degree == 0 or centering_only
@@ -708,7 +708,7 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
                 break
             if early_stop is not None and early_stop(x):
                 history.append((t, bp.objective_value(x), stage_newton))
-                return x, total_newton, status, history
+                return x, total_newton, status, history, points
             # At large t the Armijo bound rounds to val itself, so steps that
             # no longer lower the merit pass: the stage is at its round-off
             # floor and further steps only burn the stage cap.
@@ -718,12 +718,14 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
             status = "stage-cap"
         obj = bp.objective_value(x)
         history.append((t, obj, stage_newton))
+        if centered:
+            points.append((t, x))
         if status == "max-iter" or last_stage:
             break
         if centered:
             x = _predict(bp, x, t, val, obj, tangent)
         t *= BARRIER_GROWTH
-    return x, total_newton, status, history
+    return x, total_newton, status, history, points
 
 
 def _predict(bp, x, t, val, obj, tangent):
@@ -840,10 +842,10 @@ def _find_strictly_feasible(bp, hint=None):
 
     # The first stage aims at a duality gap equal to the start's slack.
     t0 = relaxed.gap_degree() / start[-1]
-    x_ext, _, status, _ = _run_barrier(relaxed, start, t0=t0,
-                                       obj_tol=PHASE1_MARGIN,
-                                       max_iters=PHASE1_MAX_STEPS,
-                                       early_stop=done)
+    x_ext, _, status, _, _ = _run_barrier(relaxed, start, t0=t0,
+                                          obj_tol=PHASE1_MARGIN,
+                                          max_iters=PHASE1_MAX_STEPS,
+                                          early_stop=done)
     x, slack = x_ext[:bp.n], float(x_ext[-1])
     if slack <= -PHASE1_MARGIN and bp.strict_margin(x) >= PHASE1_MARGIN:
         return x
@@ -873,18 +875,19 @@ def solve(problem, initial=None):
     start outside it raises SolverError.  Without one, phase I constructs a
     start from the origin.  With a start and an objective, the barrier
     begins at the t where the start is most central (_central_t), so a warm
-    start near an earlier optimum is not pulled back to an early stage;
+    start taken from an earlier solve's central path resumes near its own t;
     otherwise at ``BARRIER_T0``.  Returns a SolverResult whose objective is
-    in the original complex log-det units.
+    in the original complex log-det units and whose ``stage_points`` hold
+    the centered point of every stage, the warm starts that interior-point
+    reoptimization draws on (Gondzio & Grothey, SIAM J. Optim. 2003).
     """
     bp = BarrierProblem(problem)
     hint = problem.pack(initial) if initial is not None else None
     x0 = _find_strictly_feasible(bp, hint=hint)
     warm = hint is not None and not bp.centering_only
     t0 = _central_t(bp, x0) if warm else BARRIER_T0
-    x, iters, status, history = _run_barrier(bp, x0, t0=t0,
-                                             obj_tol=OBJ_TOL,
-                                             max_iters=MAX_NEWTON_STEPS)
+    x, iters, status, history, points = _run_barrier(
+        bp, x0, t0=t0, obj_tol=OBJ_TOL, max_iters=MAX_NEWTON_STEPS)
     residual = max(-bp.strict_margin(x), 0.0)
     if status == "optimal" and residual > FEAS_TOL:
         status = "max-iter"
@@ -893,4 +896,5 @@ def solve(problem, initial=None):
                         feas_residual=residual,
                         iterations=iters,
                         status=status,
-                        history=history)
+                        history=history,
+                        stage_points=points)

@@ -21,6 +21,11 @@ TINY = channels.ScenarioConfig(n_tx=2, n_rx=1, n_eve=1, n_users=1,
                                sinr_targets=(10.0,), rician_factors=(2.0,))
 
 
+def anchor_point(links, cfg):
+    """sca's anchor of the beam rows of ``links``: (matrices, Newton steps)."""
+    return sca._anchor_point(sca._beam_rows_problem(links, cfg), links, cfg)
+
+
 @pytest.fixture
 def solver_results(monkeypatch):
     """Every SolverResult that sca.solve returns while the test runs."""
@@ -178,7 +183,8 @@ def test_one_milliwatt_design_runs_no_phase_one(monkeypatch):
 def test_one_milliwatt_binding_cap_design_runs_no_phase_one(monkeypatch):
     # The certified design of the test above has an Eve MI of 0.072 nats; a
     # cap of 0.065 binds, so the loop runs past the SDR.  Every later warm
-    # start keeps ANCHOR_BLEND of the anchor's small margin and is interior.
+    # start keeps at least ANCHOR_BLEND of the anchor's small margin in the
+    # beam rows, so it is interior.
     built = count_phase_one_problems(monkeypatch)
     cfg = channels.ScenarioConfig(power_budget=1e-3, eve_mi_cap=0.065)
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(2))
@@ -368,7 +374,7 @@ def test_eve_slack_is_priced_at_the_anchor_multiplier_estimate(cfg,
     # Least-squares multiplier of the Eve row at the anchor covariance R0:
     # <grad MI_r, grad MI_e> / ||grad MI_e||^2, with <A, B> = Re tr(A B) on
     # Hermitian matrices.
-    r0 = metrics.transmit_covariance(sca._anchor_point(links, cfg)[0])
+    r0 = metrics.transmit_covariance(anchor_point(links, cfg)[0])
     grad_r, grad_e = (metrics.sensing_mi_gradient(stats, r0, cfg.frame_len)
                       for stats in (stats_r, stats_e))
     w_hat = max(0.0, np.trace(grad_r @ grad_e).real) \
@@ -540,17 +546,32 @@ def test_tiny_design_reaches_the_global_optimum(eve_mi_cap, channel_seed):
 # Scenarios whose warm-started subproblems ran barrier stages to their step
 # cap while every solve began at BARRIER_T0: TINY at 1 W, and the default
 # scenario with Eve's target at 50 degrees, where the cap costs 0.6-0.7
-# nats of legitimate MI.
+# nats of legitimate MI.  At 1 kW with 20 dB less user noise, a warm start
+# at a fixed duality gap instead of a margin in the beam rows sat 1e-5 from
+# the W_k >= 0 boundary, against entries of about 1e3, and every solve then
+# ran a stage to its cap.
 STALL_CASES = [(TINY.replace(eve_mi_cap=cap), seed)
                for seed in (1, 2, 3, 4) for cap in (0.01, 0.3, 1.0)]
 STALL_CASES.append((channels.ScenarioConfig(
     eve_target_angles=(math.radians(50.0),), eve_mi_cap=1.0), 1))
+STALL_CASES += [(channels.ScenarioConfig(
+    power_budget=1e3, noise_comm=1e-2, eve_mi_cap=1.0), seed)
+    for seed in (1, 2, 3)]
+
+
+def stall_case_id(cfg, seed):
+    if cfg.n_tx == 2:
+        name = "tiny"
+    elif cfg.power_budget > 1.0:
+        name = "kilowatt"
+    else:
+        name = "eve50deg"
+    return f"{name}-cap{cfg.eve_mi_cap}-{seed}"
 
 
 @pytest.mark.parametrize(
     "cfg, channel_seed", STALL_CASES,
-    ids=[f"{'tiny' if cfg.n_tx == 2 else 'eve50deg'}-cap{cfg.eve_mi_cap}-{seed}"
-         for cfg, seed in STALL_CASES])
+    ids=[stall_case_id(cfg, seed) for cfg, seed in STALL_CASES])
 def test_no_barrier_stage_stalls_at_its_cap(cfg, channel_seed, solver_results):
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
     sol, _ = sca.run_sca_no_an(links, stats_r, stats_e, cfg,
@@ -560,6 +581,89 @@ def test_no_barrier_stage_stalls_at_its_cap(cfg, channel_seed, solver_results):
     assert all(steps < solver.STAGE_MAX_STEPS
                for res in solver_results for _, _, steps in res.history)
     assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
+
+
+def beam_margin_of(links, cfg):
+    """Smallest slack of the power, SINR and W_k >= 0 rows at per-user
+    matrices, read from the anchor's problem."""
+    rows = sca._beam_rows_problem(links, cfg)
+    bp = solver.BarrierProblem(rows)
+    return lambda mats: bp.strict_margin(
+        rows.pack({f"W{k}": m for k, m in enumerate(mats)}))
+
+
+def test_each_warm_start_is_the_deepest_stage_point_with_the_margin(
+        monkeypatch):
+    solves = []                  # (problem, initial, result) of every solve
+
+    def recording_solve(problem, initial=None):
+        res = solve(problem, initial=initial)
+        solves.append((problem, initial, res))
+        return res
+
+    solve = sca.solve
+    monkeypatch.setattr(sca, "solve", recording_solve)
+    cfg = channels.ScenarioConfig(eve_mi_cap=1.0)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(2))
+    sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(2))
+    assert sol.status == "optimal" and len(trace.rows) >= 3
+
+    (_, _, anchor_res), *subproblems = solves
+    names = [f"W{k}" for k in range(cfg.n_users)]
+    anchor = [anchor_res.values[name] for name in names]
+    margin = beam_margin_of(links, cfg)
+    floor = sca.ANCHOR_BLEND * margin(anchor)
+    picked = []
+    for (prev, _, prev_res), (_, initial, _) in zip(subproblems,
+                                                   subproblems[1:]):
+        start = [initial[name] for name in names]
+        candidates = [[prev.unpack(x)[name] for name in names]
+                      for _, x in prev_res.stage_points]
+        expected = None
+        for depth in range(len(candidates) - 1, -1, -1):
+            if margin(candidates[depth]) >= floor:
+                expected = candidates[depth]
+                picked.append(len(candidates) - 1 - depth)
+                break
+        if expected is None:
+            expected = [(1.0 - sca.ANCHOR_BLEND) * prev_res.values[name]
+                        + sca.ANCHOR_BLEND * a for name, a in zip(names, anchor)]
+        for got, want in zip(start, expected):
+            assert np.array_equal(got, want)
+    # On this channel no start falls back to the blend, and none is the
+    # previous solve's final iterate, whose matrices are nearly rank one.
+    assert len(picked) == len(subproblems) - 1
+    assert min(picked) >= 1
+
+
+@given(channel_seed=st.integers(1, 1000),
+       power_budget=st.sampled_from([1e-3, 1.0]),
+       eve_mi_cap=st.floats(0.01, 5.0))
+@settings(max_examples=15, deadline=None)
+def test_blend_keeps_anchor_blend_of_the_anchor_margin(channel_seed,
+                                                       power_budget,
+                                                       eve_mi_cap):
+    cfg = TINY.replace(power_budget=power_budget, eve_mi_cap=eve_mi_cap)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
+    try:
+        anchor, _ = anchor_point(links, cfg)
+    except InfeasibleError:
+        return
+    sol, _ = sca.run_sca_no_an(links, stats_r, stats_e, cfg,
+                               RngState(channel_seed))
+    # A solve without stage points leaves only the last candidate: the final
+    # matrices, here the design's nearly rank-one ones, blended toward the
+    # anchor.
+    final = solver.SolverResult(
+        values={f"W{k}": m for k, m in enumerate(sol.weight_mats)},
+        objective=0.0, feas_residual=0.0, iterations=0, status="optimal")
+    margin = beam_margin_of(links, cfg)
+    blend = sca._warm_start(None, final, anchor, margin)
+
+    for got, m, a in zip(blend, sol.weight_mats, anchor):
+        assert np.array_equal(
+            got, (1.0 - sca.ANCHOR_BLEND) * m + sca.ANCHOR_BLEND * a)
+    assert margin(blend) >= sca.ANCHOR_BLEND * margin(anchor) > 0.0
 
 
 @pytest.mark.parametrize("channel_seed", [1, 2])
@@ -652,7 +756,7 @@ def test_infinite_eve_cap_drops_the_eve_constraint(solver_results):
                          ids=["tiny", "one_milliwatt"])
 def test_anchor_is_strictly_inside_the_beam_constraints(cfg):
     links, _, _ = channels.build_scenario(cfg, RngState(1))
-    mats, _ = sca._anchor_point(links, cfg)
+    mats, _ = anchor_point(links, cfg)
 
     power = float(np.real(np.trace(metrics.transmit_covariance(mats))))
     assert power < cfg.power_budget
@@ -666,27 +770,17 @@ def test_anchor_is_strictly_inside_the_beam_constraints(cfg):
                          ids=["tiny", "default"])
 def test_anchor_solve_stops_after_its_first_stage(cfg, solver_results):
     links, _, _ = channels.build_scenario(cfg, RngState(1))
-    sca._anchor_point(links, cfg)
+    anchor_point(links, cfg)
     # A solve without an objective is done once its first stage centers it.
     assert [len(res.history) for res in solver_results] == [1]
     assert solver_results[0].status == "optimal"
-
-
-def beam_rows_problem(links, cfg):
-    """The anchor's problem: the power, SINR and W_k >= 0 rows alone."""
-    prob = solver.ConicSubproblem()
-    for k in range(cfg.n_users):
-        prob.add_hermitian(f"W{k}", cfg.n_tx)
-    sca._add_beam_constraints(prob, links, cfg)
-    prob.set_objective()
-    return prob
 
 
 def closed_form_start_agrees_with_phase_one(links, cfg):
     """True when the closed-form start exists, which must then lie inside
     the barrier domain; either way phase I, run from the origin by a solve
     without a start, must reach the same verdict."""
-    prob = beam_rows_problem(links, cfg)
+    prob = sca._beam_rows_problem(links, cfg)
     try:
         start = sca._anchor_start(links, cfg)
     except InfeasibleError:
@@ -735,7 +829,7 @@ def test_anchor_takes_fewer_newton_steps_than_with_phase_one(monkeypatch):
         return out
 
     monkeypatch.setattr(solver, "_run_barrier", counting_run_barrier)
-    res = solver.solve(beam_rows_problem(links, cfg))
+    res = solver.solve(sca._beam_rows_problem(links, cfg))
     assert len(steps) == 2 and steps[1] == res.iterations
     assert 0 < trace.anchor_newton_steps < sum(steps)
 
@@ -772,7 +866,7 @@ def test_randomization_keeps_only_draws_within_the_limits():
     # the 100 draws from them miss a SINR target.
     cfg = channels.ScenarioConfig()
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
-    mats, _ = sca._anchor_point(links, cfg)
+    mats, _ = anchor_point(links, cfg)
     beams = sca._gaussian_randomization(mats, links, stats_r, stats_e, cfg,
                                         RngState(1))
     assert beams is not None

@@ -710,6 +710,28 @@ def test_intermediate_stages_stop_in_the_quadratic_phase(seed,
                                               solver.CENTERING_TOL)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_stage_points_are_interior_and_centered_at_their_own_t(seed):
+    prob, _ = make_grid_instance(seed)
+    res = solve(prob, initial=interior_start(prob))
+    assert res.status == "optimal"
+
+    # One point per stage that ended on its tolerance, the last one too, in
+    # stage order; every one still centered at its t, so the loop rebound
+    # the iterate and never changed a recorded point in place.
+    bp = BarrierProblem(prob)
+    stage_ts = [t for t, _, _ in res.history]
+    point_ts = [t for t, _ in res.stage_points]
+    assert len(point_ts) >= 6 and point_ts[-1] == stage_ts[-1]
+    assert point_ts == [t for t in stage_ts if t in point_ts]
+    assert np.array_equal(prob.pack(res.values), res.stage_points[-1][1])
+    for t, x in res.stage_points:
+        assert bp.in_domain(x) and bp.strict_margin(x) > 0.0
+        _, grad, hess = bp.merit_derivatives(x, t)
+        _, lam2 = solver._newton_direction(hess, grad)
+        assert 0.5 * lam2 <= solver.CENTERING_TOL
+
+
 def test_centering_only_solve_centers_to_the_newton_tolerance(
         newton_directions):
     prob, _ = make_grid_instance(2)
@@ -746,7 +768,7 @@ def test_start_t_of_a_centered_point_is_its_own_t(seed, monkeypatch):
     # NEWTON_TOL the leftover gradient alone moves the estimate by up to
     # 1.6e-5 relative on these instances.
     monkeypatch.setattr(solver, "CENTERING_TOL", 0.0)
-    x, _, status, history = solver._run_barrier(
+    x, _, status, history, _ = solver._run_barrier(
         bp, _find_strictly_feasible(bp), t0=1e4,
         obj_tol=bp.gap_degree() / 1e4, max_iters=solver.MAX_NEWTON_STEPS)
     assert status == "optimal" and len(history) == 1
@@ -777,7 +799,7 @@ def test_last_stage_in_the_quadratic_phase_keeps_the_objective(seed,
     # decrement first reaches CENTERING_TOL, then continues from there.
     bp = BarrierProblem(prob)
     monkeypatch.setattr(solver, "CENTERING_TOL", solver.NEWTON_TOL)
-    x, steps, status, history = solver._run_barrier(
+    x, steps, status, history, _ = solver._run_barrier(
         bp, prob.pack(res.values), t0=t_last,
         obj_tol=bp.gap_degree() / t_last, max_iters=solver.MAX_NEWTON_STEPS)
     assert res.status == status == "optimal" and len(history) == 1
