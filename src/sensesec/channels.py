@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .linalg import (
-    RngState,
     commutation_matrix,
     hermitian_eig,
     require_hermitian,
@@ -157,8 +156,6 @@ class ScenarioConfig:
     radar_target_gains: tuple = (1.0,)
     eve_target_angles: tuple = (math.radians(30.0),)
     eve_target_gains: tuple = (1.0,)
-    an_samples: int = 100
-    an_frame_len: int = 30
 
     def __post_init__(self):
         for f in fields(self):
@@ -184,7 +181,7 @@ class ScenarioConfig:
                                  f"{getattr(self, f.name)!r}")
         if min(self.n_tx, self.n_rx, self.n_eve, self.n_users) < 1:
             raise ValueError("antenna and user counts must be >= 1")
-        if self.frame_len < 1 or self.an_frame_len < 1:
+        if self.frame_len < 1:
             raise ValueError("frame length must be >= 1")
         for name in ("power_budget", "eve_mi_cap", "noise_comm", "noise_radar",
                      "noise_eve"):
@@ -203,8 +200,6 @@ class ScenarioConfig:
             raise ValueError("radar target angles/gains length mismatch")
         if len(self.eve_target_angles) != len(self.eve_target_gains):
             raise ValueError("eve target angles/gains length mismatch")
-        if self.an_samples < 1:
-            raise ValueError("an_samples must be >= 1")
 
     def replace(self, **kw):
         return replace(self, **kw)

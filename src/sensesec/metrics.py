@@ -1,16 +1,13 @@
 """Closed-form performance metrics: per-user SINR, sensing mutual
 information for the legitimate receiver and the eavesdropper, the MI
 gradient with respect to the transmit covariance, and the affine Eve-MI
-bound that the SCA design enforces.  The artificial-noise metrics
-(sensing_mi_with_an and the sampled an_* surrogates) have no caller yet:
-no design uses artificial noise.
+bound that the SCA design enforces.
 
 All mutual information values are in nats.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +15,6 @@ import numpy as np
 from .linalg import logdet_psd, require_hermitian
 
 PSD_TOL = 1e-8
-LOG_2PIE = math.log(2.0 * math.pi * math.e)
 
 
 def _as_weight_matrices(beamformers):
@@ -57,9 +53,8 @@ def transmit_covariance(beamformers):
     return sum(mats)
 
 
-def sinr(channels, beamformers, noise_power, an_cov=None):
-    """Per-user SINR; interference sums |h_k^H w_j|^2 over j != k, plus the
-    artificial-noise leakage h_k^H R_N h_k when an AN covariance is given."""
+def sinr(channels, beamformers, noise_power):
+    """Per-user SINR; interference sums |h_k^H w_j|^2 over j != k."""
     mats = _as_weight_matrices(beamformers)
     vectors = [np.asarray(getattr(ch, "vector", ch), dtype=complex) for ch in channels]
     if len(vectors) != len(mats):
@@ -67,10 +62,7 @@ def sinr(channels, beamformers, noise_power, an_cov=None):
     out = np.zeros(len(vectors))
     for k, h in enumerate(vectors):
         powers = [float(np.real(h.conj() @ w @ h)) for w in mats]
-        leak = 0.0
-        if an_cov is not None:
-            leak = float(np.real(h.conj() @ an_cov @ h))
-        denom = noise_power + leak + sum(p for j, p in enumerate(powers) if j != k)
+        denom = noise_power + sum(p for j, p in enumerate(powers) if j != k)
         out[k] = powers[k] / denom
     return out
 
@@ -99,16 +91,6 @@ def sensing_mi(stats, r_x, frame_len):
     core = _scaled_quadratic(stats, r_x)
     scale = frame_len / stats.noise_power
     return logdet_psd(np.eye(stats.dim) + scale * core)
-
-
-def sensing_mi_with_an(stats, r_x, r_n, frame_len):
-    """AN-aware legitimate MI: the receiver knows the noise waveform, so the
-    AN covariance adds to the transmit covariance."""
-    r_x = np.asarray(r_x, dtype=complex)
-    r_n = np.asarray(r_n, dtype=complex)
-    if r_n.shape != r_x.shape:
-        raise ValueError("AN covariance shape mismatch")
-    return sensing_mi(stats, r_x + r_n, frame_len)
 
 
 def sensing_mi_gradient(stats, r_x, frame_len):
@@ -146,81 +128,6 @@ def sensing_mi_taylor_bound(stats, r_x, r_x_ref, frame_len):
     return base + float(np.real(np.trace(grad @ (r_x - r_x_ref))))
 
 
-# ---------------------------------------------------------------------------
-# Artificial-noise surrogates for the eavesdropper
-
-
-def _an_sample_array(samples):
-    arr = np.asarray(getattr(samples, "samples", samples), dtype=complex)
-    if arr.ndim != 3:
-        raise ValueError("samples must be a (count, n_rx, n_tx) array")
-    if arr.shape[0] < 1:
-        raise ValueError("need at least one channel sample")
-    return arr
-
-
-def an_eve_gram(samples, an_cov):
-    """Reduced per-antenna AN covariance block: mean_j H_j R_N H_j^H."""
-    arr = _an_sample_array(samples)
-    r_n = np.asarray(an_cov, dtype=complex)
-    return np.einsum("jab,bc,jdc->ad", arr, r_n, arr.conj()) / arr.shape[0]
-
-
-def an_eve_covariance(samples, an_cov, frame_len):
-    """Covariance of the vectorized AN component seen by the eavesdropper,
-    assembled as I_L kron (mean_j H_j R_N H_j^H); PSD and block diagonal."""
-    gram = an_eve_gram(samples, an_cov)
-    return np.kron(np.eye(frame_len), gram)
-
-
-def an_conditional_entropy(stats_e, an_cov, frame_len, samples):
-    """Sampled conditional entropy of the eavesdropper's observation given
-    channel and waveform, in nats.
-
-    Per sample the determinant has a rank-one AN term, so it collapses to
-    n log(2 pi e sigma^2) + log(1 + sigma^-2 L tr(H R_N H^H)) with
-    n = n_rx * L; the constant matches the marginal-entropy term so the
-    two cancel in the MI bound.
-    """
-    arr = _an_sample_array(samples)
-    r_n = check_psd(np.asarray(an_cov, dtype=complex), name="AN covariance")
-    sigma2 = stats_e.noise_power
-    n = stats_e.n_rx * frame_len
-    quad = np.real(np.einsum("jab,bc,jac->j", arr, r_n, arr.conj()))
-    quad = np.clip(quad, 0.0, None)
-    return n * math.log(2.0 * math.pi * math.e * sigma2) \
-        + float(np.mean(np.log1p(frame_len * quad / sigma2)))
-
-
-def an_eve_marginal_entropy(stats_e, an_cov, frame_len, samples):
-    """Gaussian upper bound of the eavesdropper's marginal entropy given the
-    waveform: log det(2 pi e (sigma^2 I + R_AN)) over the n_rx*L dims,
-    evaluated block-wise."""
-    gram = an_eve_gram(samples, an_cov)
-    sigma2 = stats_e.noise_power
-    n = stats_e.n_rx * frame_len
-    block = sigma2 * np.eye(stats_e.n_rx) + gram
-    return n * LOG_2PIE + frame_len * logdet_psd(block)
-
-
-def an_eve_mi_bound(stats_e, an_cov, frame_len, samples):
-    """Sampled upper-bound surrogate of the eavesdropper MI under AN: the
-    marginal-entropy bound minus the sampled conditional entropy.  Zero at
-    R_N = 0 and decreasing toward zero as the noise floor grows.
-
-    Evaluated in the cancelled form (the 2*pi*e and noise constants of the
-    two entropies are identical) so R_N = 0 gives exactly zero.
-    """
-    arr = _an_sample_array(samples)
-    r_n = check_psd(np.asarray(an_cov, dtype=complex), name="AN covariance")
-    sigma2 = stats_e.noise_power
-    gram = an_eve_gram(arr, r_n)
-    marginal_part = frame_len * logdet_psd(np.eye(stats_e.n_rx) + gram / sigma2)
-    quad = np.clip(np.real(np.einsum("jab,bc,jac->j", arr, r_n, arr.conj())), 0.0, None)
-    conditional_part = float(np.mean(np.log1p(frame_len * quad / sigma2)))
-    return marginal_part - conditional_part
-
-
 def rank_one_certificate(weight_mat):
     """lambda_max / trace of a PSD matrix; 1.0 certifies rank one."""
     w = np.linalg.eigvalsh(weight_mat)
@@ -244,7 +151,6 @@ class BeamformerSolution:
 
     weights: list                  # per-user vectors
     weight_mats: list              # per-user PSD matrices
-    an_cov: np.ndarray | None
     mi_legit: float
     mi_eve: float
     mi_eve_surrogate: float

@@ -389,7 +389,6 @@ def _extract_solution(values, channels, stats_r, stats_e, cfg, state, rng,
     return BeamformerSolution(
         weights=weights,
         weight_mats=weight_mats,
-        an_cov=None,
         mi_legit=mi_r,
         mi_eve=mi_e,
         mi_eve_surrogate=surrogate,

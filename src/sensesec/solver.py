@@ -146,7 +146,6 @@ class ScalarMap:
 class IneqSpec:
     affine: ScalarMap
     rhs: float
-    neglog_terms: list            # [(coef, MatrixMap)], coef > 0
 
 
 @dataclass
@@ -268,13 +267,9 @@ class ConicSubproblem:
     def add_lmi(self, mmap):
         self.lmis.append(mmap)
 
-    def add_ineq(self, affine, rhs, neglog_terms=()):
-        """affine(x) + sum_m coef_m * (-logdet(map_m(x))) <= rhs."""
-        terms = list(neglog_terms)
-        for coef, mmap in terms:
-            if coef <= 0:
-                raise ValueError("neg-log constraint coefficients must be positive")
-        self.ineqs.append(IneqSpec(affine, float(rhs), terms))
+    def add_ineq(self, affine, rhs):
+        """affine(x) <= rhs."""
+        self.ineqs.append(IneqSpec(affine, float(rhs)))
 
 
 @dataclass
@@ -411,10 +406,9 @@ LMI_WEIGHT = 2.0
 
 class BarrierProblem:
     """Solve-ready form: minimize -(c.x + sum w logdet F(x)) subject to LMIs,
-    the optional box lo < x < hi and inequalities whose slacks are b - A x
-    plus their neg-log terms, listed flat in neglog_ineqs as (row, block):
-    slack ``row`` gains block.weight * logdet.  One pass, _terms, defines
-    the barrier domain; in_domain, merit and merit_derivatives read it."""
+    the optional box lo < x < hi and inequalities whose slacks are b - A x.
+    One pass, _terms, defines the barrier domain; in_domain, merit and
+    merit_derivatives read it."""
 
     def __init__(self, problem: ConicSubproblem):
         if problem.objective is None:
@@ -430,13 +424,9 @@ class BarrierProblem:
                            for coords, m in _batch_shared_maps(problem.lmis)]
         self.A = np.zeros((len(problem.ineqs), self.n))
         self.b = np.zeros(len(problem.ineqs))
-        self.neglog_ineqs = []
         for row, spec in enumerate(problem.ineqs):
             self.A[row, spec.affine.coords] = spec.affine.weights
             self.b[row] = spec.rhs - spec.affine.offset
-            self.neglog_ineqs += [
-                (row, _RealBlock(m.coords, m.mats, m.offset, weight=coef))
-                for coef, m in spec.neglog_terms]
         self._index_tables()
 
     def _index_tables(self):
@@ -446,14 +436,13 @@ class BarrierProblem:
         targets add up."""
         n = self.n
         blocks = self.obj_blocks + self.lmi_blocks
-        curv = [blk for _, blk in self.neglog_ineqs]
         empty = [np.zeros(0, dtype=np.intp)]
         self._grad_idx = np.concatenate(
             [np.ravel(blk.coords) for blk in blocks] + empty)
         self._obj_grad_len = sum(blk.coords.size for blk in self.obj_blocks)
         self._hess_idx = np.concatenate(
             [np.ravel(blk.coords[..., :, None] * n + blk.coords[..., None, :])
-             for blk in blocks + curv] + empty)
+             for blk in blocks] + empty)
 
     def gap_degree(self):
         deg = len(self.b) + sum(blk.weight * blk.dim * blk.batch_size
@@ -475,39 +464,27 @@ class BarrierProblem:
     # -- the barrier domain and the merit
 
     def _slacks(self, x):
-        """(s, chols, sides): every inequality slack, the Cholesky factors of
-        the log terms (neglog_ineqs order) and the box sides x - lo, hi - x
-        (none without a box); None where a log term has no factor."""
+        """(s, sides): every inequality slack b - A x and the box sides
+        x - lo, hi - x (none without a box)."""
         s = self.b - self.A @ x
-        chols = []
-        for row, blk in self.neglog_ineqs:
-            chol = blk.chol(x)
-            if chol is None:
-                return None
-            s[row] += blk.weight * blk.logdet(chol)
-            chols.append(chol)
         sides = () if self.box is None else (x - self.box[0], self.box[1] - x)
-        return s, chols, sides
+        return s, sides
 
     def _terms(self, x):
-        """The one test of the barrier domain: (chols, s, log_chols, sides),
-        with chols of the objective then the LMI blocks and the rest from
-        _slacks, when every block factors and every slack and box side is
-        positive; else None.  The pass stops at the first block without a
-        factor."""
+        """The one test of the barrier domain: (chols, s, sides), with chols
+        of the objective then the LMI blocks and the rest from _slacks, when
+        every block factors and every slack and box side is positive; else
+        None.  The pass stops at the first block without a factor."""
         chols = []
         for blk in self.obj_blocks + self.lmi_blocks:
             chol = blk.chol(x)
             if chol is None:
                 return None
             chols.append(chol)
-        slacks = self._slacks(x)
-        if slacks is None:
-            return None
-        s, log_chols, sides = slacks
+        s, sides = self._slacks(x)
         if (s <= 0.0).any() or any((side <= 0.0).any() for side in sides):
             return None
-        return chols, s, log_chols, sides
+        return chols, s, sides
 
     def _weighted(self, t):
         """(block, weight) of the objective and LMI blocks in _terms order;
@@ -517,7 +494,7 @@ class BarrierProblem:
 
     def _merit_value(self, x, t, terms):
         """Barrier merit at x from its pass terms = _terms(x)."""
-        chols, s, _, sides = terms
+        chols, s, sides = terms
         val = -t * float(self.c @ x)
         for (blk, w), chol in zip(self._weighted(t), chols):
             val -= w * blk.logdet(chol)
@@ -533,10 +510,7 @@ class BarrierProblem:
 
     def strict_margin(self, x):
         """Smallest slack across all barrier arguments (negative: infeasible)."""
-        slacks = self._slacks(x)
-        if slacks is None:
-            return -np.inf
-        s, _, sides = slacks
+        s, sides = self._slacks(x)
         worst = min(float(np.min(v, initial=np.inf)) for v in (s, *sides))
         for blk in self.lmi_blocks + self.obj_blocks:
             worst = min(worst, blk.min_eig(x))
@@ -560,7 +534,7 @@ class BarrierProblem:
         terms = self._terms(x)
         if terms is None:
             return None
-        chols, s, log_chols, sides = terms
+        chols, s, sides = terms
         n = self.n
         # Scatter weights in _index_tables order, the objective's without
         # their factor t; the empty seeds keep np.concatenate working for
@@ -570,20 +544,13 @@ class BarrierProblem:
             gvec, gram = blk.grad_gram(chol)
             gvals.append(np.ravel(gvec) * -blk.weight)
             hvals.append(np.ravel(gram) * w)
-        # Row i of jac is the gradient of slack s_i; a log term of row i
-        # adds its PSD -hess(s_i) part, scaled by 1 / s_i.
-        jac = -self.A
-        for (i, blk), chol in zip(self.neglog_ineqs, log_chols):
-            gvec, gram = blk.grad_gram(chol)
-            jac[i, blk.coords] += blk.weight * gvec
-            hvals.append(np.ravel(blk.weight * gram) / s[i])
         gvals, split = np.concatenate(gvals), self._obj_grad_len
         self.objective_grad = np.bincount(
             self._grad_idx[:split], gvals[:split], minlength=n) - self.c
         grad = t * self.objective_grad
         grad += np.bincount(self._grad_idx[split:], gvals[split:], minlength=n)
-        grad -= jac.T @ (1.0 / s)
-        scaled = jac / s[:, None]
+        grad += self.A.T @ (1.0 / s)
+        scaled = self.A / s[:, None]
         hess = scaled.T @ scaled
         hess += np.bincount(self._hess_idx, np.concatenate(hvals),
                             minlength=n * n).reshape(n, n)
@@ -801,8 +768,6 @@ def _phase1_problem(bp):
                           for b in bp.lmi_blocks + bp.obj_blocks]
     relaxed.A = np.hstack([bp.A, -np.ones((len(bp.b), 1))])
     relaxed.b = bp.b
-    relaxed.neglog_ineqs = [(row, extend_block(blk, blk.weight))
-                            for row, blk in bp.neglog_ineqs]
     relaxed.box = None               # sized by the caller from the start point
     relaxed._index_tables()
     return relaxed

@@ -144,19 +144,19 @@ class TestScenarioConfig:
             ScenarioConfig(n_users=2, sinr_targets=(10.0, 20.0, 30.0))
 
     @pytest.mark.parametrize("kw", [
-        {"n_tx": 2.5}, {"frame_len": 30.5}, {"an_samples": 2.5},
+        {"n_tx": 2.5}, {"frame_len": 30.5}, {"n_eve": 2.5},
         {"n_users": 2.5, "sinr_targets": (10.0,), "rician_factors": (2.0,)},
         {"n_rx": (1, 2)}],
-        ids=["n_tx", "frame_len", "an_samples", "n_users", "n_rx-sequence"])
+        ids=["n_tx", "frame_len", "n_eve", "n_users", "n_rx-sequence"])
     def test_fractional_count_rejected(self, kw):
         key = next(iter(kw))
         with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
             ScenarioConfig(**kw)
 
     def test_integral_float_count_becomes_int(self):
-        cfg = ScenarioConfig(n_tx=4.0, an_frame_len=1e1)
-        assert (cfg.n_tx, cfg.an_frame_len) == (4, 10)
-        assert isinstance(cfg.n_tx, int) and isinstance(cfg.an_frame_len, int)
+        cfg = ScenarioConfig(n_tx=4.0, frame_len=1e1)
+        assert (cfg.n_tx, cfg.frame_len) == (4, 10)
+        assert isinstance(cfg.n_tx, int) and isinstance(cfg.frame_len, int)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "-inf"])

@@ -3,24 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from sensesec.channels import build_sensing_stats, stats_from_covariance
-from sensesec.linalg import commutation_matrix, psd_sqrt, vec
+from sensesec.channels import stats_from_covariance
+from sensesec.linalg import psd_sqrt
 from sensesec.metrics import (
     _scaled_quadratic,
-    an_conditional_entropy,
-    an_eve_covariance,
-    an_eve_gram,
-    an_eve_mi_bound,
     rank_one_certificate,
     sensing_mi,
     sensing_mi_gradient,
     sensing_mi_taylor_bound,
-    sensing_mi_with_an,
     sinr,
     transmit_covariance,
 )
-
-LOG_2PIE = math.log(2.0 * math.pi * math.e)
 
 
 def random_complex(rng, *shape):
@@ -123,14 +116,6 @@ class TestSinr:
         ws = [random_complex(rng, 4) for _ in range(3)]
         mats = [np.outer(w, w.conj()) for w in ws]
         assert np.allclose(sinr(hs, ws, 1.0), sinr(hs, mats, 1.0))
-
-    def test_an_leakage_lowers_sinr(self):
-        rng = np.random.default_rng(3)
-        hs = [random_complex(rng, 4)]
-        ws = [random_complex(rng, 4)]
-        base = sinr(hs, ws, 1.0)
-        with_an = sinr(hs, ws, 1.0, an_cov=np.eye(4))
-        assert with_an[0] < base[0]
 
 
 class TestSensingMI:
@@ -253,168 +238,6 @@ class TestTaylorBound:
         bound = sensing_mi_taylor_bound(stats, random_psd(rng, 2),
                                         random_psd(rng, 2), 10)
         assert bound == 0.0
-
-
-class TestANAware:
-    def test_reduction_at_zero_an(self):
-        rng = np.random.default_rng(41)
-        stats = random_stats(rng, 2, 4)
-        r_x = random_psd(rng, 4)
-        zero = np.zeros((4, 4))
-        assert sensing_mi_with_an(stats, r_x, zero, 12) \
-            == sensing_mi(stats, r_x, 12)
-
-    def test_symmetry_in_sum(self):
-        rng = np.random.default_rng(42)
-        stats = random_stats(rng, 2, 4)
-        r_n = random_psd(rng, 4)
-        assert sensing_mi_with_an(stats, np.zeros((4, 4)), r_n, 12) \
-            == sensing_mi(stats, r_n, 12)
-
-    def test_additivity(self):
-        rng = np.random.default_rng(43)
-        stats = random_stats(rng, 2, 4)
-        r_x, r_n = random_psd(rng, 4), random_psd(rng, 4)
-        assert abs(sensing_mi_with_an(stats, r_x, r_n, 9)
-                   - sensing_mi(stats, r_x + r_n, 9)) < 1e-12
-
-
-class TestANEntropyTerms:
-    def make_samples(self, rng, count, n_rx, n_tx):
-        return random_complex(rng, count, n_rx, n_tx)
-
-    def test_noise_only_value(self):
-        stats = identity_stats(2, 3, noise_power=1.7)
-        rng = np.random.default_rng(51)
-        samples = self.make_samples(rng, 4, 2, 3)
-        frame_len = 6
-        got = an_conditional_entropy(stats, np.zeros((3, 3)), frame_len, samples)
-        want = 2 * frame_len * math.log(2 * math.pi * math.e * 1.7)
-        assert abs(got - want) < 1e-12
-
-    def test_zero_channel_sample(self):
-        stats = identity_stats(2, 3, noise_power=0.9)
-        samples = np.zeros((1, 2, 3), dtype=complex)
-        rng = np.random.default_rng(52)
-        got = an_conditional_entropy(stats, random_psd(rng, 3), 5, samples)
-        want = 2 * 5 * math.log(2 * math.pi * math.e * 0.9)
-        assert abs(got - want) < 1e-12
-
-    def test_sample_mean_linearity(self):
-        stats = identity_stats(2, 3, noise_power=1.0)
-        rng = np.random.default_rng(53)
-        samples = self.make_samples(rng, 2, 2, 3)
-        r_n = random_psd(rng, 3)
-        both = an_conditional_entropy(stats, r_n, 7, samples)
-        single = [an_conditional_entropy(stats, r_n, 7, samples[j:j + 1])
-                  for j in range(2)]
-        assert abs(both - 0.5 * (single[0] + single[1])) < 1e-12
-
-    def test_against_dense_determinant_display(self):
-        # Per-sample value minus its constant equals the dense determinant of
-        # the displayed argument sigma^2 I + L K (I kron R_N*) K^T h h^H,
-        # normalized by its own noise-only determinant.
-        rng = np.random.default_rng(54)
-        n_rx, n_tx, frame_len = 2, 3, 11
-        stats = identity_stats(n_rx, n_tx, noise_power=1.3)
-        samples = self.make_samples(rng, 3, n_rx, n_tx)
-        r_n = random_psd(rng, n_tx)
-        got = an_conditional_entropy(stats, r_n, frame_len, samples)
-        const = n_rx * frame_len * math.log(2 * math.pi * math.e * 1.3)
-        k = commutation_matrix(n_tx, n_rx)
-        dense_terms = []
-        for h_mat in samples:
-            h = vec(h_mat)
-            arg = 1.3 * np.eye(n_rx * n_tx) + frame_len * (
-                k @ np.kron(np.eye(n_rx), np.conj(r_n)) @ k.T
-            ) @ np.outer(h, h.conj())
-            sign, logdet = np.linalg.slogdet(arg)
-            assert abs(np.real(sign) - 1.0) < 1e-9
-            dense_terms.append(np.real(logdet) - n_rx * n_tx * math.log(1.3))
-        assert abs((got - const) - float(np.mean(dense_terms))) < 1e-9
-
-    def test_quadratic_form_is_channel_gram_trace(self):
-        # h^H (R_N* kron I) h = tr(H R_N H^H) = tr(H^H H R_N).
-        rng = np.random.default_rng(55)
-        h_mat = random_complex(rng, 2, 3)
-        r_n = random_psd(rng, 3)
-        h = vec(h_mat)
-        quad = np.real(h.conj() @ np.kron(np.conj(r_n), np.eye(2)) @ h)
-        want = np.real(np.trace(h_mat @ r_n @ h_mat.conj().T))
-        assert abs(quad - want) < 1e-10
-
-    def test_empty_samples_rejected(self):
-        stats = identity_stats(2, 3)
-        with pytest.raises(ValueError):
-            an_conditional_entropy(stats, np.eye(3), 5,
-                                   np.zeros((0, 2, 3), dtype=complex))
-
-
-class TestANCovariance:
-    def test_constant_samples(self):
-        rng = np.random.default_rng(61)
-        h0 = random_complex(rng, 2, 3)
-        r_n = random_psd(rng, 3)
-        samples = np.stack([h0, h0])
-        got = an_eve_covariance(samples, r_n, 4)
-        want = np.kron(np.eye(4), h0 @ r_n @ h0.conj().T)
-        assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_zero_an(self):
-        rng = np.random.default_rng(62)
-        samples = random_complex(rng, 3, 2, 3)
-        got = an_eve_covariance(samples, np.zeros((3, 3)), 5)
-        assert np.max(np.abs(got)) == 0.0
-
-    def test_matches_naive_kronecker(self):
-        rng = np.random.default_rng(63)
-        n_rx = frame_len = 2
-        samples = random_complex(rng, 3, n_rx, 4)
-        r_n = random_psd(rng, 4)
-        got = an_eve_covariance(samples, r_n, frame_len)
-        naive = np.zeros((n_rx * frame_len, n_rx * frame_len), dtype=complex)
-        for h in samples:
-            lift = np.kron(np.eye(frame_len), h)
-            naive += lift @ np.kron(np.eye(frame_len), r_n) @ lift.conj().T
-        naive /= samples.shape[0]
-        assert np.max(np.abs(got - naive)) < 1e-10
-
-
-class TestANMIBound:
-    def test_zero_an_zero_bound(self):
-        rng = np.random.default_rng(71)
-        stats = identity_stats(2, 3, noise_power=0.8)
-        samples = random_complex(rng, 5, 2, 3)
-        assert an_eve_mi_bound(stats, np.zeros((3, 3)), 9, samples) == 0.0
-
-    def test_decreasing_in_noise_power(self):
-        rng = np.random.default_rng(72)
-        samples = random_complex(rng, 5, 2, 3)
-        r_n = random_psd(rng, 3)
-        vals = []
-        for noise in [0.5, 1.0, 4.0, 16.0, 256.0, 1e6]:
-            stats = identity_stats(2, 3, noise_power=noise)
-            vals.append(an_eve_mi_bound(stats, r_n, 9, samples))
-        assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-        assert vals[-1] < 1e-3
-
-    def test_is_difference_of_components(self):
-        from sensesec.metrics import an_eve_marginal_entropy
-        rng = np.random.default_rng(73)
-        stats = identity_stats(2, 3, noise_power=1.1)
-        samples = random_complex(rng, 4, 2, 3)
-        r_n = random_psd(rng, 3)
-        bound = an_eve_mi_bound(stats, r_n, 9, samples)
-        diff = an_eve_marginal_entropy(stats, r_n, 9, samples) \
-            - an_conditional_entropy(stats, r_n, 9, samples)
-        assert abs(bound - diff) < 1e-12
-
-    def test_gram_matches_definition(self):
-        rng = np.random.default_rng(74)
-        samples = random_complex(rng, 4, 2, 3)
-        r_n = random_psd(rng, 3)
-        want = sum(h @ r_n @ h.conj().T for h in samples) / 4
-        assert np.max(np.abs(an_eve_gram(samples, r_n) - want)) < 1e-12
 
 
 def test_rank_one_certificate():

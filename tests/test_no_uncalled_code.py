@@ -1,5 +1,6 @@
-"""Every module-level function and class of ``sensesec`` has a caller, and
-every ``ScenarioConfig`` field has a reader.
+"""Every module-level function and class of ``sensesec`` has a caller, every
+``ScenarioConfig`` field has a reader, and every module-level import is used
+by its own module.
 
 A name counts as used when ``src/`` or ``perfbench/`` refers to it outside
 its own definition: as a name, an attribute, or a string naming it (the
@@ -7,7 +8,8 @@ benchmark tracer wraps functions by name).  Imports alone do not count.
 A field counts as read when ``src/`` or ``perfbench/`` refers to it as an
 attribute outside the class body; the class's own validation does not count.
 Tests do not count either; code that only tests reach goes, together with
-those tests.
+those tests.  An import counts as used when its module names it in code; a
+docstring that mentions it does not count.
 """
 
 import ast
@@ -19,18 +21,10 @@ PACKAGE = ROOT / "src" / "sensesec"
 # name -> why it stays without a caller.
 ALLOWED = {
     "psd_sqrt": "the metric tests compare the closed forms against it",
-    "sensing_mi_with_an": "artificial-noise metric held for the AN design",
-    "an_eve_covariance": "artificial-noise metric held for the AN design",
-    "an_conditional_entropy": "artificial-noise metric held for the AN design",
-    "an_eve_marginal_entropy": "artificial-noise metric held for the AN design",
-    "an_eve_mi_bound": "artificial-noise metric held for the AN design",
 }
 
 # ScenarioConfig field -> why nothing reads it.
-UNREAD_FIELDS = {
-    "an_samples": "held for the AN design (ROADMAP item 6)",
-    "an_frame_len": "held for the AN design (ROADMAP item 6)",
-}
+UNREAD_FIELDS = {}
 
 
 def source_trees():
@@ -108,3 +102,27 @@ def test_every_scenario_field_is_read_or_has_a_stated_reason():
     assert unread - set(UNREAD_FIELDS) == set()
     # An allowlisted field that gained a reader leaves the list.
     assert set(UNREAD_FIELDS) <= unread
+
+
+def unused_imports():
+    """(module, name) of every module-level import of the package that its
+    own module never names outside the import, ``from __future__`` aside."""
+    unused = set()
+    for path, tree in source_trees().items():
+        if path.parent != PACKAGE:
+            continue
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound |= {alias.asname or alias.name.split(".")[0]
+                          for alias in node.names}
+        named = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)}
+        unused |= {(path.name, name) for name in bound - named}
+    return unused
+
+
+def test_every_module_import_is_used_by_its_module():
+    assert unused_imports() == set()

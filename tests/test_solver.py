@@ -153,8 +153,8 @@ def test_barrier_derivatives_match_finite_differences():
 
 
 def stacked_inequality_problem():
-    """(problem, interior point): stacked inequality rows, two of them with
-    neg-log terms, and a log-det objective over W0 + W1."""
+    """(problem, interior point): stacked inequality rows over the Hermitian
+    and scalar variables, and a log-det objective over W0 + W1."""
     rng = np.random.default_rng(3)
     prob = ConicSubproblem()
     prob.add_hermitian("W0", 2)
@@ -171,11 +171,7 @@ def stacked_inequality_problem():
     h = random_complex(rng, 2)
     prob.add_ineq(prob.scalar_map(
         0.0, {"W0": -hermitian_weights(np.outer(h, h.conj())), "y": 0.5}), 1.0)
-    # z - log(1 + y) <= 0.5 and z - 0.7 logdet(I + W0) <= 1.
-    prob.add_ineq(prob.scalar_map(0.0, {"z": 1.0}), 0.5, neglog_terms=[
-        (1.0, prob.matrix_map(np.eye(1), {"y": [np.eye(1)]}))])
-    prob.add_ineq(prob.scalar_map(0.0, {"z": 1.0}), 1.0, neglog_terms=[
-        (0.7, prob.matrix_map(np.eye(2), {"W0": hermitian_basis(2)}))])
+    prob.add_ineq(prob.scalar_map(0.0, {"z": 1.0, "y": -0.5}), 0.5)
     w0 = 0.2 * random_complex(rng, 2)
     x = prob.pack({"W0": np.outer(w0, w0.conj()) + 0.3 * np.eye(2),
                    "W1": 0.2 * np.eye(2), "y": 1.0, "z": 0.1})
@@ -186,7 +182,6 @@ def test_stacked_inequality_derivatives_match_finite_differences():
     from sensesec.solver import BarrierProblem, _phase1_problem
     prob, x = stacked_inequality_problem()
     bp = BarrierProblem(prob)
-    assert len(bp.neglog_ineqs) == 2
     assert_derivatives_match_finite_differences(bp, x, 7.0)
 
     relaxed = _phase1_problem(bp)
@@ -243,7 +238,7 @@ def test_batched_schur_lmi_derivatives_match_finite_differences():
 @pytest.fixture(scope="module")
 def domain_cases():
     """(barrier problem, interior point): the default SCA subproblem, its
-    phase-I problem inside a coordinate box, and the stacked neg-log
+    phase-I problem inside a coordinate box, and the stacked-inequality
     problem."""
     from conftest import random_expansion
     from sensesec import channels, sca
@@ -263,7 +258,7 @@ def domain_cases():
 
 
 @pytest.mark.parametrize("case", [0, 1, 2],
-                         ids=["subproblem", "phase1-box", "neglog"])
+                         ids=["subproblem", "phase1-box", "stacked"])
 def test_merit_paths_share_one_domain_and_value(domain_cases, case):
     # Points on random rays from an interior point, from well inside the
     # domain to well outside it, and one past the phase-I box alone: a
@@ -396,33 +391,6 @@ class TestSolveMatrixVariable:
         assert np.min(np.linalg.eigvalsh(g0 - w)) >= -1e-7
         assert np.real(np.trace(w)) <= 1.5 + 1e-7
         assert res.feas_residual <= 1e-7
-
-
-class TestScalarLogConstraints:
-    def test_hypograph_via_neglog(self):
-        # maximize x s.t. x - log(1 + y) <= 0, 0 <= y <= 3 -> x* = log 4.
-        prob = ConicSubproblem()
-        prob.add_scalar("x", lower=0.0)
-        prob.add_scalar("y", lower=0.0, upper=3.0)
-        lin = prob.scalar_map(0.0, {"x": 1.0})
-        ymap = prob.matrix_map(np.eye(1), {"y": [np.eye(1)]})
-        prob.add_ineq(lin, 0.0, neglog_terms=[(1.0, ymap)])
-        prob.set_objective(linear=prob.scalar_map(0.0, {"x": 1.0}))
-        res = solve(prob)
-        assert res.status == "optimal"
-        assert abs(res.values["x"] - math.log(4.0)) < 1e-3
-
-    def test_matrix_neglog_constraint(self):
-        # maximize x s.t. x - logdet(I + y A) <= 0, y in [0, 1], A = diag(1, 2).
-        prob = ConicSubproblem()
-        prob.add_scalar("x", lower=0.0)
-        prob.add_scalar("y", lower=0.0, upper=1.0)
-        lin = prob.scalar_map(0.0, {"x": 1.0})
-        amap = prob.matrix_map(np.eye(2), {"y": [np.diag([1.0, 2.0])]})
-        prob.add_ineq(lin, 0.0, neglog_terms=[(1.0, amap)])
-        prob.set_objective(linear=prob.scalar_map(0.0, {"x": 1.0}))
-        res = solve(prob)
-        assert abs(res.values["x"] - (math.log(2.0) + math.log(3.0))) < 1e-3
 
 
 class TestPhase1:
