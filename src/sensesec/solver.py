@@ -11,10 +11,11 @@ Convex Optimization, sec. 11.3) runs on the real coordinates of the variables.
 Identical problems give identical iterates at a fixed BLAS thread count.
 Across thread counts, BLAS may sum in another order and the iterates may
 differ by round-off.  For the default ScenarioConfig at channel seed 1,
-run_sca_no_an solves one subproblem, certified at the relaxation, in 31
+run_sca_no_an solves one subproblem, certified at the relaxation, in 26
 Newton steps at one OpenBLAS thread and at two, and its final MIs agree
-bitwise; so do its designs at eve_mi_cap 5 and 1 on channel seeds 1-3
-(2-core x86 Xeon, OpenBLAS 0.3.31 in numpy, 0.3.30 in scipy).
+bitwise; so do its designs at eve_mi_cap 5 and 1 on channel seeds 1-3,
+with equal outer iterations and Newton steps (2-core x86 Xeon, OpenBLAS
+0.3.31 in numpy, 0.3.30 in scipy).
 """
 
 from __future__ import annotations
@@ -744,6 +745,75 @@ def _central_t(bp, x):
                BARRIER_T0 * BARRIER_GROWTH ** 3)
 
 
+def _center_free_coordinates(bp, x, t):
+    """x with each free coordinate, one that no log-det block reads, moved
+    in turn to the minimizer of the merit at t along that coordinate alone,
+    the others held fixed.  Along coordinate j the merit is -t c_j x_j minus
+    the log slacks (_slacks) of the rows that involve j and of j's box
+    sides: a one-dimensional convex function that _line_minimizer solves
+    without a merit evaluation.  A coordinate whose merit is unbounded
+    along it, or whose minimizer rounds out of the domain, stays put.
+
+    Started far from that minimizer, as a padded slack is, Newton's method
+    on the whole merit would approach it one damped step per doubling
+    (Boyd & Vandenberghe, Convex Optimization, sec. 9.6.4)."""
+    free = np.ones(bp.n, dtype=bool)
+    free[bp._grad_idx] = False
+    for j in np.flatnonzero(free):
+        s, sides = bp._slacks(x)
+        rows = np.flatnonzero(bp.A[:, j])
+        a, s = bp.A[rows, j], s[rows]
+        if sides:
+            below, above = sides
+            a = np.append(a, (-1.0, 1.0))
+            s = np.append(s, (below[j], above[j]))
+        step = _line_minimizer(-t * bp.c[j], a, s)
+        if step is not None:
+            moved = x.copy()
+            moved[j] += step
+            if bp.in_domain(moved):
+                x = moved
+    return x
+
+
+def _line_minimizer(slope, a, s):
+    """Minimizer d of f(d) = slope d - sum_i log(s_i - a_i d), s > 0, to
+    round-off; None when f has no minimizer or the one found does not lower
+    f below f(0).  f' = slope + sum_i a_i / (s_i - a_i d) increases over
+    the domain.  At an end that a row closes it tends to -inf (lower end) or
+    +inf (upper end), at an open end to ``slope``; so f has a minimizer
+    unless an open upper end has slope <= 0 or an open lower end slope >= 0.
+    Newton's method on f' from d = 0 stays inside the bracket that the
+    signs of f' shrink, and bisects where it would leave it."""
+    up, down = a > 0.0, a < 0.0
+    hi = float(np.min(s[up] / a[up], initial=np.inf))
+    lo = float(np.max(s[down] / a[down], initial=-np.inf))
+    if (hi == np.inf and slope <= 0.0) or (lo == -np.inf and slope >= 0.0):
+        return None
+    d = 0.0
+    # A guard: on the perfbench panels the loop ends within 21 passes.
+    for _ in range(200):
+        r = a / (s - a * d)
+        g = slope + float(np.sum(r))
+        if g == 0.0:
+            break
+        if g < 0.0:
+            lo = d
+        else:
+            hi = d
+        nxt = d - g / float(r @ r)
+        if nxt == d:
+            break
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:       # the bracket holds no more floats
+                break
+        d = nxt
+    if slope * d - float(np.sum(np.log((s - a * d) / s))) >= 0.0:
+        return None
+    return d
+
+
 def _phase1_problem(bp):
     """Relaxed copy with one extra slack coordinate s: minimize s subject to
     every barrier argument shifted by +s (scalar slacks, +s I on blocks).
@@ -841,7 +911,12 @@ def solve(problem, initial=None):
     start from the origin.  With a start and an objective, the barrier
     begins at the t where the start is most central (_central_t), so a warm
     start taken from an earlier solve's central path resumes near its own t;
-    otherwise at ``BARRIER_T0``.  Returns a SolverResult whose objective is
+    otherwise at ``BARRIER_T0``.  At that t, each free coordinate of a warm
+    start, one that no log-det block reads (a slack such as sca's kappa),
+    first moves to its exact minimizer of the merit with the other
+    coordinates held fixed (_center_free_coordinates): a slack started at a
+    small pad would otherwise cost the first stage one Newton step per
+    doubling.  Returns a SolverResult whose objective is
     in the original complex log-det units and whose ``stage_points`` hold
     the centered point of every stage, the warm starts that interior-point
     reoptimization draws on (Gondzio & Grothey, SIAM J. Optim. 2003).
@@ -850,7 +925,10 @@ def solve(problem, initial=None):
     hint = problem.pack(initial) if initial is not None else None
     x0 = _find_strictly_feasible(bp, hint=hint)
     warm = hint is not None and not bp.centering_only
-    t0 = _central_t(bp, x0) if warm else BARRIER_T0
+    t0 = BARRIER_T0
+    if warm:
+        t0 = _central_t(bp, x0)
+        x0 = _center_free_coordinates(bp, x0, t0)
     x, iters, status, history, points = _run_barrier(
         bp, x0, t0=t0, obj_tol=OBJ_TOL, max_iters=MAX_NEWTON_STEPS)
     residual = max(-bp.strict_margin(x), 0.0)

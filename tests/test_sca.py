@@ -196,6 +196,20 @@ def test_one_milliwatt_binding_cap_design_runs_no_phase_one(monkeypatch):
     assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
 
 
+@pytest.mark.parametrize("channel_seed", [1, 2, 3, 4])
+def test_first_stage_of_the_first_subproblem_starts_kappa_centered(
+        channel_seed, solver_results):
+    # _start_values pads kappa to 1e-4, about 1e-4 of its central value at
+    # the first stage's t = 100; Newton's method on the whole merit took 15
+    # damped steps there, one per doubling of kappa, before the solver
+    # centered kappa alone at that t.
+    cfg = channels.ScenarioConfig(power_budget=1e-3)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
+    sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(channel_seed))
+    _, first, *_ = solver_results        # the anchor solve comes first
+    assert first.history[0][2] <= 3
+
+
 @given(channel_seed=st.integers(1, 1000),
        power_budget=st.sampled_from([1e-3, 1.0]),
        eve_mi_cap=st.floats(0.01, 5.0))

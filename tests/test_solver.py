@@ -774,3 +774,87 @@ def test_last_stage_in_the_quadratic_phase_keeps_the_objective(seed,
     assert steps > 0
 
     assert abs(res.objective - bp.objective_value(x)) <= solver.OBJ_TOL
+
+
+def kappa_problem(cap, eve_weight):
+    """max log det(I + W) - eve_weight kappa over a 2 x 2 W >= 0 with
+    tr W <= 1 and the Eve-type row Re tr(g W) <= cap + kappa, kappa >= 0:
+    sca's Eve slack in miniature, read by no log-det block."""
+    prob = ConicSubproblem()
+    prob.add_hermitian("W", 2)
+    prob.add_scalar("kappa", lower=0.0)
+    basis = hermitian_basis(2)
+    g = np.array([[1.0, 0.5j], [-0.5j, 0.5]])
+    prob.add_ineq(prob.scalar_map(0.0, {"W": hermitian_weights(np.eye(2))}),
+                  1.0)
+    prob.add_ineq(prob.scalar_map(0.0, {"W": hermitian_weights(g),
+                                        "kappa": -1.0}), cap)
+    prob.add_lmi(prob.matrix_map(np.zeros((2, 2)), {"W": basis}))
+    prob.set_objective(
+        linear=prob.scalar_map(0.0, {"kappa": -eve_weight}),
+        logdet_terms=[(1.0, prob.matrix_map(np.eye(2), {"W": basis}))])
+    return prob
+
+
+def padded_kappa_start(prob, cap):
+    """W = 0.3 I, whose Eve-type bound is 0.45, and kappa at that bound's
+    violation plus a pad of 1e-4, as sca._start_values sizes it."""
+    return prob.pack({"W": 0.3 * np.eye(2),
+                      "kappa": max(0.45 - cap, 0.0) + 1e-4})
+
+
+def forbid_merit_calls(monkeypatch):
+    def fail(*args):
+        raise AssertionError("merit evaluated")
+
+    monkeypatch.setattr(BarrierProblem, "merit", fail)
+    monkeypatch.setattr(BarrierProblem, "merit_derivatives", fail)
+
+
+# cap 1.0 leaves the Eve-type row inactive at the start, cap 0.2 is violated
+# (bound 0.45 > cap); a box of +-0.5 around the start bounds kappa by its
+# upper side at t = 1.
+@pytest.mark.parametrize("cap", [1.0, 0.2], ids=["inactive", "violated"])
+@pytest.mark.parametrize("t", [1.0, 100.0, 1e4])
+@pytest.mark.parametrize("boxed", [False, True], ids=["free", "boxed"])
+def test_free_coordinate_moves_to_its_exact_line_minimizer(cap, t, boxed,
+                                                           monkeypatch):
+    prob = kappa_problem(cap, eve_weight=2.0)
+    bp = BarrierProblem(prob)
+    x = padded_kappa_start(prob, cap)
+    if boxed:
+        bp.box = (x - 0.5, x + 0.5)
+    j = prob.blocks[1].offset
+    assert bp.in_domain(x) and j not in bp._grad_idx
+    before = bp.merit(x, t)
+
+    with monkeypatch.context() as patch:
+        forbid_merit_calls(patch)
+        moved = solver._center_free_coordinates(bp, x, t)
+
+    # Only kappa moves, inside the domain, and the merit does not rise.
+    others = np.arange(bp.n) != j
+    assert np.array_equal(moved[others], x[others])
+    assert moved[j] != x[j]
+    assert bp.in_domain(moved)
+    assert bp.merit(moved, t) <= before
+    # The merit's derivative along kappa vanishes to round-off, relative to
+    # the magnitudes of its terms.
+    _, grad, _ = bp.merit_derivatives(moved, t)
+    s, sides = bp._slacks(moved)
+    scale = t * abs(bp.c[j]) + np.abs(bp.A[:, j]) @ (1.0 / s)
+    if sides:
+        scale += 1.0 / sides[0][j] + 1.0 / sides[1][j]
+    assert abs(grad[j]) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("cap", [1.0, 0.2], ids=["inactive", "violated"])
+def test_free_coordinate_with_an_unbounded_line_merit_stays(cap, monkeypatch):
+    # Without a price on kappa, -log kappa - log(slack + kappa) falls
+    # without bound as kappa grows.
+    prob = kappa_problem(cap, eve_weight=0.0)
+    bp = BarrierProblem(prob)
+    x = padded_kappa_start(prob, cap)
+    forbid_merit_calls(monkeypatch)
+    moved = solver._center_free_coordinates(bp, x, 100.0)
+    assert np.array_equal(moved, x)
