@@ -143,10 +143,12 @@ class BeamformerSolution:
 
     ``mi_eve`` is always the closed-form eavesdropper MI at the returned
     transmit covariance; ``mi_eve_surrogate`` is the bound the design
-    enforced, the last subproblem's affine expansion, at that covariance.
-    A ``certified`` design is globally optimal for the tightened SINR
-    targets, within the solver's duality gap; any other design is only a
-    stationary point of the penalty SCA.
+    enforced, the last subproblem's Eve row, at that covariance: an affine
+    expansion, which bounds ``mi_eve`` from above, or for a design certified
+    on a trace relaxation of the cap, log(1 + tr A_e), which bounds it from
+    below.  A ``certified`` design is globally optimal for the tightened
+    SINR targets, within the solver's duality gap, whether or not its cap
+    binds; any other design is only a stationary point of the penalty SCA.
     """
 
     weights: list                  # per-user vectors

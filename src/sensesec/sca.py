@@ -3,31 +3,40 @@ over semidefinite-relaxed per-user beamformers.
 
 Each outer iteration solves one convex max-det subproblem in which the
 eavesdropper MI is replaced by its affine global upper bound at the current
-expansion point, and the rank-one requirement tr W_k - ||W_k||_2 = 0 is
-linearized in its concave part at the expansion point (difference-of-convex
-form; Yang, Jiang, Shi & Ding, IEEE TWC 2020).  The objective penalizes the
-linearized rank residuals, in watts, and the eavesdropper bound's slack, in
-nats, each with its own weight; both weights grow geometrically (penalty
-convex-concave procedure; Lipp & Boyd, Optim. Eng. 2016).  The slack's weight
-starts at a least-squares estimate of the Eve row's multiplier at the anchor,
-since an exact penalty must price the slack above that multiplier (Nocedal &
-Wright, Numerical Optimization, 2nd ed., sec. 17.2).
+expansion point (with one exception, below), and the rank-one requirement
+tr W_k - ||W_k||_2 = 0 is linearized in its concave part at the expansion
+point (difference-of-convex form; Yang, Jiang, Shi & Ding, IEEE TWC 2020).
+The objective penalizes the linearized rank residuals, in watts, and the
+eavesdropper bound's slack, in nats, each with its own weight; both weights
+grow geometrically (penalty convex-concave procedure; Lipp & Boyd, Optim.
+Eng. 2016).  The slack's weight starts at a least-squares estimate of the
+Eve row's multiplier at the anchor, since an exact penalty must price the
+slack above that multiplier (Nocedal & Wright, Numerical Optimization, 2nd
+ed., sec. 17.2).
 
 The first subproblem carries no rank penalty, so it is the semidefinite
-relaxation (SDR) with the Eve row linearized at the anchor.  When that row is
-inactive and the eigenvector beams of its solution meet the limits and reach
-its legitimate MI, the loop stops there with a certificate of global
-optimality for the tightened SINR targets: an inactive row of a convex
-problem can be dropped, the cap-free SDR bounds the nonconvex design from
-above, and the beams are feasible for the design.  SDRs with few constraints
-are typically tight for downlink beamforming (Luo, Ma, So, Ye & Zhang, IEEE
-SP Mag. 2010; Huang & Palomar, IEEE TSP 2010).  Every other design is a
-stationary point of the penalty SCA.
+relaxation (SDR) of the design.  Its Eve row is linearized at the anchor
+when the anchor meets the cap.  When the anchor's Eve MI reaches the cap,
+that expansion would start violated, so the row caps instead tr A_e(R) at
+e^cap - 1, with A_e(R) the Eve MI's log-det argument minus I:
+det(I + A) >= 1 + tr A for A >= 0, so every design that meets the cap meets
+this row, and its solution lands near the cap, a better first expansion
+point.  The loop stops after the SDR with a certificate of global optimality
+for the tightened SINR targets when the eigenvector beams of its solution
+meet the limits, the Eve cap with no slack, and reach its legitimate MI,
+provided its Eve row is the trace relaxation or an inactive linearization.
+Either way the SDR's optimum bounds every design that meets the cap: the
+trace row admits them all, and an inactive row of a convex problem can be
+dropped, leaving the cap-free SDR.  SDRs with few constraints are typically
+tight for downlink beamforming (Luo, Ma, So, Ye & Zhang, IEEE SP Mag. 2010;
+Huang & Palomar, IEEE TSP 2010).  Every other design is a stationary point
+of the penalty SCA.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -92,6 +101,9 @@ class SCAIteration:
     index: int
     mi_legit: float
     mi_eve: float
+    # The Eve bound that the row's subproblem enforced, at its iterate: the
+    # Taylor expansion, an upper bound of mi_eve, or on a first row whose
+    # anchor exceeds the cap, log1p(tr A_e(R)), a lower bound of it.
     mi_eve_surrogate: float
     kappa: float                 # max(0, mi_eve_surrogate - cap)
     rho_max: float               # max_k tr W_k - u_k^H W_k u_k, expansion u_k;
@@ -146,16 +158,64 @@ def _top_direction(mat):
     return np.linalg.eigh(mat)[1][:, -1]
 
 
+def _re_trace(g, r_x):
+    """Re tr(g r_x)."""
+    return float(np.real(np.trace(g @ r_x)))
+
+
+@dataclass(frozen=True)
+class EveRow:
+    """A subproblem's Eve row Re tr(grad R) - kappa <= rhs, in R = sum_k W_k
+    (_eve_row)."""
+
+    grad: np.ndarray | None      # None without a row (an infinite cap)
+    rhs: float
+    bound: Callable              # R -> the Eve-MI bound, in nats, it caps
+    relaxed: bool                # the trace relaxation
+
+
+def _eve_row(state, stats_e, cfg):
+    """The EveRow of the subproblem at ``state``.  Its bound(R) is at most
+    the cap exactly where Re tr(grad R) <= rhs.
+
+    Every row but one is the Taylor expansion of the Eve MI at the
+    expansion point R_0, a global upper bound by concavity
+    (sensing_mi_taylor_bound), so a design that meets the row meets the cap.
+    The exception is the first subproblem (rank weight 0) when R_0's own Eve
+    MI reaches the cap, where that expansion starts violated: its row is the
+    trace relaxation tr A_e(R) = Re tr(G_0 R) <= e^cap - 1, with A_e(R) the
+    Eve MI's log-det argument minus I and G_0 the MI's gradient at R = 0.
+    det(I + A) >= 1 + tr A for A >= 0, so bound(R) = log1p(tr A_e(R)) bounds
+    the Eve MI from below, and every design that meets the cap meets this
+    row with kappa = 0.  An infinite cap has no row; its bound is still the
+    Taylor expansion."""
+    cap, frame, exp_cov = cfg.eve_mi_cap, cfg.frame_len, state.exp_cov
+
+    def taylor(r_x):
+        return sensing_mi_taylor_bound(stats_e, r_x, exp_cov, frame)
+
+    if not np.isfinite(cap):
+        return EveRow(None, cap, taylor, False)
+    mi_e = sensing_mi(stats_e, exp_cov, frame)
+    if state.penalty_weight == 0.0 and mi_e >= cap:
+        grad = sensing_mi_gradient(stats_e, np.zeros_like(exp_cov), frame)
+        return EveRow(grad, math.expm1(cap),
+                      lambda r_x: math.log1p(_re_trace(grad, r_x)), True)
+    grad = sensing_mi_gradient(stats_e, exp_cov, frame)
+    return EveRow(grad, cap - (mi_e - _re_trace(grad, exp_cov)), taylor, False)
+
+
 def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
     """Convex subproblem of one SCA step.
 
     maximize   MI_legit(sum_k W_k)
                - e kappa - p sum_k (tr W_k - u_k^H W_k u_k)
-    subject to affine eavesdropper-MI bound <= cap + kappa, kappa >= 0,
-    power cap, tightened SINR and W_k >= 0, with u_k the top unit eigenvector
-    of the expansion matrix, p = ``state.penalty_weight`` and
-    e = ``state.eve_weight``.  The rank residuals are nonnegative on W_k >= 0,
-    so they need no slack; an infinite cap drops kappa with the Eve row.
+    subject to the Eve row Re tr(G sum_k W_k) - kappa <= b (_eve_row),
+    kappa >= 0, power cap, tightened SINR and W_k >= 0, with u_k the top
+    unit eigenvector of the expansion matrix, p = ``state.penalty_weight``
+    and e = ``state.eve_weight``.  The rank residuals are nonnegative on
+    W_k >= 0, so they need no slack; an infinite cap drops kappa with the
+    Eve row.
     """
     n_users = cfg.n_users
     if len(state.exp_weight_mats) != n_users:
@@ -183,18 +243,14 @@ def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
         penalty[name] = -pbar * hermitian_weights(
             np.eye(n) - np.outer(u, u.conj()))
 
-    # Eavesdropper constraint: affine expansion of the Eve MI around the
-    # current covariance, slacked by a penalized kappa >= 0.
+    # Eavesdropper constraint (_eve_row), slacked by a penalized kappa >= 0.
     if np.isfinite(cfg.eve_mi_cap):
         prob.add_scalar("kappa", lower=0.0)
         penalty["kappa"] = -state.eve_weight
-        exp_cov = state.exp_cov
-        grad = sensing_mi_gradient(stats_e, exp_cov, cfg.frame_len)
-        const = sensing_mi(stats_e, exp_cov, cfg.frame_len) \
-            - float(np.real(np.trace(grad @ exp_cov)))
+        row = _eve_row(state, stats_e, cfg)
         eve_affine = prob.scalar_map(
-            0.0, {**on_tx_cov(hermitian_weights(grad)), "kappa": -1.0})
-        prob.add_ineq(eve_affine, cfg.eve_mi_cap - const)
+            0.0, {**on_tx_cov(hermitian_weights(row.grad)), "kappa": -1.0})
+        prob.add_ineq(eve_affine, row.rhs)
 
     # Objective: legitimate sensing MI (symmetrized log-det form) minus the
     # penalty terms.
@@ -317,16 +373,16 @@ def _eve_multiplier_estimate(mats, stats_r, stats_e, cfg):
     return max(0.0, inner) / norm2 if norm2 > 0.0 else 0.0
 
 
-def _start_values(mats, cfg, state, stats_e):
-    """Solver warm start from explicit W_k; with a finite Eve cap, kappa is
-    sized to the Eve bound's violation plus a pad that keeps its barrier
-    arguments strict."""
+def _start_values(mats, cfg, eve_row):
+    """Solver warm start from explicit W_k; with an Eve row (_eve_row),
+    kappa is sized to that row's violation Re tr(G R) - b plus a pad that
+    keeps its barrier arguments strict."""
     vals = {f"W{k}": m for k, m in enumerate(mats)}
-    if np.isfinite(cfg.eve_mi_cap):
+    if eve_row.grad is not None:
         pad = 1e-4 * max(1.0, cfg.power_budget)
-        bound = sensing_mi_taylor_bound(stats_e, transmit_covariance(mats),
-                                        state.exp_cov, cfg.frame_len)
-        vals["kappa"] = max(bound - cfg.eve_mi_cap, 0.0) + pad
+        violation = _re_trace(eve_row.grad, transmit_covariance(mats)) \
+            - eve_row.rhs
+        vals["kappa"] = max(violation, 0.0) + pad
     return vals
 
 
@@ -354,11 +410,12 @@ def _warm_start(problem, res, anchor, beam_margin):
                  if beam_margin(start) >= floor), blend)
 
 
-def _extract_solution(values, channels, stats_r, stats_e, cfg, state, rng,
-                      status):
-    """Rank-one beams from the relaxed solution plus re-verified metrics;
-    beams that miss a limit report "limits-violated" after any earlier
-    failure."""
+def _extract_solution(values, channels, stats_r, stats_e, cfg, eve_bound,
+                      rng, status):
+    """Rank-one beams from the relaxed solution plus re-verified metrics,
+    with ``eve_bound`` the Eve bound of the last solved subproblem
+    (_eve_row); beams that miss a limit report "limits-violated" after any
+    earlier failure."""
     n_users = cfg.n_users
     weight_mats = [values[f"W{k}"] for k in range(n_users)]
     certs = np.array([rank_one_certificate(w) for w in weight_mats])
@@ -380,8 +437,6 @@ def _extract_solution(values, channels, stats_r, stats_e, cfg, state, rng,
     r_x = transmit_covariance(weights)
     mi_r = sensing_mi(stats_r, r_x, cfg.frame_len)
     mi_e = sensing_mi(stats_e, r_x, cfg.frame_len)
-    surrogate = sensing_mi_taylor_bound(stats_e, r_x, state.exp_cov,
-                                        cfg.frame_len)
     power = float(np.real(np.trace(r_x)))
     rates = sinr(vectors, weights, cfg.noise_comm)
     if not _meets_limits(power, rates, mi_e, cfg):
@@ -391,7 +446,7 @@ def _extract_solution(values, channels, stats_r, stats_e, cfg, state, rng,
         weight_mats=weight_mats,
         mi_legit=mi_r,
         mi_eve=mi_e,
-        mi_eve_surrogate=surrogate,
+        mi_eve_surrogate=eve_bound(r_x),
         sinrs=rates,
         power=power,
         rank_certs=certs,
@@ -446,23 +501,28 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     the anchor's margin in the beam rows (_warm_start), one solve per outer
     iteration and none after the last.  The first subproblem is the SDR: its
     rank-penalty weight is 0, and the i-th one's is PENALTY_INIT *
-    PENALTY_GROWTH**(i - 2).  The loop stops after the first solve,
-    certified global, when that solve is "optimal", its Eve surrogate lies
-    strictly below the cap (always, for an infinite cap), and the
-    eigenvector beams that _extract_solution returns meet the limits and come
-    within 1e-9 nats of the relaxed legitimate MI; the solution and the trace
-    then read ``certified``.  The solution's ``mi_eve_surrogate`` is the Eve
-    bound that the last solved subproblem enforced.  ``rng`` feeds only the
-    Gaussian randomization of a relaxed solution that is not rank one, so a
-    rank-one design depends on the scenario alone.  The trace records the
-    true metrics of every accepted iterate, recomputed from the metrics
-    module rather than trusted from the solver.  The solution's status is
-    "optimal" only when the loop converged, every solve returned "optimal"
-    and the returned beams meet the power, SINR and Eve limits
-    (_meets_limits); otherwise it is the first failure: a solve's status,
-    "max-iter" for a loop that did not converge, "randomization-failed" when
-    no randomization draw was feasible, or "limits-violated".  An infinite
-    ``cfg.eve_mi_cap`` designs without the eavesdropper constraint.
+    PENALTY_GROWTH**(i - 2).  The SDR's Eve row caps tr A_e(R) when the
+    anchor's Eve MI reaches the cap, and every other Eve row is the Taylor
+    expansion at the expansion point (_eve_row).  The loop stops after the
+    first solve, certified global, when that solve is "optimal", its Eve row
+    is the trace relaxation or its Eve surrogate lies strictly below the cap
+    (always, for an infinite cap), and the eigenvector beams that
+    _extract_solution returns meet the limits, the Eve cap with no slack, and
+    come within 1e-9 nats of the relaxed legitimate MI; the solution and the
+    trace then read ``certified``.  The solution's ``mi_eve_surrogate`` is
+    the Eve bound that the last solved subproblem enforced, at the returned
+    beams; after the trace row alone it bounds their Eve MI from below, not
+    above.  ``rng`` feeds only the Gaussian randomization of a relaxed
+    solution that is not rank one, so a rank-one design depends on the
+    scenario alone.  The trace records the true metrics of every accepted
+    iterate, recomputed from the metrics module rather than trusted from the
+    solver.  The solution's status is "optimal" only when the loop
+    converged, every solve returned "optimal" and the returned beams meet
+    the power, SINR and Eve limits (_meets_limits); otherwise it is the
+    first failure: a solve's status, "max-iter" for a loop that did not
+    converge, "randomization-failed" when no randomization draw was
+    feasible, or "limits-violated".  An infinite ``cfg.eve_mi_cap`` designs
+    without the eavesdropper constraint.
     """
     trace = SCATrace()
     vectors = [ch.vector for ch in channels]
@@ -492,27 +552,29 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
                              state.eve_weight * PENALTY_GROWTH)
             start = _warm_start(problem, res, anchor, beam_margin)
         problem = build_subproblem_no_an(state, channels, stats_r, stats_e, cfg)
-        res = solve(problem, initial=_start_values(start, cfg, state, stats_e))
+        eve_row = _eve_row(state, stats_e, cfg)
+        res = solve(problem, initial=_start_values(start, cfg, eve_row))
         statuses.append(res.status)
         result_values = res.values
         weight_mats = [result_values[name] for name in names]
         r_x = transmit_covariance(weight_mats)
         mi_r = sensing_mi(stats_r, r_x, cfg.frame_len)
         mi_e = sensing_mi(stats_e, r_x, cfg.frame_len)
-        surrogate = sensing_mi_taylor_bound(stats_e, r_x, state.exp_cov,
-                                            cfg.frame_len)
-        # The tight-relaxation certificate, tried on the SDR's solution with
-        # the Eve row inactive; the beams are the ones returned, so a matrix
-        # that randomization would replace is not tried.
+        surrogate = eve_row.bound(r_x)
+        # The tight-relaxation certificate, tried on the SDR's solution when
+        # its Eve row is the trace relaxation or an inactive Taylor row; the
+        # beams are the ones returned, so a matrix that randomization would
+        # replace is not tried.
         gap = None
         if (itn == 1 and res.status == "optimal"
-                and surrogate < cfg.eve_mi_cap
+                and (eve_row.relaxed or surrogate < cfg.eve_mi_cap)
                 and all(rank_one_certificate(m) >= RANK_ONE_THRESHOLD
                         for m in weight_mats)):
             sol = _extract_solution(result_values, channels, stats_r, stats_e,
-                                    cfg, state, rng, res.status)
+                                    cfg, eve_row.bound, rng, res.status)
             gap = mi_r - sol.mi_legit
-            trace.certified = sol.status == "optimal" and gap <= 1e-9
+            trace.certified = (sol.status == "optimal" and gap <= 1e-9
+                               and sol.mi_eve <= cfg.eve_mi_cap)
         # The residuals the objective penalizes, read from the iterate; a
         # certified iterate's own rank residuals tr W_k - lambda_max(W_k).
         kappa = max(0.0, surrogate - cfg.eve_mi_cap)
@@ -549,8 +611,9 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
         sol.certified = True
         return sol, trace
     statuses.append("optimal" if trace.converged_at is not None else "max-iter")
-    return _extract_solution(result_values, channels, stats_r, stats_e, cfg,
-                             state, rng, _first_failure(statuses)), trace
+    sol = _extract_solution(result_values, channels, stats_r, stats_e, cfg,
+                            eve_row.bound, rng, _first_failure(statuses))
+    return sol, trace
 
 
 def _first_failure(statuses):

@@ -14,8 +14,9 @@ differ by round-off.  For the default ScenarioConfig at channel seed 1,
 run_sca_no_an solves one subproblem, certified at the relaxation, in 26
 Newton steps at one OpenBLAS thread and at two, and its final MIs agree
 bitwise; so do its designs at eve_mi_cap 5 and 1 on channel seeds 1-3,
-with equal outer iterations and Newton steps (2-core x86 Xeon, OpenBLAS
-0.3.31 in numpy, 0.3.30 in scipy).
+with equal outer iterations and Newton steps: at cap 1, 2 outer iterations
+and 49, 53 and 51 Newton steps (2-core x86 Xeon, OpenBLAS 0.3.31 in numpy,
+0.3.30 in scipy).
 """
 
 from __future__ import annotations

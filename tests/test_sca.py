@@ -240,12 +240,21 @@ def test_tiny_designs_meet_their_limits(channel_seed, power_budget, eve_mi_cap):
             residuals.append(np.sum(eigs) - eigs[-1])
             assert residuals[-1] <= sca.TOL_PENALTY
         # A certified stop reports that residual, on the first and only row,
-        # with the Eve row inactive and the beams at the relaxed MI.
+        # with the beams at the relaxed MI and within the cap, with no slack.
+        # Its Eve row is an inactive Taylor row, or, when the anchor's Eve
+        # MI reaches the cap, the trace relaxation, which may be active: it
+        # bounds the Eve MI from below.
         assert sol.certified == trace.certified
         if trace.certified:
             assert trace.converged_at == len(trace.rows) == 1
             assert abs(last.rho_max - max(residuals)) <= 1e-12
-            assert last.kappa == 0.0 and last.mi_eve_surrogate < eve_mi_cap
+            assert sol.mi_eve <= eve_mi_cap
+            anchor, _ = anchor_point(links, cfg)
+            if metrics.sensing_mi(stats_e, sum(anchor),
+                                  cfg.frame_len) >= eve_mi_cap:
+                assert last.mi_eve_surrogate <= last.mi_eve + 1e-12
+            else:
+                assert last.kappa == 0.0 and last.mi_eve_surrogate < eve_mi_cap
             assert last.mi_legit - sol.mi_legit == last.beam_mi_gap <= 1e-9
 
 
@@ -331,8 +340,8 @@ def test_trace_rows_report_the_residuals_of_their_iterate(cfg, certified,
     _, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
 
     # After the anchor solve, one build and one solve per outer iteration.
-    # The binding cap's first iterate exceeds the cap, so kappa > 0 there;
-    # a certified design stops after its first.
+    # The binding cap's anchor exceeds the cap, so its first row is the
+    # trace relaxation; a certified design stops after its first.
     rows = trace.rows
     assert trace.certified is certified
     assert len(rows) == 1 if certified else len(rows) > 1
@@ -343,29 +352,46 @@ def test_trace_rows_report_the_residuals_of_their_iterate(cfg, certified,
         # tr W_k - lambda_max(W_k); every other row's is the penalized one,
         # along the top eigenvector of the expansion matrix.
         own = certified and row.index == 1
-        tops = [np.linalg.eigh(m)[1][:, -1]
-                for m in (mats if own else state.exp_weight_mats)]
+        own_tops = [np.linalg.eigh(m)[1][:, -1] for m in mats]
+        tops = own_tops if own else [np.linalg.eigh(m)[1][:, -1]
+                                     for m in state.exp_weight_mats]
         residual = max(np.trace(m).real - np.vdot(u, m @ u).real
                        for m, u in zip(mats, tops))
         tx_cov = metrics.transmit_covariance(mats)
-        bound = metrics.sensing_mi_taylor_bound(
-            stats_e, tx_cov, state.exp_cov, cfg.frame_len)
+        # The first row caps tr A_e(R) at e^cap - 1 when the anchor's Eve MI
+        # reaches the cap, and reports log1p(tr A_e(R)), with A_e(R) the Eve
+        # MI's log-det argument minus I; every other row the Taylor bound at
+        # its expansion point.
+        relaxed = row.index == 1 and metrics.sensing_mi(
+            stats_e, state.exp_cov, cfg.frame_len) >= cfg.eve_mi_cap
+        if relaxed:
+            trace_a = cfg.frame_len / stats_e.noise_power * np.trace(
+                metrics._scaled_quadratic(stats_e, tx_cov)).real
+            bound = math.log1p(trace_a)
+        else:
+            bound = metrics.sensing_mi_taylor_bound(
+                stats_e, tx_cov, state.exp_cov, cfg.frame_len)
+        assert relaxed is (cfg.eve_mi_cap == 1.0 and row.index == 1)
+        assert abs(row.mi_eve_surrogate - bound) <= 1e-12
         assert abs(row.rho_max - residual) <= 1e-12
         assert abs(row.kappa - max(0.0, bound - cfg.eve_mi_cap)) <= 1e-12
         if own:
             assert abs(residual - max(np.trace(m).real
                                       - np.linalg.eigvalsh(m)[-1]
                                       for m in mats)) <= 1e-12
+        if row.index == 1 and (relaxed or bound < cfg.eve_mi_cap):
             # Relaxed MI minus the MI of the beams sqrt(tr W_k) u_k.
-            beams = [np.sqrt(np.trace(m).real) * u for m, u in zip(mats, tops)]
+            beams = [np.sqrt(np.trace(m).real) * u
+                     for m, u in zip(mats, own_tops)]
             gap = (metrics.sensing_mi(stats_r, tx_cov, cfg.frame_len)
                    - metrics.sensing_mi(stats_r,
                                         metrics.transmit_covariance(beams),
                                         cfg.frame_len))
             assert abs(row.beam_mi_gap - gap) <= 1e-12
             assert row.beam_mi_gap <= 1e-9
-        elif row.index > 1 or bound >= cfg.eve_mi_cap:
-            # No certificate is tried after the SDR or with the Eve row on.
+        else:
+            # No certificate is tried after the SDR or with an active Taylor
+            # row.
             assert row.beam_mi_gap is None
 
 
@@ -618,35 +644,42 @@ def test_each_warm_start_is_the_deepest_stage_point_with_the_margin(
     solve = sca.solve
     monkeypatch.setattr(sca, "solve", recording_solve)
     cfg = channels.ScenarioConfig(eve_mi_cap=1.0)
-    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(2))
-    sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(2))
-    assert sol.status == "optimal" and len(trace.rows) >= 3
-
-    (_, _, anchor_res), *subproblems = solves
     names = [f"W{k}" for k in range(cfg.n_users)]
-    anchor = [anchor_res.values[name] for name in names]
-    margin = beam_margin_of(links, cfg)
-    floor = sca.ANCHOR_BLEND * margin(anchor)
-    picked = []
-    for (prev, _, prev_res), (_, initial, _) in zip(subproblems,
-                                                   subproblems[1:]):
-        start = [initial[name] for name in names]
-        candidates = [[prev.unpack(x)[name] for name in names]
-                      for _, x in prev_res.stage_points]
-        expected = None
-        for depth in range(len(candidates) - 1, -1, -1):
-            if margin(candidates[depth]) >= floor:
-                expected = candidates[depth]
-                picked.append(len(candidates) - 1 - depth)
-                break
-        if expected is None:
-            expected = [(1.0 - sca.ANCHOR_BLEND) * prev_res.values[name]
-                        + sca.ANCHOR_BLEND * a for name, a in zip(names, anchor)]
-        for got, want in zip(start, expected):
-            assert np.array_equal(got, want)
-    # On this channel no start falls back to the blend, and none is the
+    picked, warm = [], 0
+    # perfbench's eve_active panel, channel seeds 1-12: 17 warm starts.
+    for channel_seed in range(1, 13):
+        solves.clear()
+        links, stats_r, stats_e = channels.build_scenario(
+            cfg, RngState(channel_seed))
+        sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg,
+                                       RngState(channel_seed))
+        assert sol.status == "optimal"
+
+        (_, _, anchor_res), *subproblems = solves
+        anchor = [anchor_res.values[name] for name in names]
+        margin = beam_margin_of(links, cfg)
+        floor = sca.ANCHOR_BLEND * margin(anchor)
+        for (prev, _, prev_res), (_, initial, _) in zip(subproblems,
+                                                       subproblems[1:]):
+            warm += 1
+            start = [initial[name] for name in names]
+            candidates = [[prev.unpack(x)[name] for name in names]
+                          for _, x in prev_res.stage_points]
+            expected = None
+            for depth in range(len(candidates) - 1, -1, -1):
+                if margin(candidates[depth]) >= floor:
+                    expected = candidates[depth]
+                    picked.append(len(candidates) - 1 - depth)
+                    break
+            if expected is None:
+                expected = [(1.0 - sca.ANCHOR_BLEND) * prev_res.values[name]
+                            + sca.ANCHOR_BLEND * a
+                            for name, a in zip(names, anchor)]
+            for got, want in zip(start, expected):
+                assert np.array_equal(got, want)
+    # On this panel no start falls back to the blend, and none is the
     # previous solve's final iterate, whose matrices are nearly rank one.
-    assert len(picked) == len(subproblems) - 1
+    assert warm >= 12 and len(picked) == warm
     assert min(picked) >= 1
 
 
@@ -987,23 +1020,115 @@ def test_certified_design_reaches_the_cap_free_sdr_bound(cfg, channel_seed):
 
 
 # Outer iterations of perfbench's eve_active designs (Eve cap 1 nat) on
-# channel seeds 1-3 while the first subproblem carried the rank penalty
-# PENALTY_INIT.
-EVE_ACTIVE_OUTER_ITERS = {1: 3, 2: 5, 3: 5}
+# channel seeds 1-3, whose anchors exceed the cap, so that the first
+# subproblem caps tr A_e(R) instead of the Eve MI's expansion at the anchor.
+EVE_ACTIVE_OUTER_ITERS = {1: 2, 2: 2, 3: 2}
+
+
+def eigenvector_beams(mats):
+    """The beams sqrt(tr W_k) u_k, u_k the top unit eigenvector of W_k."""
+    return [np.sqrt(np.trace(m).real) * np.linalg.eigh(m)[1][:, -1]
+            for m in mats]
 
 
 @pytest.mark.parametrize("channel_seed", sorted(EVE_ACTIVE_OUTER_ITERS))
-def test_binding_cap_design_is_never_certified(channel_seed):
+def test_binding_cap_design_is_never_certified(channel_seed, solver_results):
     cfg = channels.ScenarioConfig(eve_mi_cap=1.0)
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
     sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg,
                                    RngState(channel_seed))
     assert sol.status == "optimal"
     assert not sol.certified and not trace.certified
-    # The SDR's Eve surrogate reaches the cap, so no certificate is tried.
-    assert trace.rows[0].mi_eve_surrogate >= cfg.eve_mi_cap
-    assert trace.rows[0].beam_mi_gap is None
+    # The certificate is tried on the trace relaxation's solution, whose
+    # eigenvector beams exceed the cap: log1p(tr A_e) at most the cap does
+    # not bound the Eve MI from above.
+    anchor_res, first = solver_results[:2]
+    anchor = [anchor_res.values[f"W{k}"] for k in range(cfg.n_users)]
+    assert metrics.sensing_mi(stats_e, sum(anchor),
+                              cfg.frame_len) >= cfg.eve_mi_cap
+    beams = eigenvector_beams(first.values[f"W{k}"]
+                              for k in range(cfg.n_users))
+    assert metrics.sensing_mi(stats_e, metrics.transmit_covariance(beams),
+                              cfg.frame_len) > cfg.eve_mi_cap
+    assert trace.rows[0].beam_mi_gap is not None
+    assert trace.rows[0].mi_eve_surrogate <= trace.rows[0].mi_eve
     assert len(trace.rows) == EVE_ACTIVE_OUTER_ITERS[channel_seed]
+
+
+@pytest.mark.parametrize("cfg", [TINY, channels.ScenarioConfig()],
+                         ids=["tiny", "default"])
+def test_trace_row_bounds_the_eve_mi_from_below(cfg):
+    # A cap below the expansion point's Eve MI makes the first subproblem's
+    # row the trace relaxation Re tr(G_0 R) - kappa <= e^cap - 1.
+    cfg = cfg.replace(eve_mi_cap=1e-3)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    state = sca.SCAState(random_expansion(cfg, RngState(1)), 0.0, 1.0)
+    assert metrics.sensing_mi(stats_e, state.exp_cov,
+                              cfg.frame_len) >= cfg.eve_mi_cap
+    row = sca._eve_row(state, stats_e, cfg)
+    assert row.relaxed and row.rhs == math.expm1(cfg.eve_mi_cap)
+
+    gen = np.random.default_rng(7)
+    for i in range(100):
+        rank = 1 + i % cfg.n_tx
+        a = (gen.standard_normal((cfg.n_tx, rank))
+             + 1j * gen.standard_normal((cfg.n_tx, rank)))
+        r_x = 10.0 ** gen.uniform(-3.0, 1.0) * (a @ a.conj().T) / cfg.n_tx
+        # tr A_e(R), with A_e(R) the Eve MI's log-det argument minus I.
+        trace_a = cfg.frame_len / stats_e.noise_power * np.trace(
+            metrics._scaled_quadratic(stats_e, r_x)).real
+        assert abs(np.trace(row.grad @ r_x).real - trace_a) \
+            <= 1e-12 * max(1.0, trace_a)
+        assert row.bound(r_x) == pytest.approx(math.log1p(trace_a), rel=1e-12)
+        assert row.bound(r_x) <= metrics.sensing_mi(stats_e, r_x,
+                                                    cfg.frame_len) + 1e-12
+
+
+def test_eve_active_design_below_the_cap_stops_after_one_solve(solver_results):
+    # perfbench's eve_active channel seed 6: the anchor exceeds the cap of 1
+    # nat, the design's Eve MI is 0.29 nats.  Its Taylor row at the anchor
+    # took 3 outer iterations; the trace row's solution is certified.
+    cfg = channels.ScenarioConfig(eve_mi_cap=1.0)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(6))
+    sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(6))
+    anchor = [solver_results[0].values[f"W{k}"] for k in range(cfg.n_users)]
+    assert metrics.sensing_mi(stats_e, sum(anchor),
+                              cfg.frame_len) >= cfg.eve_mi_cap
+
+    assert sol.status == "optimal"
+    assert sol.certified and trace.certified and len(trace.rows) == 1
+    assert sol.mi_eve <= cfg.eve_mi_cap
+    assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
+    # The solution reports the bound its row enforced, log1p(tr A_e(R)).
+    r_x = metrics.transmit_covariance(sol.weights)
+    trace_a = cfg.frame_len / stats_e.noise_power * np.trace(
+        metrics._scaled_quadratic(stats_e, r_x)).real
+    assert sol.mi_eve_surrogate == pytest.approx(math.log1p(trace_a),
+                                                 rel=1e-12)
+    assert sol.mi_eve_surrogate <= sol.mi_eve
+
+
+def test_certified_designs_meet_a_cap_of_three_nats_without_slack():
+    # perfbench's eve_active scenario at a cap of 3 nats, channel seeds 1-12:
+    # the trace row's solution certifies 10 of the 12 designs.  The other two
+    # end at the cap after 3 outer iterations.
+    cfg = channels.ScenarioConfig(eve_mi_cap=3.0)
+    certified = 0
+    for channel_seed in range(1, 13):
+        links, stats_r, stats_e = channels.build_scenario(
+            cfg, RngState(channel_seed))
+        sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg,
+                                       RngState(channel_seed))
+        assert sol.status == "optimal"
+        assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
+        if sol.certified:
+            certified += 1
+            assert len(trace.rows) == 1
+            mi_eve = metrics.sensing_mi(
+                stats_e, metrics.transmit_covariance(sol.weights),
+                cfg.frame_len)
+            assert mi_eve <= cfg.eve_mi_cap
+    assert certified == 10
 
 
 DEFAULT_DESIGN = """
