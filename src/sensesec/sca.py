@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -94,6 +95,11 @@ class SCAState:
     @property
     def exp_cov(self):
         return sum(self.exp_weight_mats)
+
+    @cached_property
+    def exp_tops(self):
+        """Top unit eigenvector u_k of each expansion matrix."""
+        return [_top_direction(m) for m in self.exp_weight_mats]
 
 
 @dataclass
@@ -205,17 +211,17 @@ def _eve_row(state, stats_e, cfg):
     return EveRow(grad, cap - (mi_e - _re_trace(grad, exp_cov)), taylor, False)
 
 
-def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
+def build_subproblem_no_an(state, channels, stats_r, eve_row, cfg):
     """Convex subproblem of one SCA step.
 
     maximize   MI_legit(sum_k W_k)
                - e kappa - p sum_k (tr W_k - u_k^H W_k u_k)
-    subject to the Eve row Re tr(G sum_k W_k) - kappa <= b (_eve_row),
-    kappa >= 0, power cap, tightened SINR and W_k >= 0, with u_k the top
-    unit eigenvector of the expansion matrix, p = ``state.penalty_weight``
-    and e = ``state.eve_weight``.  The rank residuals are nonnegative on
-    W_k >= 0, so they need no slack; an infinite cap drops kappa with the
-    Eve row.
+    subject to the Eve row Re tr(G sum_k W_k) - kappa <= b of ``eve_row``,
+    the _eve_row of ``state``, kappa >= 0, power cap, tightened SINR and
+    W_k >= 0, with u_k the top unit eigenvector of the expansion matrix
+    (``state.exp_tops``), p = ``state.penalty_weight`` and e =
+    ``state.eve_weight``.  The rank residuals are nonnegative on W_k >= 0,
+    so they need no slack; an infinite cap drops kappa with the Eve row.
     """
     n_users = cfg.n_users
     if len(state.exp_weight_mats) != n_users:
@@ -238,19 +244,17 @@ def build_subproblem_no_an(state, channels, stats_r, stats_e, cfg):
     # u_k^H W_k u_k.
     pbar = state.penalty_weight
     penalty = {}
-    for name, mat in zip(mat_names, state.exp_weight_mats):
-        u = _top_direction(mat)
+    for name, u in zip(mat_names, state.exp_tops):
         penalty[name] = -pbar * hermitian_weights(
             np.eye(n) - np.outer(u, u.conj()))
 
     # Eavesdropper constraint (_eve_row), slacked by a penalized kappa >= 0.
-    if np.isfinite(cfg.eve_mi_cap):
+    if eve_row.grad is not None:
         prob.add_scalar("kappa", lower=0.0)
         penalty["kappa"] = -state.eve_weight
-        row = _eve_row(state, stats_e, cfg)
         eve_affine = prob.scalar_map(
-            0.0, {**on_tx_cov(hermitian_weights(row.grad)), "kappa": -1.0})
-        prob.add_ineq(eve_affine, row.rhs)
+            0.0, {**on_tx_cov(hermitian_weights(eve_row.grad)), "kappa": -1.0})
+        prob.add_ineq(eve_affine, eve_row.rhs)
 
     # Objective: legitimate sensing MI (symmetrized log-det form) minus the
     # penalty terms.
@@ -551,8 +555,8 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
                              PENALTY_INIT * PENALTY_GROWTH ** (itn - 2),
                              state.eve_weight * PENALTY_GROWTH)
             start = _warm_start(problem, res, anchor, beam_margin)
-        problem = build_subproblem_no_an(state, channels, stats_r, stats_e, cfg)
         eve_row = _eve_row(state, stats_e, cfg)
+        problem = build_subproblem_no_an(state, channels, stats_r, eve_row, cfg)
         res = solve(problem, initial=_start_values(start, cfg, eve_row))
         statuses.append(res.status)
         result_values = res.values
@@ -578,8 +582,8 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
         # The residuals the objective penalizes, read from the iterate; a
         # certified iterate's own rank residuals tr W_k - lambda_max(W_k).
         kappa = max(0.0, surrogate - cfg.eve_mi_cap)
-        tops = map(_top_direction, weight_mats if trace.certified
-                   else state.exp_weight_mats)
+        tops = (map(_top_direction, weight_mats) if trace.certified
+                else state.exp_tops)
         rho_max = max(float(np.real(np.trace(m) - u.conj() @ m @ u))
                       for m, u in zip(weight_mats, tops))
         rates = sinr(vectors, weight_mats, cfg.noise_comm)

@@ -123,9 +123,6 @@ class MatrixMap:
     mats: np.ndarray            # (m, d, d) complex
     offset: np.ndarray          # (d, d) complex
 
-    def evaluate(self, x):
-        return self.offset + np.tensordot(x[self.coords], self.mats, axes=1)
-
 
 @dataclass
 class ScalarMap:
@@ -134,9 +131,6 @@ class ScalarMap:
     coords: np.ndarray
     weights: np.ndarray
     offset: float
-
-    def evaluate(self, x):
-        return self.offset + float(self.weights @ x[self.coords])
 
     def dense(self, n):
         a = np.zeros(n)
@@ -407,16 +401,15 @@ LMI_WEIGHT = 2.0
 
 
 class BarrierProblem:
-    """Solve-ready form: minimize -(c.x + sum w logdet F(x)) subject to LMIs,
-    the optional box lo < x < hi and inequalities whose slacks are b - A x.
-    One pass, _terms, defines the barrier domain; in_domain, merit and
-    merit_derivatives read it."""
+    """Solve-ready form: minimize -(c.x + sum w logdet F(x)) subject to LMIs
+    and rows with slacks b - A x, so the merit has two kinds of terms:
+    log-det blocks and log slacks.  One pass, _terms, defines the barrier
+    domain; in_domain, merit and merit_derivatives read it."""
 
     def __init__(self, problem: ConicSubproblem):
         if problem.objective is None:
             raise ValueError("objective not set")
         self.n = problem.n
-        self.box = None              # optional (lo, hi) coordinate bounds
         obj = problem.objective
         self.c = obj.linear.dense(self.n)
         self.obj_blocks = [_RealBlock(m.coords, m.mats, m.offset, weight=w)
@@ -447,11 +440,8 @@ class BarrierProblem:
              for blk in blocks] + empty)
 
     def gap_degree(self):
-        deg = len(self.b) + sum(blk.weight * blk.dim * blk.batch_size
-                                for blk in self.lmi_blocks)
-        if self.box is not None:
-            deg += 2 * self.n
-        return deg
+        return len(self.b) + sum(blk.weight * blk.dim * blk.batch_size
+                                 for blk in self.lmi_blocks)
 
     def objective_value(self, x):
         """Max-sense objective in original (complex) units."""
@@ -465,28 +455,21 @@ class BarrierProblem:
 
     # -- the barrier domain and the merit
 
-    def _slacks(self, x):
-        """(s, sides): every inequality slack b - A x and the box sides
-        x - lo, hi - x (none without a box)."""
-        s = self.b - self.A @ x
-        sides = () if self.box is None else (x - self.box[0], self.box[1] - x)
-        return s, sides
-
     def _terms(self, x):
-        """The one test of the barrier domain: (chols, s, sides), with chols
-        of the objective then the LMI blocks and the rest from _slacks, when
-        every block factors and every slack and box side is positive; else
-        None.  The pass stops at the first block without a factor."""
+        """The one test of the barrier domain: (chols, s), with chols of the
+        objective then the LMI blocks and s the row slacks b - A x, when
+        every block factors and every slack is positive; else None.  The
+        pass stops at the first block without a factor."""
         chols = []
         for blk in self.obj_blocks + self.lmi_blocks:
             chol = blk.chol(x)
             if chol is None:
                 return None
             chols.append(chol)
-        s, sides = self._slacks(x)
-        if (s <= 0.0).any() or any((side <= 0.0).any() for side in sides):
+        s = self.b - self.A @ x
+        if (s <= 0.0).any():
             return None
-        return chols, s, sides
+        return chols, s
 
     def _weighted(self, t):
         """(block, weight) of the objective and LMI blocks in _terms order;
@@ -496,24 +479,19 @@ class BarrierProblem:
 
     def _merit_value(self, x, t, terms):
         """Barrier merit at x from its pass terms = _terms(x)."""
-        chols, s, sides = terms
+        chols, s = terms
         val = -t * float(self.c @ x)
         for (blk, w), chol in zip(self._weighted(t), chols):
             val -= w * blk.logdet(chol)
-        val -= float(np.sum(np.log(s)))
-        if sides:
-            below, above = sides
-            val -= float(np.sum(np.log(below)) + np.sum(np.log(above)))
-        return val
+        return val - float(np.sum(np.log(s)))
 
     def in_domain(self, x):
         """True when merit_derivatives can evaluate x (see _terms)."""
         return self._terms(x) is not None
 
     def strict_margin(self, x):
-        """Smallest slack across all barrier arguments (negative: infeasible)."""
-        s, sides = self._slacks(x)
-        worst = min(float(np.min(v, initial=np.inf)) for v in (s, *sides))
+        """Smallest row slack or block eigenvalue (negative: infeasible)."""
+        worst = float(np.min(self.b - self.A @ x, initial=np.inf))
         for blk in self.lmi_blocks + self.obj_blocks:
             worst = min(worst, blk.min_eig(x))
         return worst
@@ -536,7 +514,7 @@ class BarrierProblem:
         terms = self._terms(x)
         if terms is None:
             return None
-        chols, s, sides = terms
+        chols, s = terms
         n = self.n
         # Scatter weights in _index_tables order, the objective's without
         # their factor t; the empty seeds keep np.concatenate working for
@@ -556,10 +534,6 @@ class BarrierProblem:
         hess = scaled.T @ scaled
         hess += np.bincount(self._hess_idx, np.concatenate(hvals),
                             minlength=n * n).reshape(n, n)
-        if sides:
-            below, above = sides
-            grad += 1.0 / above - 1.0 / below
-            hess.flat[::n + 1] += 1.0 / below ** 2 + 1.0 / above ** 2
         return self._merit_value(x, t, terms), grad, hess
 
 
@@ -750,10 +724,10 @@ def _center_free_coordinates(bp, x, t):
     """x with each free coordinate, one that no log-det block reads, moved
     in turn to the minimizer of the merit at t along that coordinate alone,
     the others held fixed.  Along coordinate j the merit is -t c_j x_j minus
-    the log slacks (_slacks) of the rows that involve j and of j's box
-    sides: a one-dimensional convex function that _line_minimizer solves
-    without a merit evaluation.  A coordinate whose merit is unbounded
-    along it, or whose minimizer rounds out of the domain, stays put.
+    the log slacks b - A x of the rows that involve j: a one-dimensional
+    convex function that _line_minimizer solves without a merit evaluation.
+    A coordinate whose merit is unbounded along it, or whose minimizer
+    rounds out of the domain, stays put.
 
     Started far from that minimizer, as a padded slack is, Newton's method
     on the whole merit would approach it one damped step per doubling
@@ -761,14 +735,9 @@ def _center_free_coordinates(bp, x, t):
     free = np.ones(bp.n, dtype=bool)
     free[bp._grad_idx] = False
     for j in np.flatnonzero(free):
-        s, sides = bp._slacks(x)
+        s = bp.b - bp.A @ x
         rows = np.flatnonzero(bp.A[:, j])
-        a, s = bp.A[rows, j], s[rows]
-        if sides:
-            below, above = sides
-            a = np.append(a, (-1.0, 1.0))
-            s = np.append(s, (below[j], above[j]))
-        step = _line_minimizer(-t * bp.c[j], a, s)
+        step = _line_minimizer(-t * bp.c[j], bp.A[rows, j], s[rows])
         if step is not None:
             moved = x.copy()
             moved[j] += step
@@ -839,7 +808,6 @@ def _phase1_problem(bp):
                           for b in bp.lmi_blocks + bp.obj_blocks]
     relaxed.A = np.hstack([bp.A, -np.ones((len(bp.b), 1))])
     relaxed.b = bp.b
-    relaxed.box = None               # sized by the caller from the start point
     relaxed._index_tables()
     return relaxed
 
@@ -851,9 +819,9 @@ def _find_strictly_feasible(bp, hint=None):
     minimization starts from the origin and returns a point with a margin of
     at least PHASE1_MARGIN.  Raises InfeasibleError when phase I converged
     ("optimal") with its slack still positive, and SolverError when it ended
-    with any other status or on its coordinate box, neither of which
-    certifies anything: a feasible set outside the box looks infeasible from
-    inside it."""
+    with any other status or on the rows of its coordinate box, neither of
+    which certifies anything: a feasible set outside the box looks
+    infeasible from inside it."""
     if hint is not None:
         if bp.in_domain(hint):
             return hint
@@ -868,10 +836,13 @@ def _find_strictly_feasible(bp, hint=None):
             break
     else:
         raise SolverError("could not initialize phase-I slack problem")
-    # Coordinate box keeps the phase-I merit bounded: slack-coupled
-    # coordinates otherwise drift to infinity while s is minimized.
+    # The 2 (n + 1) rows of a coordinate box lo <= x <= hi keep the phase-I
+    # merit bounded: slack-coupled coordinates otherwise drift to infinity.
     radius = 1e4 * np.maximum(1.0, np.abs(start))
-    relaxed.box = (start - radius, start + radius)
+    lo, hi = start - radius, start + radius
+    eye = np.eye(relaxed.n)
+    relaxed.A = np.vstack([relaxed.A, eye, -eye])
+    relaxed.b = np.concatenate([relaxed.b, hi, -lo])
 
     def done(x_ext):
         return x_ext[-1] <= -10.0 * PHASE1_MARGIN
@@ -891,7 +862,6 @@ def _find_strictly_feasible(bp, hint=None):
             f"PHASE1_MAX_STEPS = {PHASE1_MAX_STEPS}); feasibility undecided")
     # A coordinate the box does not hold back sits far from its faces; one
     # that the box stops sits within about the final barrier gap of a face.
-    lo, hi = relaxed.box
     on_box = np.minimum(x_ext - lo, hi - x_ext) <= 1e-3 * radius
     if on_box.any():
         i = int(np.argmax(on_box))

@@ -1,4 +1,5 @@
-"""Every module-level function and class of ``sensesec`` has a caller, every
+"""Every module-level function and class of ``sensesec``, and every method
+and property of its classes, dunders aside, has a caller, every
 ``ScenarioConfig`` field has a reader, and every module-level import is used
 by its own module.
 
@@ -13,6 +14,7 @@ docstring that mentions it does not count.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,40 +37,45 @@ def source_trees():
             for path in sources}
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def definitions(trees):
-    """Every module-level function and class of the package, as nodes of
-    ``trees``."""
+    """(name, node) of every module-level function and class of the package,
+    and ("Class.name", node) of every method and property of its classes
+    but the dunders, as nodes of ``trees``."""
     for path, tree in trees.items():
-        if path.parent == PACKAGE:
-            for node in tree.body:
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                    yield node
-
-
-def references(tree, skip):
-    """Names that ``tree`` refers to, outside the node ``skip``."""
-    found = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
+        if path.parent != PACKAGE:
             continue
+        for node in tree.body:
+            if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+                yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if (isinstance(member, FUNCTIONS)
+                            and not member.name.startswith("__")):
+                        yield f"{node.name}.{member.name}", member
+
+
+def references(tree):
+    """How often ``tree`` refers to each name."""
+    found = Counter()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            found.add(node.id)
+            found[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            found[node.attr] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            found.add(node.value)
-        stack.extend(ast.iter_child_nodes(node))
+            found[node.value] += 1
     return found
 
 
 def uncalled_names():
+    """Definitions whose name no reference outside their own body names."""
     trees = source_trees()
-    return {node.name for node in definitions(trees)
-            if not any(node.name in references(tree, node)
-                       for tree in trees.values())}
+    total = sum(map(references, trees.values()), Counter())
+    return {name for name, node in definitions(trees)
+            if total[node.name] == references(node)[node.name]}
 
 
 def test_every_definition_has_a_caller_or_a_stated_reason():
@@ -81,8 +88,8 @@ def test_every_definition_has_a_caller_or_a_stated_reason():
 def unread_fields():
     """Fields of ScenarioConfig that no attribute outside its body names."""
     trees = source_trees()
-    (cls,) = [node for node in definitions(trees)
-              if node.name == "ScenarioConfig"]
+    (cls,) = [node for name, node in definitions(trees)
+              if name == "ScenarioConfig"]
     fields = {stmt.target.id for stmt in cls.body
               if isinstance(stmt, ast.AnnAssign)}
     read = set()

@@ -272,8 +272,10 @@ def test_subproblem_maps_match_closed_forms():
         return np.abs(np.asarray(a) - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
 
     for cap in (cfg.eve_mi_cap, math.inf):
-        prob = sca.build_subproblem_no_an(state, links, stats_r, stats_e,
-                                          cfg.replace(eve_mi_cap=cap))
+        capped = cfg.replace(eve_mi_cap=cap)
+        prob = sca.build_subproblem_no_an(
+            state, links, stats_r, sca._eve_row(state, stats_e, capped), capped)
+        bp = solver.BarrierProblem(prob)
         # The W_k, and kappa only with the Eve row.
         eve_row = math.isfinite(cap)
         names = [f"W{k}" for k in users] + ["kappa"] * eve_row
@@ -286,17 +288,16 @@ def test_subproblem_maps_match_closed_forms():
         tx_cov = sum(mats)
 
         scale_r = cfg.frame_len / stats_r.noise_power
-        obj_map = prob.objective.logdet_terms[0][1]
-        assert close(obj_map.evaluate(x), np.eye(stats_r.dim)
+        (obj_block,) = bp.obj_blocks
+        assert close(obj_block.assemble(x), np.eye(stats_r.dim)
                      + scale_r * metrics._scaled_quadratic(stats_r, tx_cov))
         residuals = [np.trace(mats[k]).real
                      - np.vdot(tops[k], mats[k] @ tops[k]).real for k in users]
-        assert close(prob.objective.linear.evaluate(x),
-                     -state.eve_weight * kappa
+        assert close(bp.c @ x, -state.eve_weight * kappa
                      - state.penalty_weight * sum(residuals))
 
-        # Each inequality affine(x) <= rhs, as affine(x) - rhs, in build
-        # order: kappa bound and Eve bound (finite cap only), power, SINR.
+        # Each inequality row A x <= b, as A x - b, in build order: kappa
+        # bound and Eve bound (finite cap only), power, SINR.
         eve = metrics.sensing_mi_taylor_bound(
             stats_e, tx_cov, state.exp_cov, cfg.frame_len) - kappa - cap
         power = np.trace(tx_cov).real - cfg.power_budget
@@ -308,17 +309,19 @@ def test_subproblem_maps_match_closed_forms():
             sinrs.append(target * (sum(gains) - gains[k] + cfg.noise_comm)
                          - gains[k])
         expected = [-kappa, eve] * eve_row + [power] + sinrs
-        got = [spec.affine.evaluate(x) - spec.rhs for spec in prob.ineqs]
+        got = bp.A @ x - bp.b
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
             assert close(g, e)
 
-        assert len(prob.lmis) == cfg.n_users
-        for k, lmi in enumerate(prob.lmis):
-            assert close(lmi.evaluate(x), mats[k])
-        for mmap in prob.lmis + [obj_map]:
-            assert close(mmap.mats, np.conj(mmap.mats.transpose(0, 2, 1)))
-            assert close(mmap.offset, mmap.offset.conj().T)
+        # The W_k >= 0 share one coefficient stack: one batch of n_users.
+        (lmi_batch,) = bp.lmi_blocks
+        assert lmi_batch.batch_size == cfg.n_users
+        for k, lmi in enumerate(lmi_batch.assemble(x)):
+            assert close(lmi, mats[k])
+        for blk in (lmi_batch, obj_block):
+            assert close(blk.mats, np.conj(blk.mats.transpose(0, 2, 1)))
+            assert close(blk.offset, blk.offset.conj().T)
 
 
 @pytest.mark.parametrize("cfg, certified", [
@@ -425,7 +428,7 @@ def test_eve_slack_is_priced_at_the_anchor_multiplier_estimate(cfg,
     (kappa,) = [blk for blk in problems[0].blocks if blk.name == "kappa"]
     unit = np.zeros(problems[0].n)
     unit[kappa.offset] = 1.0
-    assert problems[0].objective.linear.evaluate(unit) \
+    assert problems[0].objective.linear.dense(problems[0].n) @ unit \
         == pytest.approx(-first, rel=1e-12)
     # The 1 mW design is certified at the SDR; the binding cap runs on.
     assert len(problems) == len(trace.rows)
@@ -444,8 +447,8 @@ def test_eve_slack_is_priced_at_the_anchor_multiplier_estimate(cfg,
         x = np.zeros(problem.n)
         x[w0.offset:w0.offset + w0.size] = solver.pack_hermitian(
             np.eye(cfg.n_tx))
-        assert problem.objective.linear.evaluate(x) == pytest.approx(
-            -penalty * (cfg.n_tx - 1), rel=1e-12)
+        assert problem.objective.linear.dense(problem.n) @ x \
+            == pytest.approx(-penalty * (cfg.n_tx - 1), rel=1e-12)
 
 
 def test_infinite_eve_cap_computes_no_multiplier_estimate(monkeypatch):
@@ -719,7 +722,8 @@ def test_tiny_subproblem_solution_meets_its_constraints(channel_seed):
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
     exp_mats = random_expansion(cfg, RngState(channel_seed))
     state = sca.SCAState(exp_mats, sca.PENALTY_INIT, sca.PENALTY_INIT)
-    res = sca.solve(sca.build_subproblem_no_an(state, links, stats_r, stats_e, cfg))
+    res = sca.solve(sca.build_subproblem_no_an(
+        state, links, stats_r, sca._eve_row(state, stats_e, cfg), cfg))
     mats = [res.values[f"W{k}"] for k in range(cfg.n_users)]
     tx_cov = sum(mats)
 
@@ -784,8 +788,9 @@ def test_infinite_eve_cap_drops_the_eve_constraint(solver_results):
                          sca.PENALTY_INIT)
     rows = {}
     for cap in (TINY.eve_mi_cap, math.inf):
-        prob = sca.build_subproblem_no_an(state, links, stats_r, stats_e,
-                                          cfg.replace(eve_mi_cap=cap))
+        capped = cfg.replace(eve_mi_cap=cap)
+        prob = sca.build_subproblem_no_an(
+            state, links, stats_r, sca._eve_row(state, stats_e, capped), capped)
         rows[cap] = len(prob.ineqs)
     assert rows == {TINY.eve_mi_cap: 4, math.inf: 2}
 

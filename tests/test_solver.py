@@ -186,7 +186,6 @@ def test_stacked_inequality_derivatives_match_finite_differences():
 
     relaxed = _phase1_problem(bp)
     x_ext = np.append(x, 0.05)
-    relaxed.box = (x_ext - 3.0, x_ext + 3.0)
     assert_derivatives_match_finite_differences(relaxed, x_ext, 7.0)
 
 
@@ -231,14 +230,14 @@ def test_batched_schur_lmi_derivatives_match_finite_differences():
     relaxed = _phase1_problem(bp)
     assert relaxed.lmi_blocks[0].coords.shape == (2, 10)
     x_ext = np.append(x, 0.05)
-    relaxed.box = (x_ext - 3.0, x_ext + 3.0)
     assert_derivatives_match_finite_differences(relaxed, x_ext, 7.0)
 
 
 @pytest.fixture(scope="module")
 def domain_cases():
     """(barrier problem, interior point): the default SCA subproblem, its
-    phase-I problem inside a coordinate box, and the stacked-inequality
+    phase-I problem inside a coordinate box of rows x <= hi and -x <= -lo,
+    as _find_strictly_feasible builds it, and the stacked-inequality
     problem."""
     from conftest import random_expansion
     from sensesec import channels, sca
@@ -247,12 +246,14 @@ def domain_cases():
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
     state = sca.SCAState(random_expansion(cfg, RngState(1)), sca.PENALTY_INIT,
                          sca.PENALTY_INIT)
-    bp = BarrierProblem(sca.build_subproblem_no_an(state, links, stats_r,
-                                                   stats_e, cfg))
+    bp = BarrierProblem(sca.build_subproblem_no_an(
+        state, links, stats_r, sca._eve_row(state, stats_e, cfg), cfg))
     x = _find_strictly_feasible(bp)
     relaxed = solver._phase1_problem(bp)
     x_ext = np.append(x, 0.05)
-    relaxed.box = (x_ext - 3.0, x_ext + 3.0)
+    eye = np.eye(relaxed.n)
+    relaxed.A = np.vstack([relaxed.A, eye, -eye])
+    relaxed.b = np.concatenate([relaxed.b, x_ext + 3.0, 3.0 - x_ext])
     prob, x_log = stacked_inequality_problem()
     return [(bp, x), (relaxed, x_ext), (BarrierProblem(prob), x_log)]
 
@@ -812,8 +813,8 @@ def forbid_merit_calls(monkeypatch):
 
 
 # cap 1.0 leaves the Eve-type row inactive at the start, cap 0.2 is violated
-# (bound 0.45 > cap); a box of +-0.5 around the start bounds kappa by its
-# upper side at t = 1.
+# (bound 0.45 > cap); two rows that hold kappa within +-0.5 of its start
+# bound it by the upper one at t = 1.
 @pytest.mark.parametrize("cap", [1.0, 0.2], ids=["inactive", "violated"])
 @pytest.mark.parametrize("t", [1.0, 100.0, 1e4])
 @pytest.mark.parametrize("boxed", [False, True], ids=["free", "boxed"])
@@ -822,9 +823,12 @@ def test_free_coordinate_moves_to_its_exact_line_minimizer(cap, t, boxed,
     prob = kappa_problem(cap, eve_weight=2.0)
     bp = BarrierProblem(prob)
     x = padded_kappa_start(prob, cap)
-    if boxed:
-        bp.box = (x - 0.5, x + 0.5)
     j = prob.blocks[1].offset
+    if boxed:
+        # Rows kappa <= x_j + 0.5 and -kappa <= 0.5 - x_j.
+        unit = np.eye(bp.n)[j]
+        bp.A = np.vstack([bp.A, unit, -unit])
+        bp.b = np.append(bp.b, (x[j] + 0.5, 0.5 - x[j]))
     assert bp.in_domain(x) and j not in bp._grad_idx
     before = bp.merit(x, t)
 
@@ -841,10 +845,8 @@ def test_free_coordinate_moves_to_its_exact_line_minimizer(cap, t, boxed,
     # The merit's derivative along kappa vanishes to round-off, relative to
     # the magnitudes of its terms.
     _, grad, _ = bp.merit_derivatives(moved, t)
-    s, sides = bp._slacks(moved)
+    s = bp.b - bp.A @ moved
     scale = t * abs(bp.c[j]) + np.abs(bp.A[:, j]) @ (1.0 / s)
-    if sides:
-        scale += 1.0 / sides[0][j] + 1.0 / sides[1][j]
     assert abs(grad[j]) <= 1e-10 * scale
 
 
