@@ -146,9 +146,12 @@ class BeamformerSolution:
     enforced, the last subproblem's Eve row, at that covariance: an affine
     expansion, which bounds ``mi_eve`` from above, or for a design certified
     on a trace relaxation of the cap, log(1 + tr A_e), which bounds it from
-    below.  A ``certified`` design is globally optimal for the tightened
-    SINR targets, within the solver's duality gap, whether or not its cap
-    binds; any other design is only a stationary point of the penalty SCA.
+    below.  A ``certified`` design's legitimate MI lies within 2 OBJ_TOL
+    (solver.OBJ_TOL, 1e-8 nats) of the global optimum for the tightened SINR
+    targets, whether or not its cap binds: the relaxation's solve ends
+    within its duality-gap bound OBJ_TOL of the relaxed optimum, and the
+    certificate accepts beams within OBJ_TOL of the relaxed MI.  Any other
+    design is only a stationary point of the penalty SCA.
     """
 
     weights: list                  # per-user vectors

@@ -23,14 +23,18 @@ det(I + A) >= 1 + tr A for A >= 0, so every design that meets the cap meets
 this row, and its solution lands near the cap, a better first expansion
 point.  The loop stops after the SDR with a certificate of global optimality
 for the tightened SINR targets when the eigenvector beams of its solution
-meet the limits, the Eve cap with no slack, and reach its legitimate MI,
-provided its Eve row is the trace relaxation or an inactive linearization.
-Either way the SDR's optimum bounds every design that meets the cap: the
-trace row admits them all, and an inactive row of a convex problem can be
-dropped, leaving the cap-free SDR.  SDRs with few constraints are typically
-tight for downlink beamforming (Luo, Ma, So, Ye & Zhang, IEEE SP Mag. 2010;
-Huang & Palomar, IEEE TSP 2010).  Every other design is a stationary point
-of the penalty SCA.
+meet the limits, the Eve cap with no slack, and reach its legitimate MI
+within the solver's duality-gap bound OBJ_TOL, provided its Eve row is the
+trace relaxation or an inactive linearization.  Either way the SDR's optimum
+bounds every design that meets the cap: the trace row admits them all, and
+an inactive row of a convex problem can be dropped, leaving the cap-free
+SDR.  SDRs with few constraints are typically tight for downlink
+beamforming (Luo, Ma, So, Ye & Zhang, IEEE SP Mag. 2010; Huang & Palomar,
+IEEE TSP 2010).  Every other design stops once the legitimate MI settles
+and the constraint residuals are small (Lipp & Boyd): the Eve slack and
+each iterate's own rank residual tr W_k - lambda_max(W_k), which the
+penalized residual along the expansion's top eigenvector bounds from above.
+Such a design is a stationary point of the penalty SCA.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from .metrics import (
     transmit_covariance,
 )
 from .solver import (
+    OBJ_TOL,
     BarrierProblem,
     ConicSubproblem,
     InfeasibleError,
@@ -76,7 +81,7 @@ PENALTY_INIT = 1e-3          # least penalty weights of the second subproblem
 PENALTY_GROWTH = 3.0         # factor on the penalty weights per iteration
 MAX_OUTER_ITERS = 30
 TOL_OBJ_NATS = 1e-3          # convergence: change of the legitimate MI
-TOL_PENALTY = 1e-6           # convergence: largest penalty residual
+TOL_PENALTY = 1e-6           # convergence: largest of kappa and rho_max
 SINR_MARGIN = 1e-4           # relative SINR tightening inside subproblems
 ANCHOR_HEADROOM = 1e-2       # relative SINR headroom of the anchor's start
 MIN_POWER_TOL = 1e-9         # relative step that settles _min_power_filters
@@ -112,8 +117,8 @@ class SCAIteration:
     # anchor exceeds the cap, log1p(tr A_e(R)), a lower bound of it.
     mi_eve_surrogate: float
     kappa: float                 # max(0, mi_eve_surrogate - cap)
-    rho_max: float               # max_k tr W_k - u_k^H W_k u_k, expansion u_k;
-                                 # on a certified row, u_k the top of W_k
+    rho_max: float               # max_k tr W_k - lambda_max(W_k), the
+                                 # iterate's own rank residual
     power: float
     sinr_margin: float           # min_k SINR_k / target_k
     penalty_weight: float
@@ -512,8 +517,14 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     is the trace relaxation or its Eve surrogate lies strictly below the cap
     (always, for an infinite cap), and the eigenvector beams that
     _extract_solution returns meet the limits, the Eve cap with no slack, and
-    come within 1e-9 nats of the relaxed legitimate MI; the solution and the
-    trace then read ``certified``.  The solution's ``mi_eve_surrogate`` is
+    come within the solver's gap bound OBJ_TOL of the relaxed legitimate MI;
+    the solution and the trace then read ``certified``.  Otherwise it stops
+    after an outer iteration whose legitimate MI moved by at most
+    TOL_OBJ_NATS from the previous one, with kappa and the iterate's own
+    largest rank residual tr W_k - lambda_max(W_k) at most TOL_PENALTY.
+    That residual is at most the penalized one along the expansion's u_k,
+    since lambda_max(W) >= u^H W u, so the loop stops no later than a test
+    of the penalized residual would.  The solution's ``mi_eve_surrogate`` is
     the Eve bound that the last solved subproblem enforced, at the returned
     beams; after the trace row alone it bounds their Eve MI from below, not
     above.  ``rng`` feeds only the Gaussian randomization of a relaxed
@@ -577,15 +588,14 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
             sol = _extract_solution(result_values, channels, stats_r, stats_e,
                                     cfg, eve_row.bound, rng, res.status)
             gap = mi_r - sol.mi_legit
-            trace.certified = (sol.status == "optimal" and gap <= 1e-9
+            trace.certified = (sol.status == "optimal" and gap <= OBJ_TOL
                                and sol.mi_eve <= cfg.eve_mi_cap)
-        # The residuals the objective penalizes, read from the iterate; a
-        # certified iterate's own rank residuals tr W_k - lambda_max(W_k).
+        # The Eve slack the objective penalizes, and the iterate's own rank
+        # residuals tr W_k - lambda_max(W_k): lambda_max(W) >= u^H W u, so
+        # they lie at or below the penalized ones along the expansion's u_k.
         kappa = max(0.0, surrogate - cfg.eve_mi_cap)
-        tops = (map(_top_direction, weight_mats) if trace.certified
-                else state.exp_tops)
-        rho_max = max(float(np.real(np.trace(m) - u.conj() @ m @ u))
-                      for m, u in zip(weight_mats, tops))
+        rho_max = max(float(np.trace(m).real - np.linalg.eigvalsh(m)[-1])
+                      for m in weight_mats)
         rates = sinr(vectors, weight_mats, cfg.noise_comm)
         trace.rows.append(SCAIteration(
             index=itn,

@@ -406,6 +406,11 @@ class BarrierProblem:
     log-det blocks and log slacks.  One pass, _terms, defines the barrier
     domain; in_domain, merit and merit_derivatives read it."""
 
+    # (x, t, terms, value) of the last merit call inside the domain, which
+    # merit_derivatives reuses at that very array and t: the line search and
+    # the predictor evaluate the merit at the point they accept.
+    _last_merit = None
+
     def __init__(self, problem: ConicSubproblem):
         if problem.objective is None:
             raise ValueError("objective not set")
@@ -499,7 +504,11 @@ class BarrierProblem:
     def merit(self, x, t):
         """Barrier merit at x, or None outside the domain."""
         terms = self._terms(x)
-        return None if terms is None else self._merit_value(x, t, terms)
+        if terms is None:
+            return None
+        value = self._merit_value(x, t, terms)
+        self._last_merit = (x, t, terms, value)
+        return value
 
     @property
     def centering_only(self):
@@ -510,10 +519,17 @@ class BarrierProblem:
         """(value, grad, hess) of the barrier merit at x, or None outside.
         Also sets self.objective_grad to the gradient g0 of the minimized
         objective -(c.x + sum w logdet F) at x: the merit's gradient is
-        t g0 plus a part free of t."""
-        terms = self._terms(x)
-        if terms is None:
-            return None
+        t g0 plus a part free of t.  At the array of the last merit call, at
+        its t, it reads that call's terms and value, so x must not have
+        changed in place since; _run_barrier rebinds its iterate."""
+        last = self._last_merit
+        if last is not None and last[0] is x and last[1] == t:
+            _, _, terms, value = last
+        else:
+            terms = self._terms(x)
+            if terms is None:
+                return None
+            value = self._merit_value(x, t, terms)
         chols, s = terms
         n = self.n
         # Scatter weights in _index_tables order, the objective's without
@@ -534,7 +550,7 @@ class BarrierProblem:
         hess = scaled.T @ scaled
         hess += np.bincount(self._hess_idx, np.concatenate(hvals),
                             minlength=n * n).reshape(n, n)
-        return self._merit_value(x, t, terms), grad, hess
+        return value, grad, hess
 
 
 def _batch_shared_maps(maps):

@@ -701,6 +701,58 @@ def test_stage_points_are_interior_and_centered_at_their_own_t(seed):
         assert 0.5 * lam2 <= solver.CENTERING_TOL
 
 
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_derivatives_at_the_accepted_point_reuse_its_merit_pass(seed,
+                                                                monkeypatch):
+    # merit_derivatives at the very array that the last merit call accepted,
+    # at its t, reads that call's domain pass instead of running _terms; a
+    # call on a copy of the array runs it, and both give bitwise equal
+    # results.
+    prob, _ = make_grid_instance(seed)
+    start = interior_start(prob)
+    accepted = []                # (x, t) of the last merit call in the domain
+    terms_calls = []
+    reused = 0
+
+    def recording_merit(self, x, t):
+        val = merit(self, x, t)
+        if val is not None:
+            accepted[:] = [(x, t)]
+        return val
+
+    def counting_terms(self, x):
+        terms_calls.append(None)
+        return terms(self, x)
+
+    def comparing_derivatives(self, x, t):
+        nonlocal reused
+        fresh = merit_derivatives(self, x.copy(), t)
+        fresh_grad0 = self.objective_grad
+        calls = len(terms_calls)
+        out = merit_derivatives(self, x, t)
+        if accepted and accepted[0][0] is x and accepted[0][1] == t:
+            reused += 1
+            assert len(terms_calls) == calls
+            assert out[0] == fresh[0]
+            assert np.array_equal(out[1], fresh[1])
+            assert np.array_equal(out[2], fresh[2])
+            assert np.array_equal(self.objective_grad, fresh_grad0)
+        return out
+
+    merit = BarrierProblem.merit
+    terms = BarrierProblem._terms
+    merit_derivatives = BarrierProblem.merit_derivatives
+    monkeypatch.setattr(BarrierProblem, "merit", recording_merit)
+    monkeypatch.setattr(BarrierProblem, "_terms", counting_terms)
+    monkeypatch.setattr(BarrierProblem, "merit_derivatives",
+                        comparing_derivatives)
+    res = solve(prob, initial=start)
+    assert res.status == "optimal"
+    # Every accepted Newton step but a stage's last is followed by the next
+    # step's derivatives at the same t.
+    assert reused >= res.iterations - len(res.history) > 0
+
+
 def test_centering_only_solve_centers_to_the_newton_tolerance(
         newton_directions):
     prob, _ = make_grid_instance(2)
