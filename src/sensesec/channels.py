@@ -10,17 +10,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import (
-    commutation_matrix,
-    hermitian_eig,
-    require_hermitian,
-    sample_complex_gaussian,
-    vec,
-)
+from .linalg import hermitian_eig, require_hermitian, sample_complex_gaussian
 
 
 def steering_vector(angle, n):
@@ -35,24 +29,11 @@ def steering_vector(angle, n):
 
 
 @dataclass(frozen=True)
-class CommChannel:
-    """One user's downlink channel draw."""
-
-    vector: np.ndarray      # (n_tx,) complex gains
-    rician_factor: float
-    angle: float            # LoS angle of arrival, radians
-
-    def __post_init__(self):
-        if self.rician_factor < 0:
-            raise ValueError("Rician factor must be nonnegative")
-
-
-@dataclass(frozen=True)
 class SensingStats:
     """Second-order statistics of one receiver's target response.
 
-    ``blocks`` is the column partition of U^H K (one block per receive
-    antenna), which turns Kronecker-structured quadratic forms in the
+    ``blocks`` holds, for each receive antenna i, the columns i, i + n_rx,
+    ... of U^H, which turn Kronecker-structured quadratic forms in the
     transmit covariance into small per-antenna products.
     """
 
@@ -72,7 +53,7 @@ class SensingStats:
 
 def stats_from_covariance(cov, n_rx, n_tx, noise_power, label="legitimate"):
     """SensingStats for a given target-response covariance: eigenstructure
-    plus the receive-antenna block partition of U^H K."""
+    plus the receive-antenna column partition of U^H."""
     cov = require_hermitian(cov, name="target covariance")
     if cov.shape[0] != n_rx * n_tx:
         raise ValueError(f"covariance dim {cov.shape[0]} != n_rx*n_tx "
@@ -81,10 +62,9 @@ def stats_from_covariance(cov, n_rx, n_tx, noise_power, label="legitimate"):
     if eigvals[-1] < -1e-9 * max(eigvals[0], 1.0):
         raise ValueError("target covariance is not PSD")
     eigvals = np.clip(eigvals, 0.0, None)
-    # Orientation fixed by A kron I_rx = K (I_rx kron A) K^T for this K.
-    k = commutation_matrix(n_tx, n_rx)
-    p = eigvecs.conj().T @ k
-    blocks = tuple(p[:, i * n_tx:(i + 1) * n_tx].copy() for i in range(n_rx))
+    # vec(G) stacks the columns of the n_rx x n_tx response G, so receive
+    # antenna i owns the entries i, i + n_rx, ...
+    blocks = tuple(eigvecs.conj().T[:, i::n_rx].copy() for i in range(n_rx))
     return SensingStats(label=label, noise_power=float(noise_power), n_rx=n_rx,
                         n_tx=n_tx, cov=cov, eigvals=eigvals, eigvecs=eigvecs,
                         blocks=blocks)
@@ -109,20 +89,22 @@ def build_sensing_stats(angles, gains, n_rx, n_tx, loading, noise_power,
     dim = n_rx * n_tx
     cov = np.zeros((dim, dim), dtype=complex)
     for theta, beta in zip(angles, gains):
-        v = vec(np.outer(steering_vector(theta, n_rx), steering_vector(theta, n_tx)))
+        v = np.outer(steering_vector(theta, n_rx),
+                     steering_vector(theta, n_tx)).reshape(-1, order="F")
         cov += (beta ** 2) * np.outer(v, v.conj())
     cov += loading * np.eye(dim)
     return stats_from_covariance(cov, n_rx, n_tx, noise_power, label=label)
 
 
-def default_loading(angles, gains, n_rx, n_tx, fraction=1e-3):
-    """Loading at a fixed fraction of the mean raw eigenvalue (1 if no targets)."""
-    angles = np.atleast_1d(angles)
+def default_loading(gains):
+    """Diagonal loading at 1e-3 of the mean raw eigenvalue, sum_m gain_m^2
+    (1 if no targets).  The array size cancels: each v_m has squared norm
+    n_rx n_tx, the covariance's dimension, so the raw trace sum_m gain_m^2
+    n_rx n_tx spreads over n_rx n_tx eigenvalues."""
     gains = np.atleast_1d(gains)
-    if angles.size == 0:
+    if gains.size == 0:
         return 1.0
-    trace = float(np.sum(np.asarray(gains) ** 2)) * n_rx * n_tx
-    return fraction * trace / (n_rx * n_tx)
+    return 1e-3 * float(np.sum(gains ** 2))
 
 
 # ScenarioConfig fields that may be +inf (no Eve constraint, pure line of
@@ -201,9 +183,6 @@ class ScenarioConfig:
         if len(self.eve_target_angles) != len(self.eve_target_gains):
             raise ValueError("eve target angles/gains length mismatch")
 
-    def replace(self, **kw):
-        return replace(self, **kw)
-
 
 def _integer(key, val):
     """An integer field; a fraction is an error, not truncated."""
@@ -232,7 +211,7 @@ def _per_user(values, n_users, name):
 
 
 def _spread_angles(n_users):
-    # Users evenly placed over (30, 150) degrees, away from array endfire.
+    # Users evenly placed over [40, 140] degrees, away from array endfire.
     degs = np.linspace(40.0, 140.0, n_users)
     return tuple(math.radians(d) for d in degs)
 
@@ -241,19 +220,16 @@ RICIAN_CAP = 1e12
 
 
 def sample_rician_channel(cfg, user, rng):
-    """Draw user ``user``'s Rician channel: K/(K+1)-weighted LoS plus CN(0,1)
-    scattering.  An (effectively) infinite Rician factor returns the pure
-    LoS steering vector."""
+    """Draw user ``user``'s Rician channel h_k, an (n_tx,) complex vector:
+    K/(K+1)-weighted LoS plus CN(0,1) scattering.  An (effectively) infinite
+    Rician factor returns the pure LoS steering vector."""
     k_factor = cfg.rician_factors[user]
-    angle = cfg.user_angles[user]
-    los = steering_vector(angle, cfg.n_tx)
+    los = steering_vector(cfg.user_angles[user], cfg.n_tx)
     if k_factor >= RICIAN_CAP or math.isinf(k_factor):
-        return CommChannel(vector=los, rician_factor=min(k_factor, RICIAN_CAP),
-                           angle=angle)
+        return los
     nlos = sample_complex_gaussian(rng, np.zeros(cfg.n_tx), np.eye(cfg.n_tx))
-    h = math.sqrt(k_factor / (k_factor + 1.0)) * los \
+    return math.sqrt(k_factor / (k_factor + 1.0)) * los \
         + math.sqrt(1.0 / (k_factor + 1.0)) * nlos
-    return CommChannel(vector=h, rician_factor=k_factor, angle=angle)
 
 
 def sample_user_channels(cfg, rng):
@@ -262,12 +238,12 @@ def sample_user_channels(cfg, rng):
 
 
 def build_scenario(cfg, rng):
-    """Realize one scenario: user channels plus both receivers' sensing stats."""
+    """Realize one scenario: (channels, stats_r, stats_e), with channels the
+    list of the users' (n_tx,) channel vectors and the sensing stats of the
+    radar receiver and the eavesdropper."""
     channels = sample_user_channels(cfg, rng.child("channels"))
-    load_r = default_loading(cfg.radar_target_angles, cfg.radar_target_gains,
-                             cfg.n_rx, cfg.n_tx)
-    load_e = default_loading(cfg.eve_target_angles, cfg.eve_target_gains,
-                             cfg.n_eve, cfg.n_tx)
+    load_r = default_loading(cfg.radar_target_gains)
+    load_e = default_loading(cfg.eve_target_gains)
     stats_r = build_sensing_stats(cfg.radar_target_angles, cfg.radar_target_gains,
                                   cfg.n_rx, cfg.n_tx, load_r, cfg.noise_radar,
                                   label="legitimate")

@@ -1,9 +1,7 @@
-"""Complex linear-algebra foundation: vectorization, commutation matrices,
-Hermitian eigenstructure, stable log-determinants, and seeded circular
-Gaussian sampling.
+"""Complex linear-algebra foundation: Hermitian eigenstructure, stable
+log-determinants, and seeded circular Gaussian sampling.
 
-All matrices are plain numpy arrays with native complex dtype; vec() uses
-column stacking throughout the package.
+All matrices are plain numpy arrays with native complex dtype.
 """
 
 from __future__ import annotations
@@ -13,9 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Guard against accidentally huge commutation matrices (mn x mn dense).
-MAX_COMMUTATION_DIM = 4096
-
 HERMITIAN_RTOL = 1e-10
 
 
@@ -23,40 +18,16 @@ class NotPositiveDefiniteError(ValueError):
     """Raised when a factorization requires a positive definite matrix."""
 
 
-def vec(a):
-    """Column-stacking vectorization of a 2-D array."""
-    a = np.asarray(a)
-    return a.reshape(-1, order="F")
-
-
-def commutation_matrix(m, n):
-    """Real permutation K with K @ vec(A) = vec(A.T) for every m x n matrix A.
-
-    Satisfies K @ K.T = I; K is orthogonal since it is a permutation.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("commutation matrix requires m >= 1 and n >= 1")
-    if m * n > MAX_COMMUTATION_DIM:
-        raise ValueError(
-            f"commutation dimension {m * n} exceeds maximum {MAX_COMMUTATION_DIM}"
-        )
-    # vec(A)[i + j*m] = A[i, j] maps to vec(A.T)[j + i*n].
-    src = np.arange(m * n)
-    i, j = src % m, src // m
-    dst = j + i * n
-    k = np.zeros((m * n, m * n))
-    k[dst, src] = 1.0
-    return k
-
-
-def require_hermitian(a, rtol=HERMITIAN_RTOL, name="matrix"):
-    """Validate Hermitian symmetry and return the exactly symmetrized copy."""
+def require_hermitian(a, name="matrix"):
+    """Validate Hermitian symmetry to HERMITIAN_RTOL and return the exactly
+    symmetrized copy."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     scale = max(np.abs(a).max(), 1.0)
-    if np.abs(a - a.conj().T).max() > rtol * scale:
-        raise ValueError(f"{name} is not Hermitian within rtol={rtol}")
+    if np.abs(a - a.conj().T).max() > HERMITIAN_RTOL * scale:
+        raise ValueError(
+            f"{name} is not Hermitian within rtol={HERMITIAN_RTOL}")
     return 0.5 * (a + a.conj().T)
 
 

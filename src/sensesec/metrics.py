@@ -35,12 +35,12 @@ def _as_weight_matrices(beamformers):
     return mats
 
 
-def check_psd(a, name="matrix", tol=PSD_TOL):
-    """Validate Hermitian PSD-ness and return the symmetrized matrix."""
+def check_psd(a, name="matrix"):
+    """Check Hermitian PSD-ness to PSD_TOL; return the symmetrized matrix."""
     a = require_hermitian(a, name=name)
     scale = max(float(np.real(np.trace(a))), 1.0)
     smallest = float(np.min(np.linalg.eigvalsh(a)))
-    if smallest < -tol * scale:
+    if smallest < -PSD_TOL * scale:
         raise ValueError(f"{name} is not PSD (min eigenvalue {smallest:.3e})")
     return a
 
@@ -54,9 +54,10 @@ def transmit_covariance(beamformers):
 
 
 def sinr(channels, beamformers, noise_power):
-    """Per-user SINR; interference sums |h_k^H w_j|^2 over j != k."""
+    """Per-user SINR, with ``channels`` the users' (n_tx,) channel vectors
+    h_k; interference sums |h_k^H w_j|^2 over j != k."""
     mats = _as_weight_matrices(beamformers)
-    vectors = [np.asarray(getattr(ch, "vector", ch), dtype=complex) for ch in channels]
+    vectors = [np.asarray(h, dtype=complex) for h in channels]
     if len(vectors) != len(mats):
         raise ValueError("one beamformer per user required")
     out = np.zeros(len(vectors))

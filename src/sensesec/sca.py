@@ -143,21 +143,20 @@ def _add_beam_constraints(prob, channels, cfg):
     ``prob``: power budget, tightened per-user SINR and W_k >= 0."""
     n = cfg.n_tx
     mat_names = [f"W{k}" for k in range(cfg.n_users)]
-    vectors = [np.asarray(ch.vector) for ch in channels]
 
     # Power budget.
     trace_weights = hermitian_weights(np.eye(n))
-    prob.add_ineq(prob.scalar_map(0.0, dict.fromkeys(mat_names, trace_weights)),
+    prob.add_ineq(prob.scalar_map(dict.fromkeys(mat_names, trace_weights)),
                   cfg.power_budget)
 
     # Tightened per-user SINR (margin keeps the rank-one extraction within
     # the reporting tolerance): target (interference + noise) >= signal.
     for k in range(cfg.n_users):
         target = cfg.sinr_targets[k] * (1.0 + SINR_MARGIN)
-        gain = hermitian_weights(np.outer(vectors[k], vectors[k].conj()))
+        gain = hermitian_weights(np.outer(channels[k], channels[k].conj()))
         terms = {name: (-1.0 if j == k else target) * gain
                  for j, name in enumerate(mat_names)}
-        prob.add_ineq(prob.scalar_map(0.0, terms), -target * cfg.noise_comm)
+        prob.add_ineq(prob.scalar_map(terms), -target * cfg.noise_comm)
 
     basis = hermitian_basis(n)
     for name in mat_names:
@@ -258,7 +257,7 @@ def build_subproblem_no_an(state, channels, stats_r, eve_row, cfg):
         prob.add_scalar("kappa", lower=0.0)
         penalty["kappa"] = -state.eve_weight
         eve_affine = prob.scalar_map(
-            0.0, {**on_tx_cov(hermitian_weights(eve_row.grad)), "kappa": -1.0})
+            {**on_tx_cov(hermitian_weights(eve_row.grad)), "kappa": -1.0})
         prob.add_ineq(eve_affine, eve_row.rhs)
 
     # Objective: legitimate sensing MI (symmetrized log-det form) minus the
@@ -266,8 +265,7 @@ def build_subproblem_no_an(state, channels, stats_r, eve_row, cfg):
     scale_r = cfg.frame_len / stats_r.noise_power
     legit = scale_r * _scaled_quadratic(stats_r, hermitian_basis(n))
     obj_map = prob.matrix_map(np.eye(stats_r.dim), on_tx_cov(legit))
-    prob.set_objective(linear=prob.scalar_map(0.0, penalty),
-                       logdet_terms=[(1.0, obj_map)])
+    prob.set_objective(linear=prob.scalar_map(penalty), logdet=obj_map)
 
     _add_beam_constraints(prob, channels, cfg)
     return prob
@@ -312,7 +310,7 @@ def _anchor_start(channels, cfg):
     to the midpoint between their sum and the budget, which only raises
     every SINR.  Each W_k = p_k u_k u_k^H + eps I, with eps small enough to
     keep at least half of the power slack and of every SINR row's slack."""
-    links = np.column_stack([ch.vector for ch in channels])
+    links = np.column_stack(channels)
     targets = np.asarray(cfg.sinr_targets) * (1.0 + SINR_MARGIN)
     noise, budget = cfg.noise_comm, cfg.power_budget
     if _min_power_filters(links, targets, noise, budget) is None:
@@ -442,12 +440,11 @@ def _extract_solution(values, channels, stats_r, stats_e, cfg, eve_bound,
         else:
             weights = drawn
 
-    vectors = [ch.vector for ch in channels]
     r_x = transmit_covariance(weights)
     mi_r = sensing_mi(stats_r, r_x, cfg.frame_len)
     mi_e = sensing_mi(stats_e, r_x, cfg.frame_len)
     power = float(np.real(np.trace(r_x)))
-    rates = sinr(vectors, weights, cfg.noise_comm)
+    rates = sinr(channels, weights, cfg.noise_comm)
     if not _meets_limits(power, rates, mi_e, cfg):
         status = _first_failure([status, "limits-violated"])
     return BeamformerSolution(
@@ -474,7 +471,6 @@ def _gaussian_randomization(weight_mats, channels, stats_r, stats_e, cfg,
                             rng):
     """Draw candidate beam sets from CN(0, W_k) and keep the best feasible,
     or None when no draw is feasible."""
-    vectors = [ch.vector for ch in channels]
     best, best_mi = None, -np.inf
     gen_rng = rng.child("randomization")
     for m in range(RANDOMIZATION_CANDIDATES):
@@ -487,7 +483,7 @@ def _gaussian_randomization(weight_mats, channels, stats_r, stats_e, cfg,
             cand.append(draw / norm * trace if norm > 0 else draw)
         r_x = transmit_covariance(cand)
         if not _meets_limits(float(np.real(np.trace(r_x))),
-                             sinr(vectors, cand, cfg.noise_comm),
+                             sinr(channels, cand, cfg.noise_comm),
                              sensing_mi(stats_e, r_x, cfg.frame_len), cfg):
             continue
         cand_mi = sensing_mi(stats_r, r_x, cfg.frame_len)
@@ -498,6 +494,9 @@ def _gaussian_randomization(weight_mats, channels, stats_r, stats_e, cfg,
 
 def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     """Penalty-SCA outer loop; returns (BeamformerSolution, SCATrace).
+
+    ``channels`` lists the users' (n_tx,) channel vectors h_k, as
+    channels.build_scenario returns them.
 
     One solve per design finds the interior anchor, from a start built in
     closed form (_anchor_start), which raises InfeasibleError when the SINR
@@ -540,7 +539,6 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     without the eavesdropper constraint.
     """
     trace = SCATrace()
-    vectors = [ch.vector for ch in channels]
     targets = np.asarray(cfg.sinr_targets)
 
     rows = _beam_rows_problem(channels, cfg)
@@ -596,7 +594,7 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
         kappa = max(0.0, surrogate - cfg.eve_mi_cap)
         rho_max = max(float(np.trace(m).real - np.linalg.eigvalsh(m)[-1])
                       for m in weight_mats)
-        rates = sinr(vectors, weight_mats, cfg.noise_comm)
+        rates = sinr(channels, weight_mats, cfg.noise_comm)
         trace.rows.append(SCAIteration(
             index=itn,
             mi_legit=mi_r,

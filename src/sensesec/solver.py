@@ -126,11 +126,10 @@ class MatrixMap:
 
 @dataclass
 class ScalarMap:
-    """Affine functional x -> offset + weights . x[coords] (real)."""
+    """Linear functional x -> weights . x[coords] (real)."""
 
     coords: np.ndarray
     weights: np.ndarray
-    offset: float
 
     def dense(self, n):
         a = np.zeros(n)
@@ -147,11 +146,13 @@ class IneqSpec:
 @dataclass
 class ObjectiveSpec:
     linear: ScalarMap
-    logdet_terms: list            # [(weight, MatrixMap)], weight > 0
+    logdet: MatrixMap | None
 
 
 class ConicSubproblem:
-    """Declarative description of one convex max-det subproblem.
+    """Declarative description of one convex max-det subproblem: maximize
+    a linear functional plus at most one log-det, of an affine matrix map,
+    subject to linear rows and LMIs.
 
     Each map is stated by its coefficients: one complex Hermitian matrix
     (matrix_map) or real weight (scalar_map) per real coordinate of each
@@ -181,12 +182,10 @@ class ConicSubproblem:
     def add_hermitian(self, name, dim):
         return self._add_block(name, KIND_HERMITIAN, dim, dim * dim)
 
-    def add_scalar(self, name, lower=None, upper=None):
+    def add_scalar(self, name, lower=None):
         blk = self._add_block(name, KIND_SCALAR, 1, 1)
         if lower is not None:
-            self.add_ineq(self.scalar_map(0.0, {name: -1.0}), -float(lower))
-        if upper is not None:
-            self.add_ineq(self.scalar_map(0.0, {name: 1.0}), float(upper))
+            self.add_ineq(self.scalar_map({name: -1.0}), -float(lower))
         return blk
 
     @property
@@ -242,23 +241,19 @@ class ConicSubproblem:
         coords, mats = self._coefficients(terms, offset.shape, complex)
         return MatrixMap(offset.shape[0], coords, mats, offset)
 
-    def scalar_map(self, offset, terms):
-        """Affine functional x -> offset + sum_g a_g x_g; ``terms[name]``
-        holds the real weights a_g of that variable's coordinates (a plain
-        number for a scalar variable)."""
-        coords, weights = self._coefficients(terms, (), float)
-        return ScalarMap(coords, weights, float(offset))
+    def scalar_map(self, terms):
+        """Linear functional x -> sum_g a_g x_g; ``terms[name]`` holds the
+        real weights a_g of that variable's coordinates (a plain number for
+        a scalar variable)."""
+        return ScalarMap(*self._coefficients(terms, (), float))
 
     # -- constraints and objective
 
-    def set_objective(self, linear=None, logdet_terms=()):
-        """Maximize linear(x) + sum_t weight_t * logdet(map_t(x))."""
-        linear = linear if linear is not None else self.scalar_map(0.0, {})
-        terms = list(logdet_terms)
-        for weight, mmap in terms:
-            if weight <= 0:
-                raise ValueError("log-det objective weights must be positive")
-        self.objective = ObjectiveSpec(linear, terms)
+    def set_objective(self, linear=None, logdet=None):
+        """Maximize linear(x) + log det F(x), for a ScalarMap ``linear`` and
+        a MatrixMap F = ``logdet``; either may be left out."""
+        linear = linear if linear is not None else self.scalar_map({})
+        self.objective = ObjectiveSpec(linear, logdet)
 
     def add_lmi(self, mmap):
         self.lmis.append(mmap)
@@ -288,10 +283,11 @@ class SolverResult:
 
 @dataclass
 class _RealBlock:
-    """One weighted log-det barrier term over the complex Hermitian data of a
+    """One log-det barrier term over the complex Hermitian data of a
     MatrixMap, batched over maps that differ only in their coordinates:
-    weight * sum_k logdet F_k(x) with F_k(x) = offset + sum_g x[coords[k, g]]
-    * mats[g].
+    sum_k logdet F_k(x) with F_k(x) = offset + sum_g x[coords[k, g]] *
+    mats[g].  BarrierProblem weighs it by the list that holds it: the
+    objective's by t, an LMI's by LMI_WEIGHT.
 
     ``coords`` is (m,) for one map or (K, m) for K maps with equal
     coefficients and offset, such as the per-user LMIs W_k >= 0.  assemble,
@@ -307,7 +303,6 @@ class _RealBlock:
     coords: np.ndarray           # (m,) or (K, m)
     mats: np.ndarray             # (m, d, d) complex Hermitian
     offset: np.ndarray           # (d, d) complex Hermitian
-    weight: float = 1.0
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=np.intp)
@@ -401,8 +396,8 @@ LMI_WEIGHT = 2.0
 
 
 class BarrierProblem:
-    """Solve-ready form: minimize -(c.x + sum w logdet F(x)) subject to LMIs
-    and rows with slacks b - A x, so the merit has two kinds of terms:
+    """Solve-ready form: minimize -(c.x + logdet F(x)) subject to LMIs and
+    rows with slacks b - A x, so the merit has two kinds of terms:
     log-det blocks and log slacks.  One pass, _terms, defines the barrier
     domain; in_domain, merit and merit_derivatives read it."""
 
@@ -417,16 +412,15 @@ class BarrierProblem:
         self.n = problem.n
         obj = problem.objective
         self.c = obj.linear.dense(self.n)
-        self.obj_blocks = [_RealBlock(m.coords, m.mats, m.offset, weight=w)
-                           for w, m in obj.logdet_terms]
-        self.lmi_blocks = [_RealBlock(coords, m.mats, m.offset,
-                                      weight=LMI_WEIGHT)
+        self.obj_blocks = [_RealBlock(m.coords, m.mats, m.offset)
+                           for m in [obj.logdet] if m is not None]
+        self.lmi_blocks = [_RealBlock(coords, m.mats, m.offset)
                            for coords, m in _batch_shared_maps(problem.lmis)]
         self.A = np.zeros((len(problem.ineqs), self.n))
         self.b = np.zeros(len(problem.ineqs))
         for row, spec in enumerate(problem.ineqs):
             self.A[row, spec.affine.coords] = spec.affine.weights
-            self.b[row] = spec.rhs - spec.affine.offset
+            self.b[row] = spec.rhs
         self._index_tables()
 
     def _index_tables(self):
@@ -445,7 +439,7 @@ class BarrierProblem:
              for blk in blocks] + empty)
 
     def gap_degree(self):
-        return len(self.b) + sum(blk.weight * blk.dim * blk.batch_size
+        return len(self.b) + sum(LMI_WEIGHT * blk.dim * blk.batch_size
                                  for blk in self.lmi_blocks)
 
     def objective_value(self, x):
@@ -455,7 +449,7 @@ class BarrierProblem:
             chol = blk.chol(x)
             if chol is None:
                 return -np.inf
-            val += blk.weight * blk.logdet(chol)
+            val += blk.logdet(chol)
         return val
 
     # -- the barrier domain and the merit
@@ -477,16 +471,17 @@ class BarrierProblem:
         return chols, s
 
     def _weighted(self, t):
-        """(block, weight) of the objective and LMI blocks in _terms order;
-        the objective's log-dets carry the barrier parameter t."""
-        return ([(blk, t * blk.weight) for blk in self.obj_blocks]
-                + [(blk, blk.weight) for blk in self.lmi_blocks])
+        """(block, weight, merit weight) of the objective and LMI blocks in
+        _terms order: the objective's log-det has weight 1 and carries the
+        barrier parameter t, and an LMI has LMI_WEIGHT."""
+        return ([(blk, 1.0, t) for blk in self.obj_blocks]
+                + [(blk, LMI_WEIGHT, LMI_WEIGHT) for blk in self.lmi_blocks])
 
     def _merit_value(self, x, t, terms):
         """Barrier merit at x from its pass terms = _terms(x)."""
         chols, s = terms
         val = -t * float(self.c @ x)
-        for (blk, w), chol in zip(self._weighted(t), chols):
+        for (blk, _, w), chol in zip(self._weighted(t), chols):
             val -= w * blk.logdet(chol)
         return val - float(np.sum(np.log(s)))
 
@@ -518,7 +513,7 @@ class BarrierProblem:
     def merit_derivatives(self, x, t):
         """(value, grad, hess) of the barrier merit at x, or None outside.
         Also sets self.objective_grad to the gradient g0 of the minimized
-        objective -(c.x + sum w logdet F) at x: the merit's gradient is
+        objective -(c.x + logdet F) at x: the merit's gradient is
         t g0 plus a part free of t.  At the array of the last merit call, at
         its t, it reads that call's terms and value, so x must not have
         changed in place since; _run_barrier rebinds its iterate."""
@@ -536,9 +531,9 @@ class BarrierProblem:
         # their factor t; the empty seeds keep np.concatenate working for
         # problems without blocks.
         gvals, hvals = [np.zeros(0)], [np.zeros(0)]
-        for (blk, w), chol in zip(self._weighted(t), chols):
+        for (blk, weight, w), chol in zip(self._weighted(t), chols):
             gvec, gram = blk.grad_gram(chol)
-            gvals.append(np.ravel(gvec) * -blk.weight)
+            gvals.append(np.ravel(gvec) * -weight)
             hvals.append(np.ravel(gram) * w)
         gvals, split = np.concatenate(gvals), self._obj_grad_len
         self.objective_grad = np.bincount(
@@ -811,16 +806,16 @@ def _phase1_problem(bp):
     relaxed.c[s_idx] = -1.0       # maximize -s
     relaxed.obj_blocks = []
 
-    def extend_block(blk, weight):
+    def extend_block(blk):
         m = blk.coords.shape[-1]
         mats = np.empty((m + 1,) + blk.mats.shape[1:], dtype=complex)
         mats[:m] = blk.mats
         mats[m] = np.eye(blk.dim)
         slack = np.full(blk.coords.shape[:-1] + (1,), s_idx)
         coords = np.concatenate([blk.coords, slack], axis=-1)
-        return _RealBlock(coords, mats, blk.offset, weight=weight)
+        return _RealBlock(coords, mats, blk.offset)
 
-    relaxed.lmi_blocks = [extend_block(b, LMI_WEIGHT)
+    relaxed.lmi_blocks = [extend_block(b)
                           for b in bp.lmi_blocks + bp.obj_blocks]
     relaxed.A = np.hstack([bp.A, -np.ones((len(bp.b), 1))])
     relaxed.b = bp.b

@@ -4,11 +4,9 @@ import pytest
 from sensesec.linalg import (
     NotPositiveDefiniteError,
     RngState,
-    commutation_matrix,
     hermitian_eig,
     logdet_psd,
     sample_complex_gaussian,
-    vec,
 )
 
 
@@ -24,52 +22,6 @@ def random_hermitian(rng, n):
 def random_psd(rng, n, rank=None):
     a = random_complex(rng, n, rank or n)
     return a @ a.conj().T / n
-
-
-class TestCommutation:
-    def test_identity_case(self):
-        assert np.array_equal(commutation_matrix(1, 1), np.array([[1.0]]))
-
-    def test_2x2_permutation_rows(self):
-        k = commutation_matrix(2, 2)
-        # Row r of K selects source index: vec(A.T) picks entries 1,3,2,4
-        # (1-based) out of vec(A).
-        assert [int(np.argmax(row)) for row in k] == [0, 2, 1, 3]
-
-    def test_vec_transpose_2x3(self):
-        rng = np.random.default_rng(7)
-        a = random_complex(rng, 2, 3)
-        k = commutation_matrix(2, 3)
-        assert np.array_equal(k @ vec(a), vec(a.T))
-
-    @pytest.mark.parametrize("m", range(1, 9))
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_permutation_property_all_small_dims(self, m, n):
-        rng = np.random.default_rng(m * 31 + n)
-        k = commutation_matrix(m, n)
-        a = random_complex(rng, m, n)
-        assert np.array_equal(k @ vec(a), vec(a.T))
-        assert np.array_equal(k @ k.T, np.eye(m * n))
-
-    def test_dimension_overflow(self):
-        with pytest.raises(ValueError):
-            commutation_matrix(100, 100)
-
-    def test_bad_dims(self):
-        with pytest.raises(ValueError):
-            commutation_matrix(0, 3)
-
-
-def test_vec_kron_identity():
-    # vec(A B C) = (C.T kron A) vec(B)
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        a = random_complex(rng, 3, 4)
-        b = random_complex(rng, 4, 2)
-        c = random_complex(rng, 2, 5)
-        lhs = vec(a @ b @ c)
-        rhs = np.kron(c.T, a) @ vec(b)
-        assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 class TestHermitianEig:

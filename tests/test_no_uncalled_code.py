@@ -5,7 +5,9 @@ by its own module.
 
 A name counts as used when ``src/`` or ``perfbench/`` refers to it outside
 its own definition: as a name, an attribute, or a string naming it (the
-benchmark tracer wraps functions by name).  Imports alone do not count.
+benchmark tracer wraps functions by name).  Imports alone do not count, and
+neither does an attribute of a module bound by ``import X``: ``os.replace``
+or ``np.sum`` does not call a method named ``replace`` or ``sum``.
 A field counts as read when ``src/`` or ``perfbench/`` refers to it as an
 attribute outside the class body; the class's own validation does not count.
 Tests do not count either; code that only tests reach goes, together with
@@ -57,14 +59,25 @@ def definitions(trees):
                         yield f"{node.name}.{member.name}", member
 
 
-def references(tree):
-    """How often ``tree`` refers to each name."""
+def imported_modules(tree):
+    """Names that ``import X`` or ``import X as Y`` binds anywhere in
+    ``tree``; uncalled_names skips attributes of these names in every tree."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names}
+
+
+def references(tree, modules):
+    """How often ``tree`` refers to each name, leaving out the attributes
+    of the names in ``modules``."""
     found = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             found[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            found[node.attr] += 1
+            if not (isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                found[node.attr] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             found[node.value] += 1
     return found
@@ -73,9 +86,11 @@ def references(tree):
 def uncalled_names():
     """Definitions whose name no reference outside their own body names."""
     trees = source_trees()
-    total = sum(map(references, trees.values()), Counter())
+    modules = set().union(*map(imported_modules, trees.values()))
+    total = sum((references(tree, modules) for tree in trees.values()),
+                Counter())
     return {name for name, node in definitions(trees)
-            if total[node.name] == references(node)[node.name]}
+            if total[node.name] == references(node, modules)[node.name]}
 
 
 def test_every_definition_has_a_caller_or_a_stated_reason():

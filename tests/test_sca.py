@@ -77,7 +77,7 @@ def test_design_depends_on_the_scenario_alone(cfg):
 
 
 @pytest.mark.parametrize("cfg, channel_seed", [
-    (TINY, 1), (TINY, 2), (TINY.replace(power_budget=1e-3), 1)],
+    (TINY, 1), (TINY, 2), (dataclasses.replace(TINY, power_budget=1e-3), 1)],
     ids=["tiny-1", "tiny-2", "tiny-1mW-1"])
 def test_loose_intermediate_centering_keeps_every_iterate(cfg, channel_seed,
                                                           monkeypatch):
@@ -215,14 +215,15 @@ def test_first_stage_of_the_first_subproblem_starts_kappa_centered(
        eve_mi_cap=st.floats(0.01, 5.0))
 @settings(max_examples=15, deadline=None)
 def test_tiny_designs_meet_their_limits(channel_seed, power_budget, eve_mi_cap):
-    cfg = TINY.replace(power_budget=power_budget, eve_mi_cap=eve_mi_cap)
+    cfg = dataclasses.replace(TINY, power_budget=power_budget,
+                              eve_mi_cap=eve_mi_cap)
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
     try:
         sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg,
                                        RngState(channel_seed))
     except InfeasibleError:
         # One user sees no interference: its best SINR is P |h|^2 / noise.
-        h = np.asarray(links[0].vector)
+        h = np.asarray(links[0])
         best = power_budget * np.vdot(h, h).real / cfg.noise_comm
         assert best <= cfg.sinr_targets[0] * (1.0 + sca.SINR_MARGIN)
         return
@@ -273,7 +274,7 @@ def test_subproblem_maps_match_closed_forms():
         return np.abs(np.asarray(a) - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
 
     for cap in (cfg.eve_mi_cap, math.inf):
-        capped = cfg.replace(eve_mi_cap=cap)
+        capped = dataclasses.replace(cfg, eve_mi_cap=cap)
         prob = sca.build_subproblem_no_an(
             state, links, stats_r, sca._eve_row(state, stats_e, capped), capped)
         bp = solver.BarrierProblem(prob)
@@ -304,7 +305,7 @@ def test_subproblem_maps_match_closed_forms():
         power = np.trace(tx_cov).real - cfg.power_budget
         sinrs = []
         for k, link in enumerate(links):
-            h = np.asarray(link.vector)
+            h = np.asarray(link)
             gains = [np.real(h.conj() @ m @ h) for m in mats]
             target = cfg.sinr_targets[k] * (1.0 + sca.SINR_MARGIN)
             sinrs.append(target * (sum(gains) - gains[k] + cfg.noise_comm)
@@ -451,7 +452,7 @@ def test_infinite_eve_cap_computes_no_multiplier_estimate(monkeypatch):
         raise AssertionError("gradient computed without an Eve row")
 
     monkeypatch.setattr(sca, "sensing_mi_gradient", no_gradient)
-    cfg = TINY.replace(eve_mi_cap=math.inf)
+    cfg = dataclasses.replace(TINY, eve_mi_cap=math.inf)
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
     sol, _ = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
     assert sol.status == "optimal"
@@ -459,7 +460,7 @@ def test_infinite_eve_cap_computes_no_multiplier_estimate(monkeypatch):
 
 def test_eve_without_target_gain_gives_a_zero_multiplier_estimate():
     # A zero target response gives an Eve MI of 0 for every design.
-    cfg = TINY.replace(eve_target_gains=(0.0,), eve_mi_cap=1.0)
+    cfg = dataclasses.replace(TINY, eve_target_gains=(0.0,), eve_mi_cap=1.0)
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
     sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
     assert sol.status == "optimal" and sol.mi_eve == 0.0
@@ -530,7 +531,7 @@ def tiny_optimum_lower_bound(links, stats_r, stats_e, cfg):
     so a direction's best power is min(P, (e^cap - 1) / g_eve), kept when it
     meets the SINR floor.  Every grid value is reachable, so the result
     bounds the global optimum from below."""
-    h = np.asarray(links[0].vector)
+    h = np.asarray(links[0])
 
     def gain(stats, u):
         (block,) = stats.blocks
@@ -570,7 +571,7 @@ TINY_OPTIMA = {1.0: 3.3495, 0.1: 3.0319, 0.01: 1.9403}
 @pytest.mark.parametrize("channel_seed", [1, 2])
 @pytest.mark.parametrize("eve_mi_cap", sorted(TINY_OPTIMA))
 def test_tiny_design_reaches_the_global_optimum(eve_mi_cap, channel_seed):
-    cfg = TINY.replace(eve_mi_cap=eve_mi_cap)
+    cfg = dataclasses.replace(TINY, eve_mi_cap=eve_mi_cap)
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
     bound = tiny_optimum_lower_bound(links, stats_r, stats_e, cfg)
     assert bound >= TINY_OPTIMA[eve_mi_cap] - 1e-4
@@ -589,7 +590,7 @@ def test_tiny_design_reaches_the_global_optimum(eve_mi_cap, channel_seed):
 # at a fixed duality gap instead of a margin in the beam rows sat 1e-5 from
 # the W_k >= 0 boundary, against entries of about 1e3, and every solve then
 # ran a stage to its cap.
-STALL_CASES = [(TINY.replace(eve_mi_cap=cap), seed)
+STALL_CASES = [(dataclasses.replace(TINY, eve_mi_cap=cap), seed)
                for seed in (1, 2, 3, 4) for cap in (0.01, 0.3, 1.0)]
 STALL_CASES.append((channels.ScenarioConfig(
     eve_target_angles=(math.radians(50.0),), eve_mi_cap=1.0), 1))
@@ -691,7 +692,8 @@ def test_each_warm_start_is_the_deepest_stage_point_with_the_margin(
 def test_blend_keeps_anchor_blend_of_the_anchor_margin(channel_seed,
                                                        power_budget,
                                                        eve_mi_cap):
-    cfg = TINY.replace(power_budget=power_budget, eve_mi_cap=eve_mi_cap)
+    cfg = dataclasses.replace(TINY, power_budget=power_budget,
+                              eve_mi_cap=eve_mi_cap)
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
     try:
         anchor, _ = anchor_point(links, cfg)
@@ -750,7 +752,7 @@ def test_design_status_reports_a_non_optimal_subproblem(monkeypatch):
 
 
 def test_unreachable_sinr_targets_raise_infeasible(monkeypatch):
-    cfg = TINY.replace(sinr_targets=(1e9,), power_budget=1e-3)
+    cfg = dataclasses.replace(TINY, sinr_targets=(1e9,), power_budget=1e-3)
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
     calls = []
     solve = sca.solve
@@ -780,13 +782,13 @@ def test_anchor_beyond_the_phase_one_box_designs():
 
 
 def test_infinite_eve_cap_drops_the_eve_constraint(solver_results):
-    cfg = TINY.replace(eve_mi_cap=math.inf)
+    cfg = dataclasses.replace(TINY, eve_mi_cap=math.inf)
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
     state = sca.SCAState(random_expansion(cfg, RngState(1)), sca.PENALTY_INIT,
                          sca.PENALTY_INIT)
     rows = {}
     for cap in (TINY.eve_mi_cap, math.inf):
-        capped = cfg.replace(eve_mi_cap=cap)
+        capped = dataclasses.replace(cfg, eve_mi_cap=cap)
         prob = sca.build_subproblem_no_an(
             state, links, stats_r, sca._eve_row(state, stats_e, capped), capped)
         rows[cap] = len(prob.ineqs)
@@ -858,8 +860,9 @@ def test_closed_form_verdict_matches_phase_one_on_cold_start_channels():
 @settings(max_examples=30, deadline=None)
 def test_closed_form_verdict_matches_phase_one_on_tiny_draws(
         channel_seed, n_users, sinr_target, power_budget):
-    cfg = TINY.replace(n_users=n_users, user_angles=(),
-                       sinr_targets=(sinr_target,), power_budget=power_budget)
+    cfg = dataclasses.replace(TINY, n_users=n_users, user_angles=(),
+                              sinr_targets=(sinr_target,),
+                              power_budget=power_budget)
     links, _, _ = channels.build_scenario(cfg, RngState(channel_seed))
     closed_form_start_agrees_with_phase_one(links, cfg)
 
@@ -948,14 +951,14 @@ def plain_sdr(links, stats_r, cfg, sinr_scale=1.0 - 1e-6):
         prob.add_hermitian(name, n)
         prob.add_lmi(prob.matrix_map(np.zeros((n, n)),
                                      {name: solver.hermitian_basis(n)}))
-    prob.add_ineq(prob.scalar_map(0.0, dict.fromkeys(
+    prob.add_ineq(prob.scalar_map(dict.fromkeys(
         names, solver.hermitian_weights(np.eye(n)))), cfg.power_budget)
     for k, link in enumerate(links):
         # target (sum_{j != k} h^H W_j h + noise) - h^H W_k h <= 0
-        h = np.asarray(link.vector)
+        h = np.asarray(link)
         gain = solver.hermitian_weights(np.outer(h, h.conj()))
         target = cfg.sinr_targets[k] * sinr_scale
-        prob.add_ineq(prob.scalar_map(0.0, {
+        prob.add_ineq(prob.scalar_map({
             name: (-1.0 if j == k else target) * gain
             for j, name in enumerate(names)}), -target * cfg.noise_comm)
     # MI = logdet(I + (L / sigma^2) sqrt(Lam) sum_i B_i R* B_i^H sqrt(Lam)),
@@ -965,8 +968,8 @@ def plain_sdr(links, stats_r, cfg, sinr_scale=1.0 - 1e-6):
         root[:, None] * sum(b @ e.conj() @ b.conj().T for b in stats_r.blocks)
         * root[None, :] for e in solver.hermitian_basis(n)])
     scale = cfg.frame_len / stats_r.noise_power
-    prob.set_objective(logdet_terms=[(1.0, prob.matrix_map(
-        np.eye(stats_r.dim), dict.fromkeys(names, scale * coefs)))])
+    prob.set_objective(logdet=prob.matrix_map(
+        np.eye(stats_r.dim), dict.fromkeys(names, scale * coefs)))
     res = solver.solve(prob)
     assert res.status == "optimal"
     return [res.values[name] for name in names]
@@ -978,7 +981,8 @@ def plain_sdr(links, stats_r, cfg, sinr_scale=1.0 - 1e-6):
                          ids=["tiny", "default"])
 def test_design_without_eve_cap_matches_the_plain_sdr(base, power_budget,
                                                       channel_seed):
-    cfg = base.replace(power_budget=power_budget, eve_mi_cap=math.inf)
+    cfg = dataclasses.replace(base, power_budget=power_budget,
+                              eve_mi_cap=math.inf)
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(channel_seed))
     sol, _ = sca.run_sca_no_an(links, stats_r, stats_e, cfg,
                                RngState(channel_seed))
@@ -1016,7 +1020,8 @@ def test_certified_design_reaches_the_cap_free_sdr_bound(cfg, channel_seed):
 
     # The SDR at the design's tightened SINR targets, without the Eve row,
     # bounds every design from above; a certified one reaches it.
-    mats = plain_sdr(links, stats_r, cfg.replace(eve_mi_cap=math.inf),
+    mats = plain_sdr(links, stats_r,
+                     dataclasses.replace(cfg, eve_mi_cap=math.inf),
                      sinr_scale=1.0 + sca.SINR_MARGIN)
     bound = metrics.sensing_mi(stats_r, sum(mats), cfg.frame_len)
     assert sol.mi_legit >= bound - solver.OBJ_TOL
@@ -1063,7 +1068,7 @@ def test_binding_cap_design_is_never_certified(channel_seed, solver_results):
 def test_trace_row_bounds_the_eve_mi_from_below(cfg):
     # A cap below the expansion point's Eve MI makes the first subproblem's
     # row the trace relaxation Re tr(G_0 R) - kappa <= e^cap - 1.
-    cfg = cfg.replace(eve_mi_cap=1e-3)
+    cfg = dataclasses.replace(cfg, eve_mi_cap=1e-3)
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
     state = sca.SCAState(random_expansion(cfg, RngState(1)), 0.0, 1.0)
     assert metrics.sensing_mi(stats_e, state.exp_cov,
@@ -1117,7 +1122,8 @@ def test_one_milliwatt_design_certifies_within_the_solver_gap():
     assert sol.certified and trace.certified and len(trace.rows) == 1
     assert 1e-9 < trace.rows[0].beam_mi_gap <= solver.OBJ_TOL
     assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
-    mats = plain_sdr(links, stats_r, cfg.replace(eve_mi_cap=math.inf),
+    mats = plain_sdr(links, stats_r,
+                     dataclasses.replace(cfg, eve_mi_cap=math.inf),
                      sinr_scale=1.0 + sca.SINR_MARGIN)
     bound = metrics.sensing_mi(stats_r, sum(mats), cfg.frame_len)
     assert sol.mi_legit >= bound - solver.OBJ_TOL

@@ -133,18 +133,17 @@ def test_barrier_derivatives_match_finite_differences():
     prob.add_lmi(prob.matrix_map(np.zeros((3, 3)), {"W": hermitian_basis(3)}))
     u = random_complex(rng, 3)
     u /= np.linalg.norm(u)
-    prob.add_ineq(prob.scalar_map(0.0, {
+    prob.add_ineq(prob.scalar_map({
         "W": hermitian_weights(np.eye(3) - np.outer(u, u.conj())),
         "rho": -1.0}), 0.0)
-    prob.add_ineq(prob.scalar_map(0.0, {"W": hermitian_weights(np.eye(3))}), 2.0)
+    prob.add_ineq(prob.scalar_map({"W": hermitian_weights(np.eye(3))}), 2.0)
     h = random_complex(rng, 3)
     prob.add_ineq(prob.scalar_map(
-        0.0, {"W": -hermitian_weights(np.outer(h, h.conj())), "rho": -1.0}),
+        {"W": -hermitian_weights(np.outer(h, h.conj())), "rho": -1.0}),
         -0.01)
     prob.set_objective(
-        linear=prob.scalar_map(0.0, {"rho": -0.3}),
-        logdet_terms=[(1.0, prob.matrix_map(np.eye(3),
-                                            {"W": hermitian_basis(3)}))])
+        linear=prob.scalar_map({"rho": -0.3}),
+        logdet=prob.matrix_map(np.eye(3), {"W": hermitian_basis(3)}))
     bp = BarrierProblem(prob)
     w0 = 0.1 * random_complex(rng, 3)
     x = prob.pack({"W": np.outer(w0, w0.conj()) + 0.3 * np.eye(3),
@@ -159,19 +158,20 @@ def stacked_inequality_problem():
     prob = ConicSubproblem()
     prob.add_hermitian("W0", 2)
     prob.add_hermitian("W1", 2)
-    prob.add_scalar("y", lower=0.0, upper=3.0)
+    prob.add_scalar("y", lower=0.0)
+    prob.add_ineq(prob.scalar_map({"y": 1.0}), 3.0)
     prob.add_scalar("z")
     # A log-det of W0 + W1: the same coefficients on both.
     legit = np.stack([random_psd(rng, 3) for _ in range(4)])
     tx_cov = prob.matrix_map(np.eye(3), {"W0": legit, "W1": legit})
-    prob.set_objective(linear=prob.scalar_map(0.0, {"y": -0.3, "z": 0.2}),
-                       logdet_terms=[(1.0, tx_cov)])
+    prob.set_objective(linear=prob.scalar_map({"y": -0.3, "z": 0.2}),
+                       logdet=tx_cov)
     trace = hermitian_weights(np.eye(2))
-    prob.add_ineq(prob.scalar_map(0.0, {"W0": trace, "W1": trace}), 2.0)
+    prob.add_ineq(prob.scalar_map({"W0": trace, "W1": trace}), 2.0)
     h = random_complex(rng, 2)
     prob.add_ineq(prob.scalar_map(
-        0.0, {"W0": -hermitian_weights(np.outer(h, h.conj())), "y": 0.5}), 1.0)
-    prob.add_ineq(prob.scalar_map(0.0, {"z": 1.0, "y": -0.5}), 0.5)
+        {"W0": -hermitian_weights(np.outer(h, h.conj())), "y": 0.5}), 1.0)
+    prob.add_ineq(prob.scalar_map({"z": 1.0, "y": -0.5}), 0.5)
     w0 = 0.2 * random_complex(rng, 2)
     x = prob.pack({"W0": np.outer(w0, w0.conj()) + 0.3 * np.eye(2),
                    "W1": 0.2 * np.eye(2), "y": 1.0, "z": 0.1})
@@ -203,16 +203,15 @@ def test_batched_schur_lmi_derivatives_match_finite_differences():
                                      {f"W{k}": hermitian_basis(3)}))
         u = random_complex(rng, 3)
         u /= np.linalg.norm(u)
-        prob.add_ineq(prob.scalar_map(0.0, {
+        prob.add_ineq(prob.scalar_map({
             f"W{k}": hermitian_weights(np.eye(3) - np.outer(u, u.conj())),
             "rho": -1.0}), 0.0)
     trace = hermitian_weights(np.eye(3))
-    prob.add_ineq(prob.scalar_map(0.0, {"W0": trace, "W1": trace}), 3.0)
+    prob.add_ineq(prob.scalar_map({"W0": trace, "W1": trace}), 3.0)
     legit = np.stack([random_psd(rng, 2) for _ in range(9)])
     prob.set_objective(
-        linear=prob.scalar_map(0.0, {"rho": -0.3}),
-        logdet_terms=[(1.0, prob.matrix_map(np.eye(2),
-                                            {"W0": legit, "W1": legit}))])
+        linear=prob.scalar_map({"rho": -0.3}),
+        logdet=prob.matrix_map(np.eye(2), {"W0": legit, "W1": legit}))
     bp = BarrierProblem(prob)
     assert len(bp.lmi_blocks) == 1
     assert bp.lmi_blocks[0].coords.shape == (2, 9)
@@ -287,8 +286,8 @@ def scalar_logdet_problem(lin_coef):
     prob = ConicSubproblem()
     prob.add_scalar("x", lower=0.0)
     mmap = prob.matrix_map(np.eye(1), {"x": [np.eye(1)]})
-    lin = prob.scalar_map(0.0, {"x": lin_coef})
-    prob.set_objective(linear=lin, logdet_terms=[(1.0, mmap)])
+    lin = prob.scalar_map({"x": lin_coef})
+    prob.set_objective(linear=lin, logdet=mmap)
     return prob
 
 
@@ -296,9 +295,10 @@ class TestSolveScalar:
     def test_monotone_boxed(self):
         # maximize logdet(I2 + x I2) on 0 <= x <= 1 -> x* = 1, value 2 log 2.
         prob = ConicSubproblem()
-        prob.add_scalar("x", lower=0.0, upper=1.0)
+        prob.add_scalar("x", lower=0.0)
+        prob.add_ineq(prob.scalar_map({"x": 1.0}), 1.0)
         mmap = prob.matrix_map(np.eye(2), {"x": [np.eye(2)]})
-        prob.set_objective(logdet_terms=[(1.0, mmap)])
+        prob.set_objective(logdet=mmap)
         res = solve(prob)
         assert res.status == "optimal"
         assert abs(res.values["x"] - 1.0) < 1e-4
@@ -343,10 +343,10 @@ class TestSolveMatrixVariable:
         prob.add_hermitian("W", 2)
         wmap = prob.matrix_map(np.zeros((2, 2)), {"W": hermitian_basis(2)})
         obj = prob.matrix_map(np.eye(2), {"W": hermitian_basis(2)})
-        tr = prob.scalar_map(0.0, {"W": hermitian_weights(np.eye(2))})
+        tr = prob.scalar_map({"W": hermitian_weights(np.eye(2))})
         prob.add_lmi(wmap)
         prob.add_ineq(tr, 2.0)
-        prob.set_objective(logdet_terms=[(1.0, obj)])
+        prob.set_objective(logdet=obj)
         res = solve(prob)
         assert res.status == "optimal"
         assert np.max(np.abs(res.values["W"] - np.eye(2))) < 1e-3
@@ -359,13 +359,13 @@ class TestSolveMatrixVariable:
         prob.add_hermitian("W", 2)
         wmap = prob.matrix_map(np.zeros((2, 2)), {"W": hermitian_basis(2)})
         obj = prob.matrix_map(np.eye(2), {"W": hermitian_basis(2)})
-        tr = prob.scalar_map(0.0, {"W": hermitian_weights(np.eye(2))})
+        tr = prob.scalar_map({"W": hermitian_weights(np.eye(2))})
         # Re tr(G W) == Re((1+1j) W_01) for this Hermitian G.
         g = 0.5 * np.array([[0.0, 1.0 - 1.0j], [1.0 + 1.0j, 0.0]])
-        coupling = prob.scalar_map(0.0, {"W": hermitian_weights(g)})
+        coupling = prob.scalar_map({"W": hermitian_weights(g)})
         prob.add_lmi(wmap)
         prob.add_ineq(tr, 1.0)
-        prob.set_objective(linear=coupling, logdet_terms=[(1.0, obj)])
+        prob.set_objective(linear=coupling, logdet=obj)
         res = solve(prob)
         w = res.values["W"]
         assert res.status == "optimal"
@@ -379,12 +379,12 @@ class TestSolveMatrixVariable:
         g0 = random_psd(rng, 3) + 0.5 * np.eye(3)
         wmap = prob.matrix_map(np.zeros((3, 3)), {"W": hermitian_basis(3)})
         gmap = prob.matrix_map(g0, {"W": -hermitian_basis(3)})
-        tr = prob.scalar_map(0.0, {"W": hermitian_weights(np.eye(3))})
+        tr = prob.scalar_map({"W": hermitian_weights(np.eye(3))})
         obj = prob.matrix_map(np.eye(3), {"W": hermitian_basis(3)})
         prob.add_lmi(wmap)
         prob.add_lmi(gmap)
         prob.add_ineq(tr, 1.5)
-        prob.set_objective(logdet_terms=[(1.0, obj)])
+        prob.set_objective(logdet=obj)
         res = solve(prob)
         assert res.status == "optimal"
         w = res.values["W"]
@@ -397,16 +397,17 @@ class TestSolveMatrixVariable:
 class TestPhase1:
     def test_contradictory_bounds(self):
         prob = ConicSubproblem()
-        prob.add_scalar("x", lower=0.0, upper=-1.0)
-        prob.set_objective(linear=prob.scalar_map(0.0, {"x": 1.0}))
+        prob.add_scalar("x", lower=0.0)
+        prob.add_ineq(prob.scalar_map({"x": 1.0}), -1.0)
+        prob.set_objective(linear=prob.scalar_map({"x": 1.0}))
         with pytest.raises(InfeasibleError):
             _find_strictly_feasible(BarrierProblem(prob))
 
     def test_infeasible_solve_raises(self):
         prob = ConicSubproblem()
         prob.add_scalar("x", lower=0.0)
-        prob.add_ineq(prob.scalar_map(0.0, {"x": 1.0}), -1.0)
-        prob.set_objective(linear=prob.scalar_map(0.0, {"x": 1.0}))
+        prob.add_ineq(prob.scalar_map({"x": 1.0}), -1.0)
+        prob.set_objective(linear=prob.scalar_map({"x": 1.0}))
         with pytest.raises(InfeasibleError):
             solve(prob)
 
@@ -416,9 +417,9 @@ class TestPhase1:
         to an interval of width 1e-3."""
         prob = ConicSubproblem()
         prob.add_scalar("x", lower=0.0)
-        prob.add_ineq(prob.scalar_map(0.0, {"x": -1.0}), -5.0)
-        prob.add_ineq(prob.scalar_map(0.0, {"x": 1.0}), 5.001)
-        prob.set_objective(linear=prob.scalar_map(0.0, {"x": -1.0}))
+        prob.add_ineq(prob.scalar_map({"x": -1.0}), -5.0)
+        prob.add_ineq(prob.scalar_map({"x": 1.0}), 5.001)
+        prob.set_objective(linear=prob.scalar_map({"x": -1.0}))
         return prob
 
     def test_step_cap_is_not_reported_as_infeasible(self, monkeypatch):
@@ -441,8 +442,9 @@ class TestPhase1:
         # 2e4 <= x <= 2e4 + 10 lies beyond phase I's box of radius 1e4 about
         # the origin, so the slack it reaches there certifies nothing.
         prob = ConicSubproblem()
-        prob.add_scalar("x", lower=2e4, upper=2e4 + 10.0)
-        prob.set_objective(linear=prob.scalar_map(0.0, {"x": -1.0}))
+        prob.add_scalar("x", lower=2e4)
+        prob.add_ineq(prob.scalar_map({"x": 1.0}), 2e4 + 10.0)
+        prob.set_objective(linear=prob.scalar_map({"x": -1.0}))
         with pytest.raises(SolverError, match="coordinate box") as info:
             solve(prob)
         assert not isinstance(info.value, InfeasibleError)
@@ -455,8 +457,8 @@ class TestPhase1:
         prob.add_lmi(prob.matrix_map(np.zeros((3, 3)), {"W": hermitian_basis(3)}))
         prob.add_lmi(prob.matrix_map(g0, {"W": -hermitian_basis(3)}))
         prob.add_ineq(prob.scalar_map(
-            0.0, {"W": hermitian_weights(np.eye(3))}), 1.0)
-        prob.set_objective(linear=prob.scalar_map(0.0, {}))
+            {"W": hermitian_weights(np.eye(3))}), 1.0)
+        prob.set_objective(linear=prob.scalar_map({}))
         vals = prob.unpack(_find_strictly_feasible(BarrierProblem(prob)))
         w = vals["W"]
         assert np.min(np.linalg.eigvalsh(w)) >= 1e-9
@@ -480,12 +482,13 @@ def make_grid_instance(seed):
     prob = ConicSubproblem()
     names = [f"x{i}" for i in range(d)]
     for name in names:
-        prob.add_scalar(name, lower=0.0, upper=box)
+        prob.add_scalar(name, lower=0.0)
+        prob.add_ineq(prob.scalar_map({name: 1.0}), box)
     fmap = prob.matrix_map(f0, {n: [f_dirs[i]] for i, n in enumerate(names)})
     gmap = prob.matrix_map(g0, {n: [-g_dirs[i]] for i, n in enumerate(names)})
-    linmap = prob.scalar_map(0.0, {n: lin[i] for i, n in enumerate(names)})
+    linmap = prob.scalar_map({n: lin[i] for i, n in enumerate(names)})
     prob.add_lmi(gmap)
-    prob.set_objective(linear=linmap, logdet_terms=[(1.0, fmap)])
+    prob.set_objective(linear=linmap, logdet=fmap)
 
     def oracle(step=1e-3):
         axes = [np.arange(0.0, box + step / 2, step) for _ in range(d)]
@@ -521,8 +524,9 @@ def test_line_search_that_finds_no_step_is_reported(monkeypatch):
     # runs and only the main barrier calls the patched merit.
     monkeypatch.setattr(solver.BarrierProblem, "merit", lambda self, x, t: None)
     prob = ConicSubproblem()
-    prob.add_scalar("x", lower=0.0, upper=1.0)
-    prob.set_objective(linear=prob.scalar_map(0.0, {"x": 1.0}))
+    prob.add_scalar("x", lower=0.0)
+    prob.add_ineq(prob.scalar_map({"x": 1.0}), 1.0)
+    prob.set_objective(linear=prob.scalar_map({"x": 1.0}))
     assert solve(prob, initial={"x": 0.5}).status == "line-search-failed"
 
 
@@ -533,11 +537,11 @@ def floored_logdet_problem():
     prob.add_hermitian("W", 2)
     prob.add_lmi(prob.matrix_map(np.zeros((2, 2)), {"W": hermitian_basis(2)}))
     prob.add_ineq(prob.scalar_map(
-        0.0, {"W": hermitian_weights(np.eye(2))}), 10.0)
+        {"W": hermitian_weights(np.eye(2))}), 10.0)
     prob.add_ineq(prob.scalar_map(
-        0.0, {"W": -hermitian_weights(np.diag([1.0, 0.0]))}), -8.0)
-    prob.set_objective(logdet_terms=[(1.0, prob.matrix_map(
-        np.eye(2), {"W": hermitian_basis(2)}))])
+        {"W": -hermitian_weights(np.diag([1.0, 0.0]))}), -8.0)
+    prob.set_objective(logdet=prob.matrix_map(
+        np.eye(2), {"W": hermitian_basis(2)}))
     return prob
 
 
@@ -838,14 +842,14 @@ def kappa_problem(cap, eve_weight):
     prob.add_scalar("kappa", lower=0.0)
     basis = hermitian_basis(2)
     g = np.array([[1.0, 0.5j], [-0.5j, 0.5]])
-    prob.add_ineq(prob.scalar_map(0.0, {"W": hermitian_weights(np.eye(2))}),
+    prob.add_ineq(prob.scalar_map({"W": hermitian_weights(np.eye(2))}),
                   1.0)
-    prob.add_ineq(prob.scalar_map(0.0, {"W": hermitian_weights(g),
-                                        "kappa": -1.0}), cap)
+    prob.add_ineq(prob.scalar_map({"W": hermitian_weights(g),
+                                   "kappa": -1.0}), cap)
     prob.add_lmi(prob.matrix_map(np.zeros((2, 2)), {"W": basis}))
     prob.set_objective(
-        linear=prob.scalar_map(0.0, {"kappa": -eve_weight}),
-        logdet_terms=[(1.0, prob.matrix_map(np.eye(2), {"W": basis}))])
+        linear=prob.scalar_map({"kappa": -eve_weight}),
+        logdet=prob.matrix_map(np.eye(2), {"W": basis}))
     return prob
 
 
