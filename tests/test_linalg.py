@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sensesec.channels import stats_from_covariance
 from sensesec.linalg import (
     NotPositiveDefiniteError,
     RngState,
@@ -22,6 +23,35 @@ def random_hermitian(rng, n):
 def random_psd(rng, n, rank=None):
     a = random_complex(rng, n, rank or n)
     return a @ a.conj().T / n
+
+
+def commutation_matrix(m, n):
+    """Dense permutation K with K @ vec(A) = vec(A.T) for every m x n A."""
+    src = np.arange(m * n)
+    k = np.zeros((m * n, m * n))
+    k[src // m + (src % m) * n, src] = 1.0
+    return k
+
+
+class TestCommutation:
+    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_permutation_property_all_small_dims(self, m, n):
+        # The sensing blocks are strided column slices of U^H; they must equal
+        # the column blocks of U^H K, K the commutation matrix of an
+        # n_tx x n_rx matrix, bit for bit.
+        rng = np.random.default_rng(m * 31 + n)
+        k = commutation_matrix(m, n)
+        a = random_complex(rng, m, n)
+        assert np.array_equal(k @ a.reshape(-1, order="F"),
+                              a.T.reshape(-1, order="F"))
+        assert np.array_equal(k @ k.T, np.eye(m * n))
+        stats = stats_from_covariance(random_psd(rng, m * n), n_rx=n, n_tx=m,
+                                      noise_power=1.0)
+        p = stats.eigvecs.conj().T @ k
+        assert len(stats.blocks) == n
+        for i, block in enumerate(stats.blocks):
+            assert np.array_equal(block, p[:, i * m:(i + 1) * m])
 
 
 class TestHermitianEig:
