@@ -37,7 +37,6 @@ class SensingStats:
     transmit covariance into small per-antenna products.
     """
 
-    label: str              # "legitimate" | "eve"
     noise_power: float      # watts
     n_rx: int
     n_tx: int
@@ -51,7 +50,7 @@ class SensingStats:
         return self.n_rx * self.n_tx
 
 
-def stats_from_covariance(cov, n_rx, n_tx, noise_power, label="legitimate"):
+def stats_from_covariance(cov, n_rx, n_tx, noise_power):
     """SensingStats for a given target-response covariance: eigenstructure
     plus the receive-antenna column partition of U^H."""
     cov = require_hermitian(cov, name="target covariance")
@@ -65,13 +64,11 @@ def stats_from_covariance(cov, n_rx, n_tx, noise_power, label="legitimate"):
     # vec(G) stacks the columns of the n_rx x n_tx response G, so receive
     # antenna i owns the entries i, i + n_rx, ...
     blocks = tuple(eigvecs.conj().T[:, i::n_rx].copy() for i in range(n_rx))
-    return SensingStats(label=label, noise_power=float(noise_power), n_rx=n_rx,
-                        n_tx=n_tx, cov=cov, eigvals=eigvals, eigvecs=eigvecs,
-                        blocks=blocks)
+    return SensingStats(noise_power=float(noise_power), n_rx=n_rx, n_tx=n_tx,
+                        cov=cov, eigvals=eigvals, eigvecs=eigvecs, blocks=blocks)
 
 
-def build_sensing_stats(angles, gains, n_rx, n_tx, loading, noise_power,
-                        label="legitimate"):
+def build_sensing_stats(angles, gains, n_rx, n_tx, loading, noise_power):
     """Point-target response covariance plus diagonal loading.
 
     The covariance is sum_m gain_m^2 * v_m v_m^H + loading*I with
@@ -93,7 +90,7 @@ def build_sensing_stats(angles, gains, n_rx, n_tx, loading, noise_power,
                      steering_vector(theta, n_tx)).reshape(-1, order="F")
         cov += (beta ** 2) * np.outer(v, v.conj())
     cov += loading * np.eye(dim)
-    return stats_from_covariance(cov, n_rx, n_tx, noise_power, label=label)
+    return stats_from_covariance(cov, n_rx, n_tx, noise_power)
 
 
 def default_loading(gains):
@@ -227,7 +224,7 @@ def sample_rician_channel(cfg, user, rng):
     los = steering_vector(cfg.user_angles[user], cfg.n_tx)
     if k_factor >= RICIAN_CAP or math.isinf(k_factor):
         return los
-    nlos = sample_complex_gaussian(rng, np.zeros(cfg.n_tx), np.eye(cfg.n_tx))
+    nlos = sample_complex_gaussian(rng, np.eye(cfg.n_tx))
     return math.sqrt(k_factor / (k_factor + 1.0)) * los \
         + math.sqrt(1.0 / (k_factor + 1.0)) * nlos
 
@@ -245,9 +242,7 @@ def build_scenario(cfg, rng):
     load_r = default_loading(cfg.radar_target_gains)
     load_e = default_loading(cfg.eve_target_gains)
     stats_r = build_sensing_stats(cfg.radar_target_angles, cfg.radar_target_gains,
-                                  cfg.n_rx, cfg.n_tx, load_r, cfg.noise_radar,
-                                  label="legitimate")
+                                  cfg.n_rx, cfg.n_tx, load_r, cfg.noise_radar)
     stats_e = build_sensing_stats(cfg.eve_target_angles, cfg.eve_target_gains,
-                                  cfg.n_eve, cfg.n_tx, load_e, cfg.noise_eve,
-                                  label="eve")
+                                  cfg.n_eve, cfg.n_tx, load_e, cfg.noise_eve)
     return channels, stats_r, stats_e

@@ -107,26 +107,20 @@ class RngState:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-def sample_complex_gaussian(rng, mean, covariance, size=None):
-    """Circularly-symmetric complex Gaussian samples around the vector
-    ``mean``.
+def sample_complex_gaussian(rng, covariance, size=None):
+    """Circularly-symmetric zero-mean complex Gaussian samples from the
+    RngState ``rng``.
 
     A Cholesky factor is used, with 1e-12 diagonal loading retried when the
-    covariance is numerically rank deficient.  size=None returns one sample,
-    otherwise an array of ``size`` stacked samples along axis 0.
+    covariance is numerically rank deficient; a zero covariance draws zeros.
+    size=None returns one sample, otherwise an array of ``size`` stacked
+    samples along axis 0.
     """
-    mean = np.asarray(mean, dtype=complex)
     cov = require_hermitian(covariance, name="covariance")
-    if mean.ndim != 1:
-        raise ValueError(f"mean must be a vector, got shape {mean.shape}")
-    n = mean.size
-    if cov.shape != (n, n):
-        raise ValueError(f"covariance shape {cov.shape} does not match mean size {n}")
-    gen = rng.generator() if isinstance(rng, RngState) else rng
-
+    n = len(cov)
     count = 1 if size is None else int(size)
     if not np.any(cov):
-        out = np.broadcast_to(mean, (count,) + mean.shape).copy()
+        out = np.zeros((count, n), dtype=complex)
         return out[0] if size is None else out
 
     scale = np.abs(np.diag(cov)).max()
@@ -137,8 +131,9 @@ def sample_complex_gaussian(rng, mean, covariance, size=None):
     except np.linalg.LinAlgError:
         factor = np.linalg.cholesky(cov + 1e-12 * max(scale, 1.0) * np.eye(n))
 
-    # x = mean + F u with u ~ CN(0, I) gives E[(x-m)(x-m)^H] = F F^H.
+    # x = F u with u ~ CN(0, I) gives E[x x^H] = F F^H.
+    gen = rng.generator()
     white = gen.standard_normal((count, n)) + 1j * gen.standard_normal((count, n))
     white *= np.sqrt(0.5)
-    out = mean + white @ factor.T
+    out = white @ factor.T
     return out[0] if size is None else out

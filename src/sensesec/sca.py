@@ -256,9 +256,9 @@ def build_subproblem_no_an(state, channels, stats_r, eve_row, cfg):
     if eve_row.grad is not None:
         prob.add_scalar("kappa", lower=0.0)
         penalty["kappa"] = -state.eve_weight
-        eve_affine = prob.scalar_map(
+        eve_weights = prob.scalar_map(
             {**on_tx_cov(hermitian_weights(eve_row.grad)), "kappa": -1.0})
-        prob.add_ineq(eve_affine, eve_row.rhs)
+        prob.add_ineq(eve_weights, eve_row.rhs)
 
     # Objective: legitimate sensing MI (symmetrized log-det form) minus the
     # penalty terms.
@@ -476,8 +476,7 @@ def _gaussian_randomization(weight_mats, channels, stats_r, stats_e, cfg,
     for m in range(RANDOMIZATION_CANDIDATES):
         cand = []
         for k, wmat in enumerate(weight_mats):
-            draw = sample_complex_gaussian(
-                gen_rng.child(f"{m}:{k}"), np.zeros(cfg.n_tx), wmat)
+            draw = sample_complex_gaussian(gen_rng.child(f"{m}:{k}"), wmat)
             norm = np.linalg.norm(draw)
             trace = math.sqrt(max(float(np.real(np.trace(wmat))), 0.0))
             cand.append(draw / norm * trace if norm > 0 else draw)

@@ -118,35 +118,9 @@ def hermitian_weights(g):
 class MatrixMap:
     """Affine map x -> offset + sum_g x[coords[g]] * mats[g] (complex d x d)."""
 
-    dim: int
     coords: np.ndarray          # (m,) global coordinate indices
     mats: np.ndarray            # (m, d, d) complex
     offset: np.ndarray          # (d, d) complex
-
-
-@dataclass
-class ScalarMap:
-    """Linear functional x -> weights . x[coords] (real)."""
-
-    coords: np.ndarray
-    weights: np.ndarray
-
-    def dense(self, n):
-        a = np.zeros(n)
-        a[self.coords] = self.weights
-        return a
-
-
-@dataclass
-class IneqSpec:
-    affine: ScalarMap
-    rhs: float
-
-
-@dataclass
-class ObjectiveSpec:
-    linear: ScalarMap
-    logdet: MatrixMap | None
 
 
 class ConicSubproblem:
@@ -154,15 +128,16 @@ class ConicSubproblem:
     a linear functional plus at most one log-det, of an affine matrix map,
     subject to linear rows and LMIs.
 
-    Each map is stated by its coefficients: one complex Hermitian matrix
-    (matrix_map) or real weight (scalar_map) per real coordinate of each
-    variable it involves, in packing order.  That order is private to this
+    A matrix map is stated by one complex Hermitian coefficient per real
+    coordinate of each variable it involves, in packing order; a linear
+    functional by its dense real weights over the coordinates declared so
+    far (scalar_map).  ``ineqs`` holds (weights, rhs) pairs and
+    ``objective`` (linear, logdet).  Packing order is private to this
     module; hermitian_basis and hermitian_weights build coefficients in it.
     """
 
     def __init__(self):
         self._blocks = {}
-        self._order = []
         self.n = 0
         self.objective = None
         self.lmis = []
@@ -175,7 +150,6 @@ class ConicSubproblem:
             raise ValueError(f"duplicate variable name {name!r}")
         blk = VarBlock(name, kind, dim, self.n, size)
         self._blocks[name] = blk
-        self._order.append(name)
         self.n += size
         return blk
 
@@ -190,7 +164,7 @@ class ConicSubproblem:
 
     @property
     def blocks(self):
-        return [self._blocks[name] for name in self._order]
+        return list(self._blocks.values())
 
     # -- packing between named complex values and the real coordinate vector
 
@@ -217,15 +191,15 @@ class ConicSubproblem:
 
     # -- affine maps from coefficient stacks
 
-    def _coefficients(self, terms, shape, dtype):
+    def _coefficients(self, terms, shape):
         """Global coordinates and coefficients of ``terms`` (variable name ->
         one coefficient per real coordinate, in packing order), leaving out
         the coefficients that are exactly zero."""
         coords = [np.zeros(0, dtype=np.intp)]
-        coefs = [np.zeros((0,) + shape, dtype=dtype)]
+        coefs = [np.zeros((0,) + shape, dtype=complex)]
         for name, stack in terms.items():
             blk = self._blocks[name]
-            stack = np.reshape(np.asarray(stack, dtype=dtype), (blk.size,) + shape)
+            stack = np.reshape(np.asarray(stack, dtype=complex), (blk.size,) + shape)
             keep = np.flatnonzero(np.any(stack.reshape(blk.size, -1) != 0, axis=1))
             coords.append(blk.offset + keep)
             coefs.append(stack[keep])
@@ -238,29 +212,33 @@ class ConicSubproblem:
         offset = np.asarray(offset, dtype=complex)
         if offset.ndim != 2 or offset.shape[0] != offset.shape[1]:
             raise ValueError("matrix map offset must be a square matrix")
-        coords, mats = self._coefficients(terms, offset.shape, complex)
-        return MatrixMap(offset.shape[0], coords, mats, offset)
+        return MatrixMap(*self._coefficients(terms, offset.shape), offset)
 
     def scalar_map(self, terms):
-        """Linear functional x -> sum_g a_g x_g; ``terms[name]`` holds the
-        real weights a_g of that variable's coordinates (a plain number for
-        a scalar variable)."""
-        return ScalarMap(*self._coefficients(terms, (), float))
+        """Dense weights a of x -> a . x over the coordinates declared so far;
+        ``terms[name]`` holds the real weights of that variable's coordinates
+        (a plain number for a scalar variable), the rest weigh zero."""
+        weights = np.zeros(self.n)
+        for name, part in terms.items():
+            blk = self._blocks[name]
+            weights[blk.offset:blk.offset + blk.size] = np.reshape(
+                np.asarray(part, dtype=float), blk.size)
+        return weights
 
     # -- constraints and objective
 
     def set_objective(self, linear=None, logdet=None):
-        """Maximize linear(x) + log det F(x), for a ScalarMap ``linear`` and
-        a MatrixMap F = ``logdet``; either may be left out."""
+        """Maximize linear . x + log det F(x), for scalar_map weights
+        ``linear`` and a MatrixMap F = ``logdet``; either may be left out."""
         linear = linear if linear is not None else self.scalar_map({})
-        self.objective = ObjectiveSpec(linear, logdet)
+        self.objective = (linear, logdet)
 
     def add_lmi(self, mmap):
         self.lmis.append(mmap)
 
-    def add_ineq(self, affine, rhs):
-        """affine(x) <= rhs."""
-        self.ineqs.append(IneqSpec(affine, float(rhs)))
+    def add_ineq(self, weights, rhs):
+        """weights . x <= rhs, for scalar_map weights."""
+        self.ineqs.append((weights, float(rhs)))
 
 
 @dataclass
@@ -410,17 +388,19 @@ class BarrierProblem:
         if problem.objective is None:
             raise ValueError("objective not set")
         self.n = problem.n
-        obj = problem.objective
-        self.c = obj.linear.dense(self.n)
+        linear, logdet = problem.objective
+        self.c = np.zeros(self.n)
+        self.c[:len(linear)] = linear
         self.obj_blocks = [_RealBlock(m.coords, m.mats, m.offset)
-                           for m in [obj.logdet] if m is not None]
+                           for m in [logdet] if m is not None]
         self.lmi_blocks = [_RealBlock(coords, m.mats, m.offset)
                            for coords, m in _batch_shared_maps(problem.lmis)]
+        # A row or c declared before a later variable leaves its column zero.
         self.A = np.zeros((len(problem.ineqs), self.n))
         self.b = np.zeros(len(problem.ineqs))
-        for row, spec in enumerate(problem.ineqs):
-            self.A[row, spec.affine.coords] = spec.affine.weights
-            self.b[row] = spec.rhs
+        for row, (weights, rhs) in enumerate(problem.ineqs):
+            self.A[row, :len(weights)] = weights
+            self.b[row] = rhs
         self._index_tables()
 
     def _index_tables(self):

@@ -107,12 +107,12 @@ class TestSensingStats:
         p = np.hstack(stats.blocks)
         assert np.max(np.abs(p @ p.conj().T - np.eye(6))) < 1e-10
 
-    def test_legit_eve_same_inputs_differ_only_label_noise(self):
-        a = build_sensing_stats([1.0], [2.0], 2, 4, 1e-3, 1.0, label="legitimate")
-        b = build_sensing_stats([1.0], [2.0], 2, 4, 1e-3, 2.5, label="eve")
+    def test_legit_eve_same_inputs_differ_only_in_noise(self):
+        a = build_sensing_stats([1.0], [2.0], 2, 4, 1e-3, 1.0)
+        b = build_sensing_stats([1.0], [2.0], 2, 4, 1e-3, 2.5)
         assert np.array_equal(a.cov, b.cov)
         assert np.array_equal(a.eigvals, b.eigvals)
-        assert a.label != b.label and a.noise_power != b.noise_power
+        assert a.noise_power != b.noise_power
 
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):

@@ -127,14 +127,15 @@ class TestLogDet:
 
 
 class TestComplexGaussian:
-    def test_zero_covariance_returns_mean(self):
-        mean = np.array([1.0 + 2.0j, -3.0j])
-        out = sample_complex_gaussian(RngState(0), mean, np.zeros((2, 2)))
-        assert np.array_equal(out, mean)
+    def test_zero_covariance_draws_zeros(self):
+        out = sample_complex_gaussian(RngState(0), np.zeros((2, 2)))
+        assert out.shape == (2,) and not np.any(out)
+        out = sample_complex_gaussian(RngState(0), np.zeros((2, 2)), size=3)
+        assert out.shape == (3, 2) and not np.any(out)
 
     def test_empirical_covariance_identity(self):
         rng = RngState(42, "gauss-cov")
-        draws = sample_complex_gaussian(rng, np.zeros(2), np.eye(2), size=100_000)
+        draws = sample_complex_gaussian(rng, np.eye(2), size=100_000)
         emp = draws.T @ draws.conj() / draws.shape[0]
         rel = np.linalg.norm(emp - np.eye(2)) / np.linalg.norm(np.eye(2))
         assert rel < 0.05
@@ -145,31 +146,27 @@ class TestComplexGaussian:
     def test_empirical_covariance_structured(self):
         rng = RngState(5, "gauss-structured")
         cov = np.array([[2.0, 0.5 + 0.5j], [0.5 - 0.5j, 1.0]])
-        draws = sample_complex_gaussian(rng, np.zeros(2), cov, size=100_000)
+        draws = sample_complex_gaussian(rng, cov, size=100_000)
         emp = draws.T @ draws.conj() / draws.shape[0]
         assert np.linalg.norm(emp - cov) / np.linalg.norm(cov) < 0.05
 
     def test_determinism(self):
-        a = sample_complex_gaussian(RngState(9, "s"), np.zeros(3), np.eye(3))
-        b = sample_complex_gaussian(RngState(9, "s"), np.zeros(3), np.eye(3))
+        a = sample_complex_gaussian(RngState(9, "s"), np.eye(3))
+        b = sample_complex_gaussian(RngState(9, "s"), np.eye(3))
         assert np.array_equal(a, b)
 
     def test_streams_differ(self):
-        a = sample_complex_gaussian(RngState(9, "s1"), np.zeros(3), np.eye(3))
-        b = sample_complex_gaussian(RngState(9, "s2"), np.zeros(3), np.eye(3))
+        a = sample_complex_gaussian(RngState(9, "s1"), np.eye(3))
+        b = sample_complex_gaussian(RngState(9, "s2"), np.eye(3))
         assert not np.array_equal(a, b)
 
     def test_non_psd_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
-            sample_complex_gaussian(RngState(0), np.zeros(2), np.diag([1.0, -1.0]))
-
-    def test_matrix_mean_rejected(self):
-        with pytest.raises(ValueError, match="mean must be a vector"):
-            sample_complex_gaussian(RngState(1), np.zeros((2, 1)), np.eye(2))
+            sample_complex_gaussian(RngState(0), np.diag([1.0, -1.0]))
 
     def test_rank_deficient_loading(self):
         cov = np.outer([1.0, 1.0], [1.0, 1.0])
-        out = sample_complex_gaussian(RngState(3), np.zeros(2), cov, size=4)
+        out = sample_complex_gaussian(RngState(3), cov, size=4)
         assert out.shape == (4, 2)
         assert np.all(np.isfinite(out))
 

@@ -7,7 +7,10 @@ A name counts as used when ``src/`` or ``perfbench/`` refers to it outside
 its own definition: as a name, an attribute, or a string naming it (the
 benchmark tracer wraps functions by name).  Imports alone do not count, and
 neither does an attribute of a module bound by ``import X``: ``os.replace``
-or ``np.sum`` does not call a method named ``replace`` or ``sum``.
+or ``np.sum`` does not call a method named ``replace`` or ``sum``.  Other
+attributes count by bare name, so no method or property of the package may
+share its name with an attribute of the arrays, containers and strings that
+its code calls methods on (``m.copy()`` would count as a call of a ``copy``).
 A field counts as read when ``src/`` or ``perfbench/`` refers to it as an
 attribute outside the class body; the class's own validation does not count.
 Tests do not count either; code that only tests reach goes, together with
@@ -19,6 +22,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sensesec"
 
@@ -29,6 +34,9 @@ ALLOWED = {
 
 # ScenarioConfig field -> why nothing reads it.
 UNREAD_FIELDS = {}
+
+# Types of the values whose attributes src/ and perfbench/ reach by bare name.
+VALUE_TYPES = (np.ndarray, list, dict, tuple, str, set)
 
 
 def source_trees():
@@ -98,6 +106,13 @@ def test_every_definition_has_a_caller_or_a_stated_reason():
     assert unused - set(ALLOWED) == set()
     # An allowlisted name that gained a caller leaves the list.
     assert set(ALLOWED) <= unused
+
+
+def test_no_method_shares_a_name_with_a_value_attribute():
+    shared = {name for name, node in definitions(source_trees())
+              if "." in name
+              and any(hasattr(kind, node.name) for kind in VALUE_TYPES)}
+    assert shared == set()
 
 
 def unread_fields():

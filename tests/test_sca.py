@@ -424,7 +424,7 @@ def test_eve_slack_is_priced_at_the_anchor_multiplier_estimate(cfg,
     (kappa,) = [blk for blk in problems[0].blocks if blk.name == "kappa"]
     unit = np.zeros(problems[0].n)
     unit[kappa.offset] = 1.0
-    assert problems[0].objective.linear.dense(problems[0].n) @ unit \
+    assert problems[0].objective[0] @ unit \
         == pytest.approx(-first, rel=1e-12)
     # The 1 mW design is certified at the SDR; the binding cap runs on.
     assert len(problems) == len(trace.rows)
@@ -443,7 +443,7 @@ def test_eve_slack_is_priced_at_the_anchor_multiplier_estimate(cfg,
         x = np.zeros(problem.n)
         x[w0.offset:w0.offset + w0.size] = solver.pack_hermitian(
             np.eye(cfg.n_tx))
-        assert problem.objective.linear.dense(problem.n) @ x \
+        assert problem.objective[0] @ x \
             == pytest.approx(-penalty * (cfg.n_tx - 1), rel=1e-12)
 
 

@@ -215,7 +215,7 @@ def test_batched_schur_lmi_derivatives_match_finite_differences():
     bp = BarrierProblem(prob)
     assert len(bp.lmi_blocks) == 1
     assert bp.lmi_blocks[0].coords.shape == (2, 9)
-    assert bp.gap_degree() == len(bp.b) + sum(LMI_WEIGHT * mmap.dim
+    assert bp.gap_degree() == len(bp.b) + sum(LMI_WEIGHT * len(mmap.offset)
                                               for mmap in prob.lmis)
     values = {"rho": 1.0}
     for k in range(2):
