@@ -8,13 +8,14 @@ units: powers in watts, SINR targets as ratios, angles in radians.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import hermitian_eig, require_hermitian, sample_complex_gaussian
+from .linalg import hermitian_eig, require_hermitian, sample_white_gaussian
 
 
 def steering_vector(angle, n):
@@ -52,7 +53,12 @@ class SensingStats:
 
 def stats_from_covariance(cov, n_rx, n_tx, noise_power):
     """SensingStats for a given target-response covariance: eigenstructure
-    plus the receive-antenna column partition of U^H."""
+    plus the receive-antenna column partition of U^H.
+
+    ``cov``, ``eigvals``, ``eigvecs`` and every block are read-only:
+    build_scenario shares one SensingStats among all channel draws of a
+    configuration, so an in-place write raises instead of reaching them
+    all."""
     cov = require_hermitian(cov, name="target covariance")
     if cov.shape[0] != n_rx * n_tx:
         raise ValueError(f"covariance dim {cov.shape[0]} != n_rx*n_tx "
@@ -64,6 +70,8 @@ def stats_from_covariance(cov, n_rx, n_tx, noise_power):
     # vec(G) stacks the columns of the n_rx x n_tx response G, so receive
     # antenna i owns the entries i, i + n_rx, ...
     blocks = tuple(eigvecs.conj().T[:, i::n_rx].copy() for i in range(n_rx))
+    for arr in (cov, eigvals, eigvecs) + blocks:
+        arr.setflags(write=False)
     return SensingStats(noise_power=float(noise_power), n_rx=n_rx, n_tx=n_tx,
                         cov=cov, eigvals=eigvals, eigvecs=eigvecs, blocks=blocks)
 
@@ -224,7 +232,7 @@ def sample_rician_channel(cfg, user, rng):
     los = steering_vector(cfg.user_angles[user], cfg.n_tx)
     if k_factor >= RICIAN_CAP or math.isinf(k_factor):
         return los
-    nlos = sample_complex_gaussian(rng, np.eye(cfg.n_tx))
+    nlos = sample_white_gaussian(rng, cfg.n_tx)
     return math.sqrt(k_factor / (k_factor + 1.0)) * los \
         + math.sqrt(1.0 / (k_factor + 1.0)) * nlos
 
@@ -237,12 +245,22 @@ def sample_user_channels(cfg, rng):
 def build_scenario(cfg, rng):
     """Realize one scenario: (channels, stats_r, stats_e), with channels the
     list of the users' (n_tx,) channel vectors and the sensing stats of the
-    radar receiver and the eavesdropper."""
-    channels = sample_user_channels(cfg, rng.child("channels"))
+    radar receiver and the eavesdropper.
+
+    Only the channels are random.  The two SensingStats depend on the
+    configuration alone, so they are built once per configuration and every
+    channel draw of it returns the same, read-only, objects."""
+    return (sample_user_channels(cfg, rng.child("channels")),
+            *_sensing_stats(cfg))
+
+
+@functools.lru_cache
+def _sensing_stats(cfg):
+    """(stats_r, stats_e) of the radar receiver and the eavesdropper."""
     load_r = default_loading(cfg.radar_target_gains)
     load_e = default_loading(cfg.eve_target_gains)
     stats_r = build_sensing_stats(cfg.radar_target_angles, cfg.radar_target_gains,
                                   cfg.n_rx, cfg.n_tx, load_r, cfg.noise_radar)
     stats_e = build_sensing_stats(cfg.eve_target_angles, cfg.eve_target_gains,
                                   cfg.n_eve, cfg.n_tx, load_e, cfg.noise_eve)
-    return channels, stats_r, stats_e
+    return stats_r, stats_e

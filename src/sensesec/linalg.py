@@ -53,7 +53,9 @@ def hermitian_eig(a):
     scale = max(np.abs(w).max(), 1.0)
     keys = np.round(w / scale, 10)
     order = np.arange(len(w))
-    for val in np.unique(keys):
+    # Groups are independent, so any visiting order will do; np.unique would
+    # import numpy.ma (about 10 ms) on its first call.
+    for val in set(keys.tolist()):
         grp = np.nonzero(keys == val)[0]
         if len(grp) > 1:
             cols = [tuple(np.round(np.concatenate([u[:, g].real, u[:, g].imag]), 9))
@@ -132,8 +134,13 @@ def sample_complex_gaussian(rng, covariance, size=None):
         factor = np.linalg.cholesky(cov + 1e-12 * max(scale, 1.0) * np.eye(n))
 
     # x = F u with u ~ CN(0, I) gives E[x x^H] = F F^H.
-    gen = rng.generator()
-    white = gen.standard_normal((count, n)) + 1j * gen.standard_normal((count, n))
-    white *= np.sqrt(0.5)
-    out = white @ factor.T
+    out = sample_white_gaussian(rng, (count, n)) @ factor.T
     return out[0] if size is None else out
+
+
+def sample_white_gaussian(rng, shape):
+    """CN(0, I) samples of the given shape from the RngState ``rng``: the
+    real parts, then the imaginary parts, scaled by sqrt(1/2)."""
+    gen = rng.generator()
+    return (gen.standard_normal(shape)
+            + 1j * gen.standard_normal(shape)) * np.sqrt(0.5)

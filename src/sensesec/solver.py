@@ -623,10 +623,17 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
             if 0.5 * lam2 <= tol:
                 centered = True
                 break
+            # A decrement within the merit's round-off leaves the line
+            # search a coin flip on the last ulp of the merit: take the full
+            # step and end the stage at its round-off floor.
+            at_floor = (0.5 * lam2 <= np.finfo(float).eps * abs(val)
+                        and bp.in_domain(x + d))
+            if at_floor:
+                x = x + d
             slope = float(grad @ d)
             step = 1.0
-            accepted = False
-            while step > 1e-14:
+            accepted = at_floor
+            while not accepted and step > 1e-14:
                 cand = x + step * d
                 mval = bp.merit(cand, t)
                 if (mval is not None
@@ -646,7 +653,7 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
             # At large t the Armijo bound rounds to val itself, so steps that
             # no longer lower the merit pass: the stage is at its round-off
             # floor and further steps only burn the stage cap.
-            if mval >= val:
+            if at_floor or mval >= val:
                 break
         else:
             status = "stage-cap"

@@ -1,18 +1,24 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sensesec import channels
 from sensesec.channels import (
     ScenarioConfig,
+    SensingStats,
     build_scenario,
     build_sensing_stats,
     default_loading,
     sample_rician_channel,
     steering_vector,
 )
-from sensesec.linalg import RngState
+from sensesec.linalg import RngState, sample_complex_gaussian
 
 
 class TestSteering:
@@ -204,3 +210,70 @@ def test_build_scenario_deterministic():
     assert np.array_equal(sr1.cov, sr2.cov)
     assert np.array_equal(se1.eigvals, se2.eigvals)
     assert sr1.n_rx == cfg.n_rx and se1.n_rx == cfg.n_eve
+
+
+def assert_stats_equal(a, b):
+    for f in fields(SensingStats):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "blocks":
+            assert len(x) == len(y)
+            assert all(np.array_equal(p, q) for p, q in zip(x, y))
+        else:
+            assert np.array_equal(x, y), f.name
+
+
+def test_channel_draws_of_one_config_share_its_sensing_stats():
+    cfg = ScenarioConfig(eve_mi_cap=1.0)
+    _, sr1, se1 = build_scenario(cfg, RngState(1))
+    _, sr2, se2 = build_scenario(cfg, RngState(2))
+    assert sr1 is sr2 and se1 is se2
+    assert_stats_equal(sr1, build_sensing_stats(
+        cfg.radar_target_angles, cfg.radar_target_gains, cfg.n_rx, cfg.n_tx,
+        default_loading(cfg.radar_target_gains), cfg.noise_radar))
+    assert_stats_equal(se1, build_sensing_stats(
+        cfg.eve_target_angles, cfg.eve_target_gains, cfg.n_eve, cfg.n_tx,
+        default_loading(cfg.eve_target_gains), cfg.noise_eve))
+
+
+@pytest.mark.parametrize("name", ["cov", "eigvals", "eigvecs", "blocks"])
+def test_shared_sensing_stats_are_read_only(name):
+    _, stats_r, stats_e = build_scenario(ScenarioConfig(), RngState(1))
+    for stats in (stats_r, stats_e):
+        arrays = getattr(stats, name)
+        for arr in arrays if name == "blocks" else (arrays,):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2.0
+
+
+@pytest.mark.parametrize("n_tx", [2, 6, 8])
+@pytest.mark.parametrize("channel_seed", [1, 2, 3])
+def test_rician_scattering_matches_the_covariance_draw(channel_seed, n_tx):
+    # The white CN(0, I) draw equals a draw through the identity's Cholesky
+    # factor bit for bit.
+    cfg = ScenarioConfig(n_tx=n_tx)
+    links, _, _ = build_scenario(cfg, RngState(channel_seed))
+    for user, link in enumerate(links):
+        rng = RngState(channel_seed).child("channels").child(f"user{user}")
+        k_factor = cfg.rician_factors[user]
+        old = (math.sqrt(k_factor / (k_factor + 1.0))
+               * steering_vector(cfg.user_angles[user], n_tx)
+               + math.sqrt(1.0 / (k_factor + 1.0))
+               * sample_complex_gaussian(rng, np.eye(n_tx)))
+        assert np.array_equal(sample_rician_channel(cfg, user, rng), old)
+        assert np.array_equal(link, old)
+
+
+def test_channels_import_stays_light():
+    # Building scenarios needs numpy alone: the solver and scipy load only
+    # with a design.
+    src = str(Path(channels.__file__).resolve().parents[1])
+    code = ("import sys, sensesec.channels; print(' '.join(sorted(m for m in "
+            "sys.modules if m.split('.')[0] == 'scipy' "
+            "or m in ('sensesec.solver', 'sensesec.sca'))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.split() == []
