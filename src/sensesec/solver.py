@@ -11,11 +11,11 @@ Convex Optimization, sec. 11.3) runs on the real coordinates of the variables.
 Identical problems give identical iterates at a fixed BLAS thread count.
 Across thread counts, BLAS may sum in another order and the iterates may
 differ by round-off.  For the default ScenarioConfig at channel seed 1,
-run_sca_no_an solves one subproblem, certified at the relaxation, in 26
+run_sca_no_an solves one subproblem, certified at the relaxation, in 22
 Newton steps at one OpenBLAS thread and at two, and its final MIs agree
 bitwise; so do its designs at eve_mi_cap 5 and 1 on channel seeds 1-3,
 with equal outer iterations and Newton steps: at cap 1, 2 outer iterations
-and 49, 53 and 51 Newton steps (2-core x86 Xeon, OpenBLAS 0.3.31 in numpy,
+and 37, 42 and 40 Newton steps (2-core x86 Xeon, OpenBLAS 0.3.31 in numpy,
 0.3.30 in scipy).
 """
 
@@ -322,9 +322,12 @@ class _RealBlock:
         return int(np.prod(self.coords.shape[:-1]))
 
     def assemble(self, x):
+        return self.offset + self.linear(x)
+
+    def linear(self, x):
+        """F(x) - offset, the block's change along a step x."""
         acc = (x[self.coords] @ self._flat).view(complex)
-        return self.offset + acc.reshape(self.coords.shape[:-1]
-                                         + (self.dim, self.dim))
+        return acc.reshape(self.coords.shape[:-1] + (self.dim, self.dim))
 
     def chol(self, x):
         try:
@@ -341,9 +344,10 @@ class _RealBlock:
         return float(np.min(np.linalg.eigvalsh(self.assemble(x))[..., 0]))
 
     def grad_gram(self, chol):
-        """(gvec, gram) of logdet at the assembled point F = L L^H: gvec_g =
-        Re tr(F^-1 S_g), gram_gh = Re tr(F^-1 S_g F^-1 S_h), over every
-        coordinate of the block, with the batch axis of ``chol`` leading.
+        """(gvec, gram, L^-1) of logdet at the assembled point F = L L^H:
+        gvec_g = Re tr(F^-1 S_g), gram_gh = Re tr(F^-1 S_g F^-1 S_h), over
+        every coordinate of the block, with the batch axis of ``chol``
+        leading.
 
         Both come from G = F^-1 = L^-H L^-1 on the distinct rows.  For
         Hermitian S, Re tr(G S) is the real dot product of G and S, and
@@ -362,10 +366,10 @@ class _RealBlock:
         gram = gs.reshape(batch + (k, d * d)).view(np.float64) \
             @ sg.view(np.float64).swapaxes(-1, -2)
         if self._expand is None:
-            return gvec, gram
+            return gvec, gram, linv
         inv, pairs = self._expand
         return (np.take(gvec, inv, axis=-1),
-                np.take(gram.reshape(batch + (k * k,)), pairs, axis=-1))
+                np.take(gram.reshape(batch + (k * k,)), pairs, axis=-1), linv)
 
 
 # An LMI F >= 0 enters the barrier as -LMI_WEIGHT * logdet F, with barrier
@@ -494,7 +498,8 @@ class BarrierProblem:
         """(value, grad, hess) of the barrier merit at x, or None outside.
         Also sets self.objective_grad to the gradient g0 of the minimized
         objective -(c.x + logdet F) at x: the merit's gradient is
-        t g0 plus a part free of t.  At the array of the last merit call, at
+        t g0 plus a part free of t; and keeps each block's L^-1 and the row
+        slacks at x for line_model.  At the array of the last merit call, at
         its t, it reads that call's terms and value, so x must not have
         changed in place since; _run_barrier rebinds its iterate."""
         last = self._last_merit
@@ -510,11 +515,13 @@ class BarrierProblem:
         # Scatter weights in _index_tables order, the objective's without
         # their factor t; the empty seeds keep np.concatenate working for
         # problems without blocks.
-        gvals, hvals = [np.zeros(0)], [np.zeros(0)]
+        gvals, hvals, linvs = [np.zeros(0)], [np.zeros(0)], []
         for (blk, weight, w), chol in zip(self._weighted(t), chols):
-            gvec, gram = blk.grad_gram(chol)
+            gvec, gram, linv = blk.grad_gram(chol)
             gvals.append(np.ravel(gvec) * -weight)
             hvals.append(np.ravel(gram) * w)
+            linvs.append(linv)
+        self._line_terms = (linvs, s)
         gvals, split = np.concatenate(gvals), self._obj_grad_len
         self.objective_grad = np.bincount(
             self._grad_idx[:split], gvals[:split], minlength=n) - self.c
@@ -526,6 +533,27 @@ class BarrierProblem:
         hess += np.bincount(self._hess_idx, np.concatenate(hvals),
                             minlength=n * n).reshape(n, n)
         return value, grad, hess
+
+    def line_model(self, d, t):
+        """(slope, a, s, weights) of the merit at t along the step d from the
+        point x of the last merit_derivatives call, exactly:
+        merit(x + alpha d, t) - merit(x, t) = slope alpha - sum_i weights_i
+        log((s_i - alpha a_i) / s_i), the function _line_minimizer reads.
+        A log-det block F = L L^H contributes log det(I + alpha L^-1 dF
+        L^-H), one term log(1 + alpha mu) per eigenvalue mu of L^-1 dF L^-H,
+        with dF its linear part at d, weighed as in the merit; a row slack
+        s_i falls by alpha (A d)_i (Boyd & Vandenberghe, Convex
+        Optimization, sec. 9.2)."""
+        linvs, slack = self._line_terms
+        a, s, weights = [self.A @ d], [slack], [np.ones(len(slack))]
+        for (blk, _, w), linv in zip(self._weighted(t), linvs):
+            change = linv @ blk.linear(d) @ linv.conj().swapaxes(-1, -2)
+            mu = np.ravel(np.linalg.eigvalsh(change))
+            a.append(-mu)
+            s.append(np.ones(len(mu)))
+            weights.append(np.full(len(mu), w))
+        return (-t * float(self.c @ d), np.concatenate(a), np.concatenate(s),
+                np.concatenate(weights))
 
 
 def _batch_shared_maps(maps):
@@ -588,6 +616,18 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
     1e-2 while each full step still lowers the merit by about as much, so
     a NEWTON_TOL last stage can run to its step cap.
 
+    The line search reads the merit along the Newton step d from its
+    closed form (BarrierProblem.line_model).  When the full step stays
+    inside the barrier domain, it tries the step's exact minimizer alpha*
+    (_line_minimizer), one merit call, and takes it when it passes the
+    Armijo test; alpha* may exceed 1.  Otherwise, or when that test fails,
+    the step halves from the first power of 1/2 below the end of the domain
+    along d until it passes the test: the larger trials leave the domain.
+    Exact search on every step, also with alpha* clipped to 1 or tried only
+    after the full step fails the test, ends the kilowatt STALL_CASES of
+    tests/test_sca.py at a barrier stage's step cap.  A decrement within
+    the merit's round-off takes the full step (the round-off floor below).
+
     A stage that stopped on its tolerance records its point, with its t, in
     ``points`` and hands the next stage a predictor step (_predict) along
     the central-path tangent, solved with the factor of its last Newton
@@ -633,6 +673,20 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
             slope = float(grad @ d)
             step = 1.0
             accepted = at_floor
+            if not accepted:
+                line = bp.line_model(d, t)
+                _, end = _domain_bracket(line[1], line[2])
+                best = _line_minimizer(*line) if end > 1.0 else None
+                if best is not None:
+                    cand = x + best * d
+                    mval = bp.merit(cand, t)
+                    accepted = (mval is not None
+                                and mval <= val + ARMIJO_ALPHA * best * slope)
+                    if accepted:
+                        x = cand
+                # The halving's trials at or beyond the domain's end fail.
+                while step >= end and step > 1e-14:
+                    step *= 0.5
             while not accepted and step > 1e-14:
                 cand = x + step * d
                 mval = bp.merit(cand, t)
@@ -744,32 +798,40 @@ def _center_free_coordinates(bp, x, t):
     return x
 
 
-def _line_minimizer(slope, a, s):
-    """Minimizer d of f(d) = slope d - sum_i log(s_i - a_i d), s > 0, to
-    round-off; None when f has no minimizer or the one found does not lower
-    f below f(0).  f' = slope + sum_i a_i / (s_i - a_i d) increases over
-    the domain.  At an end that a row closes it tends to -inf (lower end) or
-    +inf (upper end), at an open end to ``slope``; so f has a minimizer
-    unless an open upper end has slope <= 0 or an open lower end slope >= 0.
-    Newton's method on f' from d = 0 stays inside the bracket that the
-    signs of f' shrink, and bisects where it would leave it."""
+def _domain_bracket(a, s):
+    """(lo, hi): the open interval of d where every s_i - a_i d > 0, s > 0."""
     up, down = a > 0.0, a < 0.0
-    hi = float(np.min(s[up] / a[up], initial=np.inf))
-    lo = float(np.max(s[down] / a[down], initial=-np.inf))
+    return (float((s[down] / a[down]).max(initial=-np.inf)),
+            float((s[up] / a[up]).min(initial=np.inf)))
+
+
+def _line_minimizer(slope, a, s, weights=1.0):
+    """Minimizer d of f(d) = slope d - sum_i weights_i log(s_i - a_i d), s > 0
+    and weights > 0, to round-off; None when f has no minimizer or the one
+    found does not lower f below f(0).  f' = slope + sum_i weights_i a_i /
+    (s_i - a_i d) increases over the domain.  At an end that a row closes it
+    tends to -inf (lower end) or +inf (upper end), at an open end to
+    ``slope``; so f has a minimizer unless an open upper end has slope <= 0
+    or an open lower end slope >= 0.  Newton's method on f' from d = 0 stays
+    inside the bracket that the signs of f' shrink, and bisects where it
+    would leave it.  Unit weights, the default, multiply by 1.0 exactly."""
+    lo, hi = _domain_bracket(a, s)
     if (hi == np.inf and slope <= 0.0) or (lo == -np.inf and slope >= 0.0):
         return None
     d = 0.0
-    # A guard: on the perfbench panels the loop ends within 21 passes.
+    # A guard: on the perfbench panels (--seconds 130) the loop ends within
+    # 65 passes.
     for _ in range(200):
         r = a / (s - a * d)
-        g = slope + float(np.sum(r))
+        wr = weights * r
+        g = slope + float(wr.sum())
         if g == 0.0:
             break
         if g < 0.0:
             lo = d
         else:
             hi = d
-        nxt = d - g / float(r @ r)
+        nxt = d - g / float(wr @ r)
         if nxt == d:
             break
         if not lo < nxt < hi:
@@ -777,7 +839,7 @@ def _line_minimizer(slope, a, s):
             if not lo < nxt < hi:       # the bracket holds no more floats
                 break
         d = nxt
-    if slope * d - float(np.sum(np.log((s - a * d) / s))) >= 0.0:
+    if slope * d - float(np.sum(weights * np.log((s - a * d) / s))) >= 0.0:
         return None
     return d
 

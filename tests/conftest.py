@@ -3,10 +3,17 @@ import math
 import numpy as np
 from hypothesis import settings
 
+from sensesec.channels import ScenarioConfig
+
 # Property tests draw the same examples on every run, so that runs at
 # different BLAS thread counts check the same scenarios.
 settings.register_profile("derandomized", derandomize=True, database=None)
 settings.load_profile("derandomized")
+
+
+# Smallest scenario the SCA loop handles: two transmit antennas, one user.
+TINY = ScenarioConfig(n_tx=2, n_rx=1, n_eve=1, n_users=1,
+                      sinr_targets=(10.0,), rician_factors=(2.0,))
 
 
 def random_expansion(cfg, rng):

@@ -1,9 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from sensesec import solver
+from conftest import TINY
+from sensesec import channels, sca, solver
+from sensesec.linalg import RngState
 from sensesec.solver import (
     BarrierProblem,
     ConicSubproblem,
@@ -74,7 +77,9 @@ def test_real_block_gradient_and_gram_match_direct_loops():
         m, d = mats.shape[:2]
         blk = _RealBlock(np.arange(m), mats, 3.0 * np.eye(d))
         f = blk.assemble(rng.standard_normal(m) * 0.1)
-        gvec, gram = blk.grad_gram(np.linalg.cholesky(f))
+        chol = np.linalg.cholesky(f)
+        gvec, gram, linv = blk.grad_gram(chol)
+        assert np.abs(linv @ chol - np.eye(d)).max() < 1e-12
         finv = np.linalg.inv(f)
         gvec_ref = np.array([np.trace(finv @ s) for s in mats]).real
         gram_ref = np.array([[np.trace(finv @ si @ finv @ sj) for sj in mats]
@@ -89,7 +94,8 @@ def test_real_block_gradient_and_gram_match_direct_loops():
         x = rng.standard_normal(3 * m) * 0.1
         f = batch.assemble(x)
         chol = np.linalg.cholesky(f)
-        gvec, gram = batch.grad_gram(chol)
+        gvec, gram, linv = batch.grad_gram(chol)
+        assert np.abs(linv @ chol - np.eye(d)).max() < 1e-12
         assert f.shape == (3, d, d) and gvec.shape == (3, m)
         assert gram.shape == (3, m, m) and batch.batch_size == 3
         for k in range(3):
@@ -916,3 +922,214 @@ def test_free_coordinate_with_an_unbounded_line_merit_stays(cap, monkeypatch):
     forbid_merit_calls(monkeypatch)
     moved = solver._center_free_coordinates(bp, x, 100.0)
     assert np.array_equal(moved, x)
+
+
+# ---------------------------------------------------------------------------
+# The line search along the Newton step
+
+# TINY, perfbench's eve_active scenario, and test_sca's kilowatt stall case,
+# whose first subproblem's first stage takes damped steps that end short of
+# the domain's end.
+DESIGNS = {
+    "tiny": TINY,
+    "default": channels.ScenarioConfig(eve_mi_cap=1.0),
+    "kilowatt": channels.ScenarioConfig(power_budget=1e3, noise_comm=1e-2,
+                                        eve_mi_cap=1.0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def design_newton_points(name):
+    """(bp, x, t) of every merit_derivatives call of the design at channel
+    seed 1 of the scenario ``name`` (DESIGNS): each Newton point of its
+    barrier loops, and each warm start's start-t pass."""
+    cfg = DESIGNS[name]
+    points = []
+    merit_derivatives = BarrierProblem.merit_derivatives
+
+    def recording(self, x, t):
+        points.append((self, x, t))
+        return merit_derivatives(self, x, t)
+
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BarrierProblem, "merit_derivatives", recording)
+        sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
+    return points
+
+
+def newton_step(bp, x, t):
+    """(val, slope, d, line) at x as _run_barrier computes them: the merit,
+    its slope along the Newton direction d, and bp.line_model along d; None
+    where the loop would stop, with lambda^2 / 2 <= CENTERING_TOL."""
+    val, grad, hess = bp.merit_derivatives(x, t)
+    (d, _), lam2 = solver._newton_direction(
+        hess, np.stack([grad, bp.objective_grad]))
+    if 0.5 * lam2 <= solver.CENTERING_TOL:
+        return None
+    return val, float(grad @ d), d, bp.line_model(d, t)
+
+
+def line_value(line, alpha):
+    """(value, size) of bp.line_model's function at alpha: size sums the
+    magnitudes of its terms."""
+    slope, a, s, weights = line
+    terms = weights * np.log((s - alpha * a) / s)
+    return (slope * alpha - float(np.sum(terms)),
+            abs(slope * alpha) + float(np.sum(np.abs(terms))))
+
+
+def one_step(bp, x, t):
+    """The iterate after _run_barrier's first Newton step from x at t."""
+    stepped, steps, status, _, _ = solver._run_barrier(
+        bp, x, t0=t, obj_tol=bp.gap_degree() / t, max_iters=1)
+    assert steps == 1 and status == "max-iter"
+    return stepped
+
+
+@pytest.mark.parametrize("name", ["tiny", "default"])
+def test_eigenvalue_model_is_the_merit_along_the_step(name):
+    # To 1e-9 of the magnitudes of the model's terms, up to t = 1e4, where
+    # the merit's own round-off, eps |merit|, stays below that.
+    points = design_newton_points(name)
+    checked = 0
+    for bp, x, t in points:
+        step = newton_step(bp, x, t)
+        if step is None or t > 1e4:
+            continue
+        val, _, d, line = step
+        _, end = solver._domain_bracket(line[1], line[2])
+        for frac in (0.25, 0.5, 0.9, 1.0):
+            alpha = frac * min(0.999 * end, 1.5)
+            change = bp.merit(x + alpha * d, t) - val
+            model, size = line_value(line, alpha)
+            assert abs(model - change) <= 1e-9 * size
+        checked += 1
+    assert checked >= 8
+
+
+@pytest.mark.parametrize("name", ["tiny", "default"])
+def test_exact_step_is_the_minimizer_along_the_step(name):
+    # Where the full step stays in the domain, the step that _run_barrier
+    # takes is x + alpha* d, and alpha* (1 +- 1e-3) lowers the merit no
+    # further; up to t = 1e4, as above.
+    points = design_newton_points(name)
+    checked = 0
+    for bp, x, t in points:
+        step = newton_step(bp, x, t)
+        if step is None or t > 1e4:
+            continue
+        val, slope, d, line = step
+        _, end = solver._domain_bracket(line[1], line[2])
+        best = solver._line_minimizer(*line)
+        if end <= 1.0 or best is None:
+            continue
+        at_best = bp.merit(x + best * d, t)
+        if at_best > val + solver.ARMIJO_ALPHA * best * slope:
+            continue
+        assert np.array_equal(one_step(bp, x, t), x + best * d)
+        for nearby in (best * (1.0 - 1e-3), best * (1.0 + 1e-3)):
+            assert bp.merit(x + nearby * d, t) >= at_best
+        checked += 1
+    assert checked >= 5
+
+
+def halving_from_the_full_step(bp, x, d, t, val, slope):
+    """Backtracking from the full step by halves to the first that passes
+    the Armijo test: (that step or None, the merit of every trial)."""
+    step, trials = 1.0, []
+    while step > 1e-14:
+        mval = bp.merit(x + step * d, t)
+        trials.append(mval)
+        if (mval is not None
+                and mval <= val + solver.ARMIJO_ALPHA * step * slope):
+            return step, trials
+        step *= 0.5
+    return None, trials
+
+
+@pytest.mark.parametrize("name", sorted(DESIGNS))
+def test_step_beyond_the_domain_halves_from_below_its_end(name, monkeypatch):
+    # A full step that leaves the domain takes the halving path.  It accepts
+    # the step that halving from the full step accepts, and it skips the
+    # trials at or beyond the domain's end, which all leave the domain.
+    points = design_newton_points(name)
+    calls = []
+    merit = BarrierProblem.merit
+
+    def counting_merit(self, x, t):
+        calls.append(None)
+        return merit(self, x, t)
+
+    checked = skipped = 0
+    for bp, x, t in points:
+        step = newton_step(bp, x, t)
+        if step is None:
+            continue
+        val, slope, d, line = step
+        _, end = solver._domain_bracket(line[1], line[2])
+        if end > 1.0:
+            continue
+        accepted, trials = halving_from_the_full_step(bp, x, d, t, val, slope)
+        beyond = sum(1 for k in range(len(trials)) if 0.5 ** k >= end)
+        assert accepted is not None and beyond >= 1
+        assert all(mval is None for mval in trials[:beyond])
+        with monkeypatch.context() as patch:
+            patch.setattr(BarrierProblem, "merit", counting_merit)
+            calls.clear()
+            stepped = one_step(bp, x, t)
+        assert np.array_equal(stepped, x + accepted * d)
+        assert len(calls) == len(trials) - beyond
+        checked += 1
+        skipped += beyond
+    assert checked >= 5
+    if name == "kilowatt":
+        assert checked >= 40 and skipped >= 300
+
+
+# test_free_coordinate_moves_to_its_exact_line_minimizer's kappa, keyed by
+# (cap, t, boxed), as _center_free_coordinates centered it before
+# _line_minimizer took weights.
+CENTERED_KAPPA = {
+    (1.0, 1.0, False): "0x1.975d8cfd7b410p-1",
+    (1.0, 1.0, True): "0x1.10ed36d53e62ep-2",
+    (1.0, 100.0, False): "0x1.4aa89e226da62p-8",
+    (1.0, 100.0, True): "0x1.4a97ba1e98422p-8",
+    (1.0, 1e4, False): "0x1.a377f1959e05ap-15",
+    (1.0, 1e4, True): "0x1.a377f2225e183p-15",
+    (0.2, 1.0, False): "0x1.23f07b357f683p+0",
+    (0.2, 1.0, True): "0x1.11f58451d289ep-1",
+    (0.2, 100.0, False): "0x1.0538ec86315dep-2",
+    (0.2, 100.0, True): "0x1.0538a6c163ecep-2",
+    (0.2, 1e4, False): "0x1.000d1c1d4204bp-2",
+    (0.2, 1e4, True): "0x1.000d1c1d466adp-2",
+}
+
+
+@pytest.mark.parametrize("cap, t, boxed", sorted(CENTERED_KAPPA))
+def test_unit_weights_leave_free_coordinate_centering_bitwise_equal(
+        cap, t, boxed, monkeypatch):
+    # _center_free_coordinates passes no weights; unit weights give the same
+    # minimizer bit for bit, and the centered kappa is the one computed
+    # before _line_minimizer took weights.
+    prob = kappa_problem(cap, eve_weight=2.0)
+    bp = BarrierProblem(prob)
+    x = padded_kappa_start(prob, cap)
+    j = prob.blocks[1].offset
+    if boxed:
+        unit = np.eye(bp.n)[j]
+        bp.A = np.vstack([bp.A, unit, -unit])
+        bp.b = np.append(bp.b, (x[j] + 0.5, 0.5 - x[j]))
+    steps = []
+    line_minimizer = solver._line_minimizer
+
+    def comparing(slope, a, s):
+        step = line_minimizer(slope, a, s)
+        assert step == line_minimizer(slope, a, s, np.ones(len(a)))
+        steps.append(step)
+        return step
+
+    monkeypatch.setattr(solver, "_line_minimizer", comparing)
+    moved = solver._center_free_coordinates(bp, x, t)
+    assert len(steps) == 1
+    assert moved[j].hex() == CENTERED_KAPPA[(cap, t, boxed)]
