@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import hermitian_eig, require_hermitian, sample_white_gaussian
+from .linalg import require_hermitian, sample_white_gaussian
 
 
 def steering_vector(angle, n):
@@ -36,6 +36,11 @@ class SensingStats:
     ``blocks`` holds, for each receive antenna i, the columns i, i + n_rx,
     ... of U^H, which turn Kronecker-structured quadratic forms in the
     transmit covariance into small per-antenna products.
+
+    U holds the eigenvectors as LAPACK's eigh returns them.  Any orthonormal
+    basis of a repeated eigenvalue's eigenspace gives the same sensing MI,
+    log det(I + (L/sigma^2) Lam^1/2 sum_i B_i R B_i^H Lam^1/2), since
+    Lam^1/2 is constant on that eigenspace.
     """
 
     noise_power: float      # watts
@@ -52,7 +57,9 @@ class SensingStats:
 
 
 def stats_from_covariance(cov, n_rx, n_tx, noise_power):
-    """SensingStats for a given target-response covariance: eigenstructure
+    """SensingStats for a given target-response covariance: its eigh
+    eigenstructure, eigenvalues descending, with LAPACK's eigenvectors
+    (any basis of a repeated eigenvalue's eigenspace gives the same MI),
     plus the receive-antenna column partition of U^H.
 
     ``cov``, ``eigvals``, ``eigvecs`` and every block are read-only:
@@ -63,7 +70,8 @@ def stats_from_covariance(cov, n_rx, n_tx, noise_power):
     if cov.shape[0] != n_rx * n_tx:
         raise ValueError(f"covariance dim {cov.shape[0]} != n_rx*n_tx "
                          f"= {n_rx * n_tx}")
-    eigvals, eigvecs = hermitian_eig(cov)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
     if eigvals[-1] < -1e-9 * max(eigvals[0], 1.0):
         raise ValueError("target covariance is not PSD")
     eigvals = np.clip(eigvals, 0.0, None)
@@ -221,16 +229,13 @@ def _spread_angles(n_users):
     return tuple(math.radians(d) for d in degs)
 
 
-RICIAN_CAP = 1e12
-
-
 def sample_rician_channel(cfg, user, rng):
     """Draw user ``user``'s Rician channel h_k, an (n_tx,) complex vector:
-    K/(K+1)-weighted LoS plus CN(0,1) scattering.  An (effectively) infinite
-    Rician factor returns the pure LoS steering vector."""
+    K/(K+1)-weighted LoS plus CN(0,1) scattering.  An infinite Rician
+    factor returns the pure LoS steering vector."""
     k_factor = cfg.rician_factors[user]
     los = steering_vector(cfg.user_angles[user], cfg.n_tx)
-    if k_factor >= RICIAN_CAP or math.isinf(k_factor):
+    if math.isinf(k_factor):
         return los
     nlos = sample_white_gaussian(rng, cfg.n_tx)
     return math.sqrt(k_factor / (k_factor + 1.0)) * los \

@@ -1,4 +1,4 @@
-"""Complex linear-algebra foundation: Hermitian eigenstructure, stable
+"""Complex linear-algebra foundation: Hermitian validation, stable
 log-determinants, and seeded circular Gaussian sampling.
 
 All matrices are plain numpy arrays with native complex dtype.
@@ -31,39 +31,6 @@ def require_hermitian(a, name="matrix"):
     return 0.5 * (a + a.conj().T)
 
 
-def hermitian_eig(a):
-    """Eigendecomposition of a Hermitian matrix with reproducible ordering.
-
-    Returns (eigvals, eigvecs) with eigenvalues sorted descending.  Each
-    eigenvector's global phase is fixed (largest-magnitude entry made real
-    positive) and near-degenerate columns are ordered lexicographically on
-    rounded components, so repeated runs produce identical factors.
-    """
-    a = require_hermitian(a)
-    w, u = np.linalg.eigh(a)
-    w, u = w[::-1].copy(), u[:, ::-1].copy()
-    # Phase canonicalization.
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if np.abs(pivot) > 0:
-            u[:, j] = col * (np.conj(pivot) / np.abs(pivot))
-    # Deterministic order inside (numerically) degenerate eigenvalue groups.
-    scale = max(np.abs(w).max(), 1.0)
-    keys = np.round(w / scale, 10)
-    order = np.arange(len(w))
-    # Groups are independent, so any visiting order will do; np.unique would
-    # import numpy.ma (about 10 ms) on its first call.
-    for val in set(keys.tolist()):
-        grp = np.nonzero(keys == val)[0]
-        if len(grp) > 1:
-            cols = [tuple(np.round(np.concatenate([u[:, g].real, u[:, g].imag]), 9))
-                    for g in grp]
-            order[grp] = grp[np.lexsort(np.array(cols).T[::-1])]
-    return w[order], u[:, order]
-
-
 def logdet_psd(a):
     """log det of a Hermitian positive definite matrix via Cholesky.
 
@@ -79,9 +46,9 @@ def logdet_psd(a):
 
 def psd_sqrt(a, tol=1e-12):
     """Hermitian PSD square root (eigenvalue clipping at -tol*scale)."""
-    w, u = hermitian_eig(a)
-    scale = max(abs(w[0]), 1.0) if len(w) else 1.0
-    if len(w) and w[-1] < -tol * scale:
+    w, u = np.linalg.eigh(require_hermitian(a))     # ascending
+    scale = max(abs(w[-1]), 1.0) if len(w) else 1.0
+    if len(w) and w[0] < -tol * scale:
         raise NotPositiveDefiniteError("matrix has a significantly negative eigenvalue")
     w = np.clip(w, 0.0, None)
     return (u * np.sqrt(w)) @ u.conj().T

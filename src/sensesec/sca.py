@@ -47,7 +47,7 @@ from itertools import chain
 
 import numpy as np
 
-from .linalg import hermitian_eig, sample_complex_gaussian
+from .linalg import sample_complex_gaussian
 from .metrics import (
     BeamformerSolution,
     _scaled_quadratic,
@@ -426,11 +426,8 @@ def _extract_solution(values, channels, stats_r, stats_e, cfg, eve_bound,
     n_users = cfg.n_users
     weight_mats = [values[f"W{k}"] for k in range(n_users)]
     certs = np.array([rank_one_certificate(w) for w in weight_mats])
-    weights = []
-    for wmat in weight_mats:
-        _, eigvecs = hermitian_eig(wmat)
-        trace = max(float(np.real(np.trace(wmat))), 0.0)
-        weights.append(math.sqrt(trace) * eigvecs[:, 0])
+    weights = [math.sqrt(max(float(np.real(np.trace(wmat))), 0.0))
+               * _top_direction(wmat) for wmat in weight_mats]
 
     if not np.all(certs >= RANK_ONE_THRESHOLD):
         drawn = _gaussian_randomization(weight_mats, channels, stats_r,

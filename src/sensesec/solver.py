@@ -10,13 +10,13 @@ Convex Optimization, sec. 11.3) runs on the real coordinates of the variables.
 
 Identical problems give identical iterates at a fixed BLAS thread count.
 Across thread counts, BLAS may sum in another order and the iterates may
-differ by round-off.  For the default ScenarioConfig at channel seed 1,
-run_sca_no_an solves one subproblem, certified at the relaxation, in 22
-Newton steps at one OpenBLAS thread and at two, and its final MIs agree
-bitwise; so do its designs at eve_mi_cap 5 and 1 on channel seeds 1-3,
-with equal outer iterations and Newton steps: at cap 1, 2 outer iterations
-and 37, 42 and 40 Newton steps (2-core x86 Xeon, OpenBLAS 0.3.31 in numpy,
-0.3.30 in scipy).
+differ by round-off.  The default ScenarioConfig's designs at eve_mi_cap 5
+and 1 on channel seeds 1-3 do not: at one OpenBLAS thread and at two they
+take equal anchor and subproblem Newton steps (22, 22 and 19 in one
+subproblem at cap 5, certified at the relaxation; 37, 42 and 40 in two at
+cap 1) and end with bitwise equal MIs (2-core x86 Xeon, OpenBLAS 0.3.31 in
+numpy, 0.3.30 in scipy), as tests/test_sca.py's
+test_documented_designs_agree_across_blas_thread_counts checks.
 """
 
 from __future__ import annotations
@@ -193,16 +193,15 @@ class ConicSubproblem:
 
     def _coefficients(self, terms, shape):
         """Global coordinates and coefficients of ``terms`` (variable name ->
-        one coefficient per real coordinate, in packing order), leaving out
-        the coefficients that are exactly zero."""
+        one coefficient per real coordinate, in packing order): every
+        coordinate of each listed variable, zero coefficients included."""
         coords = [np.zeros(0, dtype=np.intp)]
         coefs = [np.zeros((0,) + shape, dtype=complex)]
         for name, stack in terms.items():
             blk = self._blocks[name]
-            stack = np.reshape(np.asarray(stack, dtype=complex), (blk.size,) + shape)
-            keep = np.flatnonzero(np.any(stack.reshape(blk.size, -1) != 0, axis=1))
-            coords.append(blk.offset + keep)
-            coefs.append(stack[keep])
+            coords.append(blk.offset + np.arange(blk.size))
+            coefs.append(np.reshape(np.asarray(stack, dtype=complex),
+                                    (blk.size,) + shape))
         return np.concatenate(coords), np.concatenate(coefs)
 
     def matrix_map(self, offset, terms):
@@ -737,8 +736,7 @@ def _predict(bp, x, t, val, obj, tangent):
     the slope at t, which fades as 1/t^2, over the whole stage: it is
     BARRIER_GROWTH times longer and overshoots the path about as many
     times.  The step halves while the merit at t' does not fall below its
-    value at x or the objective falls below obj; x itself when no step
-    passes."""
+    value at x; x itself when no step passes."""
     t_next = t * BARRIER_GROWTH
     # The merit is affine in t: merit_t'(x) = merit_t(x) - (t' - t) obj.
     base = val - (t_next - t) * obj
@@ -746,8 +744,7 @@ def _predict(bp, x, t, val, obj, tangent):
     while step > 1e-14 * (t_next - t):
         cand = x + step * tangent
         mval = bp.merit(cand, t_next)
-        if (mval is not None and mval < base
-                and bp.objective_value(cand) >= obj):
+        if mval is not None and mval < base:
             return cand
         step *= 0.5
     return x

@@ -16,9 +16,11 @@ from sensesec.channels import (
     build_sensing_stats,
     default_loading,
     sample_rician_channel,
+    stats_from_covariance,
     steering_vector,
 )
 from sensesec.linalg import RngState, sample_complex_gaussian
+from sensesec.metrics import sensing_mi
 
 
 class TestSteering:
@@ -106,6 +108,41 @@ class TestSensingStats:
         kron = np.kron(r.conj(), np.eye(n_rx))
         rhs = stats.eigvecs.conj().T @ kron @ stats.eigvecs
         assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+    def test_eigenstructure_is_descending_and_reconstructs(self):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        cov = a @ a.conj().T
+        stats = stats_from_covariance(cov, n_rx=2, n_tx=3, noise_power=1.0)
+        u = stats.eigvecs
+        assert np.all(np.diff(stats.eigvals) <= 0.0)
+        assert np.max(np.abs((u * stats.eigvals) @ u.conj().T - cov)) < 1e-12 * 6
+        assert np.max(np.abs(u.conj().T @ u - np.eye(6))) < 1e-12
+
+    def test_non_hermitian_covariance_rejected(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            stats_from_covariance(np.array([[1.0, 2.0], [0.0, 1.0]]),
+                                  n_rx=1, n_tx=2, noise_power=1.0)
+
+    def test_mi_does_not_depend_on_the_basis_of_a_repeated_eigenvalue(self):
+        # One target on 2 x 4 antennas leaves the loading as a 7-fold
+        # eigenvalue; any unitary rotation inside its eigenspace keeps the MI.
+        stats = build_sensing_stats([1.0], [1.0], n_rx=2, n_tx=4,
+                                    loading=1e-3, noise_power=1.0)
+        assert np.allclose(stats.eigvals[1:], 1e-3, rtol=1e-9)
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((7, 7))
+                            + 1j * rng.standard_normal((7, 7)))
+        u = stats.eigvecs.copy()
+        u[:, 1:] = u[:, 1:] @ q
+        rotated = SensingStats(
+            noise_power=1.0, n_rx=2, n_tx=4, cov=stats.cov,
+            eigvals=stats.eigvals, eigvecs=u,
+            blocks=tuple(u.conj().T[:, i::2].copy() for i in range(2)))
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        r_x = a @ a.conj().T
+        assert sensing_mi(rotated, r_x, 30) == pytest.approx(
+            sensing_mi(stats, r_x, 30), rel=1e-13)
 
     def test_blocks_stack_to_unitary(self):
         stats = build_sensing_stats([1.0], [1.0], n_rx=2, n_tx=3, loading=1e-3,
@@ -251,18 +288,19 @@ def test_shared_sensing_stats_are_read_only(name):
 @pytest.mark.parametrize("channel_seed", [1, 2, 3])
 def test_rician_scattering_matches_the_covariance_draw(channel_seed, n_tx):
     # The white CN(0, I) draw equals a draw through the identity's Cholesky
-    # factor bit for bit.
-    cfg = ScenarioConfig(n_tx=n_tx)
-    links, _, _ = build_scenario(cfg, RngState(channel_seed))
-    for user, link in enumerate(links):
-        rng = RngState(channel_seed).child("channels").child(f"user{user}")
-        k_factor = cfg.rician_factors[user]
-        old = (math.sqrt(k_factor / (k_factor + 1.0))
-               * steering_vector(cfg.user_angles[user], n_tx)
-               + math.sqrt(1.0 / (k_factor + 1.0))
-               * sample_complex_gaussian(rng, np.eye(n_tx)))
-        assert np.array_equal(sample_rician_channel(cfg, user, rng), old)
-        assert np.array_equal(link, old)
+    # factor bit for bit.  Every finite Rician factor draws its scattering,
+    # however large: only an infinite one gives pure line of sight.
+    for k_factor in (2.0, 1e12):
+        cfg = ScenarioConfig(n_tx=n_tx, rician_factors=(k_factor,))
+        links, _, _ = build_scenario(cfg, RngState(channel_seed))
+        for user, link in enumerate(links):
+            rng = RngState(channel_seed).child("channels").child(f"user{user}")
+            old = (math.sqrt(k_factor / (k_factor + 1.0))
+                   * steering_vector(cfg.user_angles[user], n_tx)
+                   + math.sqrt(1.0 / (k_factor + 1.0))
+                   * sample_complex_gaussian(rng, np.eye(n_tx)))
+            assert np.array_equal(sample_rician_channel(cfg, user, rng), old)
+            assert np.array_equal(link, old)
 
 
 def test_channels_import_stays_light():

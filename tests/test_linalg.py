@@ -5,7 +5,6 @@ from sensesec.channels import stats_from_covariance
 from sensesec.linalg import (
     NotPositiveDefiniteError,
     RngState,
-    hermitian_eig,
     logdet_psd,
     sample_complex_gaussian,
 )
@@ -13,11 +12,6 @@ from sensesec.linalg import (
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def random_hermitian(rng, n):
-    a = random_complex(rng, n, n)
-    return 0.5 * (a + a.conj().T)
 
 
 def random_psd(rng, n, rank=None):
@@ -52,37 +46,6 @@ class TestCommutation:
         assert len(stats.blocks) == n
         for i, block in enumerate(stats.blocks):
             assert np.array_equal(block, p[:, i * m:(i + 1) * m])
-
-
-class TestHermitianEig:
-    def test_identity(self):
-        w, _ = hermitian_eig(np.eye(3))
-        assert np.allclose(w, [1, 1, 1])
-
-    def test_diagonal(self):
-        w, u = hermitian_eig(np.diag([3.0, 1.0]))
-        assert np.allclose(w, [3.0, 1.0])
-        assert np.allclose(np.abs(u), np.eye(2))
-
-    def test_reconstruction_random(self):
-        rng = np.random.default_rng(11)
-        a = random_hermitian(rng, 4)
-        w, u = hermitian_eig(a)
-        scale = max(np.abs(a).max(), 1.0)
-        assert np.max(np.abs(u @ np.diag(w) @ u.conj().T - a)) < 1e-10 * scale
-        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
-        assert np.all(np.diff(w) <= 1e-12)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            hermitian_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_deterministic_on_degenerate_spectrum(self):
-        a = np.eye(4) + 0j
-        w1, u1 = hermitian_eig(a)
-        w2, u2 = hermitian_eig(a)
-        assert np.array_equal(w1, w2)
-        assert np.array_equal(u1, u2)
 
 
 class TestLogDet:

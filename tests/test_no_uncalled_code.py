@@ -1,7 +1,7 @@
 """Every module-level function and class of ``sensesec``, and every method
-and property of its classes, dunders aside, has a caller, every
-``ScenarioConfig`` field has a reader, and every module-level import is used
-by its own module.
+and property of its classes, dunders aside, has a caller, every module-level
+UPPER_CASE constant has a reader, every ``ScenarioConfig`` field has a
+reader, and every module-level import is used by its own module.
 
 A name counts as used when ``src/`` or ``perfbench/`` refers to it outside
 its own definition: as a name, an attribute, or a string naming it (the
@@ -19,6 +19,7 @@ docstring that mentions it does not count.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -91,14 +92,21 @@ def references(tree, modules):
     return found
 
 
-def uncalled_names():
-    """Definitions whose name no reference outside their own body names."""
-    trees = source_trees()
+def unreferenced(named_nodes, trees):
+    """Names of the (name, node) pairs whose name ``trees`` refer to only
+    inside the node itself."""
     modules = set().union(*map(imported_modules, trees.values()))
     total = sum((references(tree, modules) for tree in trees.values()),
                 Counter())
-    return {name for name, node in definitions(trees)
-            if total[node.name] == references(node, modules)[node.name]}
+    return {name for name, node in named_nodes
+            if total[name.split(".")[-1]]
+            == references(node, modules)[name.split(".")[-1]]}
+
+
+def uncalled_names():
+    """Definitions whose name no reference outside their own body names."""
+    trees = source_trees()
+    return unreferenced(definitions(trees), trees)
 
 
 def test_every_definition_has_a_caller_or_a_stated_reason():
@@ -106,6 +114,30 @@ def test_every_definition_has_a_caller_or_a_stated_reason():
     assert unused - set(ALLOWED) == set()
     # An allowlisted name that gained a caller leaves the list.
     assert set(ALLOWED) <= unused
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def constants(trees):
+    """(name, node) of every UPPER_CASE name that a module-level assignment
+    of the package binds, the node being that assignment."""
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            for target in targets:
+                if (isinstance(target, ast.Name)
+                        and CONSTANT.fullmatch(target.id)):
+                    yield target.id, node
+
+
+def test_every_module_constant_is_read():
+    trees = source_trees()
+    assert unreferenced(constants(trees), trees) == set()
 
 
 def test_no_method_shares_a_name_with_a_value_attribute():

@@ -1196,13 +1196,10 @@ print(json.dumps([sol.status, len(trace.rows), sol.mi_legit, sol.mi_eve]))
 """
 
 
-@pytest.mark.parametrize("eve_mi_cap, channel_seed",
-                         [(channels.ScenarioConfig.eve_mi_cap, 1), (1.0, 2)],
-                         ids=["default-cap", "binding-cap"])
-def test_default_design_agrees_at_one_and_two_blas_threads(eve_mi_cap,
-                                                           channel_seed):
-    # BLAS reads its thread count at import, so each count needs a fresh
-    # interpreter.
+def outputs_at_one_and_two_blas_threads(code, *args):
+    """Parsed JSON output of ``code`` run with ``args`` at one and at two
+    BLAS threads.  BLAS reads its thread count at import, so each count
+    needs a fresh interpreter; the two run side by side."""
     src = str(Path(sca.__file__).resolve().parents[1])
     runs = []
     for threads in ("1", "2"):
@@ -1211,14 +1208,52 @@ def test_default_design_agrees_at_one_and_two_blas_threads(eve_mi_cap,
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
         runs.append(subprocess.Popen(
-            [sys.executable, "-c", DEFAULT_DESIGN, repr(eve_mi_cap),
-             str(channel_seed)], env=env, stdout=subprocess.PIPE, text=True))
-    (status1, outer1, legit1, eve1), (status2, outer2, legit2, eve2) = [
-        json.loads(run.communicate()[0]) for run in runs]
+            [sys.executable, "-c", code, *map(str, args)], env=env,
+            stdout=subprocess.PIPE, text=True))
+    outputs = [json.loads(run.communicate()[0]) for run in runs]
     assert all(run.returncode == 0 for run in runs)
+    return outputs
+
+
+@pytest.mark.parametrize("eve_mi_cap, channel_seed",
+                         [(channels.ScenarioConfig.eve_mi_cap, 1), (1.0, 2)],
+                         ids=["default-cap", "binding-cap"])
+def test_default_design_agrees_at_one_and_two_blas_threads(eve_mi_cap,
+                                                           channel_seed):
+    (status1, outer1, legit1, eve1), (status2, outer2, legit2, eve2) = \
+        outputs_at_one_and_two_blas_threads(DEFAULT_DESIGN, repr(eve_mi_cap),
+                                            channel_seed)
     assert (status1, outer1) == (status2, outer2)
     assert abs(legit1 - legit2) <= 1e-9
     assert abs(eve1 - eve2) <= 1e-9
+
+
+DOCUMENTED_DESIGNS = """
+import json
+from sensesec import channels, sca
+from sensesec.linalg import RngState
+out = []
+for cap in (5.0, 1.0):
+    cfg = channels.ScenarioConfig(eve_mi_cap=cap)
+    for seed in (1, 2, 3):
+        links, stats_r, stats_e = channels.build_scenario(cfg, RngState(seed))
+        sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg,
+                                       RngState(seed))
+        out.append([sol.status, trace.anchor_newton_steps, len(trace.rows),
+                    sum(r.solver_iterations for r in trace.rows),
+                    repr(sol.mi_legit), repr(sol.mi_eve)])
+print(json.dumps(out))
+"""
+
+
+def test_documented_designs_agree_across_blas_thread_counts():
+    # The solver module docstring's designs: the default scenario at Eve
+    # caps 5 and 1 on channel seeds 1-3.  Statuses, anchor and subproblem
+    # Newton steps, outer iterations and both MIs, to the last bit, are the
+    # same at one and at two BLAS threads.
+    one, two = outputs_at_one_and_two_blas_threads(DOCUMENTED_DESIGNS)
+    assert len(one) == 6
+    assert one == two
 
 
 def random_panel(seed, power_exp, sinr_exp, cap_exp):
