@@ -83,7 +83,6 @@ MAX_OUTER_ITERS = 30
 TOL_OBJ_NATS = 1e-3          # convergence: change of the legitimate MI
 TOL_PENALTY = 1e-6           # convergence: largest of kappa and rho_max
 SINR_MARGIN = 1e-4           # relative SINR tightening inside subproblems
-ANCHOR_HEADROOM = 1e-2       # relative SINR headroom of the anchor's start
 MIN_POWER_TOL = 1e-9         # relative step that settles _min_power_filters
 MIN_POWER_MAX_ITERS = 1000
 
@@ -303,31 +302,28 @@ def _anchor_start(channels, cfg):
     """Per-user matrices strictly inside the power, SINR and W_k >= 0 rows,
     in closed form, or InfeasibleError when those rows have no interior.
 
-    The verdict comes from _min_power_filters at the tightened targets.  The
-    start uses min-power beams for targets with ANCHOR_HEADROOM more (less
-    headroom, down to none, where those do not fit): unit MMSE directions
-    u_k, with the downlink powers that meet those targets exactly, scaled up
-    to the midpoint between their sum and the budget, which only raises
-    every SINR.  Each W_k = p_k u_k u_k^H + eps I, with eps small enough to
-    keep at least half of the power slack and of every SINR row's slack."""
+    Both come from one _min_power_filters call at the tightened targets:
+    its None is the verdict, and its filters give the start's unit MMSE
+    directions u_k.  The downlink powers that meet those targets exactly
+    along u_k, scaled up to the midpoint between their sum and the budget,
+    leave every SINR row strictly slack: scaling all powers by c > 1 scales
+    signal and interference alike and shrinks the noise's share.  Each W_k
+    = p_k u_k u_k^H + eps I, with eps small enough to keep at least half of
+    the power slack and of every SINR row's slack."""
     links = np.column_stack(channels)
     targets = np.asarray(cfg.sinr_targets) * (1.0 + SINR_MARGIN)
     noise, budget = cfg.noise_comm, cfg.power_budget
-    if _min_power_filters(links, targets, noise, budget) is None:
+    filters = _min_power_filters(links, targets, noise, budget)
+    if filters is None:
         raise InfeasibleError(
             "the SINR targets are unreachable within the power budget for "
             "this channel draw (their least power, from the uplink fixed "
             "point, reaches the budget)")
-    headroom = ANCHOR_HEADROOM
-    # Once 1 + headroom rounds to 1, these are the targets that just fit.
-    while (filters := _min_power_filters(links, targets * (1.0 + headroom),
-                                         noise, budget)) is None:
-        headroom *= 0.1
     dirs = filters / np.linalg.norm(filters, axis=0)
     gains = np.abs(links.conj().T @ dirs) ** 2      # |h_k^H u_j|^2 at [k, j]
     signal = np.diag(gains)
     # p_k |h_k^H u_k|^2 / target_k - sum_{j != k} p_j |h_k^H u_j|^2 = noise
-    system = np.diag(signal / (targets * (1.0 + headroom)) + signal) - gains
+    system = np.diag(signal / targets + signal) - gains
     powers = np.linalg.solve(system, np.full(len(signal), noise))
     powers *= (budget + powers.sum()) / (2.0 * powers.sum())
 

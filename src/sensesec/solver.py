@@ -12,8 +12,8 @@ Identical problems give identical iterates at a fixed BLAS thread count.
 Across thread counts, BLAS may sum in another order and the iterates may
 differ by round-off.  The default ScenarioConfig's designs at eve_mi_cap 5
 and 1 on channel seeds 1-3 do not: at one OpenBLAS thread and at two they
-take equal anchor and subproblem Newton steps (22, 22 and 19 in one
-subproblem at cap 5, certified at the relaxation; 37, 42 and 40 in two at
+take equal anchor and subproblem Newton steps (21, 21 and 20 in one
+subproblem at cap 5, certified at the relaxation; 39, 41 and 37 in two at
 cap 1) and end with bitwise equal MIs (2-core x86 Xeon, OpenBLAS 0.3.31 in
 numpy, 0.3.30 in scipy), as tests/test_sca.py's
 test_documented_designs_agree_across_blas_thread_counts checks.
@@ -628,12 +628,13 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
     the merit's round-off takes the full step (the round-off floor below).
 
     A stage that stopped on its tolerance records its point, with its t, in
-    ``points`` and hands the next stage a predictor step (_predict) along
-    the central-path tangent, solved with the factor of its last Newton
-    system.  The points are the iterates themselves, not copies: x is
-    rebound, never changed in place.  The status is "max-iter" when the step
-    budget ran out, else "stage-cap" or "line-search-failed" when the last
-    failing stage hit its step cap or found no step, else "optimal".
+    ``points`` and starts the next stage at the exact minimizer of the next
+    stage's merit along the central-path tangent (_predict), the tangent
+    solved with the factor of its last Newton system.  The points are the
+    iterates themselves, not copies: x is rebound, never changed in place.
+    The status is "max-iter" when the step budget ran out, else "stage-cap"
+    or "line-search-failed" when the last failing stage hit its step cap or
+    found no step, else "optimal".
     Returns (x, Newton steps, status, history, points)."""
     x = x0.copy()
     t = t0
@@ -717,37 +718,31 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
         if status == "max-iter" or last_stage:
             break
         if centered:
-            x = _predict(bp, x, t, val, obj, tangent)
+            x = _predict(bp, x, t, tangent)
         t *= BARRIER_GROWTH
     return x, total_newton, status, history, points
 
 
-def _predict(bp, x, t, val, obj, tangent):
+def _predict(bp, x, t, tangent):
     """Predictor step of path following (Nesterov & Nemirovski,
     Interior-Point Polynomial Algorithms in Convex Programming, 1994) from
-    x, centered at t with merit val and objective obj, to the next stage's
-    t' = t BARRIER_GROWTH, along tangent = dx/dt = -H^-1 objective_grad.
+    x, centered at t, to the next stage's t' = t BARRIER_GROWTH, along
+    tangent = dx/dt = -H^-1 objective_grad: x + alpha* tangent, with alpha*
+    the exact minimizer of the merit at t' along the tangent.
 
-    The central path is close to linear in mu = 1/t, not in t: its duality
-    gap is degree * mu, and near the optimum x*(t) ~ x* + a mu, so dx/dt =
-    -a mu^2.  The first trial is the step first-order in mu, (mu' - mu)
-    dx/dmu = (t' - t) (t / t') tangent, which moves x as far as the path
-    moves, a (mu' - mu).  The step linear in t, (t' - t) tangent, carries
-    the slope at t, which fades as 1/t^2, over the whole stage: it is
-    BARRIER_GROWTH times longer and overshoots the path about as many
-    times.  The step halves while the merit at t' does not fall below its
-    value at x; x itself when no step passes."""
+    The merit at t' along any direction from x is read in closed form from
+    the last merit_derivatives call (BarrierProblem.line_model), which the
+    stage made at x when it stopped centered, and minimized by
+    _line_minimizer; one merit call checks the candidate and leaves its
+    pass for the next stage's first derivatives.  x itself when the merit
+    has no minimizer along the tangent or the candidate rounds out of the
+    domain."""
     t_next = t * BARRIER_GROWTH
-    # The merit is affine in t: merit_t'(x) = merit_t(x) - (t' - t) obj.
-    base = val - (t_next - t) * obj
-    step = (t_next - t) * t / t_next
-    while step > 1e-14 * (t_next - t):
-        cand = x + step * tangent
-        mval = bp.merit(cand, t_next)
-        if mval is not None and mval < base:
-            return cand
-        step *= 0.5
-    return x
+    step = _line_minimizer(*bp.line_model(tangent, t_next))
+    if step is None:
+        return x
+    cand = x + step * tangent
+    return cand if bp.merit(cand, t_next) is not None else x
 
 
 def _central_t(bp, x):

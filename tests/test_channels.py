@@ -315,3 +315,40 @@ def test_channels_import_stays_light():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.split() == []
+
+
+@pytest.mark.parametrize("cov, n_rx, n_tx, message", [
+    (np.eye(6), 2, 4, r"covariance dim 6 != n_rx\*n_tx = 8"),
+    (np.diag([1.0, 1.0, 1.0, -1.0]), 2, 2, "target covariance is not PSD")],
+    ids=["dim-mismatch", "not-psd"])
+def test_stats_from_covariance_rejects_bad_input(cov, n_rx, n_tx, message):
+    with pytest.raises(ValueError, match=message):
+        stats_from_covariance(cov, n_rx, n_tx, 1.0)
+
+
+@pytest.mark.parametrize("angles, gains, loading, message", [
+    ([1.0], [2.0], -1e-3, "diagonal loading must be nonnegative"),
+    ([], [], 0.0, "need at least one target or positive loading")],
+    ids=["negative-loading", "nothing-to-sense"])
+def test_build_sensing_stats_rejects_bad_input(angles, gains, loading,
+                                               message):
+    with pytest.raises(ValueError, match=message):
+        build_sensing_stats(angles, gains, 2, 4, loading, 1.0)
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"n_tx": 0}, "antenna and user counts must be >= 1"),
+    ({"n_rx": 0}, "antenna and user counts must be >= 1"),
+    ({"n_eve": 0}, "antenna and user counts must be >= 1"),
+    ({"n_users": 0, "sinr_targets": (10.0,), "rician_factors": (2.0,)},
+     "antenna and user counts must be >= 1"),
+    ({"frame_len": 0}, "frame length must be >= 1"),
+    ({"sinr_targets": (10.0, 0.0, 10.0)}, "SINR targets must be positive"),
+    ({"radar_target_gains": (1.0, 2.0)},
+     "radar target angles/gains length mismatch"),
+    ({"eve_target_angles": ()}, "eve target angles/gains length mismatch")],
+    ids=["n_tx", "n_rx", "n_eve", "n_users", "frame_len", "sinr_target",
+         "radar-lengths", "eve-lengths"])
+def test_scenario_config_rejects_bad_input(kw, message):
+    with pytest.raises(ValueError, match=message):
+        ScenarioConfig(**kw)

@@ -6,6 +6,8 @@ from sensesec.linalg import (
     NotPositiveDefiniteError,
     RngState,
     logdet_psd,
+    psd_sqrt,
+    require_hermitian,
     sample_complex_gaussian,
 )
 
@@ -139,3 +141,15 @@ def test_rng_child_streams_are_stable():
     c1 = r.child("alpha").generator().standard_normal(4)
     c2 = RngState(17).child("alpha").generator().standard_normal(4)
     assert np.array_equal(c1, c2)
+
+
+def test_require_hermitian_rejects_a_non_square_input():
+    with pytest.raises(ValueError,
+                       match=r"probe must be square, got shape \(2, 3\)"):
+        require_hermitian(np.ones((2, 3)), name="probe")
+
+
+def test_psd_sqrt_rejects_a_negative_eigenvalue():
+    with pytest.raises(NotPositiveDefiniteError,
+                       match="significantly negative eigenvalue"):
+        psd_sqrt(np.diag([1.0, -1e-3]))

@@ -257,3 +257,15 @@ def test_scaled_quadratic_of_a_stack_is_the_stack_of_its_results():
                        for row in stack])
     assert batched.shape == (2, 4, 6, 6)
     assert batched.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: transmit_covariance([np.ones((2, 3))]),
+     "neither a vector nor a square matrix"),
+    (lambda: transmit_covariance([]), "need at least one beamformer"),
+    (lambda: sinr([np.ones(2), np.ones(2)], [np.ones(2)], 1.0),
+     "one beamformer per user required")],
+    ids=["beamformer-shape", "no-beamformer", "user-count"])
+def test_metrics_reject_bad_beamformers(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -124,19 +124,24 @@ def test_loose_centering_costs_fewer_steps_over_a_whole_design(
     assert sum(steps for _, _, steps in warm) < sum(tight)
 
 
-def test_predictor_lands_within_two_trials(monkeypatch):
-    # Each trial of solver._predict costs one merit call; a step first-order
-    # in 1/t passes at its first or second trial.
+def test_predictor_lands_on_the_minimizer_along_the_tangent(monkeypatch):
+    # Each prediction of solver._predict from x, centered at t, makes one
+    # merit call and lands on x + alpha* tangent, with alpha* the exact
+    # minimizer of the merit at t' = t BARRIER_GROWTH along the tangent;
+    # alpha* (1 +- 1e-3) lowers that merit no further.
     merit_calls, predictions = [0], []
 
     def counting_merit(self, x, t):
         merit_calls[0] += 1
         return merit(self, x, t)
 
-    def recording_predict(bp, x, *args):
+    def recording_predict(bp, x, t, tangent):
+        t_next = t * solver.BARRIER_GROWTH
+        best = solver._line_minimizer(*bp.line_model(tangent, t_next))
         before = merit_calls[0]
-        out = predict(bp, x, *args)
-        predictions.append((merit_calls[0] - before, not np.array_equal(out, x)))
+        out = predict(bp, x, t, tangent)
+        predictions.append((bp, x, t_next, tangent, best, out,
+                            merit_calls[0] - before))
         return out
 
     merit, predict = solver.BarrierProblem.merit, solver._predict
@@ -146,8 +151,13 @@ def test_predictor_lands_within_two_trials(monkeypatch):
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
     sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
 
-    assert predictions
-    assert all(trials <= 2 and moved for trials, moved in predictions)
+    assert len(predictions) >= 10
+    for bp, x, t_next, tangent, best, out, calls in predictions:
+        assert best is not None and calls == 1
+        assert np.array_equal(out, x + best * tangent)
+        at_best = merit(bp, out, t_next)
+        for nearby in (best * (1.0 - 1e-3), best * (1.0 + 1e-3)):
+            assert merit(bp, x + nearby * tangent, t_next) >= at_best
 
 
 def count_phase_one_problems(monkeypatch):
@@ -254,6 +264,19 @@ def test_tiny_designs_meet_their_limits(channel_seed, power_budget, eve_mi_cap):
             else:
                 assert last.kappa == 0.0 and last.mi_eve_surrogate < eve_mi_cap
             assert last.mi_legit - sol.mi_legit == last.beam_mi_gap <= 1e-9
+
+
+@pytest.mark.parametrize("exp_mats, message", [
+    ([np.eye(2)] * 2, "expansion point count does not match user count"),
+    ([np.eye(3)], "expansion matrix dimension mismatch")],
+    ids=["count", "dimension"])
+def test_subproblem_rejects_mismatched_expansion_matrices(exp_mats, message):
+    cfg = TINY
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    eve_row = sca._eve_row(sca.SCAState([np.eye(2)], 0.0, 1.0), stats_e, cfg)
+    with pytest.raises(ValueError, match=message):
+        sca.build_subproblem_no_an(sca.SCAState(exp_mats, 0.0, 1.0), links,
+                                   stats_r, eve_row, cfg)
 
 
 def test_subproblem_maps_match_closed_forms():
@@ -805,13 +828,53 @@ def test_infinite_eve_cap_drops_the_eve_constraint(solver_results):
 def test_anchor_is_strictly_inside_the_beam_constraints(cfg):
     links, _, _ = channels.build_scenario(cfg, RngState(1))
     mats, _ = anchor_point(links, cfg)
+    assert_strictly_inside_the_beam_rows(mats, links, cfg)
 
+
+def assert_strictly_inside_the_beam_rows(mats, links, cfg):
     power = float(np.real(np.trace(metrics.transmit_covariance(mats))))
     assert power < cfg.power_budget
     targets = np.asarray(cfg.sinr_targets) * (1.0 + sca.SINR_MARGIN)
     assert np.all(metrics.sinr(links, mats, cfg.noise_comm) > targets)
     for m in mats:
         assert np.linalg.eigvalsh(m)[0] > 0.0
+
+
+def least_power(links, cfg):
+    """The least power of beams that meet the tightened SINR targets: the
+    downlink powers that meet them exactly along the unit MMSE directions
+    of the min-power fixed point (Schubert & Boche, IEEE TVT 2004)."""
+    links = np.column_stack(links)
+    targets = np.asarray(cfg.sinr_targets) * (1.0 + sca.SINR_MARGIN)
+    filters = sca._min_power_filters(links, targets, cfg.noise_comm, np.inf)
+    dirs = filters / np.linalg.norm(filters, axis=0)
+    gains = np.abs(links.conj().T @ dirs) ** 2
+    signal = np.diag(gains)
+    system = np.diag(signal / targets + signal) - gains
+    return float(np.sum(np.linalg.solve(
+        system, np.full(len(signal), cfg.noise_comm))))
+
+
+@pytest.mark.parametrize("channel_seed", [1, 2, 3])
+@pytest.mark.parametrize("cfg", [TINY, channels.ScenarioConfig(),
+                                 channels.ScenarioConfig(power_budget=1e-3)],
+                         ids=["tiny", "default", "one_milliwatt"])
+def test_anchor_is_strictly_inside_a_budget_that_barely_fits(cfg,
+                                                             channel_seed):
+    # A budget 1e-3 above the targets' least power, where 1e-3 below it
+    # has no interior: the start built from the verdict's own min-power
+    # directions lies strictly inside the beam rows, and so does the anchor
+    # centered from it.
+    links, _, _ = channels.build_scenario(cfg, RngState(channel_seed))
+    least = least_power(links, cfg)
+    with pytest.raises(InfeasibleError):
+        sca._anchor_start(links, dataclasses.replace(
+            cfg, power_budget=(1.0 - 1e-3) * least))
+    cfg = dataclasses.replace(cfg, power_budget=(1.0 + 1e-3) * least)
+    assert_strictly_inside_the_beam_rows(sca._anchor_start(links, cfg),
+                                         links, cfg)
+    mats, _ = anchor_point(links, cfg)
+    assert_strictly_inside_the_beam_rows(mats, links, cfg)
 
 
 @pytest.mark.parametrize("cfg", [TINY, channels.ScenarioConfig()],
