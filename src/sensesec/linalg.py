@@ -44,11 +44,11 @@ def logdet_psd(a):
     return 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
 
 
-def psd_sqrt(a, tol=1e-12):
-    """Hermitian PSD square root (eigenvalue clipping at -tol*scale)."""
+def psd_sqrt(a):
+    """Hermitian PSD square root (eigenvalue clipping at -1e-12*scale)."""
     w, u = np.linalg.eigh(require_hermitian(a))     # ascending
     scale = max(abs(w[-1]), 1.0) if len(w) else 1.0
-    if len(w) and w[0] < -tol * scale:
+    if len(w) and w[0] < -1e-12 * scale:
         raise NotPositiveDefiniteError("matrix has a significantly negative eigenvalue")
     w = np.clip(w, 0.0, None)
     return (u * np.sqrt(w)) @ u.conj().T
@@ -74,35 +74,6 @@ class RngState:
         spawn_key = tuple(int.from_bytes(digest[i:i + 4], "big") for i in range(0, 16, 4))
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=spawn_key)
         return np.random.Generator(np.random.PCG64(seq))
-
-
-def sample_complex_gaussian(rng, covariance, size=None):
-    """Circularly-symmetric zero-mean complex Gaussian samples from the
-    RngState ``rng``.
-
-    A Cholesky factor is used, with 1e-12 diagonal loading retried when the
-    covariance is numerically rank deficient; a zero covariance draws zeros.
-    size=None returns one sample, otherwise an array of ``size`` stacked
-    samples along axis 0.
-    """
-    cov = require_hermitian(covariance, name="covariance")
-    n = len(cov)
-    count = 1 if size is None else int(size)
-    if not np.any(cov):
-        out = np.zeros((count, n), dtype=complex)
-        return out[0] if size is None else out
-
-    scale = np.abs(np.diag(cov)).max()
-    if np.min(np.linalg.eigvalsh(cov)) < -1e-8 * max(scale, 1.0):
-        raise NotPositiveDefiniteError("covariance is not positive semidefinite")
-    try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        factor = np.linalg.cholesky(cov + 1e-12 * max(scale, 1.0) * np.eye(n))
-
-    # x = F u with u ~ CN(0, I) gives E[x x^H] = F F^H.
-    out = sample_white_gaussian(rng, (count, n)) @ factor.T
-    return out[0] if size is None else out
 
 
 def sample_white_gaussian(rng, shape):

@@ -47,7 +47,7 @@ from itertools import chain
 
 import numpy as np
 
-from .linalg import sample_complex_gaussian
+from .linalg import psd_sqrt, sample_white_gaussian
 from .metrics import (
     BeamformerSolution,
     _scaled_quadratic,
@@ -157,9 +157,7 @@ def _add_beam_constraints(prob, channels, cfg):
                  for j, name in enumerate(mat_names)}
         prob.add_ineq(prob.scalar_map(terms), -target * cfg.noise_comm)
 
-    basis = hermitian_basis(n)
-    for name in mat_names:
-        prob.add_lmi(prob.matrix_map(np.zeros((n, n)), {name: basis}))
+    prob.add_psd(mat_names)
 
 
 def _top_direction(mat):
@@ -462,14 +460,17 @@ def _meets_limits(power, rates, mi_eve, cfg):
 
 def _gaussian_randomization(weight_mats, channels, stats_r, stats_e, cfg,
                             rng):
-    """Draw candidate beam sets from CN(0, W_k) and keep the best feasible,
-    or None when no draw is feasible."""
+    """Draw candidate beam sets from CN(0, W_k), each beam W_k^(1/2) u for a
+    white u ~ CN(0, I) scaled to norm sqrt(tr W_k), and keep the best
+    feasible, or None when no draw is feasible."""
     best, best_mi = None, -np.inf
     gen_rng = rng.child("randomization")
+    roots = [psd_sqrt(wmat) for wmat in weight_mats]
     for m in range(RANDOMIZATION_CANDIDATES):
         cand = []
-        for k, wmat in enumerate(weight_mats):
-            draw = sample_complex_gaussian(gen_rng.child(f"{m}:{k}"), wmat)
+        for k, (root, wmat) in enumerate(zip(roots, weight_mats)):
+            draw = root @ sample_white_gaussian(gen_rng.child(f"{m}:{k}"),
+                                                cfg.n_tx)
             norm = np.linalg.norm(draw)
             trace = math.sqrt(max(float(np.real(np.trace(wmat))), 0.0))
             cand.append(draw / norm * trace if norm > 0 else draw)
@@ -528,8 +529,13 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     first failure: a solve's status, "max-iter" for a loop that did not
     converge, "randomization-failed" when no randomization draw was
     feasible, or "limits-violated".  An infinite ``cfg.eve_mi_cap`` designs
-    without the eavesdropper constraint.
+    without the eavesdropper constraint.  Raises ValueError when
+    ``channels`` does not hold one (n_tx,) vector per user.
     """
+    shapes = [np.shape(link) for link in channels]
+    if shapes != [(cfg.n_tx,)] * cfg.n_users:
+        raise ValueError(f"{len(shapes)} channel vectors of shapes {shapes} "
+                         f"for {cfg.n_users} users of {cfg.n_tx} antennas")
     trace = SCATrace()
     targets = np.asarray(cfg.sinr_targets)
 

@@ -114,26 +114,19 @@ def hermitian_weights(g):
 # Affine maps given by their coefficients
 
 
-@dataclass
-class MatrixMap:
-    """Affine map x -> offset + sum_g x[coords[g]] * mats[g] (complex d x d)."""
-
-    coords: np.ndarray          # (m,) global coordinate indices
-    mats: np.ndarray            # (m, d, d) complex
-    offset: np.ndarray          # (d, d) complex
-
-
 class ConicSubproblem:
     """Declarative description of one convex max-det subproblem: maximize
     a linear functional plus at most one log-det, of an affine matrix map,
     subject to linear rows and LMIs.
 
     A matrix map is stated by one complex Hermitian coefficient per real
-    coordinate of each variable it involves, in packing order; a linear
-    functional by its dense real weights over the coordinates declared so
-    far (scalar_map).  ``ineqs`` holds (weights, rhs) pairs and
-    ``objective`` (linear, logdet).  Packing order is private to this
-    module; hermitian_basis and hermitian_weights build coefficients in it.
+    coordinate of each variable it involves, in packing order, and declared
+    as the _RealBlock that the barrier evaluates (matrix_map, add_psd); a
+    linear functional by its dense real weights over the coordinates
+    declared so far (scalar_map).  ``ineqs`` holds (weights, rhs) pairs,
+    ``lmis`` the LMI blocks and ``objective`` (linear, logdet).  Packing
+    order is private to this module; hermitian_basis and hermitian_weights
+    build coefficients in it.
     """
 
     def __init__(self):
@@ -191,27 +184,22 @@ class ConicSubproblem:
 
     # -- affine maps from coefficient stacks
 
-    def _coefficients(self, terms, shape):
-        """Global coordinates and coefficients of ``terms`` (variable name ->
-        one coefficient per real coordinate, in packing order): every
-        coordinate of each listed variable, zero coefficients included."""
+    def matrix_map(self, offset, terms):
+        """The _RealBlock of the affine map x -> offset + sum_g x_g E_g into
+        complex Hermitian matrices; ``terms[name]`` stacks the (d, d)
+        Hermitian E_g of each real coordinate of that variable, in packing
+        order, and the block reads every one, zero coefficients included."""
+        offset = np.asarray(offset, dtype=complex)
+        if offset.ndim != 2 or offset.shape[0] != offset.shape[1]:
+            raise ValueError("matrix map offset must be a square matrix")
         coords = [np.zeros(0, dtype=np.intp)]
-        coefs = [np.zeros((0,) + shape, dtype=complex)]
+        coefs = [np.zeros((0,) + offset.shape, dtype=complex)]
         for name, stack in terms.items():
             blk = self._blocks[name]
             coords.append(blk.offset + np.arange(blk.size))
             coefs.append(np.reshape(np.asarray(stack, dtype=complex),
-                                    (blk.size,) + shape))
-        return np.concatenate(coords), np.concatenate(coefs)
-
-    def matrix_map(self, offset, terms):
-        """Affine map x -> offset + sum_g x_g E_g into complex Hermitian
-        matrices; ``terms[name]`` stacks the (d, d) Hermitian E_g of each
-        real coordinate of that variable."""
-        offset = np.asarray(offset, dtype=complex)
-        if offset.ndim != 2 or offset.shape[0] != offset.shape[1]:
-            raise ValueError("matrix map offset must be a square matrix")
-        return MatrixMap(*self._coefficients(terms, offset.shape), offset)
+                                    (blk.size,) + offset.shape))
+        return _RealBlock(np.concatenate(coords), np.concatenate(coefs), offset)
 
     def scalar_map(self, terms):
         """Dense weights a of x -> a . x over the coordinates declared so far;
@@ -228,12 +216,27 @@ class ConicSubproblem:
 
     def set_objective(self, linear=None, logdet=None):
         """Maximize linear . x + log det F(x), for scalar_map weights
-        ``linear`` and a MatrixMap F = ``logdet``; either may be left out."""
+        ``linear`` and a matrix_map F = ``logdet``; either may be left out."""
         linear = linear if linear is not None else self.scalar_map({})
         self.objective = (linear, logdet)
 
-    def add_lmi(self, mmap):
-        self.lmis.append(mmap)
+    def add_lmi(self, block):
+        """F(x) >= 0, for a matrix_map F = ``block``."""
+        self.lmis.append(block)
+
+    def add_psd(self, names):
+        """W >= 0 for each Hermitian variable W in ``names``, all of one
+        dimension d, as one LMI block batched over them: coords (K, d^2), the
+        hermitian_basis stack and a zero offset."""
+        blks = [self._blocks[name] for name in names]
+        dims = {(blk.kind, blk.dim) for blk in blks}
+        if len(dims) != 1 or blks[0].kind != KIND_HERMITIAN:
+            raise ValueError(f"add_psd needs Hermitian variables of one "
+                             f"dimension, got (kind, dim) {sorted(dims)}")
+        dim = blks[0].dim
+        coords = np.stack([blk.offset + np.arange(blk.size) for blk in blks])
+        self.add_lmi(_RealBlock(coords, hermitian_basis(dim),
+                                np.zeros((dim, dim), dtype=complex)))
 
     def add_ineq(self, weights, rhs):
         """weights . x <= rhs, for scalar_map weights."""
@@ -260,11 +263,11 @@ class SolverResult:
 
 @dataclass
 class _RealBlock:
-    """One log-det barrier term over the complex Hermitian data of a
-    MatrixMap, batched over maps that differ only in their coordinates:
-    sum_k logdet F_k(x) with F_k(x) = offset + sum_g x[coords[k, g]] *
-    mats[g].  BarrierProblem weighs it by the list that holds it: the
-    objective's by t, an LMI's by LMI_WEIGHT.
+    """One log-det barrier term over complex Hermitian affine maps that
+    differ only in their coordinates, as ConicSubproblem.matrix_map and
+    add_psd declare it: sum_k logdet F_k(x) with F_k(x) = offset + sum_g
+    x[coords[k, g]] * mats[g].  BarrierProblem weighs it by the list that
+    holds it: the objective's by t, an LMI's by LMI_WEIGHT.
 
     ``coords`` is (m,) for one map or (K, m) for K maps with equal
     coefficients and offset, such as the per-user LMIs W_k >= 0.  assemble,
@@ -394,10 +397,8 @@ class BarrierProblem:
         linear, logdet = problem.objective
         self.c = np.zeros(self.n)
         self.c[:len(linear)] = linear
-        self.obj_blocks = [_RealBlock(m.coords, m.mats, m.offset)
-                           for m in [logdet] if m is not None]
-        self.lmi_blocks = [_RealBlock(coords, m.mats, m.offset)
-                           for coords, m in _batch_shared_maps(problem.lmis)]
+        self.obj_blocks = [] if logdet is None else [logdet]
+        self.lmi_blocks = list(problem.lmis)
         # A row or c declared before a later variable leaves its column zero.
         self.A = np.zeros((len(problem.ineqs), self.n))
         self.b = np.zeros(len(problem.ineqs))
@@ -553,17 +554,6 @@ class BarrierProblem:
             weights.append(np.full(len(mu), w))
         return (-t * float(self.c @ d), np.concatenate(a), np.concatenate(s),
                 np.concatenate(weights))
-
-
-def _batch_shared_maps(maps):
-    """Maps grouped by equal coefficients and offset, in first-seen order:
-    [(coords, first map of the group)] with coords (K, m) stacking the
-    coordinates of the group's K maps."""
-    groups = {}
-    for mmap in maps:
-        key = (mmap.mats.shape, mmap.mats.tobytes(), mmap.offset.tobytes())
-        groups.setdefault(key, (mmap, []))[1].append(mmap.coords)
-    return [(np.stack(coords), first) for first, coords in groups.values()]
 
 
 def _newton_direction(hess, grad):

@@ -19,7 +19,7 @@ from sensesec.channels import (
     stats_from_covariance,
     steering_vector,
 )
-from sensesec.linalg import RngState, sample_complex_gaussian
+from sensesec.linalg import RngState
 from sensesec.metrics import sensing_mi
 
 
@@ -287,20 +287,24 @@ def test_shared_sensing_stats_are_read_only(name):
 @pytest.mark.parametrize("n_tx", [2, 6, 8])
 @pytest.mark.parametrize("channel_seed", [1, 2, 3])
 def test_rician_scattering_matches_the_covariance_draw(channel_seed, n_tx):
-    # The white CN(0, I) draw equals a draw through the identity's Cholesky
-    # factor bit for bit.  Every finite Rician factor draws its scattering,
-    # however large: only an infinite one gives pure line of sight.
+    # The scattering is the CN(0, I) draw written out: the real parts, then
+    # the imaginary parts, scaled by sqrt(1/2).  Every finite Rician
+    # factor draws its scattering, however large: only an infinite one gives
+    # pure line of sight.
     for k_factor in (2.0, 1e12):
         cfg = ScenarioConfig(n_tx=n_tx, rician_factors=(k_factor,))
         links, _, _ = build_scenario(cfg, RngState(channel_seed))
         for user, link in enumerate(links):
             rng = RngState(channel_seed).child("channels").child(f"user{user}")
-            old = (math.sqrt(k_factor / (k_factor + 1.0))
-                   * steering_vector(cfg.user_angles[user], n_tx)
-                   + math.sqrt(1.0 / (k_factor + 1.0))
-                   * sample_complex_gaussian(rng, np.eye(n_tx)))
-            assert np.array_equal(sample_rician_channel(cfg, user, rng), old)
-            assert np.array_equal(link, old)
+            gen = rng.generator()
+            scattering = (gen.standard_normal(n_tx)
+                          + 1j * gen.standard_normal(n_tx)) * math.sqrt(0.5)
+            expected = (math.sqrt(k_factor / (k_factor + 1.0))
+                        * steering_vector(cfg.user_angles[user], n_tx)
+                        + math.sqrt(1.0 / (k_factor + 1.0)) * scattering)
+            assert np.array_equal(sample_rician_channel(cfg, user, rng),
+                                  expected)
+            assert np.array_equal(link, expected)
 
 
 def test_channels_import_stays_light():

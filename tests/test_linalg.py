@@ -8,7 +8,7 @@ from sensesec.linalg import (
     logdet_psd,
     psd_sqrt,
     require_hermitian,
-    sample_complex_gaussian,
+    sample_white_gaussian,
 )
 
 
@@ -91,16 +91,19 @@ class TestLogDet:
             logdet_psd(np.diag([1.0, -2.0]))
 
 
+def root_draws(rng, cov, count):
+    """``count`` CN(0, cov) draws psd_sqrt(cov) @ u, u ~ CN(0, I), as rows:
+    the draw of sca's Gaussian randomization."""
+    return (psd_sqrt(cov) @ sample_white_gaussian(rng, (len(cov), count))).T
+
+
 class TestComplexGaussian:
     def test_zero_covariance_draws_zeros(self):
-        out = sample_complex_gaussian(RngState(0), np.zeros((2, 2)))
-        assert out.shape == (2,) and not np.any(out)
-        out = sample_complex_gaussian(RngState(0), np.zeros((2, 2)), size=3)
+        out = root_draws(RngState(0), np.zeros((2, 2)), 3)
         assert out.shape == (3, 2) and not np.any(out)
 
     def test_empirical_covariance_identity(self):
-        rng = RngState(42, "gauss-cov")
-        draws = sample_complex_gaussian(rng, np.eye(2), size=100_000)
+        draws = root_draws(RngState(42, "gauss-cov"), np.eye(2), 100_000)
         emp = draws.T @ draws.conj() / draws.shape[0]
         rel = np.linalg.norm(emp - np.eye(2)) / np.linalg.norm(np.eye(2))
         assert rel < 0.05
@@ -109,31 +112,32 @@ class TestComplexGaussian:
         assert np.abs(pseudo).max() < 0.05
 
     def test_empirical_covariance_structured(self):
-        rng = RngState(5, "gauss-structured")
         cov = np.array([[2.0, 0.5 + 0.5j], [0.5 - 0.5j, 1.0]])
-        draws = sample_complex_gaussian(rng, cov, size=100_000)
+        draws = root_draws(RngState(5, "gauss-structured"), cov, 100_000)
         emp = draws.T @ draws.conj() / draws.shape[0]
         assert np.linalg.norm(emp - cov) / np.linalg.norm(cov) < 0.05
 
-    def test_determinism(self):
-        a = sample_complex_gaussian(RngState(9, "s"), np.eye(3))
-        b = sample_complex_gaussian(RngState(9, "s"), np.eye(3))
-        assert np.array_equal(a, b)
-
-    def test_streams_differ(self):
-        a = sample_complex_gaussian(RngState(9, "s1"), np.eye(3))
-        b = sample_complex_gaussian(RngState(9, "s2"), np.eye(3))
-        assert not np.array_equal(a, b)
+    def test_rank_deficient_covariance_draws_in_its_range(self):
+        cov = np.outer([1.0, 1.0], [1.0, 1.0])
+        draws = root_draws(RngState(3), cov, 10_000)
+        assert np.all(np.isfinite(draws))
+        assert np.abs(draws[:, 0] - draws[:, 1]).max() < 1e-12
+        emp = draws.T @ draws.conj() / draws.shape[0]
+        assert np.linalg.norm(emp - cov) / np.linalg.norm(cov) < 0.05
 
     def test_non_psd_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
-            sample_complex_gaussian(RngState(0), np.diag([1.0, -1.0]))
+            root_draws(RngState(0), np.diag([1.0, -1.0]), 1)
 
-    def test_rank_deficient_loading(self):
-        cov = np.outer([1.0, 1.0], [1.0, 1.0])
-        out = sample_complex_gaussian(RngState(3), cov, size=4)
-        assert out.shape == (4, 2)
-        assert np.all(np.isfinite(out))
+    def test_determinism(self):
+        a = sample_white_gaussian(RngState(9, "s"), 3)
+        b = sample_white_gaussian(RngState(9, "s"), 3)
+        assert np.array_equal(a, b)
+
+    def test_streams_differ(self):
+        a = sample_white_gaussian(RngState(9, "s1"), 3)
+        b = sample_white_gaussian(RngState(9, "s2"), 3)
+        assert not np.array_equal(a, b)
 
 
 def test_rng_child_streams_are_stable():

@@ -16,9 +16,16 @@ attribute outside the class body; the class's own validation does not count.
 Tests do not count either; code that only tests reach goes, together with
 those tests.  An import counts as used when its module names it in code; a
 docstring that mentions it does not count.
+
+Every parameter with a default of a package function or method is set by at
+least one call in ``src/`` or ``perfbench/`` of a function or method of its
+name, by keyword or by position; a call with ``*args`` sets every positional
+parameter and one with ``**kwargs`` every parameter.  A default that no call
+overrides is a constant, and belongs in the function's body.
 """
 
 import ast
+import math
 import re
 from collections import Counter
 from pathlib import Path
@@ -29,9 +36,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sensesec"
 
 # name -> why it stays without a caller.
-ALLOWED = {
-    "psd_sqrt": "the metric tests compare the closed forms against it",
-}
+ALLOWED = {}
 
 # ScenarioConfig field -> why nothing reads it.
 UNREAD_FIELDS = {}
@@ -114,6 +119,64 @@ def test_every_definition_has_a_caller_or_a_stated_reason():
     assert unused - set(ALLOWED) == set()
     # An allowlisted name that gained a caller leaves the list.
     assert set(ALLOWED) <= unused
+
+
+def defaulted_parameters(trees):
+    """(name, parameter, position) of every parameter with a default of the
+    package's functions and methods, position counting the positional
+    parameters a call passes (self or cls aside), None for keyword-only."""
+    for name, node in definitions(trees):
+        if not isinstance(node, FUNCTIONS):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        if "." in name and not any(isinstance(dec, ast.Name)
+                                   and dec.id == "staticmethod"
+                                   for dec in node.decorator_list):
+            positional = positional[1:]
+        for i, arg in enumerate(positional):
+            if i >= len(positional) - len(args.defaults):
+                yield name, arg.arg, i
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def call_settings(trees):
+    """Bare callee name -> list of (positional count, keywords) of every call
+    of that name; a count of inf stands for ``*args`` and a keyword None for
+    ``**kwargs``."""
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            callee = (func.id if isinstance(func, ast.Name)
+                      else func.attr if isinstance(func, ast.Attribute)
+                      else None)
+            count = (math.inf if any(isinstance(arg, ast.Starred)
+                                     for arg in node.args)
+                     else len(node.args))
+            calls.setdefault(callee, []).append(
+                (count, {kw.arg for kw in node.keywords}))
+    return calls
+
+
+def unset_defaults():
+    """(name, parameter) of every defaulted parameter that no call sets."""
+    trees = source_trees()
+    calls = call_settings(trees)
+    return {(name, param)
+            for name, param, position in defaulted_parameters(trees)
+            if not any(param in keywords or None in keywords
+                       or (position is not None and count > position)
+                       for count, keywords in calls.get(name.split(".")[-1],
+                                                        []))}
+
+
+def test_every_default_is_overridden_by_some_call():
+    assert unset_defaults() == set()
 
 
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")

@@ -58,6 +58,45 @@ def test_tiny_design_is_feasible_and_no_stage_hits_the_cap(channel_seed,
     assert mi_eve <= cfg.eve_mi_cap + sca.EVE_RECHECK_SLACK
 
 
+def test_an_extra_channel_is_rejected_naming_both_counts():
+    cfg = channels.ScenarioConfig()
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    with pytest.raises(ValueError, match=r"^4 channel vectors .* for 3 users"):
+        sca.run_sca_no_an(links + links[:1], stats_r, stats_e, cfg,
+                          RngState(1))
+
+
+def test_a_missing_channel_is_rejected_naming_both_counts():
+    cfg = channels.ScenarioConfig()
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    with pytest.raises(ValueError, match=r"^2 channel vectors .* for 3 users"):
+        sca.run_sca_no_an(links[:2], stats_r, stats_e, cfg, RngState(1))
+
+
+def test_channels_of_another_array_are_rejected_naming_both_shapes():
+    cfg = channels.ScenarioConfig()
+    links, _, _ = channels.build_scenario(
+        dataclasses.replace(cfg, n_tx=4), RngState(1))
+    _, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    with pytest.raises(ValueError, match=(r"shapes \[\(4,\), \(4,\), \(4,\)\] "
+                                          r"for 3 users of 6 antennas")):
+        sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
+
+
+def test_the_beam_rows_declare_one_batched_psd_block():
+    # W_k >= 0 of every user is one LMI block with one coordinate row per
+    # user, in the anchor's rows and in every subproblem.
+    cfg = channels.ScenarioConfig()
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    rows = solver.BarrierProblem(sca._beam_rows_problem(links, cfg))
+    assert [blk.coords.shape for blk in rows.lmi_blocks] == [(3, 36)]
+    state = sca.SCAState(sca._anchor_start(links, cfg), 0.0, sca.PENALTY_INIT)
+    sub = solver.BarrierProblem(sca.build_subproblem_no_an(
+        state, links, stats_r, sca._eve_row(state, stats_e, cfg), cfg))
+    assert [blk.coords.shape for blk in sub.lmi_blocks] == [(3, 36)]
+    assert len(sub.obj_blocks) == 1
+
+
 @pytest.mark.parametrize("cfg", [TINY, channels.ScenarioConfig()],
                          ids=["tiny", "default"])
 def test_design_depends_on_the_scenario_alone(cfg):

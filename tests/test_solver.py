@@ -72,6 +72,18 @@ def test_conic_subproblem_rejects_bad_declarations():
         BarrierProblem(prob)
 
 
+def test_add_psd_needs_hermitian_variables_of_one_dimension():
+    prob = ConicSubproblem()
+    prob.add_hermitian("A", 2)
+    prob.add_hermitian("B", 3)
+    prob.add_scalar("s")
+    for names in (["s"], ["A", "s"], ["A", "B"]):
+        with pytest.raises(ValueError,
+                           match="Hermitian variables of one dimension"):
+            prob.add_psd(names)
+    assert prob.lmis == []
+
+
 def test_real_block_gradient_and_gram_match_direct_loops():
     from sensesec.solver import _RealBlock
     rng = np.random.default_rng(0)
@@ -214,11 +226,10 @@ def test_batched_schur_lmi_derivatives_match_finite_differences():
     for k in range(2):
         prob.add_hermitian(f"W{k}", 3)
     prob.add_scalar("rho", lower=0.0)
-    # Two LMIs W_k >= 0 with one coefficient stack, and slacked rank ties
+    # Two LMIs W_k >= 0 in one batched block, and slacked rank ties
     # tr W_k - u_k^H W_k u_k <= rho sharing one penalized rho.
+    prob.add_psd(["W0", "W1"])
     for k in range(2):
-        prob.add_lmi(prob.matrix_map(np.zeros((3, 3)),
-                                     {f"W{k}": hermitian_basis(3)}))
         u = random_complex(rng, 3)
         u /= np.linalg.norm(u)
         prob.add_ineq(prob.scalar_map({
@@ -233,8 +244,7 @@ def test_batched_schur_lmi_derivatives_match_finite_differences():
     bp = BarrierProblem(prob)
     assert len(bp.lmi_blocks) == 1
     assert bp.lmi_blocks[0].coords.shape == (2, 9)
-    assert bp.gap_degree() == len(bp.b) + sum(LMI_WEIGHT * len(mmap.offset)
-                                              for mmap in prob.lmis)
+    assert bp.gap_degree() == len(bp.b) + LMI_WEIGHT * 3 * 2
     values = {"rho": 1.0}
     for k in range(2):
         w = 0.2 * random_complex(rng, 3)
