@@ -530,12 +530,17 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     converge, "randomization-failed" when no randomization draw was
     feasible, or "limits-violated".  An infinite ``cfg.eve_mi_cap`` designs
     without the eavesdropper constraint.  Raises ValueError when
-    ``channels`` does not hold one (n_tx,) vector per user.
+    ``channels`` does not hold one (n_tx,) vector per user, or when
+    ``stats_r`` or ``stats_e`` describes another number of antennas.
     """
     shapes = [np.shape(link) for link in channels]
     if shapes != [(cfg.n_tx,)] * cfg.n_users:
         raise ValueError(f"{len(shapes)} channel vectors of shapes {shapes} "
                          f"for {cfg.n_users} users of {cfg.n_tx} antennas")
+    for name, stats in (("stats_r", stats_r), ("stats_e", stats_e)):
+        if stats.n_tx != cfg.n_tx:
+            raise ValueError(f"{name} has n_tx = {stats.n_tx}, but "
+                             f"cfg.n_tx = {cfg.n_tx}")
     trace = SCATrace()
     targets = np.asarray(cfg.sinr_targets)
 

@@ -81,25 +81,20 @@ def pack_hermitian(h):
 
 
 def unpack_hermitian(coords, dim):
-    h = np.zeros((dim, dim), dtype=complex)
-    pairs = np.ascontiguousarray(coords[dim:], dtype=float)
-    h[~np.tri(dim, dtype=bool)] = pairs.view(complex)
-    h += h.conj().T
-    h[np.diag_indices(dim)] = coords[:dim]
+    """Hermitian matrix of pack_hermitian coordinates; a stack of coordinate
+    rows (..., dim^2) unpacks to the stack (..., dim, dim), row by row."""
+    coords = np.asarray(coords, dtype=float)
+    h = np.zeros(coords.shape[:-1] + (dim, dim), dtype=complex)
+    h[..., ~np.tri(dim, dtype=bool)] = np.ascontiguousarray(
+        coords[..., dim:]).view(complex)
+    h += h.conj().swapaxes(-1, -2)
+    h[..., np.arange(dim), np.arange(dim)] = coords[..., :dim]
     return h
 
 
 def hermitian_basis(dim):
     """(dim^2, dim, dim) stack E with sum_g x_g E_g == unpack_hermitian(x)."""
-    basis = np.zeros((dim * dim, dim, dim), dtype=complex)
-    diag = np.arange(dim)
-    basis[diag, diag, diag] = 1.0
-    iu, ju = np.triu_indices(dim, 1)
-    re = dim + 2 * np.arange(len(iu))     # (re, im) coordinate pairs
-    basis[re, iu, ju] = basis[re, ju, iu] = 1.0
-    basis[re + 1, iu, ju] = 1j
-    basis[re + 1, ju, iu] = -1j
-    return basis
+    return unpack_hermitian(np.eye(dim * dim), dim)
 
 
 def hermitian_weights(g):
@@ -588,6 +583,20 @@ def _newton_direction(hess, grad):
     raise SolverError("Newton system could not be factorized")
 
 
+def _trial_steps(line):
+    """The step lengths that _run_barrier's line search tries along the
+    Newton step d, in its order, from line = BarrierProblem.line_model(d, t)."""
+    _, end = _domain_bracket(line[1], line[2])
+    best = _line_minimizer(*line) if end > 1.0 else None
+    if best is not None:
+        yield best
+    step = 1.0
+    while step > 1e-14:
+        if step < end:
+            yield step
+        step *= 0.5
+
+
 def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
     """Minimize the barrier sequence from a strictly feasible x0, from t0
     up by BARRIER_GROWTH per stage to the last stage, degree / t <= obj_tol.
@@ -605,17 +614,17 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
     1e-2 while each full step still lowers the merit by about as much, so
     a NEWTON_TOL last stage can run to its step cap.
 
-    The line search reads the merit along the Newton step d from its
-    closed form (BarrierProblem.line_model).  When the full step stays
-    inside the barrier domain, it tries the step's exact minimizer alpha*
-    (_line_minimizer), one merit call, and takes it when it passes the
-    Armijo test; alpha* may exceed 1.  Otherwise, or when that test fails,
-    the step halves from the first power of 1/2 below the end of the domain
-    along d until it passes the test: the larger trials leave the domain.
+    The line search takes the first step length of _trial_steps that passes
+    the Armijo test, one merit call per trial: the exact minimizer alpha* of
+    the merit along the Newton step d, read in closed form
+    (BarrierProblem.line_model, _line_minimizer), when the full step stays
+    inside the barrier domain, then 1, 1/2, 1/4, ... down to 1e-14, each
+    length at or beyond the domain's end skipped; alpha* may exceed 1.
     Exact search on every step, also with alpha* clipped to 1 or tried only
     after the full step fails the test, ends the kilowatt STALL_CASES of
-    tests/test_sca.py at a barrier stage's step cap.  A decrement within
-    the merit's round-off takes the full step (the round-off floor below).
+    tests/test_sca.py at a barrier stage's step cap.  A stage also ends
+    after a step that does not lower the merit, and the solve after a step
+    at which ``early_stop`` holds.
 
     A stage that stopped on its tolerance records its point, with its t, in
     ``points`` and starts the next stage at the exact minimizer of the next
@@ -637,7 +646,7 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
     history, points = [], []
     status = "optimal"
     while True:
-        last_stage = degree / t <= obj_tol or degree == 0 or centering_only
+        last_stage = degree / t <= obj_tol or centering_only
         stage_newton = 0
         centered = False
         for _ in range(STAGE_MAX_STEPS):
@@ -653,51 +662,26 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
             if 0.5 * lam2 <= tol:
                 centered = True
                 break
-            # A decrement within the merit's round-off leaves the line
-            # search a coin flip on the last ulp of the merit: take the full
-            # step and end the stage at its round-off floor.
-            at_floor = (0.5 * lam2 <= np.finfo(float).eps * abs(val)
-                        and bp.in_domain(x + d))
-            if at_floor:
-                x = x + d
-            slope = float(grad @ d)
-            step = 1.0
-            accepted = at_floor
-            if not accepted:
-                line = bp.line_model(d, t)
-                _, end = _domain_bracket(line[1], line[2])
-                best = _line_minimizer(*line) if end > 1.0 else None
-                if best is not None:
-                    cand = x + best * d
-                    mval = bp.merit(cand, t)
-                    accepted = (mval is not None
-                                and mval <= val + ARMIJO_ALPHA * best * slope)
-                    if accepted:
-                        x = cand
-                # The halving's trials at or beyond the domain's end fail.
-                while step >= end and step > 1e-14:
-                    step *= 0.5
-            while not accepted and step > 1e-14:
+            total_newton += 1
+            stage_newton += 1
+            # Armijo's sufficient decrease, with grad . d = -lam2.
+            for step in _trial_steps(bp.line_model(d, t)):
                 cand = x + step * d
                 mval = bp.merit(cand, t)
                 if (mval is not None
-                        and mval <= val + ARMIJO_ALPHA * step * slope):
+                        and mval <= val - ARMIJO_ALPHA * step * lam2):
                     x = cand
-                    accepted = True
                     break
-                step *= 0.5
-            total_newton += 1
-            stage_newton += 1
-            if not accepted:
+            else:
                 status = "line-search-failed"
                 break
             if early_stop is not None and early_stop(x):
-                history.append((t, bp.objective_value(x), stage_newton))
-                return x, total_newton, status, history, points
+                last_stage = True
+                break
             # At large t the Armijo bound rounds to val itself, so steps that
             # no longer lower the merit pass: the stage is at its round-off
             # floor and further steps only burn the stage cap.
-            if at_floor or mval >= val:
+            if mval >= val:
                 break
         else:
             status = "stage-cap"

@@ -83,6 +83,19 @@ def test_channels_of_another_array_are_rejected_naming_both_shapes():
         sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
 
 
+@pytest.mark.parametrize("which", ["stats_r", "stats_e"])
+def test_statistics_of_another_array_are_rejected_naming_both_counts(which):
+    cfg = channels.ScenarioConfig()
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    _, *small = channels.build_scenario(
+        dataclasses.replace(cfg, n_tx=4), RngState(1))
+    stats = {"stats_r": stats_r, "stats_e": stats_e}
+    stats[which] = small[which == "stats_e"]
+    with pytest.raises(ValueError,
+                       match=rf"^{which} has n_tx = 4, but cfg.n_tx = 6$"):
+        sca.run_sca_no_an(links, **stats, cfg=cfg, rng=RngState(1))
+
+
 def test_the_beam_rows_declare_one_batched_psd_block():
     # W_k >= 0 of every user is one LMI block with one coordinate row per
     # user, in the anchor's rows and in every subproblem.

@@ -47,6 +47,14 @@ def test_hermitian_basis_unpacks_each_unit_coordinate(d):
     assert np.array_equal(
         hermitian_basis(d),
         np.stack([unpack_hermitian(e, d) for e in np.eye(d * d)]))
+    # A stack of coordinate rows unpacks row by row, bit for bit.
+    rng = np.random.default_rng(d)
+    for shape in [(3, d * d), (2, 3, d * d)]:
+        rows = rng.standard_normal(shape)
+        stack = unpack_hermitian(rows, d)
+        assert stack.shape == shape[:-1] + (d, d)
+        for index in np.ndindex(shape[:-1]):
+            assert np.array_equal(stack[index], unpack_hermitian(rows[index], d))
 
 
 @pytest.mark.parametrize("d", [1, 2, 4])
