@@ -237,10 +237,6 @@ def build_subproblem_no_an(state, channels, stats_r, eve_row, cfg):
     for name in mat_names:
         prob.add_hermitian(name, n)
 
-    def on_tx_cov(coefs):
-        """The same coefficients on every W_k: a map of sum_k W_k."""
-        return {name: coefs for name in mat_names}
-
     # Penalty on the rank residuals tr W_k - ||W_k||_2, with ||W_k||_2 >=
     # u_k^H W_k u_k.
     pbar = state.penalty_weight
@@ -254,14 +250,15 @@ def build_subproblem_no_an(state, channels, stats_r, eve_row, cfg):
         prob.add_scalar("kappa", lower=0.0)
         penalty["kappa"] = -state.eve_weight
         eve_weights = prob.scalar_map(
-            {**on_tx_cov(hermitian_weights(eve_row.grad)), "kappa": -1.0})
+            {**dict.fromkeys(mat_names, hermitian_weights(eve_row.grad)),
+             "kappa": -1.0})
         prob.add_ineq(eve_weights, eve_row.rhs)
 
-    # Objective: legitimate sensing MI (symmetrized log-det form) minus the
-    # penalty terms.
+    # Objective: legitimate sensing MI (symmetrized log-det form) of sum_k
+    # W_k minus the penalty terms.
     scale_r = cfg.frame_len / stats_r.noise_power
     legit = scale_r * _scaled_quadratic(stats_r, hermitian_basis(n))
-    obj_map = prob.matrix_map(np.eye(stats_r.dim), on_tx_cov(legit))
+    obj_map = prob.matrix_map(np.eye(stats_r.dim), {tuple(mat_names): legit})
     prob.set_objective(linear=prob.scalar_map(penalty), logdet=obj_map)
 
     _add_beam_constraints(prob, channels, cfg)

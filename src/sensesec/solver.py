@@ -115,13 +115,13 @@ class ConicSubproblem:
     subject to linear rows and LMIs.
 
     A matrix map is stated by one complex Hermitian coefficient per real
-    coordinate of each variable it involves, in packing order, and declared
-    as the _RealBlock that the barrier evaluates (matrix_map, add_psd); a
-    linear functional by its dense real weights over the coordinates
-    declared so far (scalar_map).  ``ineqs`` holds (weights, rhs) pairs,
-    ``lmis`` the LMI blocks and ``objective`` (linear, logdet).  Packing
-    order is private to this module; hermitian_basis and hermitian_weights
-    build coefficients in it.
+    coordinate of each variable, or sum of variables, that it involves, in
+    packing order, and declared as the _RealBlock that the barrier
+    evaluates (matrix_map, add_psd); a linear functional by its dense real
+    weights over the coordinates declared so far (scalar_map).  ``ineqs``
+    holds (weights, rhs) pairs, ``lmis`` the LMI blocks and ``objective``
+    (linear, logdet).  Packing order is private to this module;
+    hermitian_basis and hermitian_weights build coefficients in it.
     """
 
     def __init__(self):
@@ -183,18 +183,28 @@ class ConicSubproblem:
         """The _RealBlock of the affine map x -> offset + sum_g x_g E_g into
         complex Hermitian matrices; ``terms[name]`` stacks the (d, d)
         Hermitian E_g of each real coordinate of that variable, in packing
-        order, and the block reads every one, zero coefficients included."""
+        order, and the block reads every one, zero coefficients included.
+        A key may be a tuple of names of variables of one size: its stack
+        maps their sum, and their coordinates share its rows."""
         offset = np.asarray(offset, dtype=complex)
         if offset.ndim != 2 or offset.shape[0] != offset.shape[1]:
             raise ValueError("matrix map offset must be a square matrix")
-        coords = [np.zeros(0, dtype=np.intp)]
+        coords, rows = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
         coefs = [np.zeros((0,) + offset.shape, dtype=complex)]
-        for name, stack in terms.items():
-            blk = self._blocks[name]
-            coords.append(blk.offset + np.arange(blk.size))
+        for key, stack in terms.items():
+            blks = [self._blocks[name]
+                    for name in (key if isinstance(key, tuple) else (key,))]
+            sizes = sorted({blk.size for blk in blks})
+            if len(sizes) != 1:
+                raise ValueError(f"a shared stack needs variables of one "
+                                 f"size, got sizes {sizes}")
+            base = sum(map(len, coefs))
+            coords += [blk.offset + np.arange(blk.size) for blk in blks]
+            rows += [base + np.arange(sizes[0])] * len(blks)
             coefs.append(np.reshape(np.asarray(stack, dtype=complex),
-                                    (blk.size,) + offset.shape))
-        return _RealBlock(np.concatenate(coords), np.concatenate(coefs), offset)
+                                    (sizes[0],) + offset.shape))
+        return _RealBlock(np.concatenate(coords), np.concatenate(coefs),
+                          offset, np.concatenate(rows))
 
     def scalar_map(self, terms):
         """Dense weights a of x -> a . x over the coordinates declared so far;
@@ -231,7 +241,8 @@ class ConicSubproblem:
         dim = blks[0].dim
         coords = np.stack([blk.offset + np.arange(blk.size) for blk in blks])
         self.add_lmi(_RealBlock(coords, hermitian_basis(dim),
-                                np.zeros((dim, dim), dtype=complex)))
+                                np.zeros((dim, dim), dtype=complex),
+                                np.arange(dim * dim)))
 
     def add_ineq(self, weights, rhs):
         """weights . x <= rhs, for scalar_map weights."""
@@ -261,53 +272,43 @@ class _RealBlock:
     """One log-det barrier term over complex Hermitian affine maps that
     differ only in their coordinates, as ConicSubproblem.matrix_map and
     add_psd declare it: sum_k logdet F_k(x) with F_k(x) = offset + sum_g
-    x[coords[k, g]] * mats[g].  BarrierProblem weighs it by the list that
-    holds it: the objective's by t, an LMI's by LMI_WEIGHT.
+    x[coords[k, g]] * mats[rows[g]].  BarrierProblem weighs it by the list
+    that holds it: the objective's by t, an LMI's by LMI_WEIGHT.
 
     ``coords`` is (m,) for one map or (K, m) for K maps with equal
     coefficients and offset, such as the per-user LMIs W_k >= 0.  assemble,
     chol and grad_gram then carry the leading batch axis of length K, and
     logdet and min_eig reduce over it, so a batch costs one call of each.
 
-    Coordinates with equal coefficients share one row of the derivative
-    kernel: a map of sum_k W_k puts the same stack on every W_k.
+    ``mats`` holds each distinct coefficient once, and the coordinates that
+    read one row share it in the derivative kernel: a map of sum_k W_k, as
+    a tuple key of matrix_map declares it, reads one stack for every W_k.
     The arithmetic is complex despite the name, which stays because the
     benchmark's layer tracer wraps ``_RealBlock.grad_gram`` by name.
     """
 
     coords: np.ndarray           # (m,) or (K, m)
-    mats: np.ndarray             # (m, d, d) complex Hermitian
+    mats: np.ndarray             # (k, d, d) complex Hermitian, k <= m
     offset: np.ndarray           # (d, d) complex Hermitian
+    rows: np.ndarray             # (m,): the row of mats of each coordinate
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=np.intp)
         self.mats = np.ascontiguousarray(self.mats, dtype=complex)
-        # Real (m, 2 d^2) view of the coefficients: products with real
+        self.rows = np.asarray(self.rows, dtype=np.intp)
+        # Real (rows, 2 d^2) views of the coefficients: products with real
         # vectors run as real BLAS calls, which unlike complex ones stay
         # fast on small operands when BLAS runs several threads.
-        m, d = self.mats.shape[:2]
-        self._flat = self.mats.reshape(m, d * d).view(np.float64)
-        # Group the coordinates whose coefficient rows are equal (cheaper
-        # than hashing whole rows): a row joins the first row with its
-        # fingerprint, unless the two differ.
-        # inv[g] is the group of coordinate g, rows[j] the first row of j.
-        keys = self._flat @ np.sqrt(np.arange(2.0, 2.0 + 2 * d * d))
-        first = {}
-        rep = np.array([first.setdefault(key, g)
-                        for g, key in enumerate(keys.tolist())], dtype=np.intp)
-        if len(first) < m:
-            clash = np.any(self._flat != self._flat[rep], axis=1)
-            rep[clash] = np.flatnonzero(clash)
-        rows = np.flatnonzero(rep == np.arange(m))
-        inv = np.searchsorted(rows, rep)
-        distinct, k = self.mats[rows], len(rows)
+        (k, d), m = self.mats.shape[:2], len(self.rows)
+        self._flat = self.mats[self.rows].reshape(m, d * d).view(np.float64)
+        self._distinct_flat = self.mats.reshape(k, d * d).view(np.float64)
         # Gather indices that expand distinct-row results to every
-        # coordinate; None when every row is distinct.
-        self._expand = None if k == m else (inv, inv[:, None] * k + inv)
-        self._distinct_flat = distinct.reshape(k, d * d).view(np.float64)
-        self._stacked = distinct.reshape(k * d, d)                  # [S_g; ...]
+        # coordinate; None when each coordinate reads its own row.
+        self._expand = (None if np.array_equal(self.rows, np.arange(m))
+                        else (self.rows, self.rows[:, None] * k + self.rows))
+        self._stacked = self.mats.reshape(k * d, d)                 # [S_g; ...]
         self._side_by_side = np.ascontiguousarray(
-            distinct.transpose(1, 0, 2)).reshape(d, k * d)         # [S_g ...]
+            self.mats.transpose(1, 0, 2)).reshape(d, k * d)        # [S_g ...]
 
     @property
     def dim(self):
@@ -724,8 +725,8 @@ def _central_t(bp, x):
     -(g0' H^-1 g_phi) / (g0' H^-1 g0) of the Newton decrement lambda^2(t) =
     (t g0 + g_phi)' H^-1 (t g0 + g_phi), where t g0 + g_phi is the merit's
     gradient at t (g0 = bp.objective_grad) and H its Hessian at BARRIER_T0;
-    one derivative pass and one factorization.  Clipped to
-    [BARRIER_T0 / BARRIER_GROWTH, BARRIER_T0 BARRIER_GROWTH^3]."""
+    one derivative pass and one factorization.  Clipped from below at
+    BARRIER_T0 / BARRIER_GROWTH."""
     _, grad, hess = bp.merit_derivatives(x, BARRIER_T0)
     g0 = bp.objective_grad
     (d, tangent), _ = _newton_direction(hess, np.stack([grad, g0]))
@@ -734,8 +735,7 @@ def _central_t(bp, x):
     if curvature <= 0.0:        # g0 = 0 at x: no t is preferred
         return BARRIER_T0
     t = BARRIER_T0 + float(g0 @ d) / curvature
-    return min(max(t, BARRIER_T0 / BARRIER_GROWTH),
-               BARRIER_T0 * BARRIER_GROWTH ** 3)
+    return max(t, BARRIER_T0 / BARRIER_GROWTH)
 
 
 def _center_free_coordinates(bp, x, t):
@@ -822,13 +822,10 @@ def _phase1_problem(bp):
     relaxed.obj_blocks = []
 
     def extend_block(blk):
-        m = blk.coords.shape[-1]
-        mats = np.empty((m + 1,) + blk.mats.shape[1:], dtype=complex)
-        mats[:m] = blk.mats
-        mats[m] = np.eye(blk.dim)
         slack = np.full(blk.coords.shape[:-1] + (1,), s_idx)
-        coords = np.concatenate([blk.coords, slack], axis=-1)
-        return _RealBlock(coords, mats, blk.offset)
+        return _RealBlock(np.concatenate([blk.coords, slack], axis=-1),
+                          np.concatenate([blk.mats, np.eye(blk.dim)[None]]),
+                          blk.offset, np.append(blk.rows, len(blk.mats)))
 
     relaxed.lmi_blocks = [extend_block(b)
                           for b in bp.lmi_blocks + bp.obj_blocks]

@@ -396,6 +396,15 @@ def test_subproblem_maps_match_closed_forms():
             assert close(blk.mats, np.conj(blk.mats.transpose(0, 2, 1)))
             assert close(blk.offset, blk.offset.conj().T)
 
+        # The objective maps sum_k W_k: its coordinates read one stack of
+        # n_tx^2 coefficients, not one per user, and so do the W_k >= 0.
+        size = cfg.n_tx ** 2
+        assert len(obj_block.mats) == len(lmi_batch.mats) == size == 36
+        assert obj_block.coords.size == cfg.n_users * size == 108
+        assert np.array_equal(obj_block.rows,
+                              np.tile(np.arange(size), cfg.n_users))
+        assert np.array_equal(lmi_batch.rows, np.arange(size))
+
 
 @pytest.mark.parametrize("cfg, certified", [
     (TINY, True), (channels.ScenarioConfig(power_budget=1e-3), True),
@@ -1080,7 +1089,7 @@ def plain_sdr(links, stats_r, cfg, sinr_scale=1.0 - 1e-6):
         * root[None, :] for e in solver.hermitian_basis(n)])
     scale = cfg.frame_len / stats_r.noise_power
     prob.set_objective(logdet=prob.matrix_map(
-        np.eye(stats_r.dim), dict.fromkeys(names, scale * coefs)))
+        np.eye(stats_r.dim), {tuple(names): scale * coefs}))
     res = solver.solve(prob)
     assert res.status == "optimal"
     return [res.values[name] for name in names]

@@ -76,6 +76,9 @@ def test_conic_subproblem_rejects_bad_declarations():
     with pytest.raises(ValueError,
                        match="matrix map offset must be a square matrix"):
         prob.matrix_map(np.zeros((2, 3)), {"W": hermitian_basis(2)})
+    prob.add_hermitian("V", 3)
+    with pytest.raises(ValueError, match=r"one size, got sizes \[4, 9\]"):
+        prob.matrix_map(np.eye(2), {("W", "V"): hermitian_basis(2)})
     with pytest.raises(ValueError, match="objective not set"):
         BarrierProblem(prob)
 
@@ -95,19 +98,18 @@ def test_add_psd_needs_hermitian_variables_of_one_dimension():
 def test_real_block_gradient_and_gram_match_direct_loops():
     from sensesec.solver import _RealBlock
     rng = np.random.default_rng(0)
-    d, m = 5, 7
-    real_mats = np.stack([0.5 * (a + a.T) for a in rng.standard_normal((m, d, d))])
-    herm_mats = np.stack([random_hermitian(rng, d) for _ in range(m)])
-    # One stack on two coordinate ranges, as a map of W0 + W1 has it, then
-    # with the identity column that phase I adds for its slack.
-    shared = np.concatenate([herm_mats, herm_mats])
-    extended = np.concatenate([shared, np.eye(d)[None]])
-    # diag(2, 0) and diag(0, 1) share a fingerprint in the row grouping.
-    clashing = np.stack([np.diag([2.0, 0.0]), np.diag([0.0, 1.0]),
-                         np.diag([2.0, 0.0]), random_hermitian(rng, 2)])
-    for mats in (real_mats, herm_mats, shared, extended, clashing):
-        m, d = mats.shape[:2]
-        blk = _RealBlock(np.arange(m), mats, 3.0 * np.eye(d))
+    d, n = 5, 7
+    real_mats = np.stack([0.5 * (a + a.T) for a in rng.standard_normal((n, d, d))])
+    herm_mats = np.stack([random_hermitian(rng, d) for _ in range(n)])
+    # One stack on two coordinate ranges, as a map of W0 + W1 declares it,
+    # then with the identity row that phase I adds for its slack.
+    shared = np.tile(np.arange(n), 2)
+    extended = np.append(shared, n)
+    with_eye = np.concatenate([herm_mats, np.eye(d)[None]])
+    for distinct, rows in ((real_mats, np.arange(n)), (herm_mats, np.arange(n)),
+                           (herm_mats, shared), (with_eye, extended)):
+        mats, m = distinct[rows], len(rows)
+        blk = _RealBlock(np.arange(m), distinct, 3.0 * np.eye(d), rows)
         f = blk.assemble(rng.standard_normal(m) * 0.1)
         chol = np.linalg.cholesky(f)
         gvec, gram, linv = blk.grad_gram(chol)
@@ -122,7 +124,7 @@ def test_real_block_gradient_and_gram_match_direct_loops():
         # A batch of three maps with this stack on disjoint, shuffled
         # coordinates, as the per-user LMIs W_k >= 0 have it.
         coords = rng.permutation(3 * m).reshape(3, m)
-        batch = _RealBlock(coords, mats, 3.0 * np.eye(d))
+        batch = _RealBlock(coords, distinct, 3.0 * np.eye(d), rows)
         x = rng.standard_normal(3 * m) * 0.1
         f = batch.assemble(x)
         chol = np.linalg.cholesky(f)
@@ -201,7 +203,7 @@ def stacked_inequality_problem():
     prob.add_scalar("z")
     # A log-det of W0 + W1: the same coefficients on both.
     legit = np.stack([random_psd(rng, 3) for _ in range(4)])
-    tx_cov = prob.matrix_map(np.eye(3), {"W0": legit, "W1": legit})
+    tx_cov = prob.matrix_map(np.eye(3), {("W0", "W1"): legit})
     prob.set_objective(linear=prob.scalar_map({"y": -0.3, "z": 0.2}),
                        logdet=tx_cov)
     trace = hermitian_weights(np.eye(2))
@@ -248,7 +250,7 @@ def test_batched_schur_lmi_derivatives_match_finite_differences():
     legit = np.stack([random_psd(rng, 2) for _ in range(9)])
     prob.set_objective(
         linear=prob.scalar_map({"rho": -0.3}),
-        logdet=prob.matrix_map(np.eye(2), {"W0": legit, "W1": legit}))
+        logdet=prob.matrix_map(np.eye(2), {("W0", "W1"): legit}))
     bp = BarrierProblem(prob)
     assert len(bp.lmi_blocks) == 1
     assert bp.lmi_blocks[0].coords.shape == (2, 9)
