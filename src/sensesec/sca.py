@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -90,7 +89,8 @@ MIN_POWER_MAX_ITERS = 1000
 @dataclass
 class SCAState:
     """Expansion point and penalty weights of one SCA iteration; the
-    eavesdropper cap is the scenario's ``eve_mi_cap``."""
+    eavesdropper cap is the scenario's ``eve_mi_cap``.  The rank penalty
+    reads the top eigenvector of each expansion matrix (_top_direction)."""
 
     exp_weight_mats: list        # per-user expansion matrices
     penalty_weight: float        # on the rank residuals, nats per watt
@@ -99,11 +99,6 @@ class SCAState:
     @property
     def exp_cov(self):
         return sum(self.exp_weight_mats)
-
-    @cached_property
-    def exp_tops(self):
-        """Top unit eigenvector u_k of each expansion matrix."""
-        return [_top_direction(m) for m in self.exp_weight_mats]
 
 
 @dataclass
@@ -135,29 +130,6 @@ class SCATrace:
     converged_at: int | None = None
     certified: bool = False      # stopped on the tight-relaxation certificate
     anchor_newton_steps: int = 0  # of the anchor solve, outside every row
-
-
-def _add_beam_constraints(prob, channels, cfg):
-    """The rows that involve the beams alone, on the variables W{k} of
-    ``prob``: power budget, tightened per-user SINR and W_k >= 0."""
-    n = cfg.n_tx
-    mat_names = [f"W{k}" for k in range(cfg.n_users)]
-
-    # Power budget.
-    trace_weights = hermitian_weights(np.eye(n))
-    prob.add_ineq(prob.scalar_map(dict.fromkeys(mat_names, trace_weights)),
-                  cfg.power_budget)
-
-    # Tightened per-user SINR (margin keeps the rank-one extraction within
-    # the reporting tolerance): target (interference + noise) >= signal.
-    for k in range(cfg.n_users):
-        target = cfg.sinr_targets[k] * (1.0 + SINR_MARGIN)
-        gain = hermitian_weights(np.outer(channels[k], channels[k].conj()))
-        terms = {name: (-1.0 if j == k else target) * gain
-                 for j, name in enumerate(mat_names)}
-        prob.add_ineq(prob.scalar_map(terms), -target * cfg.noise_comm)
-
-    prob.add_psd(mat_names)
 
 
 def _top_direction(mat):
@@ -213,16 +185,16 @@ def _eve_row(state, stats_e, cfg):
 
 
 def build_subproblem_no_an(state, channels, stats_r, eve_row, cfg):
-    """Convex subproblem of one SCA step.
+    """Convex subproblem of one SCA step: the _beam_rows_problem of
+    ``channels``, extended by kappa, its rows and the objective.
 
     maximize   MI_legit(sum_k W_k)
                - e kappa - p sum_k (tr W_k - u_k^H W_k u_k)
-    subject to the Eve row Re tr(G sum_k W_k) - kappa <= b of ``eve_row``,
-    the _eve_row of ``state``, kappa >= 0, power cap, tightened SINR and
-    W_k >= 0, with u_k the top unit eigenvector of the expansion matrix
-    (``state.exp_tops``), p = ``state.penalty_weight`` and e =
-    ``state.eve_weight``.  The rank residuals are nonnegative on W_k >= 0,
-    so they need no slack; an infinite cap drops kappa with the Eve row.
+    subject to the beam rows, kappa >= 0 and the Eve row Re tr(G sum_k W_k)
+    - kappa <= b of ``eve_row``, the _eve_row of ``state``, with u_k the top
+    unit eigenvector of expansion matrix k, p = ``state.penalty_weight`` and
+    e = ``state.eve_weight``.  The rank residuals are nonnegative on W_k >=
+    0, so they need no slack; an infinite cap drops kappa with the Eve row.
     """
     n_users = cfg.n_users
     if len(state.exp_weight_mats) != n_users:
@@ -231,17 +203,15 @@ def build_subproblem_no_an(state, channels, stats_r, eve_row, cfg):
         if np.asarray(m).shape != (cfg.n_tx, cfg.n_tx):
             raise ValueError("expansion matrix dimension mismatch")
 
-    prob = ConicSubproblem()
+    prob = _beam_rows_problem(channels, cfg)
     n = cfg.n_tx
     mat_names = [f"W{k}" for k in range(n_users)]
-    for name in mat_names:
-        prob.add_hermitian(name, n)
 
     # Penalty on the rank residuals tr W_k - ||W_k||_2, with ||W_k||_2 >=
     # u_k^H W_k u_k.
     pbar = state.penalty_weight
     penalty = {}
-    for name, u in zip(mat_names, state.exp_tops):
+    for name, u in zip(mat_names, map(_top_direction, state.exp_weight_mats)):
         penalty[name] = -pbar * hermitian_weights(
             np.eye(n) - np.outer(u, u.conj()))
 
@@ -260,8 +230,6 @@ def build_subproblem_no_an(state, channels, stats_r, eve_row, cfg):
     legit = scale_r * _scaled_quadratic(stats_r, hermitian_basis(n))
     obj_map = prob.matrix_map(np.eye(stats_r.dim), {tuple(mat_names): legit})
     prob.set_objective(linear=prob.scalar_map(penalty), logdet=obj_map)
-
-    _add_beam_constraints(prob, channels, cfg)
     return prob
 
 
@@ -336,12 +304,31 @@ def _anchor_start(channels, cfg):
 
 
 def _beam_rows_problem(channels, cfg):
-    """The power, SINR and W_k >= 0 rows, the rows of every subproblem that
-    involve the beams alone, with no objective."""
+    """The rows that involve the beams alone, on variables W{k}: power
+    budget, tightened per-user SINR and W_k >= 0, with no objective.  Every
+    subproblem extends this problem (build_subproblem_no_an), and the anchor
+    is its analytic center (_anchor_point)."""
     prob = ConicSubproblem()
+    n = cfg.n_tx
+    mat_names = [f"W{k}" for k in range(cfg.n_users)]
+    for name in mat_names:
+        prob.add_hermitian(name, n)
+
+    # Power budget.
+    trace_weights = hermitian_weights(np.eye(n))
+    prob.add_ineq(prob.scalar_map(dict.fromkeys(mat_names, trace_weights)),
+                  cfg.power_budget)
+
+    # Tightened per-user SINR (margin keeps the rank-one extraction within
+    # the reporting tolerance): target (interference + noise) >= signal.
     for k in range(cfg.n_users):
-        prob.add_hermitian(f"W{k}", cfg.n_tx)
-    _add_beam_constraints(prob, channels, cfg)
+        target = cfg.sinr_targets[k] * (1.0 + SINR_MARGIN)
+        gain = hermitian_weights(np.outer(channels[k], channels[k].conj()))
+        terms = {name: (-1.0 if j == k else target) * gain
+                 for j, name in enumerate(mat_names)}
+        prob.add_ineq(prob.scalar_map(terms), -target * cfg.noise_comm)
+
+    prob.add_psd(mat_names)
     prob.set_objective()
     return prob
 

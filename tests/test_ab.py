@@ -19,7 +19,7 @@ def test_ab_reports_parity_and_ratios_of_one_tree_against_itself():
     (line,) = out.stdout.splitlines()
     report = json.loads(line)
     assert set(report) == {"workload", "seconds", "seed", "a", "b",
-                           "blas_threads", "parity", "ab", "aa"}
+                           "blas_threads", "parity", "ab", "aa", "setup"}
     assert set(report["blas_threads"].values()) == {"1"}
 
     parity = report["parity"]
@@ -31,8 +31,8 @@ def test_ab_reports_parity_and_ratios_of_one_tree_against_itself():
                                 "anchor_newton_steps", "mi_legit", "mi_eve"}
     assert design["a"]["status"] == "optimal"
 
-    for pair in ("ab", "aa"):
-        summary = report[pair]
+    assert set(report["setup"]) == {"ab", "aa"}
+    for summary in (report["ab"], report["aa"], *report["setup"].values()):
         assert set(summary) == {"median", "q1", "q3", "second_faster",
                                 "reps", "ratios"}
         assert summary["reps"] == len(summary["ratios"]) == 2

@@ -110,6 +110,33 @@ def test_the_beam_rows_declare_one_batched_psd_block():
     assert len(sub.obj_blocks) == 1
 
 
+@pytest.mark.parametrize("cap", [5.0, math.inf], ids=["cap5", "no-cap"])
+def test_every_subproblem_extends_the_beam_rows_problem(cap):
+    # The anchor is the analytic center of each subproblem's own beam rows:
+    # the W_k come first, at the rows problem's offsets, and so do its rows
+    # and its W_k >= 0 block, with kappa's column zero there.
+    cfg = dataclasses.replace(channels.ScenarioConfig(), eve_mi_cap=cap)
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    rows_prob = sca._beam_rows_problem(links, cfg)
+    state = sca.SCAState(sca._anchor_start(links, cfg), 0.0, sca.PENALTY_INIT)
+    sub_prob = sca.build_subproblem_no_an(
+        state, links, stats_r, sca._eve_row(state, stats_e, cfg), cfg)
+    n_rows = 1 + cfg.n_users            # the power row and one SINR row each
+
+    def layout(blocks):
+        return [(blk.name, blk.kind, blk.offset, blk.size) for blk in blocks]
+
+    assert layout(sub_prob.blocks[:cfg.n_users]) == layout(rows_prob.blocks)
+    assert [blk.name for blk in sub_prob.blocks[cfg.n_users:]] \
+        == ["kappa"] * math.isfinite(cap)
+    rows, sub = map(solver.BarrierProblem, (rows_prob, sub_prob))
+    assert rows.A.shape[0] == n_rows
+    assert np.array_equal(sub.A[:n_rows, :rows.n], rows.A)
+    assert np.array_equal(sub.b[:n_rows], rows.b)
+    assert not np.any(sub.A[:n_rows, rows.n:])
+    assert np.array_equal(sub.lmi_blocks[0].coords, rows.lmi_blocks[0].coords)
+
+
 @pytest.mark.parametrize("cfg", [TINY, channels.ScenarioConfig()],
                          ids=["tiny", "default"])
 def test_design_depends_on_the_scenario_alone(cfg):
@@ -369,8 +396,8 @@ def test_subproblem_maps_match_closed_forms():
         assert close(bp.c @ x, -state.eve_weight * kappa
                      - state.penalty_weight * sum(residuals))
 
-        # Each inequality row A x <= b, as A x - b, in build order: kappa
-        # bound and Eve bound (finite cap only), power, SINR.
+        # Each inequality row A x <= b, as A x - b, in build order: power,
+        # SINR, then kappa bound and Eve bound (finite cap only).
         eve = metrics.sensing_mi_taylor_bound(
             stats_e, tx_cov, state.exp_cov, cfg.frame_len) - kappa - cap
         power = np.trace(tx_cov).real - cfg.power_budget
@@ -381,7 +408,7 @@ def test_subproblem_maps_match_closed_forms():
             target = cfg.sinr_targets[k] * (1.0 + sca.SINR_MARGIN)
             sinrs.append(target * (sum(gains) - gains[k] + cfg.noise_comm)
                          - gains[k])
-        expected = [-kappa, eve] * eve_row + [power] + sinrs
+        expected = [power] + sinrs + [-kappa, eve] * eve_row
         got = bp.A @ x - bp.b
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
@@ -438,8 +465,9 @@ def test_trace_rows_report_the_residuals_of_their_iterate(cfg, certified,
         # eigenvector of the expansion matrix.
         residual = max(np.trace(m).real - np.linalg.eigvalsh(m)[-1]
                        for m in mats)
+        tops = map(sca._top_direction, state.exp_weight_mats)
         penalized = max(np.trace(m).real - np.vdot(u, m @ u).real
-                        for m, u in zip(mats, state.exp_tops))
+                        for m, u in zip(mats, tops))
         assert residual <= penalized + 1e-12
         tx_cov = metrics.transmit_covariance(mats)
         # The first row caps tr A_e(R) at e^cap - 1 when the anchor's Eve MI
@@ -459,6 +487,15 @@ def test_trace_rows_report_the_residuals_of_their_iterate(cfg, certified,
         assert abs(row.mi_eve_surrogate - bound) <= 1e-12
         assert abs(row.rho_max - residual) <= 1e-12
         assert abs(row.kappa - max(0.0, bound - cfg.eve_mi_cap)) <= 1e-12
+        # Power and SINR margin are the iterate's own, and it meets the
+        # budget and the tightened targets: the barrier keeps it interior.
+        power = sum(np.trace(m).real for m in mats)
+        margin = np.min(metrics.sinr(links, mats, cfg.noise_comm)
+                        / np.asarray(cfg.sinr_targets))
+        assert abs(row.power - power) <= 1e-12 * power
+        assert abs(row.sinr_margin - margin) <= 1e-12 * margin
+        assert row.power <= cfg.power_budget
+        assert row.sinr_margin >= (1.0 + sca.SINR_MARGIN) * (1.0 - 1e-9)
         if row.index == 1 and (relaxed or bound < cfg.eve_mi_cap):
             # Relaxed MI minus the MI of the beams sqrt(tr W_k) u_k.
             beams = eigenvector_beams(mats)

@@ -15,12 +15,16 @@ WORKLOADS, channel_seeds and setup).  In every repetition, each design runs
 on A and B back to back, then on A and its copy, and the order within each
 pair alternates with the parity of repetition + design.  A repetition's
 ratio is the sum of B's design times over A's (A/A: the copy's over A's).
+Each repetition also times run.py's setup_s, the import and panel build,
+once per side in fresh processes (run.setup_sample with run.SRC set to the
+side's tree), in the order A, B, copy, reversed on odd repetitions.
 
 The one line of JSON on stdout reports per-design parity, from the first
 repetition: status, outer iterations, subproblem and anchor Newton steps and
 both MIs within MI_TOL nats; and for A/B and A/A the ratios' median,
 quartiles (statistics.quantiles, inclusive) and the number of repetitions
-in which the second side was faster.  BLAS is pinned to one thread.
+in which the second side was faster, of the design times under "ab" and
+"aa" and of the setup times under "setup".  BLAS is pinned to one thread.
 """
 
 from __future__ import annotations
@@ -116,6 +120,17 @@ def ratio_summary(ratios):
             "reps": len(ratios), "ratios": ratios}
 
 
+def setup_times(srcs, config, seeds, rep):
+    """Seconds of run.setup_sample on each tree of ``srcs``, in that order,
+    reversed on an odd ``rep``; run.setup_sample reads run.SRC at call
+    time."""
+    times = [0.0] * len(srcs)
+    for i in range(len(srcs))[::-1 if rep % 2 else 1]:
+        run.SRC = Path(srcs[i]).resolve()
+        times[i] = run.setup_sample(config, seeds)
+    return times
+
+
 def compare(a_src, b_src, workload, seconds, reps):
     config = run.WORKLOADS[workload][0]
     seeds = run.channel_seeds(workload, seconds)
@@ -123,8 +138,10 @@ def compare(a_src, b_src, workload, seconds, reps):
     b = Side(load_tree(b_src, "sensesec_b"), config, seeds)
     aa = Side(load_tree(a_src, "sensesec_aa"), config, seeds)
     times = {pair: [[0.0, 0.0] for _ in range(reps)] for pair in ("ab", "aa")}
+    setups = []                 # (A, B, copy of A) seconds per repetition
     parity = []
     for rep in range(reps):
+        setups.append(setup_times([a_src, b_src, a_src], config, seeds, rep))
         for i, channel_seed in enumerate(seeds):
             for pair, second in (("ab", b), ("aa", aa)):
                 sides = [(0, a), (1, second)]
@@ -147,6 +164,8 @@ def compare(a_src, b_src, workload, seconds, reps):
                    "per_design": parity},
         "ab": ratio_summary([tb / ta for ta, tb in times["ab"]]),
         "aa": ratio_summary([tb / ta for ta, tb in times["aa"]]),
+        "setup": {"ab": ratio_summary([tb / ta for ta, tb, _ in setups]),
+                  "aa": ratio_summary([tc / ta for ta, _, tc in setups])},
     }
 
 
