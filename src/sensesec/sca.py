@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -373,16 +372,15 @@ def _start_values(mats, cfg, eve_row):
 
 def _warm_start(problem, res, anchor, beam_margin):
     """Per-user matrices that start the subproblem after ``problem``, whose
-    solve returned ``res``: the deepest centered stage point of that solve
-    whose ``beam_margin``, the smallest slack of the beam rows, is at least
-    ANCHOR_BLEND times the anchor's, else its final iterate blended toward
-    the anchor.  The margin is a minimum of affine slacks and smallest
-    eigenvalues, so it is concave, and the blend keeps at least ANCHOR_BLEND
-    times the anchor's margin: it is the last candidate of the same rule.
-    A point of the central path far enough from the boundary restarts the
-    perturbed problem better than the final, near-boundary iterate (Gondzio
-    & Grothey, SIAM J. Optim. 2003; Yildirim & Wright, SIAM J. Optim.
-    2002)."""
+    solve returned ``res``: the deepest centered stage point in that solve's
+    history whose ``beam_margin``, the smallest slack of the beam rows, is
+    at least ANCHOR_BLEND times the anchor's, else its final iterate blended
+    toward the anchor.  The margin is a minimum of affine slacks and
+    smallest eigenvalues, so it is concave, and the blend keeps at least
+    ANCHOR_BLEND times the anchor's margin without a test.  A point of the
+    central path far enough from the boundary restarts the perturbed problem
+    better than the final, near-boundary iterate (Gondzio & Grothey, SIAM J.
+    Optim. 2003; Yildirim & Wright, SIAM J. Optim. 2002)."""
     def mats(values):
         return [values[f"W{k}"] for k in range(len(anchor))]
 
@@ -390,9 +388,10 @@ def _warm_start(problem, res, anchor, beam_margin):
     blend = [(1.0 - ANCHOR_BLEND) * m + ANCHOR_BLEND * a
              for m, a in zip(mats(res.values), anchor)]
     # Deepest first, unpacked only as far as the search reads.
-    points = (mats(problem.unpack(x)) for _, x in reversed(res.stage_points))
-    return next((start for start in chain(points, [blend])
-                 if beam_margin(start) >= floor), blend)
+    points = (mats(problem.unpack(x)) for *_, x in reversed(res.history)
+              if x is not None)
+    return next((start for start in points if beam_margin(start) >= floor),
+                blend)
 
 
 def _extract_solution(values, channels, stats_r, stats_e, cfg, eve_bound,
@@ -544,7 +543,6 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
 
     prev_mi = None
     start = anchor
-    statuses = []                # of every subproblem solve, in order
     for itn in range(1, MAX_OUTER_ITERS + 1):
         if itn > 1:
             state = SCAState([m.copy() for m in weight_mats],
@@ -554,7 +552,6 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
         eve_row = _eve_row(state, stats_e, cfg)
         problem = build_subproblem_no_an(state, channels, stats_r, eve_row, cfg)
         res = solve(problem, initial=_start_values(start, cfg, eve_row))
-        statuses.append(res.status)
         result_values = res.values
         weight_mats = [result_values[name] for name in names]
         r_x = transmit_covariance(weight_mats)
@@ -609,6 +606,7 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     if trace.certified:
         sol.certified = True
         return sol, trace
+    statuses = [row.solver_status for row in trace.rows]
     statuses.append("optimal" if trace.converged_at is not None else "max-iter")
     sol = _extract_solution(result_values, channels, stats_r, stats_e, cfg,
                             eve_row.bound, rng, _first_failure(statuses))

@@ -256,11 +256,10 @@ class SolverResult:
     feas_residual: float
     iterations: int
     status: str        # optimal | max-iter | stage-cap | line-search-failed
+    # (t, objective, newton_steps, point) of every barrier stage: point is
+    # its centered iterate before the predictor step, in real coordinates
+    # (ConicSubproblem.unpack reads it), or None if it did not end centered.
     history: list = field(default_factory=list)
-    # (t, x) of every stage that ended centered, in stage order: the point
-    # before the predictor step, centered at t to its stage tolerance, in
-    # the problem's real coordinates (ConicSubproblem.unpack reads them).
-    stage_points: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +306,6 @@ class _RealBlock:
         self._expand = (None if np.array_equal(self.rows, np.arange(m))
                         else (self.rows, self.rows[:, None] * k + self.rows))
         self._stacked = self.mats.reshape(k * d, d)                 # [S_g; ...]
-        self._side_by_side = np.ascontiguousarray(
-            self.mats.transpose(1, 0, 2)).reshape(d, k * d)        # [S_g ...]
 
     @property
     def dim(self):
@@ -347,10 +344,10 @@ class _RealBlock:
         every coordinate of the block, with the batch axis of ``chol``
         leading.
 
-        Both come from G = F^-1 = L^-H L^-1 on the distinct rows.  For
-        Hermitian S, Re tr(G S) is the real dot product of G and S, and
-        Re tr(G S_g G S_h) that of G S_g and S_h G, the conjugate transpose
-        of G S_h.
+        Both come from G = F^-1 = L^-H L^-1 and one product S_g G per
+        distinct row.  For Hermitian S, Re tr(G S) is the real dot product
+        of G and S, and Re tr(G S_g G S_h) that of G S_g, the conjugate
+        transpose of S_g G, and S_h G.
         """
         d, k = self.dim, len(self._distinct_flat)
         batch = chol.shape[:-2]
@@ -358,11 +355,10 @@ class _RealBlock:
         g = linv.conj().swapaxes(-1, -2) @ linv
         gvec = g.reshape(batch + (d * d,)).view(np.float64) \
             @ self._distinct_flat.T
-        sg = (self._stacked @ g).reshape(batch + (k, d * d))          # S_g G
-        gs = (g @ self._side_by_side).reshape(batch + (d, k, d))     # G S_g
-        gs = np.ascontiguousarray(gs.swapaxes(-2, -3))
-        gram = gs.reshape(batch + (k, d * d)).view(np.float64) \
-            @ sg.view(np.float64).swapaxes(-1, -2)
+        sg = (self._stacked @ g).reshape(batch + (k, d, d))          # S_g G
+        gs = sg.conj().swapaxes(-1, -2).reshape(batch + (k, d * d))  # G S_g
+        gram = gs.view(np.float64) \
+            @ sg.reshape(gs.shape).view(np.float64).swapaxes(-1, -2)
         if self._expand is None:
             return gvec, gram, linv
         inv, pairs = self._expand
@@ -627,15 +623,15 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
     after a step that does not lower the merit, and the solve after a step
     at which ``early_stop`` holds.
 
-    A stage that stopped on its tolerance records its point, with its t, in
-    ``points`` and starts the next stage at the exact minimizer of the next
-    stage's merit along the central-path tangent (_predict), the tangent
-    solved with the factor of its last Newton system.  The points are the
-    iterates themselves, not copies: x is rebound, never changed in place.
-    The status is "max-iter" when the step budget ran out, else "stage-cap"
-    or "line-search-failed" when the last failing stage hit its step cap or
-    found no step, else "optimal".
-    Returns (x, Newton steps, status, history, points)."""
+    A stage that stopped on its tolerance records its point in its
+    ``history`` entry and starts the next stage at the exact minimizer of
+    the next stage's merit along the central-path tangent (_predict), the
+    tangent solved with the factor of its last Newton system.  The points
+    are the iterates themselves, not copies: x is rebound, never changed in
+    place.  The status is "max-iter" when the step budget ran out, else
+    "stage-cap" or "line-search-failed" when the last failing stage hit its
+    step cap or found no step, else "optimal".  Returns (x, Newton steps,
+    status, history), with a (t, objective, steps, point or None) per stage."""
     x = x0.copy()
     t = t0
     degree = bp.gap_degree()
@@ -644,7 +640,7 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
     centering_only = bp.centering_only
     tol = NEWTON_TOL if centering_only else CENTERING_TOL
     total_newton = 0
-    history, points = [], []
+    history = []
     status = "optimal"
     while True:
         last_stage = degree / t <= obj_tol or centering_only
@@ -686,16 +682,14 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
                 break
         else:
             status = "stage-cap"
-        obj = bp.objective_value(x)
-        history.append((t, obj, stage_newton))
-        if centered:
-            points.append((t, x))
+        history.append((t, bp.objective_value(x), stage_newton,
+                        x if centered else None))
         if status == "max-iter" or last_stage:
             break
         if centered:
             x = _predict(bp, x, t, tangent)
         t *= BARRIER_GROWTH
-    return x, total_newton, status, history, points
+    return x, total_newton, status, history
 
 
 def _predict(bp, x, t, tangent):
@@ -872,10 +866,10 @@ def _find_strictly_feasible(bp, hint=None):
 
     # The first stage aims at a duality gap equal to the start's slack.
     t0 = relaxed.gap_degree() / start[-1]
-    x_ext, _, status, _, _ = _run_barrier(relaxed, start, t0=t0,
-                                          obj_tol=PHASE1_MARGIN,
-                                          max_iters=PHASE1_MAX_STEPS,
-                                          early_stop=done)
+    x_ext, _, status, _ = _run_barrier(relaxed, start, t0=t0,
+                                       obj_tol=PHASE1_MARGIN,
+                                       max_iters=PHASE1_MAX_STEPS,
+                                       early_stop=done)
     x, slack = x_ext[:bp.n], float(x_ext[-1])
     if slack <= -PHASE1_MARGIN and bp.strict_margin(x) >= PHASE1_MARGIN:
         return x
@@ -910,10 +904,11 @@ def solve(problem, initial=None):
     first moves to its exact minimizer of the merit with the other
     coordinates held fixed (_center_free_coordinates): a slack started at a
     small pad would otherwise cost the first stage one Newton step per
-    doubling.  Returns a SolverResult whose objective is
-    in the original complex log-det units and whose ``stage_points`` hold
-    the centered point of every stage, the warm starts that interior-point
-    reoptimization draws on (Gondzio & Grothey, SIAM J. Optim. 2003).
+    doubling.  Returns a SolverResult whose objective, in the original
+    complex log-det units, is the last stage's in ``history``, and whose
+    ``history`` holds the centered point of every stage that ended
+    centered, the warm starts that interior-point reoptimization draws on
+    (Gondzio & Grothey, SIAM J. Optim. 2003).
     """
     bp = BarrierProblem(problem)
     hint = problem.pack(initial) if initial is not None else None
@@ -923,15 +918,14 @@ def solve(problem, initial=None):
     if warm:
         t0 = _central_t(bp, x0)
         x0 = _center_free_coordinates(bp, x0, t0)
-    x, iters, status, history, points = _run_barrier(
+    x, iters, status, history = _run_barrier(
         bp, x0, t0=t0, obj_tol=OBJ_TOL, max_iters=MAX_NEWTON_STEPS)
     residual = max(-bp.strict_margin(x), 0.0)
     if status == "optimal" and residual > FEAS_TOL:
         status = "max-iter"
     return SolverResult(values=problem.unpack(x),
-                        objective=bp.objective_value(x),
+                        objective=history[-1][1],
                         feas_residual=residual,
                         iterations=iters,
                         status=status,
-                        history=history,
-                        stage_points=points)
+                        history=history)

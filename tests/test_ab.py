@@ -24,8 +24,10 @@ def test_ab_reports_parity_and_ratios_of_one_tree_against_itself():
 
     parity = report["parity"]
     assert parity["designs"] == 1 and parity["equal"] is True
+    assert parity["identical"] is True
     (design,) = parity["per_design"]
     assert design["channel_seed"] == 1 and design["equal"] is True
+    assert design["identical"] is True
     assert design["a"] == design["b"]
     assert set(design["a"]) == {"status", "outer_iters", "newton_steps",
                                 "anchor_newton_steps", "mi_legit", "mi_eve"}

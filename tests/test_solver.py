@@ -372,6 +372,9 @@ class TestSolveScalar:
         res = solve(scalar_logdet_problem(-0.25))
         objs = [row[1] for row in res.history]
         assert all(b >= a - 1e-9 for a, b in zip(objs, objs[1:]))
+        # The result reads its objective and step count from the record.
+        assert res.objective == res.history[-1][1]
+        assert res.iterations == sum(steps for _, _, steps, _ in res.history)
 
 
 class TestSolveMatrixVariable:
@@ -681,7 +684,7 @@ def stage_decrements(history, directions):
     ``history``: [(steps taken, [lambda^2 / 2, ...])].  A stage stopped by
     its Newton tolerance computed one direction more than it took steps."""
     stages, pos = [], 0
-    for t, _, steps in history:
+    for t, _, steps, _ in history:
         end = pos
         while end < len(directions) and directions[end][0] == t:
             end += 1
@@ -731,12 +734,13 @@ def test_stage_points_are_interior_and_centered_at_their_own_t(seed):
     # stage order; every one still centered at its t, so the loop rebound
     # the iterate and never changed a recorded point in place.
     bp = BarrierProblem(prob)
-    stage_ts = [t for t, _, _ in res.history]
-    point_ts = [t for t, _ in res.stage_points]
+    stage_ts = [t for t, *_ in res.history]
+    points = [(t, x) for t, _, _, x in res.history if x is not None]
+    point_ts = [t for t, _ in points]
     assert len(point_ts) >= 6 and point_ts[-1] == stage_ts[-1]
     assert point_ts == [t for t in stage_ts if t in point_ts]
-    assert np.array_equal(prob.pack(res.values), res.stage_points[-1][1])
-    for t, x in res.stage_points:
+    assert np.array_equal(prob.pack(res.values), points[-1][1])
+    for t, x in points:
         assert bp.in_domain(x) and bp.strict_margin(x) > 0.0
         _, grad, hess = bp.merit_derivatives(x, t)
         _, lam2 = solver._newton_direction(hess, grad)
@@ -831,7 +835,7 @@ def test_start_t_of_a_centered_point_is_its_own_t(seed, monkeypatch):
     # NEWTON_TOL the leftover gradient alone moves the estimate by up to
     # 1.6e-5 relative on these instances.
     monkeypatch.setattr(solver, "CENTERING_TOL", 0.0)
-    x, _, status, history, _ = solver._run_barrier(
+    x, _, status, history = solver._run_barrier(
         bp, _find_strictly_feasible(bp), t0=1e4,
         obj_tol=bp.gap_degree() / 1e4, max_iters=solver.MAX_NEWTON_STEPS)
     assert status == "optimal" and len(history) == 1
@@ -862,7 +866,7 @@ def test_last_stage_in_the_quadratic_phase_keeps_the_objective(seed,
     # decrement first reaches CENTERING_TOL, then continues from there.
     bp = BarrierProblem(prob)
     monkeypatch.setattr(solver, "CENTERING_TOL", solver.NEWTON_TOL)
-    x, steps, status, history, _ = solver._run_barrier(
+    x, steps, status, history = solver._run_barrier(
         bp, prob.pack(res.values), t0=t_last,
         obj_tol=bp.gap_degree() / t_last, max_iters=solver.MAX_NEWTON_STEPS)
     assert res.status == status == "optimal" and len(history) == 1
@@ -1014,7 +1018,7 @@ def line_value(line, alpha):
 
 def one_step(bp, x, t):
     """The iterate after _run_barrier's first Newton step from x at t."""
-    stepped, steps, status, _, _ = solver._run_barrier(
+    stepped, steps, status, _ = solver._run_barrier(
         bp, x, t0=t, obj_tol=bp.gap_degree() / t, max_iters=1)
     assert steps == 1 and status == "max-iter"
     return stepped

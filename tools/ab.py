@@ -16,15 +16,18 @@ on A and B back to back, then on A and its copy, and the order within each
 pair alternates with the parity of repetition + design.  A repetition's
 ratio is the sum of B's design times over A's (A/A: the copy's over A's).
 Each repetition also times run.py's setup_s, the import and panel build,
-once per side in fresh processes (run.setup_sample with run.SRC set to the
-side's tree), in the order A, B, copy, reversed on odd repetitions.
+in fresh processes (run.setup_sample with run.SRC set to the side's tree):
+SETUP_SAMPLES rounds of A, B, copy, each round reversed on odd repetitions,
+and each side's time is the median of its samples.
 
 The one line of JSON on stdout reports per-design parity, from the first
-repetition: status, outer iterations, subproblem and anchor Newton steps and
-both MIs within MI_TOL nats; and for A/B and A/A the ratios' median,
-quartiles (statistics.quantiles, inclusive) and the number of repetitions
-in which the second side was faster, of the design times under "ab" and
-"aa" and of the setup times under "setup".  BLAS is pinned to one thread.
+repetition: "equal" when status, outer iterations, subproblem and anchor
+Newton steps agree and both MIs lie within MI_TOL nats, "identical" when
+every field, the MIs included, is exactly equal; and for A/B and A/A the
+ratios' median, quartiles (statistics.quantiles, inclusive) and the number
+of repetitions in which the second side was faster, of the design times
+under "ab" and "aa" and of the setup times under "setup".  BLAS is pinned
+to one thread.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import run  # noqa: E402
 
 MI_TOL = 1e-9
+SETUP_SAMPLES = 3   # fresh-process setup samples per side and repetition
 SEED = 1        # each design's stream, as run.py --seed 1 draws it
 SUBMODULES = ("linalg", "channels", "metrics", "solver", "sca")
 
@@ -121,14 +125,15 @@ def ratio_summary(ratios):
 
 
 def setup_times(srcs, config, seeds, rep):
-    """Seconds of run.setup_sample on each tree of ``srcs``, in that order,
-    reversed on an odd ``rep``; run.setup_sample reads run.SRC at call
-    time."""
-    times = [0.0] * len(srcs)
-    for i in range(len(srcs))[::-1 if rep % 2 else 1]:
-        run.SRC = Path(srcs[i]).resolve()
-        times[i] = run.setup_sample(config, seeds)
-    return times
+    """Median seconds of SETUP_SAMPLES run.setup_sample calls on each tree of
+    ``srcs``, sampled in rounds over the trees in that order, reversed on an
+    odd ``rep``; run.setup_sample reads run.SRC at call time."""
+    samples = [[] for _ in srcs]
+    for _ in range(SETUP_SAMPLES):
+        for i in range(len(srcs))[::-1 if rep % 2 else 1]:
+            run.SRC = Path(srcs[i]).resolve()
+            samples[i].append(run.setup_sample(config, seeds))
+    return [statistics.median(times) for times in samples]
 
 
 def compare(a_src, b_src, workload, seconds, reps):
@@ -154,6 +159,7 @@ def compare(a_src, b_src, workload, seconds, reps):
                 if rep == 0 and pair == "ab":
                     parity.append({"channel_seed": channel_seed,
                                    "equal": same_design(*outcomes),
+                                   "identical": outcomes[0] == outcomes[1],
                                    "a": outcomes[0], "b": outcomes[1]})
     return {
         "workload": workload, "seconds": seconds, "seed": SEED,
@@ -161,6 +167,7 @@ def compare(a_src, b_src, workload, seconds, reps):
         "blas_threads": {k: os.environ.get(k) for k in run.BLAS_ENV},
         "parity": {"designs": len(parity),
                    "equal": all(p["equal"] for p in parity),
+                   "identical": all(p["identical"] for p in parity),
                    "per_design": parity},
         "ab": ratio_summary([tb / ta for ta, tb in times["ab"]]),
         "aa": ratio_summary([tb / ta for ta, tb in times["aa"]]),
