@@ -394,14 +394,13 @@ def _warm_start(problem, res, anchor, beam_margin):
                 blend)
 
 
-def _extract_solution(values, channels, stats_r, stats_e, cfg, eve_bound,
-                      rng, status):
-    """Rank-one beams from the relaxed solution plus re-verified metrics,
-    with ``eve_bound`` the Eve bound of the last solved subproblem
-    (_eve_row); beams that miss a limit report "limits-violated" after any
-    earlier failure."""
-    n_users = cfg.n_users
-    weight_mats = [values[f"W{k}"] for k in range(n_users)]
+def _extract_solution(weight_mats, channels, stats_r, stats_e, cfg, eve_bound,
+                      rng):
+    """Rank-one beams from the relaxed per-user matrices plus re-verified
+    metrics, with ``eve_bound`` the Eve bound of the last solved subproblem
+    (_eve_row).  The status is this step's own: "randomization-failed", else
+    "limits-violated", else "optimal"; run_sca_no_an composes the design's."""
+    status = "optimal"
     certs = np.array([rank_one_certificate(w) for w in weight_mats])
     weights = [math.sqrt(max(float(np.real(np.trace(wmat))), 0.0))
                * _top_direction(wmat) for wmat in weight_mats]
@@ -410,7 +409,7 @@ def _extract_solution(values, channels, stats_r, stats_e, cfg, eve_bound,
         drawn = _gaussian_randomization(weight_mats, channels, stats_r,
                                         stats_e, cfg, rng)
         if drawn is None:
-            status = _first_failure([status, "randomization-failed"])
+            status = "randomization-failed"
         else:
             weights = drawn
 
@@ -506,15 +505,13 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     solution that is not rank one, so a rank-one design depends on the
     scenario alone.  The trace records the true metrics of every accepted
     iterate, recomputed from the metrics module rather than trusted from the
-    solver.  The solution's status is "optimal" only when the loop
-    converged, every solve returned "optimal" and the returned beams meet
-    the power, SINR and Eve limits (_meets_limits); otherwise it is the
-    first failure: a solve's status, "max-iter" for a loop that did not
-    converge, "randomization-failed" when no randomization draw was
-    feasible, or "limits-violated".  An infinite ``cfg.eve_mi_cap`` designs
-    without the eavesdropper constraint.  Raises ValueError when
-    ``channels`` does not hold one (n_tx,) vector per user, or when
-    ``stats_r`` or ``stats_e`` describes another number of antennas.
+    solver.  The solution's status is composed once, after the loop: the
+    first failure among the solves' statuses, "max-iter" for a loop that did
+    not converge and _extract_solution's own status ("randomization-failed"
+    or "limits-violated", _meets_limits), else "optimal".  An infinite
+    ``cfg.eve_mi_cap`` designs without the eavesdropper constraint.  Raises
+    ValueError when ``channels`` does not hold one (n_tx,) vector per user,
+    or when ``stats_r`` or ``stats_e`` describes another number of antennas.
     """
     shapes = [np.shape(link) for link in channels]
     if shapes != [(cfg.n_tx,)] * cfg.n_users:
@@ -552,8 +549,7 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
         eve_row = _eve_row(state, stats_e, cfg)
         problem = build_subproblem_no_an(state, channels, stats_r, eve_row, cfg)
         res = solve(problem, initial=_start_values(start, cfg, eve_row))
-        result_values = res.values
-        weight_mats = [result_values[name] for name in names]
+        weight_mats = [res.values[name] for name in names]
         r_x = transmit_covariance(weight_mats)
         mi_r = sensing_mi(stats_r, r_x, cfg.frame_len)
         mi_e = sensing_mi(stats_e, r_x, cfg.frame_len)
@@ -567,8 +563,8 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
                 and (eve_row.relaxed or surrogate < cfg.eve_mi_cap)
                 and all(rank_one_certificate(m) >= RANK_ONE_THRESHOLD
                         for m in weight_mats)):
-            sol = _extract_solution(result_values, channels, stats_r, stats_e,
-                                    cfg, eve_row.bound, rng, res.status)
+            sol = _extract_solution(weight_mats, channels, stats_r, stats_e,
+                                    cfg, eve_row.bound, rng)
             gap = mi_r - sol.mi_legit
             trace.certified = (sol.status == "optimal" and gap <= OBJ_TOL
                                and sol.mi_eve <= cfg.eve_mi_cap)
@@ -603,13 +599,13 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
             break
         prev_mi = mi_r
 
-    if trace.certified:
-        sol.certified = True
-        return sol, trace
-    statuses = [row.solver_status for row in trace.rows]
-    statuses.append("optimal" if trace.converged_at is not None else "max-iter")
-    sol = _extract_solution(result_values, channels, stats_r, stats_e, cfg,
-                            eve_row.bound, rng, _first_failure(statuses))
+    if not trace.certified:
+        sol = _extract_solution(weight_mats, channels, stats_r, stats_e, cfg,
+                                eve_row.bound, rng)
+    loop = "optimal" if trace.converged_at is not None else "max-iter"
+    sol.status = _first_failure(
+        [row.solver_status for row in trace.rows] + [loop, sol.status])
+    sol.certified = trace.certified
     return sol, trace
 
 

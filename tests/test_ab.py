@@ -30,7 +30,8 @@ def test_ab_reports_parity_and_ratios_of_one_tree_against_itself():
     assert design["identical"] is True
     assert design["a"] == design["b"]
     assert set(design["a"]) == {"status", "outer_iters", "newton_steps",
-                                "anchor_newton_steps", "mi_legit", "mi_eve"}
+                                "anchor_newton_steps", "certified",
+                                "mi_legit", "mi_eve"}
     assert design["a"]["status"] == "optimal"
 
     assert set(report["setup"]) == {"ab", "aa"}

@@ -823,7 +823,7 @@ def test_blend_keeps_anchor_blend_of_the_anchor_margin(channel_seed,
     # anchor.
     final = solver.SolverResult(
         values={f"W{k}": m for k, m in enumerate(sol.weight_mats)},
-        objective=0.0, feas_residual=0.0, iterations=0, status="optimal")
+        objective=0.0, iterations=0, status="optimal")
     margin = beam_margin_of(links, cfg)
     blend = sca._warm_start(None, final, anchor, margin)
 
@@ -896,6 +896,40 @@ def test_anchor_beyond_the_phase_one_box_designs():
     sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
     assert sol.status == "optimal" and trace.converged_at == len(trace.rows)
     assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
+
+
+@pytest.mark.parametrize("channel_seed, status", [
+    (1, "line-search-failed"), (2, "optimal"), (3, "optimal")])
+def test_ten_gigawatt_solves_report_the_barrier_status(channel_seed, status,
+                                                       monkeypatch):
+    # The 1e9 W scenario above scaled by 10, where eigenvalue round-off of
+    # order eps * 1e10 W exceeds any absolute feasibility tolerance.  Every
+    # point a barrier solve returns passed its domain test, so a status names
+    # the barrier's own outcome, and "max-iter" only a spent step budget.
+    # Channel seed 1's late subproblems still end "line-search-failed".
+    calls = []
+    solve = sca.solve
+
+    def recording_solve(problem, initial=None):
+        res = solve(problem, initial=initial)
+        calls.append((problem, res))
+        return res
+
+    monkeypatch.setattr(sca, "solve", recording_solve)
+    cfg = channels.ScenarioConfig(power_budget=1e10, noise_comm=1e5,
+                                  eve_mi_cap=math.inf)
+    links, stats_r, stats_e = channels.build_scenario(cfg,
+                                                      RngState(channel_seed))
+    sol, _ = sca.run_sca_no_an(links, stats_r, stats_e, cfg,
+                               RngState(channel_seed))
+    for problem, res in calls:
+        x = problem.pack(res.values)
+        assert solver.BarrierProblem(problem).in_domain(x)
+        assert (res.status != "max-iter"
+                or res.iterations >= solver.MAX_NEWTON_STEPS)
+    assert sol.status == status
+    if status == "optimal":
+        assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
 
 
 def test_infinite_eve_cap_drops_the_eve_constraint(solver_results):
@@ -1279,10 +1313,9 @@ def test_one_milliwatt_design_certifies_within_the_solver_gap(monkeypatch):
     # cap-free SDR bounds every design.
     extract = sca._extract_solution
 
-    def shrunk_extract(values, *args):
+    def shrunk_extract(weight_mats, *args):
         scale = (1.0 - 3e-8) ** 2
-        return extract({name: scale * value if name.startswith("W") else value
-                        for name, value in values.items()}, *args)
+        return extract([scale * m for m in weight_mats], *args)
 
     monkeypatch.setattr(sca, "_extract_solution", shrunk_extract)
     cfg = channels.ScenarioConfig(power_budget=1e-3)

@@ -432,7 +432,7 @@ class TestSolveMatrixVariable:
         assert np.min(np.linalg.eigvalsh(w)) >= -1e-7
         assert np.min(np.linalg.eigvalsh(g0 - w)) >= -1e-7
         assert np.real(np.trace(w)) <= 1.5 + 1e-7
-        assert res.feas_residual <= 1e-7
+        assert BarrierProblem(prob).in_domain(prob.pack(res.values))
 
 
 class TestPhase1:
