@@ -216,7 +216,8 @@ def build_subproblem_no_an(state, channels, stats_r, eve_row, cfg):
 
     # Eavesdropper constraint (_eve_row), slacked by a penalized kappa >= 0.
     if eve_row.grad is not None:
-        prob.add_scalar("kappa", lower=0.0)
+        prob.add_hermitian("kappa", 1)
+        prob.add_ineq(prob.scalar_map({"kappa": -1.0}), 0.0)
         penalty["kappa"] = -state.eve_weight
         eve_weights = prob.scalar_map(
             {**dict.fromkeys(mat_names, hermitian_weights(eve_row.grad)),

@@ -1,7 +1,7 @@
 """Self-contained barrier interior-point solver for small conic subproblems:
-maximize a concave log-det-plus-linear objective over complex Hermitian and
-real scalar variables subject to affine inequalities and linear matrix
-inequalities.
+maximize a concave log-det-plus-linear objective over complex Hermitian
+variables, a real scalar being a 1 x 1 one, subject to affine inequalities
+and linear matrix inequalities.
 
 Problems are declared at the complex level (ConicSubproblem) by the
 coefficients of their affine maps, as in MAXDET (Vandenberghe, Boyd & Wu
@@ -58,14 +58,9 @@ class InfeasibleError(SolverError):
 # ---------------------------------------------------------------------------
 # Variable blocks and coordinate packing
 
-KIND_HERMITIAN = "hermitian"
-KIND_SCALAR = "scalar"
-
-
 @dataclass(frozen=True)
 class VarBlock:
     name: str
-    kind: str
     dim: int
     offset: int
     size: int
@@ -113,14 +108,15 @@ class ConicSubproblem:
     a linear functional plus at most one log-det, of an affine matrix map,
     subject to linear rows and LMIs.
 
-    A matrix map is stated by one complex Hermitian coefficient per real
-    coordinate of each variable, or sum of variables, that it involves, in
-    packing order, and declared as the _RealBlock that the barrier
-    evaluates (matrix_map, add_psd); a linear functional by its dense real
-    weights over the coordinates declared so far (scalar_map).  ``ineqs``
-    holds (weights, rhs) pairs, ``lmis`` the LMI blocks and ``objective``
-    (linear, logdet).  Packing order is private to this module;
-    hermitian_basis and hermitian_weights build coefficients in it.
+    Every variable is complex Hermitian, a real scalar 1 x 1 (add_hermitian).
+    A matrix map is stated by one Hermitian coefficient per real coordinate
+    of each variable, or sum of variables, that it involves, in packing
+    order, and declared as the _RealBlock that the barrier evaluates
+    (matrix_map, add_psd); a linear functional by its dense real weights over
+    the coordinates declared so far (scalar_map).  ``ineqs`` holds (weights,
+    rhs) pairs, ``lmis`` the LMI blocks and ``objective`` (linear, logdet).
+    Packing order is private to this module; hermitian_basis and
+    hermitian_weights build coefficients in it.
     """
 
     def __init__(self):
@@ -132,21 +128,13 @@ class ConicSubproblem:
 
     # -- variable declaration
 
-    def _add_block(self, name, kind, dim, size):
+    def add_hermitian(self, name, dim):
+        """A dim x dim Hermitian variable; dim 1 declares a real scalar."""
         if name in self._blocks:
             raise ValueError(f"duplicate variable name {name!r}")
-        blk = VarBlock(name, kind, dim, self.n, size)
+        blk = VarBlock(name, dim, self.n, dim * dim)
         self._blocks[name] = blk
-        self.n += size
-        return blk
-
-    def add_hermitian(self, name, dim):
-        return self._add_block(name, KIND_HERMITIAN, dim, dim * dim)
-
-    def add_scalar(self, name, lower=None):
-        blk = self._add_block(name, KIND_SCALAR, 1, 1)
-        if lower is not None:
-            self.add_ineq(self.scalar_map({name: -1.0}), -float(lower))
+        self.n += blk.size
         return blk
 
     @property
@@ -156,25 +144,21 @@ class ConicSubproblem:
     # -- packing between named complex values and the real coordinate vector
 
     def pack(self, values):
+        """Coordinates of (dim, dim) values, a plain number for a 1 x 1 one."""
         x = np.zeros(self.n)
         for blk in self.blocks:
-            val = values[blk.name]
-            sl = slice(blk.offset, blk.offset + blk.size)
-            if blk.kind == KIND_HERMITIAN:
-                x[sl] = pack_hermitian(val)
-            else:
-                x[sl] = float(val)
+            val = np.asarray(values[blk.name], dtype=complex)
+            shape = (blk.dim, blk.dim)
+            if val.shape != shape and (val.shape, shape) != ((), (1, 1)):
+                raise ValueError(f"variable {blk.name!r} needs shape {shape}, "
+                                 f"got {val.shape}")
+            x[blk.offset:blk.offset + blk.size] = pack_hermitian(
+                val.reshape(shape))
         return x
 
     def unpack(self, x):
-        vals = {}
-        for blk in self.blocks:
-            sl = slice(blk.offset, blk.offset + blk.size)
-            if blk.kind == KIND_HERMITIAN:
-                vals[blk.name] = unpack_hermitian(x[sl], blk.dim)
-            else:
-                vals[blk.name] = float(x[sl][0])
-        return vals
+        return {blk.name: unpack_hermitian(
+            x[blk.offset:blk.offset + blk.size], blk.dim) for blk in self.blocks}
 
     # -- affine maps from coefficient stacks
 
@@ -208,7 +192,7 @@ class ConicSubproblem:
     def scalar_map(self, terms):
         """Dense weights a of x -> a . x over the coordinates declared so far;
         ``terms[name]`` holds the real weights of that variable's coordinates
-        (a plain number for a scalar variable), the rest weigh zero."""
+        (a plain number for a 1 x 1 variable), the rest weigh zero."""
         weights = np.zeros(self.n)
         for name, part in terms.items():
             blk = self._blocks[name]
@@ -233,11 +217,11 @@ class ConicSubproblem:
         dimension d, as one LMI block batched over them: coords (K, d^2), the
         hermitian_basis stack and a zero offset."""
         blks = [self._blocks[name] for name in names]
-        dims = {(blk.kind, blk.dim) for blk in blks}
-        if len(dims) != 1 or blks[0].kind != KIND_HERMITIAN:
+        dims = sorted({blk.dim for blk in blks})
+        if len(dims) != 1:
             raise ValueError(f"add_psd needs Hermitian variables of one "
-                             f"dimension, got (kind, dim) {sorted(dims)}")
-        dim = blks[0].dim
+                             f"dimension, got dimensions {dims}")
+        (dim,) = dims
         coords = np.stack([blk.offset + np.arange(blk.size) for blk in blks])
         self.add_lmi(_RealBlock(coords, hermitian_basis(dim),
                                 np.zeros((dim, dim), dtype=complex),
@@ -420,10 +404,7 @@ class BarrierProblem:
         """Max-sense objective in original (complex) units."""
         val = float(self.c @ x)
         for blk in self.obj_blocks:
-            chol = blk.chol(x)
-            if chol is None:
-                return -np.inf
-            val += blk.logdet(chol)
+            val += blk.logdet(blk.chol(x))
         return val
 
     # -- the barrier domain and the merit
@@ -553,9 +534,6 @@ def _newton_direction(hess, grad):
     sides below the gradient, (k, n); d then stacks -H^-1 of each row from
     one factorization, and lambda^2 is the first row's.  Scales ``hess`` in
     place."""
-    n = hess.shape[0]
-    if n == 0:
-        return np.zeros(np.shape(grad)), 0.0
     diag = np.abs(np.diag(hess))
     precond = 1.0 / np.sqrt(np.maximum(diag, 1e-30))
     hess *= precond[:, None]

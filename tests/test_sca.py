@@ -119,12 +119,12 @@ def test_every_subproblem_extends_the_beam_rows_problem(cap):
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
     rows_prob = sca._beam_rows_problem(links, cfg)
     state = sca.SCAState(sca._anchor_start(links, cfg), 0.0, sca.PENALTY_INIT)
-    sub_prob = sca.build_subproblem_no_an(
-        state, links, stats_r, sca._eve_row(state, stats_e, cfg), cfg)
+    eve_row = sca._eve_row(state, stats_e, cfg)
+    sub_prob = sca.build_subproblem_no_an(state, links, stats_r, eve_row, cfg)
     n_rows = 1 + cfg.n_users            # the power row and one SINR row each
 
     def layout(blocks):
-        return [(blk.name, blk.kind, blk.offset, blk.size) for blk in blocks]
+        return [(blk.name, blk.offset, blk.size) for blk in blocks]
 
     assert layout(sub_prob.blocks[:cfg.n_users]) == layout(rows_prob.blocks)
     assert [blk.name for blk in sub_prob.blocks[cfg.n_users:]] \
@@ -135,6 +135,17 @@ def test_every_subproblem_extends_the_beam_rows_problem(cap):
     assert np.array_equal(sub.b[:n_rows], rows.b)
     assert not np.any(sub.A[:n_rows, rows.n:])
     assert np.array_equal(sub.lmi_blocks[0].coords, rows.lmi_blocks[0].coords)
+    if math.isfinite(cap):
+        # Then kappa >= 0 as the row -kappa <= 0, and the Eve row after it.
+        unit = np.eye(sub.n)[sub_prob.blocks[-1].offset]
+        assert len(sub.b) == n_rows + 2
+        assert np.array_equal(sub.A[n_rows], -unit) and sub.b[n_rows] == 0.0
+        eve_weights = np.tile(solver.hermitian_weights(eve_row.grad),
+                              cfg.n_users)
+        assert np.array_equal(sub.A[n_rows + 1], np.append(eve_weights, -1.0))
+        assert sub.b[n_rows + 1] == eve_row.rhs
+    else:
+        assert len(sub.b) == n_rows
 
 
 @pytest.mark.parametrize("cfg", [TINY, channels.ScenarioConfig()],
@@ -384,7 +395,7 @@ def test_subproblem_maps_match_closed_forms():
         x = np.random.default_rng(0).standard_normal(prob.n)
         vals = prob.unpack(x)
         mats = [vals[f"W{k}"] for k in users]
-        kappa = vals["kappa"] if eve_row else 0.0
+        kappa = vals["kappa"][0, 0].real if eve_row else 0.0
         tx_cov = sum(mats)
 
         scale_r = cfg.frame_len / stats_r.noise_power
@@ -851,7 +862,7 @@ def test_tiny_subproblem_solution_meets_its_constraints(channel_seed):
     assert np.trace(tx_cov).real <= cfg.power_budget * (1.0 + 1e-6)
     eve_bound = metrics.sensing_mi_taylor_bound(stats_e, tx_cov, state.exp_cov,
                                                 cfg.frame_len)
-    assert eve_bound - res.values["kappa"] <= cfg.eve_mi_cap + 1e-6
+    assert eve_bound - res.values["kappa"][0, 0].real <= cfg.eve_mi_cap + 1e-6
 
 
 def test_design_status_reports_a_non_optimal_subproblem(monkeypatch):

@@ -72,7 +72,7 @@ def test_conic_subproblem_rejects_bad_declarations():
     prob = ConicSubproblem()
     prob.add_hermitian("W", 2)
     with pytest.raises(ValueError, match="duplicate variable name 'W'"):
-        prob.add_scalar("W")
+        prob.add_hermitian("W", 1)
     with pytest.raises(ValueError,
                        match="matrix map offset must be a square matrix"):
         prob.matrix_map(np.zeros((2, 3)), {"W": hermitian_basis(2)})
@@ -83,16 +83,54 @@ def test_conic_subproblem_rejects_bad_declarations():
         BarrierProblem(prob)
 
 
+def test_pack_rejects_a_value_of_another_shape():
+    # A (1, 1) value or a plain number would broadcast over a 2 x 2 W.
+    prob = ConicSubproblem()
+    prob.add_hermitian("W", 2)
+    for value, shape in (([[1.0]], r"\(1, 1\)"), (1.0, r"\(\)"),
+                         (np.eye(3), r"\(3, 3\)")):
+        with pytest.raises(ValueError,
+                           match=rf"'W' needs shape \(2, 2\), got {shape}"):
+            prob.pack({"W": value})
+
+
+def test_a_one_by_one_variable_packs_a_number_or_its_matrix():
+    prob = ConicSubproblem()
+    prob.add_hermitian("s", 1)
+    prob.add_hermitian("W", 2)
+    w = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
+    x = prob.pack({"s": -0.75, "W": w})
+    assert np.array_equal(prob.pack({"s": [[-0.75]], "W": w}), x)
+    assert np.array_equal(x, np.concatenate([[-0.75], pack_hermitian(w)]))
+    vals = prob.unpack(x)
+    assert vals["s"].shape == (1, 1) and vals["s"][0, 0] == -0.75
+    assert np.array_equal(vals["W"], w)
+
+
 def test_add_psd_needs_hermitian_variables_of_one_dimension():
     prob = ConicSubproblem()
     prob.add_hermitian("A", 2)
     prob.add_hermitian("B", 3)
-    prob.add_scalar("s")
-    for names in (["s"], ["A", "s"], ["A", "B"]):
+    prob.add_hermitian("s", 1)
+    for names in (["A", "s"], ["A", "B"]):
         with pytest.raises(ValueError,
                            match="Hermitian variables of one dimension"):
             prob.add_psd(names)
     assert prob.lmis == []
+
+
+def test_add_psd_over_one_by_one_variables_keeps_each_positive():
+    prob = ConicSubproblem()
+    prob.add_hermitian("s", 1)
+    prob.add_hermitian("t", 1)
+    prob.add_psd(["s", "t"])
+    (block,) = prob.lmis
+    assert block.coords.shape == (2, 1)
+    prob.set_objective()
+    bp = BarrierProblem(prob)
+    for s, t in [(1.0, 2.0), (1e-12, 3.0), (0.0, 1.0), (1.0, -1e-12),
+                 (-1.0, -1.0)]:
+        assert bp.in_domain(prob.pack({"s": s, "t": t})) == (s > 0 < t)
 
 
 def test_real_block_gradient_and_gram_match_direct_loops():
@@ -167,7 +205,8 @@ def test_barrier_derivatives_match_finite_differences():
     from sensesec.solver import BarrierProblem
     prob = ConicSubproblem()
     prob.add_hermitian("W", 3)
-    prob.add_scalar("rho", lower=0.0)
+    prob.add_hermitian("rho", 1)
+    prob.add_ineq(prob.scalar_map({"rho": -1.0}), 0.0)
 
     # W >= 0 and a slacked rank tie tr W - u^H W u <= rho, rho penalized.
     prob.add_lmi(prob.matrix_map(np.zeros((3, 3)), {"W": hermitian_basis(3)}))
@@ -198,9 +237,10 @@ def stacked_inequality_problem():
     prob = ConicSubproblem()
     prob.add_hermitian("W0", 2)
     prob.add_hermitian("W1", 2)
-    prob.add_scalar("y", lower=0.0)
+    prob.add_hermitian("y", 1)
+    prob.add_ineq(prob.scalar_map({"y": -1.0}), 0.0)
     prob.add_ineq(prob.scalar_map({"y": 1.0}), 3.0)
-    prob.add_scalar("z")
+    prob.add_hermitian("z", 1)
     # A log-det of W0 + W1: the same coefficients on both.
     legit = np.stack([random_psd(rng, 3) for _ in range(4)])
     tx_cov = prob.matrix_map(np.eye(3), {("W0", "W1"): legit})
@@ -235,7 +275,8 @@ def test_batched_schur_lmi_derivatives_match_finite_differences():
     prob = ConicSubproblem()
     for k in range(2):
         prob.add_hermitian(f"W{k}", 3)
-    prob.add_scalar("rho", lower=0.0)
+    prob.add_hermitian("rho", 1)
+    prob.add_ineq(prob.scalar_map({"rho": -1.0}), 0.0)
     # Two LMIs W_k >= 0 in one batched block, and slacked rank ties
     # tr W_k - u_k^H W_k u_k <= rho sharing one penalized rho.
     prob.add_psd(["W0", "W1"])
@@ -322,7 +363,8 @@ def test_merit_paths_share_one_domain_and_value(domain_cases, case):
 def scalar_logdet_problem(lin_coef):
     """maximize log(1 + x) + lin_coef * x, x >= 0 (variable bounded below)."""
     prob = ConicSubproblem()
-    prob.add_scalar("x", lower=0.0)
+    prob.add_hermitian("x", 1)
+    prob.add_ineq(prob.scalar_map({"x": -1.0}), 0.0)
     mmap = prob.matrix_map(np.eye(1), {"x": [np.eye(1)]})
     lin = prob.scalar_map({"x": lin_coef})
     prob.set_objective(linear=lin, logdet=mmap)
@@ -333,26 +375,27 @@ class TestSolveScalar:
     def test_monotone_boxed(self):
         # maximize logdet(I2 + x I2) on 0 <= x <= 1 -> x* = 1, value 2 log 2.
         prob = ConicSubproblem()
-        prob.add_scalar("x", lower=0.0)
+        prob.add_hermitian("x", 1)
+        prob.add_ineq(prob.scalar_map({"x": -1.0}), 0.0)
         prob.add_ineq(prob.scalar_map({"x": 1.0}), 1.0)
         mmap = prob.matrix_map(np.eye(2), {"x": [np.eye(2)]})
         prob.set_objective(logdet=mmap)
         res = solve(prob)
         assert res.status == "optimal"
-        assert abs(res.values["x"] - 1.0) < 1e-4
+        assert abs(res.values["x"][0, 0].real - 1.0) < 1e-4
         assert abs(res.objective - 2.0 * math.log(2.0)) < 1e-4
 
     def test_negative_slope_sticks_at_zero(self):
         res = solve(scalar_logdet_problem(-2.0))
         assert res.status == "optimal"
-        assert abs(res.values["x"]) < 1e-4
+        assert abs(res.values["x"][0, 0].real) < 1e-4
         assert abs(res.objective) < 1e-4
 
     def test_interior_stationary_point(self):
         # d/dx [log(1+x) - 0.25 x] = 0 at x = 3.
         res = solve(scalar_logdet_problem(-0.25))
         assert res.status == "optimal"
-        assert abs(res.values["x"] - 3.0) < 1e-3
+        assert abs(res.values["x"][0, 0].real - 3.0) < 1e-3
         assert abs(res.objective - (math.log(4.0) - 0.75)) < 1e-6
 
     def test_start_where_the_objective_gradient_vanishes(self):
@@ -360,7 +403,7 @@ class TestSolveScalar:
         res = solve(scalar_logdet_problem(-0.25), initial={"x": 3.0})
         assert res.status == "optimal"
         assert res.history[0][0] == solver.BARRIER_T0
-        assert abs(res.values["x"] - 3.0) < 1e-3
+        assert abs(res.values["x"][0, 0].real - 3.0) < 1e-3
 
     def test_determinism(self):
         a = solve(scalar_logdet_problem(-0.25))
@@ -438,7 +481,8 @@ class TestSolveMatrixVariable:
 class TestPhase1:
     def test_contradictory_bounds(self):
         prob = ConicSubproblem()
-        prob.add_scalar("x", lower=0.0)
+        prob.add_hermitian("x", 1)
+        prob.add_ineq(prob.scalar_map({"x": -1.0}), 0.0)
         prob.add_ineq(prob.scalar_map({"x": 1.0}), -1.0)
         prob.set_objective(linear=prob.scalar_map({"x": 1.0}))
         with pytest.raises(InfeasibleError):
@@ -446,7 +490,8 @@ class TestPhase1:
 
     def test_infeasible_solve_raises(self):
         prob = ConicSubproblem()
-        prob.add_scalar("x", lower=0.0)
+        prob.add_hermitian("x", 1)
+        prob.add_ineq(prob.scalar_map({"x": -1.0}), 0.0)
         prob.add_ineq(prob.scalar_map({"x": 1.0}), -1.0)
         prob.set_objective(linear=prob.scalar_map({"x": 1.0}))
         with pytest.raises(InfeasibleError):
@@ -457,7 +502,8 @@ class TestPhase1:
         """5 <= x <= 5.001: feasible, but phase I must cross from the origin
         to an interval of width 1e-3."""
         prob = ConicSubproblem()
-        prob.add_scalar("x", lower=0.0)
+        prob.add_hermitian("x", 1)
+        prob.add_ineq(prob.scalar_map({"x": -1.0}), 0.0)
         prob.add_ineq(prob.scalar_map({"x": -1.0}), -5.0)
         prob.add_ineq(prob.scalar_map({"x": 1.0}), 5.001)
         prob.set_objective(linear=prob.scalar_map({"x": -1.0}))
@@ -483,7 +529,8 @@ class TestPhase1:
         # 2e4 <= x <= 2e4 + 10 lies beyond phase I's box of radius 1e4 about
         # the origin, so the slack it reaches there certifies nothing.
         prob = ConicSubproblem()
-        prob.add_scalar("x", lower=2e4)
+        prob.add_hermitian("x", 1)
+        prob.add_ineq(prob.scalar_map({"x": -1.0}), -2e4)
         prob.add_ineq(prob.scalar_map({"x": 1.0}), 2e4 + 10.0)
         prob.set_objective(linear=prob.scalar_map({"x": -1.0}))
         with pytest.raises(SolverError, match="coordinate box") as info:
@@ -523,7 +570,8 @@ def make_grid_instance(seed):
     prob = ConicSubproblem()
     names = [f"x{i}" for i in range(d)]
     for name in names:
-        prob.add_scalar(name, lower=0.0)
+        prob.add_hermitian(name, 1)
+        prob.add_ineq(prob.scalar_map({name: -1.0}), 0.0)
         prob.add_ineq(prob.scalar_map({name: 1.0}), box)
     fmap = prob.matrix_map(f0, {n: [f_dirs[i]] for i, n in enumerate(names)})
     gmap = prob.matrix_map(g0, {n: [-g_dirs[i]] for i, n in enumerate(names)})
@@ -565,10 +613,23 @@ def test_line_search_that_finds_no_step_is_reported(monkeypatch):
     # runs and only the main barrier calls the patched merit.
     monkeypatch.setattr(solver.BarrierProblem, "merit", lambda self, x, t: None)
     prob = ConicSubproblem()
-    prob.add_scalar("x", lower=0.0)
+    prob.add_hermitian("x", 1)
+    prob.add_ineq(prob.scalar_map({"x": -1.0}), 0.0)
     prob.add_ineq(prob.scalar_map({"x": 1.0}), 1.0)
     prob.set_objective(linear=prob.scalar_map({"x": 1.0}))
     assert solve(prob, initial={"x": 0.5}).status == "line-search-failed"
+
+
+@pytest.mark.parametrize("initial", [None, {}], ids=["phase1", "start"])
+def test_problem_without_variables_solves_at_once(initial):
+    # The Newton system is 0 x 0: its factor and step are empty, and its
+    # decrement is 0.
+    prob = ConicSubproblem()
+    prob.set_objective()
+    res = solve(prob, initial=initial)
+    assert (res.status, res.values, res.objective, res.iterations) \
+        == ("optimal", {}, 0.0, 0)
+    assert len(res.history) == 1
 
 
 def floored_logdet_problem():
@@ -881,7 +942,8 @@ def kappa_problem(cap, eve_weight):
     sca's Eve slack in miniature, read by no log-det block."""
     prob = ConicSubproblem()
     prob.add_hermitian("W", 2)
-    prob.add_scalar("kappa", lower=0.0)
+    prob.add_hermitian("kappa", 1)
+    prob.add_ineq(prob.scalar_map({"kappa": -1.0}), 0.0)
     basis = hermitian_basis(2)
     g = np.array([[1.0, 0.5j], [-0.5j, 0.5]])
     prob.add_ineq(prob.scalar_map({"W": hermitian_weights(np.eye(2))}),

@@ -22,11 +22,12 @@ and each side's time is the median of its samples.
 
 The one line of JSON on stdout reports per-design parity, from the first
 repetition: "equal" when status, outer iterations, subproblem and anchor
-Newton steps and ``certified`` agree and both MIs lie within MI_TOL nats,
-"identical" when every field, the MIs included, is exactly equal; and for
-A/B and A/A the ratios' median, quartiles (statistics.quantiles, inclusive)
-and the number of repetitions in which the second side was faster, of the
-design times under "ab" and "aa" and of the setup times under "setup".
+Newton steps, ``certified`` and each row's solver status agree and both MIs
+lie within MI_TOL nats, "identical" when every field, the MIs included, is
+exactly equal; and for A/B and A/A the ratios' median, quartiles
+(statistics.quantiles, inclusive) and the number of repetitions in which the
+second side was faster, of the design times under "ab" and "aa" and of the
+setup times under "setup".
 BLAS is pinned to one thread.
 """
 
@@ -108,6 +109,7 @@ class Side:
             "newton_steps": sum(r.solver_iterations for r in trace.rows),
             "anchor_newton_steps": trace.anchor_newton_steps,
             "certified": sol.certified,
+            "solver_statuses": [r.solver_status for r in trace.rows],
             "mi_legit": sol.mi_legit, "mi_eve": sol.mi_eve}
 
 
