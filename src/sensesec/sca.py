@@ -79,7 +79,7 @@ PENALTY_INIT = 1e-3          # least penalty weights of the second subproblem
 PENALTY_GROWTH = 3.0         # factor on the penalty weights per iteration
 MAX_OUTER_ITERS = 30
 TOL_OBJ_NATS = 1e-3          # convergence: change of the legitimate MI
-TOL_PENALTY = 1e-6           # convergence: largest of kappa and rho_max
+TOL_PENALTY = 1e-6           # kappa (nats), rho_max (W per W of budget > 1 W)
 SINR_MARGIN = 1e-4           # relative SINR tightening inside subproblems
 MIN_POWER_TOL = 1e-9         # relative step that settles _min_power_filters
 MIN_POWER_MAX_ITERS = 1000
@@ -495,8 +495,10 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
     come within the solver's gap bound OBJ_TOL of the relaxed legitimate MI;
     the solution and the trace then read ``certified``.  Otherwise it stops
     after an outer iteration whose legitimate MI moved by at most
-    TOL_OBJ_NATS from the previous one, with kappa and the iterate's own
-    largest rank residual tr W_k - lambda_max(W_k) at most TOL_PENALTY.
+    TOL_OBJ_NATS from the previous one, with kappa at most TOL_PENALTY nats
+    and the iterate's own largest rank residual tr W_k - lambda_max(W_k) at
+    most TOL_PENALTY watts per watt of a budget above 1 W, as its round-off
+    grows with the budget.
     That residual is at most the penalized one along the expansion's u_k,
     since lambda_max(W) >= u^H W u, so the loop stops no later than a test
     of the penalized residual would.  The solution's ``mi_eve_surrogate`` is
@@ -594,7 +596,8 @@ def run_sca_no_an(channels, stats_r, stats_e, cfg, rng):
         converged = trace.certified or (
             prev_mi is not None
             and abs(mi_r - prev_mi) <= TOL_OBJ_NATS
-            and max(kappa, rho_max) <= TOL_PENALTY)
+            and max(kappa, rho_max / max(1.0, cfg.power_budget))
+            <= TOL_PENALTY)
         if converged:
             trace.converged_at = itn
             break

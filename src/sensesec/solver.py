@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .linalg import require_hermitian
+
 # Newton's stopping thresholds on lambda^2 / 2.  A centering-only solve
 # centers to NEWTON_TOL.  Every stage of a solve with an objective, the last
 # one included, stops once Newton's method is in its quadratic phase,
@@ -39,9 +41,7 @@ BARRIER_T0 = 1e3           # barrier parameter of the first stage of a solve
 BARRIER_GROWTH = 10.0
 STAGE_MAX_STEPS = 60       # Newton steps in one barrier stage
 PHASE1_MARGIN = 1e-9       # margin phase I aims at; a start needs none
-PHASE1_MAX_STEPS = 400
 OBJ_TOL = 1e-8             # duality-gap bound that ends the barrier
-MAX_NEWTON_STEPS = 600
 
 
 class SolverError(RuntimeError):
@@ -144,7 +144,8 @@ class ConicSubproblem:
     # -- packing between named complex values and the real coordinate vector
 
     def pack(self, values):
-        """Coordinates of (dim, dim) values, a plain number for a 1 x 1 one."""
+        """Coordinates of (dim, dim) Hermitian values, a plain number for a
+        1 x 1 one; linalg.require_hermitian checks each, naming its variable."""
         x = np.zeros(self.n)
         for blk in self.blocks:
             val = np.asarray(values[blk.name], dtype=complex)
@@ -152,8 +153,9 @@ class ConicSubproblem:
             if val.shape != shape and (val.shape, shape) != ((), (1, 1)):
                 raise ValueError(f"variable {blk.name!r} needs shape {shape}, "
                                  f"got {val.shape}")
-            x[blk.offset:blk.offset + blk.size] = pack_hermitian(
-                val.reshape(shape))
+            val = val.reshape(shape)
+            require_hermitian(val, name=f"variable {blk.name!r}")
+            x[blk.offset:blk.offset + blk.size] = pack_hermitian(val)
         return x
 
     def unpack(self, x):
@@ -237,7 +239,7 @@ class SolverResult:
     values: dict
     objective: float
     iterations: int
-    status: str  # _run_barrier's own; max-iter: the step budget ran out
+    status: str  # _run_barrier's own
     # (t, objective, newton_steps, point) of every barrier stage: point is
     # its centered iterate before the predictor step, in real coordinates
     # (ConicSubproblem.unpack reads it), or None if it did not end centered.
@@ -570,9 +572,12 @@ def _trial_steps(line):
         step *= 0.5
 
 
-def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
+def _run_barrier(bp, x0, t0, obj_tol, early_stop=None):
     """Minimize the barrier sequence from a strictly feasible x0, from t0
-    up by BARRIER_GROWTH per stage to the last stage, degree / t <= obj_tol.
+    up by BARRIER_GROWTH per stage to the last stage, degree / t <= obj_tol:
+    t0, BARRIER_GROWTH and obj_tol fix the number of stages (Boyd &
+    Vandenberghe, Convex Optimization, sec. 11.3.3), and no stage takes more
+    than STAGE_MAX_STEPS Newton steps, which bounds the solve.
 
     A centering-only solve stops Newton at lambda^2 / 2 <= NEWTON_TOL.  With
     an objective, every stage stops at CENTERING_TOL, in Newton's quadratic
@@ -604,10 +609,10 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
     the next stage's merit along the central-path tangent (_predict), the
     tangent solved with the factor of its last Newton system.  The points
     are the iterates themselves, not copies: x is rebound, never changed in
-    place.  The status is "max-iter" when the step budget ran out, else
-    "stage-cap" or "line-search-failed" when the last failing stage hit its
-    step cap or found no step, else "optimal".  Returns (x, Newton steps,
-    status, history), with a (t, objective, steps, point or None) per stage."""
+    place.  The status is "stage-cap" or "line-search-failed" when the last
+    failing stage hit its step cap or found no step, else "optimal".
+    Returns (x, Newton steps, status, history), with a (t, objective, steps,
+    point or None) per stage; the Newton steps are the stages' sum."""
     x = x0.copy()
     t = t0
     degree = bp.gap_degree()
@@ -615,7 +620,6 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
     # finds the analytic center and later stages could not move from it.
     centering_only = bp.centering_only
     tol = NEWTON_TOL if centering_only else CENTERING_TOL
-    total_newton = 0
     history = []
     status = "optimal"
     while True:
@@ -623,9 +627,6 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
         stage_newton = 0
         centered = False
         for _ in range(STAGE_MAX_STEPS):
-            if total_newton >= max_iters:
-                status = "max-iter"
-                break
             out = bp.merit_derivatives(x, t)
             if out is None:
                 raise SolverError("iterate left the barrier domain")
@@ -635,7 +636,6 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
             if 0.5 * lam2 <= tol:
                 centered = True
                 break
-            total_newton += 1
             stage_newton += 1
             # Armijo's sufficient decrease, with grad . d = -lam2.
             for step in _trial_steps(bp.line_model(d, t)):
@@ -660,12 +660,12 @@ def _run_barrier(bp, x0, t0, obj_tol, max_iters, early_stop=None):
             status = "stage-cap"
         history.append((t, bp.objective_value(x), stage_newton,
                         x if centered else None))
-        if status == "max-iter" or last_stage:
+        if last_stage:
             break
         if centered:
             x = _predict(bp, x, t, tangent)
         t *= BARRIER_GROWTH
-    return x, total_newton, status, history
+    return x, sum(stage[2] for stage in history), status, history
 
 
 def _predict(bp, x, t, tangent):
@@ -843,16 +843,13 @@ def _find_strictly_feasible(bp, hint=None):
     # The first stage aims at a duality gap equal to the start's slack.
     t0 = relaxed.gap_degree() / start[-1]
     x_ext, _, status, _ = _run_barrier(relaxed, start, t0=t0,
-                                       obj_tol=PHASE1_MARGIN,
-                                       max_iters=PHASE1_MAX_STEPS,
-                                       early_stop=done)
+                                       obj_tol=PHASE1_MARGIN, early_stop=done)
     x, slack = x_ext[:bp.n], float(x_ext[-1])
     if slack <= -PHASE1_MARGIN and bp.strict_margin(x) >= PHASE1_MARGIN:
         return x
     if status != "optimal":
-        raise SolverError(
-            f"phase I ended {status!r} at slack {slack:.3e} (step cap "
-            f"PHASE1_MAX_STEPS = {PHASE1_MAX_STEPS}); feasibility undecided")
+        raise SolverError(f"phase I ended {status!r} at slack {slack:.3e}; "
+                          "feasibility undecided")
     # A coordinate the box does not hold back sits far from its faces; one
     # that the box stops sits within about the final barrier gap of a face.
     on_box = np.minimum(x_ext - lo, hi - x_ext) <= 1e-3 * radius
@@ -884,9 +881,8 @@ def solve(problem, initial=None):
     complex log-det units, is the last stage's in ``history``, and whose
     ``history`` holds the centered point of every stage that ended
     centered, the warm starts that interior-point reoptimization draws on
-    (Gondzio & Grothey, SIAM J. Optim. 2003).  Its status is _run_barrier's:
-    every point _run_barrier returns passed the domain test (_terms), so
-    "max-iter" means only that the step budget ran out.
+    (Gondzio & Grothey, SIAM J. Optim. 2003).  Its status is _run_barrier's,
+    and every point _run_barrier returns passed the domain test (_terms).
     """
     bp = BarrierProblem(problem)
     hint = problem.pack(initial) if initial is not None else None
@@ -896,8 +892,7 @@ def solve(problem, initial=None):
     if warm:
         t0 = _central_t(bp, x0)
         x0 = _center_free_coordinates(bp, x0, t0)
-    x, iters, status, history = _run_barrier(
-        bp, x0, t0=t0, obj_tol=OBJ_TOL, max_iters=MAX_NEWTON_STEPS)
+    x, iters, status, history = _run_barrier(bp, x0, t0=t0, obj_tol=OBJ_TOL)
     return SolverResult(values=problem.unpack(x),
                         objective=history[-1][1],
                         iterations=iters,

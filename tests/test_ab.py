@@ -31,7 +31,8 @@ def test_ab_reports_parity_and_ratios_of_one_tree_against_itself():
     assert design["a"] == design["b"]
     assert set(design["a"]) == {"status", "outer_iters", "newton_steps",
                                 "anchor_newton_steps", "certified",
-                                "solver_statuses", "mi_legit", "mi_eve"}
+                                "solver_statuses", "mi_legit", "mi_eve",
+                                "weights_sha1"}
     assert design["a"]["status"] == "optimal"
 
     assert set(report["setup"]) == {"ab", "aa"}

@@ -870,13 +870,13 @@ def test_design_status_reports_a_non_optimal_subproblem(monkeypatch):
     links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
     solve = sca.solve
 
-    def max_iter_solve(*args, **kwargs):
-        return dataclasses.replace(solve(*args, **kwargs), status="max-iter")
+    def stage_cap_solve(*args, **kwargs):
+        return dataclasses.replace(solve(*args, **kwargs), status="stage-cap")
 
-    monkeypatch.setattr(sca, "solve", max_iter_solve)
+    monkeypatch.setattr(sca, "solve", stage_cap_solve)
     sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, cfg, RngState(1))
     assert trace.converged_at is not None
-    assert sol.status == "max-iter"
+    assert sol.status == "stage-cap"
 
 
 def test_unreachable_sinr_targets_raise_infeasible(monkeypatch):
@@ -909,15 +909,17 @@ def test_anchor_beyond_the_phase_one_box_designs():
     assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
 
 
-@pytest.mark.parametrize("channel_seed, status", [
-    (1, "line-search-failed"), (2, "optimal"), (3, "optimal")])
-def test_ten_gigawatt_solves_report_the_barrier_status(channel_seed, status,
-                                                       monkeypatch):
-    # The 1e9 W scenario above scaled by 10, where eigenvalue round-off of
-    # order eps * 1e10 W exceeds any absolute feasibility tolerance.  Every
-    # point a barrier solve returns passed its domain test, so a status names
-    # the barrier's own outcome, and "max-iter" only a spent step budget.
-    # Channel seed 1's late subproblems still end "line-search-failed".
+@pytest.mark.parametrize("channel_seed", [1, 2, 3])
+@pytest.mark.parametrize("power_budget, noise_comm", [(1e10, 1e5), (1e11, 1e6)],
+                         ids=["1e10W", "1e11W"])
+def test_high_power_designs_end_optimal_within_their_limits(
+        power_budget, noise_comm, channel_seed, monkeypatch):
+    # The 1e9 W scenario above scaled by 10 and 100, where eigenvalue
+    # round-off of order eps * 1e10 W exceeds any absolute feasibility
+    # tolerance.  Every point a barrier solve returns passed its domain
+    # test, so a status names the barrier's own outcome.  The loop tests the
+    # rank residual relative to the budget: in watts, at these budgets, it
+    # sits on a round-off floor above TOL_PENALTY.
     calls = []
     solve = sca.solve
 
@@ -927,8 +929,8 @@ def test_ten_gigawatt_solves_report_the_barrier_status(channel_seed, status,
         return res
 
     monkeypatch.setattr(sca, "solve", recording_solve)
-    cfg = channels.ScenarioConfig(power_budget=1e10, noise_comm=1e5,
-                                  eve_mi_cap=math.inf)
+    cfg = channels.ScenarioConfig(power_budget=power_budget,
+                                  noise_comm=noise_comm, eve_mi_cap=math.inf)
     links, stats_r, stats_e = channels.build_scenario(cfg,
                                                       RngState(channel_seed))
     sol, _ = sca.run_sca_no_an(links, stats_r, stats_e, cfg,
@@ -936,11 +938,9 @@ def test_ten_gigawatt_solves_report_the_barrier_status(channel_seed, status,
     for problem, res in calls:
         x = problem.pack(res.values)
         assert solver.BarrierProblem(problem).in_domain(x)
-        assert (res.status != "max-iter"
-                or res.iterations >= solver.MAX_NEWTON_STEPS)
-    assert sol.status == status
-    if status == "optimal":
-        assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
+        assert res.status in {"optimal", "stage-cap", "line-search-failed"}
+    assert sol.status == "optimal"
+    assert_beams_meet_the_limits(sol.weights, links, stats_e, cfg)
 
 
 def test_infinite_eve_cap_drops_the_eve_constraint(solver_results):

@@ -94,6 +94,19 @@ def test_pack_rejects_a_value_of_another_shape():
             prob.pack({"W": value})
 
 
+def test_pack_rejects_a_value_that_is_not_hermitian():
+    # The packing keeps the real diagonal and the strict upper triangle, so
+    # it would read these as [[1, 2], [2, 1]] and 1.
+    prob = ConicSubproblem()
+    prob.add_hermitian("W", 2)
+    prob.add_hermitian("s", 1)
+    for values, name in (({"W": [[1, 2], [0, 1]], "s": 1.0}, "W"),
+                         ({"W": np.eye(2), "s": 1 + 2j}, "s")):
+        with pytest.raises(ValueError,
+                           match=rf"variable '{name}' is not Hermitian"):
+            prob.pack(values)
+
+
 def test_a_one_by_one_variable_packs_a_number_or_its_matrix():
     prob = ConicSubproblem()
     prob.add_hermitian("s", 1)
@@ -509,13 +522,6 @@ class TestPhase1:
         prob.set_objective(linear=prob.scalar_map({"x": -1.0}))
         return prob
 
-    def test_step_cap_is_not_reported_as_infeasible(self, monkeypatch):
-        # One Newton step cannot finish phase I.
-        monkeypatch.setattr(solver, "PHASE1_MAX_STEPS", 1)
-        with pytest.raises(SolverError, match="step cap") as info:
-            solve(self.narrow_interval_problem())
-        assert not isinstance(info.value, InfeasibleError)
-
     def test_unconverged_phase_one_is_not_reported_as_infeasible(
             self, monkeypatch):
         # One Newton step per stage leaves phase I's barrier at the stage cap
@@ -600,6 +606,23 @@ def test_grid_search_oracle_sample(seed):
     res = solve(prob)
     assert res.status == "optimal"
     assert abs(res.objective - oracle()) < 5e-3
+
+
+def test_long_barrier_path_ends_optimal_at_its_grid_optimum(monkeypatch):
+    # A solve ends when its last stage does, whatever its Newton steps add up
+    # to.  Without the predictor, centered to NEWTON_TOL and growing t by 3%
+    # per stage, this instance's path takes 469 stages and 855 steps.
+    prob, oracle = make_grid_instance(2)
+    reference = solve(prob)
+    monkeypatch.setattr(solver, "BARRIER_GROWTH", 1.03)
+    monkeypatch.setattr(solver, "CENTERING_TOL", solver.NEWTON_TOL)
+    monkeypatch.setattr(solver, "_predict", lambda bp, x, *args: x)
+    res = solve(prob)
+
+    assert res.status == "optimal" and res.iterations > 600
+    assert res.iterations == sum(stage[2] for stage in res.history)
+    assert abs(res.objective - oracle()) < 5e-3
+    assert abs(res.objective - reference.objective) <= solver.OBJ_TOL
 
 
 def test_stage_that_hits_its_step_cap_is_reported(monkeypatch):
@@ -897,8 +920,7 @@ def test_start_t_of_a_centered_point_is_its_own_t(seed, monkeypatch):
     # 1.6e-5 relative on these instances.
     monkeypatch.setattr(solver, "CENTERING_TOL", 0.0)
     x, _, status, history = solver._run_barrier(
-        bp, _find_strictly_feasible(bp), t0=1e4,
-        obj_tol=bp.gap_degree() / 1e4, max_iters=solver.MAX_NEWTON_STEPS)
+        bp, _find_strictly_feasible(bp), t0=1e4, obj_tol=bp.gap_degree() / 1e4)
     assert status == "optimal" and len(history) == 1
 
     assert abs(solver._central_t(bp, x) - 1e4) <= 1e-6 * 1e4
@@ -928,8 +950,7 @@ def test_last_stage_in_the_quadratic_phase_keeps_the_objective(seed,
     bp = BarrierProblem(prob)
     monkeypatch.setattr(solver, "CENTERING_TOL", solver.NEWTON_TOL)
     x, steps, status, history = solver._run_barrier(
-        bp, prob.pack(res.values), t0=t_last,
-        obj_tol=bp.gap_degree() / t_last, max_iters=solver.MAX_NEWTON_STEPS)
+        bp, prob.pack(res.values), t0=t_last, obj_tol=bp.gap_degree() / t_last)
     assert res.status == status == "optimal" and len(history) == 1
     assert steps > 0
 
@@ -1079,10 +1100,13 @@ def line_value(line, alpha):
 
 
 def one_step(bp, x, t):
-    """The iterate after _run_barrier's first Newton step from x at t."""
-    stepped, steps, status, _ = solver._run_barrier(
-        bp, x, t0=t, obj_tol=bp.gap_degree() / t, max_iters=1)
-    assert steps == 1 and status == "max-iter"
+    """The iterate after _run_barrier's first Newton step from x at t, its
+    one stage capped at that step."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "STAGE_MAX_STEPS", 1)
+        stepped, steps, status, _ = solver._run_barrier(
+            bp, x, t0=t, obj_tol=bp.gap_degree() / t)
+    assert steps == 1 and status == "stage-cap"
     return stepped
 
 

@@ -23,8 +23,9 @@ and each side's time is the median of its samples.
 The one line of JSON on stdout reports per-design parity, from the first
 repetition: "equal" when status, outer iterations, subproblem and anchor
 Newton steps, ``certified`` and each row's solver status agree and both MIs
-lie within MI_TOL nats, "identical" when every field, the MIs included, is
-exactly equal; and for A/B and A/A the ratios' median, quartiles
+lie within MI_TOL nats, "identical" when every field, the MIs and the SHA-1
+of the returned beams' bytes included, is exactly equal, so the designs are
+bitwise equal; and for A/B and A/A the ratios' median, quartiles
 (statistics.quantiles, inclusive) and the number of repetitions in which the
 second side was faster, of the design times under "ab" and "aa" and of the
 setup times under "setup".
@@ -34,6 +35,7 @@ BLAS is pinned to one thread.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
@@ -110,14 +112,17 @@ class Side:
             "anchor_newton_steps": trace.anchor_newton_steps,
             "certified": sol.certified,
             "solver_statuses": [r.solver_status for r in trace.rows],
-            "mi_legit": sol.mi_legit, "mi_eve": sol.mi_eve}
+            "mi_legit": sol.mi_legit, "mi_eve": sol.mi_eve,
+            "weights_sha1": hashlib.sha1(
+                b"".join(w.tobytes() for w in sol.weights)).hexdigest()}
 
 
 def same_design(a, b):
+    """Equal outcomes, MIs within MI_TOL; the beams' digest is left out."""
     if a.keys() != b.keys():
         return False
     return all(abs(a[k] - b[k]) <= MI_TOL if k.startswith("mi_")
-               else a[k] == b[k] for k in a)
+               else a[k] == b[k] for k in a if k != "weights_sha1")
 
 
 def ratio_summary(ratios):
