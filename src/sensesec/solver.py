@@ -359,7 +359,8 @@ class BarrierProblem:
     """Solve-ready form: minimize -(c.x + logdet F(x)) subject to LMIs and
     rows with slacks b - A x, so the merit has two kinds of terms:
     log-det blocks and log slacks.  One pass, _terms, defines the barrier
-    domain; in_domain, merit and merit_derivatives read it."""
+    domain; in_domain, merit and merit_derivatives read it, and
+    merit_derivatives returns all that it computes at a point."""
 
     # (x, t, terms, value) of the last merit call inside the domain, which
     # merit_derivatives reuses at that very array and t: the line search and
@@ -468,13 +469,13 @@ class BarrierProblem:
         return not (np.any(self.c) or self.obj_blocks)
 
     def merit_derivatives(self, x, t):
-        """(value, grad, hess) of the barrier merit at x, or None outside.
-        Also sets self.objective_grad to the gradient g0 of the minimized
-        objective -(c.x + logdet F) at x: the merit's gradient is
-        t g0 plus a part free of t; and keeps each block's L^-1 and the row
-        slacks at x for line_model.  At the array of the last merit call, at
-        its t, it reads that call's terms and value, so x must not have
-        changed in place since; _run_barrier rebinds its iterate."""
+        """(value, grad, hess, g0, line) of the barrier merit at x, or None
+        outside.  g0 is the gradient of the minimized objective -(c.x +
+        logdet F) at x: the merit's gradient is t g0 plus a part free of t.
+        line = (each block's L^-1, the row slacks) at x is what line_model
+        reads.  At the array of the last merit call, at its t, it reads that
+        call's terms and value, so x must not have changed in place since;
+        _run_barrier rebinds its iterate."""
         last = self._last_merit
         if last is not None and last[0] is x and last[1] == t:
             _, _, terms, value = last
@@ -494,22 +495,21 @@ class BarrierProblem:
             gvals.append(np.ravel(gvec) * -weight)
             hvals.append(np.ravel(gram) * w)
             linvs.append(linv)
-        self._line_terms = (linvs, s)
         gvals, split = np.concatenate(gvals), self._obj_grad_len
-        self.objective_grad = np.bincount(
-            self._grad_idx[:split], gvals[:split], minlength=n) - self.c
-        grad = t * self.objective_grad
+        g0 = np.bincount(self._grad_idx[:split], gvals[:split],
+                         minlength=n) - self.c
+        grad = t * g0
         grad += np.bincount(self._grad_idx[split:], gvals[split:], minlength=n)
         grad += self.A.T @ (1.0 / s)
         scaled = self.A / s[:, None]
         hess = scaled.T @ scaled
         hess += np.bincount(self._hess_idx, np.concatenate(hvals),
                             minlength=n * n).reshape(n, n)
-        return value, grad, hess
+        return value, grad, hess, g0, (linvs, s)
 
-    def line_model(self, d, t):
+    def line_model(self, line, d, t):
         """(slope, a, s, weights) of the merit at t along the step d from the
-        point x of the last merit_derivatives call, exactly:
+        point x whose merit_derivatives returned ``line``, exactly:
         merit(x + alpha d, t) - merit(x, t) = slope alpha - sum_i weights_i
         log((s_i - alpha a_i) / s_i), the function _line_minimizer reads.
         A log-det block F = L L^H contributes log det(I + alpha L^-1 dF
@@ -517,7 +517,7 @@ class BarrierProblem:
         with dF its linear part at d, weighed as in the merit; a row slack
         s_i falls by alpha (A d)_i (Boyd & Vandenberghe, Convex
         Optimization, sec. 9.2)."""
-        linvs, slack = self._line_terms
+        linvs, slack = line
         a, s, weights = [self.A @ d], [slack], [np.ones(len(slack))]
         for (blk, _, w), linv in zip(self._weighted(t), linvs):
             change = linv @ blk.linear(d) @ linv.conj().swapaxes(-1, -2)
@@ -558,11 +558,11 @@ def _newton_direction(hess, grad):
     raise SolverError("Newton system could not be factorized")
 
 
-def _trial_steps(line):
+def _trial_steps(model):
     """The step lengths that _run_barrier's line search tries along the
-    Newton step d, in its order, from line = BarrierProblem.line_model(d, t)."""
-    _, end = _domain_bracket(line[1], line[2])
-    best = _line_minimizer(*line) if end > 1.0 else None
+    Newton step d, in its order, from model = bp.line_model(line, d, t)."""
+    _, end = _domain_bracket(model[1], model[2])
+    best = _line_minimizer(*model) if end > 1.0 else None
     if best is not None:
         yield best
     step = 1.0
@@ -630,15 +630,14 @@ def _run_barrier(bp, x0, t0, obj_tol, early_stop=None):
             out = bp.merit_derivatives(x, t)
             if out is None:
                 raise SolverError("iterate left the barrier domain")
-            val, grad, hess = out
-            (d, tangent), lam2 = _newton_direction(
-                hess, np.stack([grad, bp.objective_grad]))
+            val, grad, hess, g0, line = out
+            (d, tangent), lam2 = _newton_direction(hess, np.stack([grad, g0]))
             if 0.5 * lam2 <= tol:
                 centered = True
                 break
             stage_newton += 1
             # Armijo's sufficient decrease, with grad . d = -lam2.
-            for step in _trial_steps(bp.line_model(d, t)):
+            for step in _trial_steps(bp.line_model(line, d, t)):
                 cand = x + step * d
                 mval = bp.merit(cand, t)
                 if (mval is not None
@@ -663,27 +662,27 @@ def _run_barrier(bp, x0, t0, obj_tol, early_stop=None):
         if last_stage:
             break
         if centered:
-            x = _predict(bp, x, t, tangent)
+            x = _predict(bp, x, t, tangent, line)
         t *= BARRIER_GROWTH
     return x, sum(stage[2] for stage in history), status, history
 
 
-def _predict(bp, x, t, tangent):
+def _predict(bp, x, t, tangent, line):
     """Predictor step of path following (Nesterov & Nemirovski,
     Interior-Point Polynomial Algorithms in Convex Programming, 1994) from
     x, centered at t, to the next stage's t' = t BARRIER_GROWTH, along
-    tangent = dx/dt = -H^-1 objective_grad: x + alpha* tangent, with alpha*
-    the exact minimizer of the merit at t' along the tangent.
+    tangent = dx/dt = -H^-1 g0: x + alpha* tangent, with alpha* the exact
+    minimizer of the merit at t' along the tangent.
 
     The merit at t' along any direction from x is read in closed form from
-    the last merit_derivatives call (BarrierProblem.line_model), which the
-    stage made at x when it stopped centered, and minimized by
+    ``line``, which merit_derivatives returned at x when the stage stopped
+    centered there (BarrierProblem.line_model), and minimized by
     _line_minimizer; one merit call checks the candidate and leaves its
     pass for the next stage's first derivatives.  x itself when the merit
     has no minimizer along the tangent or the candidate rounds out of the
     domain."""
     t_next = t * BARRIER_GROWTH
-    step = _line_minimizer(*bp.line_model(tangent, t_next))
+    step = _line_minimizer(*bp.line_model(line, tangent, t_next))
     if step is None:
         return x
     cand = x + step * tangent
@@ -694,11 +693,10 @@ def _central_t(bp, x):
     """Barrier parameter at which x is most central: the minimizer t* =
     -(g0' H^-1 g_phi) / (g0' H^-1 g0) of the Newton decrement lambda^2(t) =
     (t g0 + g_phi)' H^-1 (t g0 + g_phi), where t g0 + g_phi is the merit's
-    gradient at t (g0 = bp.objective_grad) and H its Hessian at BARRIER_T0;
-    one derivative pass and one factorization.  Clipped from below at
-    BARRIER_T0 / BARRIER_GROWTH."""
-    _, grad, hess = bp.merit_derivatives(x, BARRIER_T0)
-    g0 = bp.objective_grad
+    gradient at t (g0 as merit_derivatives returns it) and H its Hessian at
+    BARRIER_T0; one derivative pass and one factorization.  Clipped from
+    below at BARRIER_T0 / BARRIER_GROWTH."""
+    _, grad, hess, g0, _ = bp.merit_derivatives(x, BARRIER_T0)
     (d, tangent), _ = _newton_direction(hess, np.stack([grad, g0]))
     # d = -H^-1 grad and tangent = -H^-1 g0, so t* = T0 - g0.d / g0.tangent.
     curvature = -float(g0 @ tangent)
@@ -805,20 +803,13 @@ def _phase1_problem(bp):
     return relaxed
 
 
-def _find_strictly_feasible(bp, hint=None):
-    """Strictly feasible x for bp: the hint when it lies strictly inside the
-    barrier domain (BarrierProblem.in_domain), however small its margin; a
-    hint outside raises SolverError.  Without a hint, phase-I slack
-    minimization starts from the origin and returns a point with a margin of
-    at least PHASE1_MARGIN.  Raises InfeasibleError when phase I converged
-    ("optimal") with its slack still positive, and SolverError when it ended
-    with any other status or on the rows of its coordinate box, neither of
-    which certifies anything: a feasible set outside the box looks
-    infeasible from inside it."""
-    if hint is not None:
-        if bp.in_domain(hint):
-            return hint
-        raise SolverError("the start lies outside the barrier domain")
+def _find_strictly_feasible(bp):
+    """Strictly feasible x for bp by phase-I slack minimization from the
+    origin, with a margin of at least PHASE1_MARGIN.  Raises InfeasibleError
+    when phase I converged ("optimal") with its slack still positive, and
+    SolverError when it ended with any other status or on the rows of its
+    coordinate box, neither of which certifies anything: a feasible set
+    outside the box looks infeasible from inside it."""
     relaxed = _phase1_problem(bp)
     # Geometric slack ladder: the fully-relaxed problem is strictly feasible
     # at the origin for large enough s (Boyd & Vandenberghe, Convex
@@ -867,31 +858,35 @@ def solve(problem, initial=None):
     """Barrier solve of a ConicSubproblem.
 
     ``initial`` may carry variable values (dict), the start, which must lie
-    strictly inside the barrier domain, however close to its boundary; a
-    start outside it raises SolverError.  Without one, phase I constructs a
-    start from the origin.  With a start and an objective, the barrier
-    begins at the t where the start is most central (_central_t), so a warm
-    start taken from an earlier solve's central path resumes near its own t;
-    otherwise at ``BARRIER_T0``.  At that t, each free coordinate of a warm
-    start, one that no log-det block reads (a slack such as sca's kappa),
-    first moves to its exact minimizer of the merit with the other
-    coordinates held fixed (_center_free_coordinates): a slack started at a
-    small pad would otherwise cost the first stage one Newton step per
-    doubling.  Returns a SolverResult whose objective, in the original
-    complex log-det units, is the last stage's in ``history``, and whose
-    ``history`` holds the centered point of every stage that ended
-    centered, the warm starts that interior-point reoptimization draws on
-    (Gondzio & Grothey, SIAM J. Optim. 2003).  Its status is _run_barrier's,
-    and every point _run_barrier returns passed the domain test (_terms).
+    strictly inside the barrier domain (BarrierProblem.in_domain), however
+    close to its boundary; a start outside it raises SolverError.  Without
+    one, phase I (_find_strictly_feasible) constructs a start from the
+    origin.  With a start and an objective, the barrier begins at the t
+    where the start is most central (_central_t), so a warm start taken
+    from an earlier solve's central path resumes near its own t; otherwise
+    at ``BARRIER_T0``.  At that t, each free coordinate of a warm start, one
+    that no log-det block reads (a slack such as sca's kappa), first moves
+    to its exact minimizer of the merit with the other coordinates held
+    fixed (_center_free_coordinates): a slack started at a small pad would
+    otherwise cost the first stage one Newton step per doubling.  Returns a
+    SolverResult whose objective, in the original complex log-det units, is
+    the last stage's in ``history``, and whose ``history`` holds the
+    centered point of every stage that ended centered, the warm starts that
+    interior-point reoptimization draws on (Gondzio & Grothey, SIAM J.
+    Optim. 2003).  Its status is _run_barrier's, and every point
+    _run_barrier returns passed the domain test (_terms).
     """
     bp = BarrierProblem(problem)
-    hint = problem.pack(initial) if initial is not None else None
-    x0 = _find_strictly_feasible(bp, hint=hint)
-    warm = hint is not None and not bp.centering_only
     t0 = BARRIER_T0
-    if warm:
-        t0 = _central_t(bp, x0)
-        x0 = _center_free_coordinates(bp, x0, t0)
+    if initial is None:
+        x0 = _find_strictly_feasible(bp)
+    else:
+        x0 = problem.pack(initial)
+        if not bp.in_domain(x0):
+            raise SolverError("the start lies outside the barrier domain")
+        if not bp.centering_only:
+            t0 = _central_t(bp, x0)
+            x0 = _center_free_coordinates(bp, x0, t0)
     x, iters, status, history = _run_barrier(bp, x0, t0=t0, obj_tol=OBJ_TOL)
     return SolverResult(values=problem.unpack(x),
                         objective=history[-1][1],

@@ -225,11 +225,11 @@ def test_predictor_lands_on_the_minimizer_along_the_tangent(monkeypatch):
         merit_calls[0] += 1
         return merit(self, x, t)
 
-    def recording_predict(bp, x, t, tangent):
+    def recording_predict(bp, x, t, tangent, line):
         t_next = t * solver.BARRIER_GROWTH
-        best = solver._line_minimizer(*bp.line_model(tangent, t_next))
+        best = solver._line_minimizer(*bp.line_model(line, tangent, t_next))
         before = merit_calls[0]
-        out = predict(bp, x, t, tangent)
+        out = predict(bp, x, t, tangent, line)
         predictions.append((bp, x, t_next, tangent, best, out,
                             merit_calls[0] - before))
         return out

@@ -198,7 +198,7 @@ def test_real_block_gradient_and_gram_match_direct_loops():
 
 
 def assert_derivatives_match_finite_differences(bp, x, t):
-    val, grad, hess = bp.merit_derivatives(x, t)
+    val, grad, hess, _, _ = bp.merit_derivatives(x, t)
     assert abs(val - bp.merit(x, t)) < 1e-9 * max(abs(val), 1.0)
     step = 1e-6
     for g in range(bp.n):
@@ -207,8 +207,8 @@ def assert_derivatives_match_finite_differences(bp, x, t):
         xm[g] -= step
         fd = (bp.merit(xp, t) - bp.merit(xm, t)) / (2 * step)
         assert abs(fd - grad[g]) < 2e-5 * max(abs(fd), 1.0)
-        _, gp, _ = bp.merit_derivatives(xp, t)
-        _, gm, _ = bp.merit_derivatives(xm, t)
+        _, gp, _, _, _ = bp.merit_derivatives(xp, t)
+        _, gm, _, _, _ = bp.merit_derivatives(xm, t)
         col = (gp - gm) / (2 * step)
         assert np.abs(col - hess[:, g]).max() < 1e-4 * max(np.abs(col).max(), 1.0)
 
@@ -711,6 +711,20 @@ def test_start_outside_the_domain_raises(phase1_builds):
     assert phase1_builds == []
 
 
+def test_solve_tests_its_start_without_phase_one(monkeypatch):
+    # A start inside the domain solves, and one outside raises the start's
+    # error, without a call of phase I's _find_strictly_feasible.
+    def fail(*args, **kwargs):
+        raise AssertionError("_find_strictly_feasible called")
+
+    monkeypatch.setattr(solver, "_find_strictly_feasible", fail)
+    prob = floored_logdet_problem()
+    res = solve(prob, initial={"W": np.diag([9.0, 0.5])})
+    assert res.status == "optimal"
+    with pytest.raises(SolverError, match="outside the barrier domain"):
+        solve(prob, initial={"W": np.diag([7.9, 0.1])})
+
+
 def test_phase_one_starts_its_barrier_at_the_gap_of_its_slack(monkeypatch,
                                                              phase1_builds):
     runs = []
@@ -826,7 +840,7 @@ def test_stage_points_are_interior_and_centered_at_their_own_t(seed):
     assert np.array_equal(prob.pack(res.values), points[-1][1])
     for t, x in points:
         assert bp.in_domain(x) and bp.strict_margin(x) > 0.0
-        _, grad, hess = bp.merit_derivatives(x, t)
+        _, grad, hess, _, _ = bp.merit_derivatives(x, t)
         _, lam2 = solver._newton_direction(hess, grad)
         assert 0.5 * lam2 <= solver.CENTERING_TOL
 
@@ -857,7 +871,6 @@ def test_derivatives_at_the_accepted_point_reuse_its_merit_pass(seed,
     def comparing_derivatives(self, x, t):
         nonlocal reused
         fresh = merit_derivatives(self, x.copy(), t)
-        fresh_grad0 = self.objective_grad
         calls = len(terms_calls)
         out = merit_derivatives(self, x, t)
         if accepted and accepted[0][0] is x and accepted[0][1] == t:
@@ -866,7 +879,7 @@ def test_derivatives_at_the_accepted_point_reuse_its_merit_pass(seed,
             assert out[0] == fresh[0]
             assert np.array_equal(out[1], fresh[1])
             assert np.array_equal(out[2], fresh[2])
-            assert np.array_equal(self.objective_grad, fresh_grad0)
+            assert np.array_equal(out[3], fresh[3])
         return out
 
     merit = BarrierProblem.merit
@@ -1025,7 +1038,7 @@ def test_free_coordinate_moves_to_its_exact_line_minimizer(cap, t, boxed,
     assert bp.merit(moved, t) <= before
     # The merit's derivative along kappa vanishes to round-off, relative to
     # the magnitudes of its terms.
-    _, grad, _ = bp.merit_derivatives(moved, t)
+    _, grad, _, _, _ = bp.merit_derivatives(moved, t)
     s = bp.b - bp.A @ moved
     scale = t * abs(bp.c[j]) + np.abs(bp.A[:, j]) @ (1.0 / s)
     assert abs(grad[j]) <= 1e-10 * scale
@@ -1082,12 +1095,11 @@ def newton_step(bp, x, t):
     """(val, slope, d, line) at x as _run_barrier computes them: the merit,
     its slope along the Newton direction d, and bp.line_model along d; None
     where the loop would stop, with lambda^2 / 2 <= CENTERING_TOL."""
-    val, grad, hess = bp.merit_derivatives(x, t)
-    (d, _), lam2 = solver._newton_direction(
-        hess, np.stack([grad, bp.objective_grad]))
+    val, grad, hess, g0, line = bp.merit_derivatives(x, t)
+    (d, _), lam2 = solver._newton_direction(hess, np.stack([grad, g0]))
     if 0.5 * lam2 <= solver.CENTERING_TOL:
         return None
-    return val, float(grad @ d), d, bp.line_model(d, t)
+    return val, float(grad @ d), d, bp.line_model(line, d, t)
 
 
 def line_value(line, alpha):
@@ -1127,6 +1139,32 @@ def test_eigenvalue_model_is_the_merit_along_the_step(name):
             change = bp.merit(x + alpha * d, t) - val
             model, size = line_value(line, alpha)
             assert abs(model - change) <= 1e-9 * size
+        checked += 1
+    assert checked >= 8
+
+
+def test_line_model_reads_the_point_whose_line_it_was_given():
+    # The model of x_1's line along x_1's Newton step d is the merit along d
+    # from x_1, also after the derivatives of the next Newton point x_2 of
+    # TINY's design; to 1e-9 of its terms' magnitudes up to t = 1e4, as in
+    # test_eigenvalue_model_is_the_merit_along_the_step.
+    points = design_newton_points("tiny")
+    checked = 0
+    for (bp, x, t), (bp2, x2, t2) in zip(points, points[1:]):
+        if bp2 is not bp or t > 1e4 or np.array_equal(x, x2):
+            continue
+        val, grad, hess, g0, line = bp.merit_derivatives(x, t)
+        (d, _), lam2 = solver._newton_direction(hess, np.stack([grad, g0]))
+        if 0.5 * lam2 <= solver.CENTERING_TOL:
+            continue
+        assert bp.merit_derivatives(x2, t2) is not None
+        model = bp.line_model(line, d, t)
+        _, end = solver._domain_bracket(model[1], model[2])
+        for frac in (0.25, 0.5, 0.9, 1.0):
+            alpha = frac * min(0.999 * end, 1.5)
+            change = bp.merit(x + alpha * d, t) - val
+            value, size = line_value(model, alpha)
+            assert abs(value - change) <= 1e-9 * size
         checked += 1
     assert checked >= 8
 
