@@ -18,9 +18,9 @@ class NotPositiveDefiniteError(ValueError):
     """Raised when a factorization requires a positive definite matrix."""
 
 
-def require_hermitian(a, name="matrix"):
-    """Validate Hermitian symmetry to HERMITIAN_RTOL and return the exactly
-    symmetrized copy."""
+def check_hermitian(a, name):
+    """Validate Hermitian symmetry to HERMITIAN_RTOL and return ``a`` as a
+    complex array, unchanged."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
@@ -28,6 +28,13 @@ def require_hermitian(a, name="matrix"):
     if np.abs(a - a.conj().T).max() > HERMITIAN_RTOL * scale:
         raise ValueError(
             f"{name} is not Hermitian within rtol={HERMITIAN_RTOL}")
+    return a
+
+
+def require_hermitian(a, name="matrix"):
+    """Validate Hermitian symmetry to HERMITIAN_RTOL and return the exactly
+    symmetrized copy."""
+    a = check_hermitian(a, name)
     return 0.5 * (a + a.conj().T)
 
 

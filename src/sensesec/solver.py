@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 
-from .linalg import require_hermitian
+from .linalg import check_hermitian
 
 # Newton's stopping thresholds on lambda^2 / 2.  A centering-only solve
 # centers to NEWTON_TOL.  Every stage of a solve with an objective, the last
@@ -145,7 +145,7 @@ class ConicSubproblem:
 
     def pack(self, values):
         """Coordinates of (dim, dim) Hermitian values, a plain number for a
-        1 x 1 one; linalg.require_hermitian checks each, naming its variable."""
+        1 x 1 one; linalg.check_hermitian checks each, naming its variable."""
         x = np.zeros(self.n)
         for blk in self.blocks:
             val = np.asarray(values[blk.name], dtype=complex)
@@ -154,7 +154,7 @@ class ConicSubproblem:
                 raise ValueError(f"variable {blk.name!r} needs shape {shape}, "
                                  f"got {val.shape}")
             val = val.reshape(shape)
-            require_hermitian(val, name=f"variable {blk.name!r}")
+            check_hermitian(val, name=f"variable {blk.name!r}")
             x[blk.offset:blk.offset + blk.size] = pack_hermitian(val)
         return x
 
@@ -529,13 +529,35 @@ class BarrierProblem:
                 np.concatenate(weights))
 
 
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+
+def cho_factor(a):
+    """The upper Cholesky factor of a copy of ``a``, as
+    scipy.linalg.cho_factor(a, check_finite=False) computes it: LAPACK potrf
+    on the upper triangle, the lower one left as in ``a``.  Raises
+    np.linalg.LinAlgError when ``a`` is not positive definite."""
+    factor, info = _potrf(a, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError("the matrix is not positive definite")
+    return factor
+
+
 def _newton_direction(hess, grad):
     """Newton step d = -H^-1 g and the decrement lambda^2 = -g.d, with Jacobi
     preconditioning (the barrier mixes widely different curvature scales)
     and escalating jitter on failure.  ``grad`` may stack further right-hand
     sides below the gradient, (k, n); d then stacks -H^-1 of each row from
     one factorization, and lambda^2 is the first row's.  Scales ``hess`` in
-    place."""
+    place.
+
+    Each attempt factors a copy of the scaled ``hess`` with LAPACK potrf
+    (cho_factor), so that a retry shifts the intact matrix, and solves with
+    potrs.  Both are fetched once at import: no call pays the argument
+    checks and routine lookup of scipy.linalg.cho_factor and cho_solve,
+    whose results these are bit for bit.  cho_factor keeps scipy's name and
+    runs once per attempt because perfbench/spans.py wraps solver.cho_factor
+    to count jitter escalations."""
     diag = np.abs(np.diag(hess))
     precond = 1.0 / np.sqrt(np.maximum(diag, 1e-30))
     hess *= precond[:, None]
@@ -547,8 +569,10 @@ def _newton_direction(hess, grad):
         if jitter > 0.0:
             np.fill_diagonal(hess, scaled_diag + jitter)
         try:
-            factor = cho_factor(hess, check_finite=False)
-            d = -precond * cho_solve(factor, g_scaled, check_finite=False).T
+            factor = cho_factor(hess)
+            # f2py's potrs rejects an empty system, whose solution is empty.
+            solved = _potrs(factor, g_scaled)[0] if len(hess) else g_scaled
+            d = -precond * solved.T
             lam2 = float(-np.atleast_2d(grad)[0] @ np.atleast_2d(d)[0])
             if np.isfinite(lam2) and lam2 >= 0.0:
                 return d, lam2

@@ -5,6 +5,7 @@ from sensesec.channels import stats_from_covariance
 from sensesec.linalg import (
     NotPositiveDefiniteError,
     RngState,
+    check_hermitian,
     logdet_psd,
     psd_sqrt,
     require_hermitian,
@@ -151,6 +152,17 @@ def test_require_hermitian_rejects_a_non_square_input():
     with pytest.raises(ValueError,
                        match=r"probe must be square, got shape \(2, 3\)"):
         require_hermitian(np.ones((2, 3)), name="probe")
+
+
+def test_check_hermitian_returns_its_input_unsymmetrized():
+    # Within rtol of Hermitian: the check passes the value as given, while
+    # require_hermitian returns the symmetrized copy.
+    a = np.array([[1.0, 2.0 + 1e-12], [2.0, 3.0]], dtype=complex)
+    checked = check_hermitian(a, name="probe")
+    assert checked is a
+    assert not np.array_equal(require_hermitian(a), a)
+    with pytest.raises(ValueError, match="probe is not Hermitian"):
+        check_hermitian(np.array([[1.0, 2.0], [0.0, 1.0]]), name="probe")
 
 
 def test_psd_sqrt_rejects_a_negative_eigenvalue():

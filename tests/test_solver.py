@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import TINY
 from sensesec import channels, sca, solver
@@ -1167,6 +1168,100 @@ def test_line_model_reads_the_point_whose_line_it_was_given():
             assert abs(value - change) <= 1e-9 * size
         checked += 1
     assert checked >= 8
+
+
+def scipy_newton_direction(hess, grad):
+    """_newton_direction through scipy.linalg.cho_factor and cho_solve, as
+    the solver computed it before it called LAPACK itself: (d, lambda^2,
+    factorization attempts)."""
+    diag = np.abs(np.diag(hess))
+    precond = 1.0 / np.sqrt(np.maximum(diag, 1e-30))
+    hess *= precond[:, None]
+    hess *= precond[None, :]
+    scaled_diag = hess.diagonal().copy()
+    g_scaled = (grad * precond).T
+    jitter = 0.0
+    for attempt in range(1, 13):
+        if jitter > 0.0:
+            np.fill_diagonal(hess, scaled_diag + jitter)
+        try:
+            factor = scipy.linalg.cho_factor(hess, check_finite=False)
+            d = -precond * scipy.linalg.cho_solve(factor, g_scaled,
+                                                  check_finite=False).T
+            lam2 = float(-np.atleast_2d(grad)[0] @ np.atleast_2d(d)[0])
+            if np.isfinite(lam2) and lam2 >= 0.0:
+                return d, lam2, attempt
+        except np.linalg.LinAlgError:
+            pass
+        jitter = max(jitter * 100.0, 1e-14)
+    raise AssertionError("the reference found no factorization")
+
+
+@pytest.fixture
+def cho_factor_calls(monkeypatch):
+    """The number of solver.cho_factor calls made while the test runs, in a
+    one-element list."""
+    calls = [0]
+
+    def counting(a):
+        calls[0] += 1
+        return cho_factor(a)
+
+    cho_factor = solver.cho_factor
+    monkeypatch.setattr(solver, "cho_factor", counting)
+    return calls
+
+
+def assert_direction_matches_scipy(hess, grad, cho_factor_calls):
+    """_newton_direction's step, its further right-hand sides, lambda^2 and
+    scaled ``hess`` are bitwise those of scipy_newton_direction, from as
+    many solver.cho_factor calls as the reference's attempts."""
+    ref_hess = hess.copy()
+    ref_d, ref_lam2, attempts = scipy_newton_direction(ref_hess, grad)
+    before = cho_factor_calls[0]
+    d, lam2 = solver._newton_direction(hess, grad)
+    assert np.array_equal(d, ref_d) and d.shape == ref_d.shape
+    assert lam2 == ref_lam2
+    assert np.array_equal(hess, ref_hess)
+    assert cho_factor_calls[0] - before == attempts
+    return attempts
+
+
+@pytest.mark.parametrize("name", ["tiny", "default"])
+def test_newton_direction_equals_scipy_cholesky(name, cho_factor_calls):
+    # Every Newton system of TINY's design and of eve_active's channel seed
+    # 1 ("default"), with the central-path tangent's right-hand side: the
+    # step, the tangent and lambda^2 bit for bit.
+    points = design_newton_points(name)
+    for bp, x, t in points:
+        _, grad, hess, g0, _ = bp.merit_derivatives(x, t)
+        assert_direction_matches_scipy(hess, np.stack([grad, g0]),
+                                       cho_factor_calls)
+    assert len(points) >= 20
+
+
+def test_newton_direction_escalates_jitter_as_scipy_cholesky(
+        cho_factor_calls):
+    # D M D with M's eigenvalues 2 + 1e-9, -1e-9 and 1: Jacobi scaling
+    # recovers M exactly (D is a power of two), which factors once the
+    # jitter reaches 1e-8, at the fifth attempt.
+    m = np.array([[1.0, 1.0 + 1e-9, 0.0],
+                  [1.0 + 1e-9, 1.0, 0.0],
+                  [0.0, 0.0, 1.0]])
+    scale = np.array([4.0, 0.125, 1.0])
+    hess = scale[:, None] * m * scale[None, :]
+    grad = np.array([[1.0, -2.0, 0.5], [0.0, 1.0, 3.0]])
+    assert np.linalg.eigvalsh(m)[0] < 0.0
+    assert assert_direction_matches_scipy(hess, grad, cho_factor_calls) == 5
+    assert hess[0, 0] == 1.0 + 1e-8
+
+
+@pytest.mark.parametrize("rows", [(), (2,)], ids=["vector", "stacked"])
+def test_empty_newton_system_gives_an_empty_step(rows, cho_factor_calls):
+    d, lam2 = solver._newton_direction(np.zeros((0, 0)), np.zeros(rows + (0,)))
+    assert d.shape == rows + (0,) and lam2 == 0.0
+    assert_direction_matches_scipy(np.zeros((0, 0)), np.zeros(rows + (0,)),
+                                   cho_factor_calls)
 
 
 @pytest.mark.parametrize("name", ["tiny", "default"])

@@ -1,10 +1,14 @@
 """The benchmark's layer tracer (perfbench/spans.py) reads its per-stage
 counts from the solver's records: a SolverResult's ``history`` entries
 (t, objective, newton_steps, point) and _run_barrier's (x, Newton steps,
-status, history).  One traced eve_active design pins what it reads."""
+status, history), and its jitter escalations from the calls of
+solver.cho_factor, which it wraps by name.  One traced eve_active design and
+one traced tight_sinr design pin what it reads."""
 
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from sensesec import channels, sca, solver
 from sensesec.linalg import RngState
@@ -47,3 +51,32 @@ def test_traced_counts_equal_the_solver_records(monkeypatch):
     assert layers["solver.stage_cap_hits"] == sum(
         entry[2] >= solver.STAGE_MAX_STEPS for entry in entries)
     assert layers["solver.phase1_runs"] == 0
+
+
+def test_traced_jitter_escalations_are_the_failed_factorizations(monkeypatch):
+    # spans.py counts jitter escalations as solver.cho_factor calls beyond
+    # one per solver._newton_direction.  Design 1 of perfbench's tight_sinr
+    # panel, the one workload whose solves take the jitter path, escalates
+    # on every LinAlgError that an independent wrapper on that name sees.
+    failures = []
+
+    def recording_cho_factor(*args, **kwargs):
+        try:
+            return cho_factor(*args, **kwargs)
+        except np.linalg.LinAlgError:
+            failures.append(args[0].shape)
+            raise
+
+    cho_factor = solver.cho_factor
+    monkeypatch.setattr(solver, "cho_factor", recording_cho_factor)
+    cfg = channels.ScenarioConfig(sinr_targets=(1e4,))
+    links, stats_r, stats_e = channels.build_scenario(cfg, RngState(1))
+    tracer = spans.Tracer()
+    with spans.tracing(tracer):
+        sol, _ = sca.run_sca_no_an(links, stats_r, stats_e, cfg,
+                                   RngState(1).child("design1"))
+    assert solver.cho_factor is recording_cho_factor
+
+    assert sol.status == "optimal"
+    assert tracer.layer_metrics()["solver.jitter_escalations"] \
+        == len(failures) == 3
