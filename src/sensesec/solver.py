@@ -15,16 +15,16 @@ and 1 on channel seeds 1-3 do not: at one OpenBLAS thread and at two they
 take equal anchor and subproblem Newton steps (21, 21 and 20 in one
 subproblem at cap 5, certified at the relaxation; 39, 41 and 37 in two at
 cap 1) and end with bitwise equal MIs (2-core x86 Xeon, OpenBLAS 0.3.31 in
-numpy, 0.3.30 in scipy), as tests/test_sca.py's
+numpy, the solver's only BLAS), as tests/test_sca.py's
 test_documented_designs_agree_across_blas_thread_counts checks.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .linalg import check_hermitian
 
@@ -529,16 +529,69 @@ class BarrierProblem:
                 np.concatenate(weights))
 
 
-_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+def _lapack_routines():
+    """dpotrf and dpotrs of the LAPACK that numpy.linalg links, looked up
+    through its _umath_linalg extension, whose dependencies dlsym searches.
+    numpy's wheels link scipy-openblas64, whose symbols carry a scipy_
+    prefix and a 64_ suffix and take 64-bit INTEGERs; verified on numpy
+    2.4.6 with OpenBLAS 0.3.31 (x86-64 Linux).  Another build raises
+    ImportError naming the BLAS that numpy reports."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    try:
+        return lib.scipy_dpotrf_64_, lib.scipy_dpotrs_64_
+    except AttributeError:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        raise ImportError(
+            "sensesec calls dpotrf/dpotrs of numpy's scipy-openblas64, but "
+            f"numpy {np.__version__} links {blas['name']} {blas['version']}"
+        ) from None
+
+
+_potrf, _potrs = _lapack_routines()
+
+
+def _retain_freed_heap():
+    """Keep glibc's malloc from handing the top of the heap back to the
+    kernel after every Newton step, which allocates and frees arrays of
+    10-100 KB (the Hessian, grad_gram's products).  At glibc's initial
+    thresholds the top shrinks and regrows: a fresh process takes 10.5k
+    page faults per eve_active panel, and 0.2k at these values, the caps of
+    glibc's own dynamic thresholds on 64-bit; the panel's median time falls
+    from 0.728 to 0.673 s (12 fresh processes each, one BLAS thread, 2-core
+    x86 VM).  Importing scipy used to raise the thresholds as a side
+    effect.  Does nothing where the C library has no mallopt."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)    # M_TRIM_THRESHOLD
+
+
+_retain_freed_heap()
+
+
+def _lapack(routine, *args):
+    """Call the LAPACK ``routine`` on the upper triangle: UPLO = 'U', then
+    ``args`` (each int an INTEGER, each Fortran-order float64 array its
+    data), then INFO and UPLO's length, the hidden argument that
+    gfortran-built routines take last.  Returns INFO; a negative one, an
+    illegal argument, raises SolverError."""
+    info = ctypes.c_int64()
+    routine(b"U", *[ctypes.byref(ctypes.c_int64(a)) if isinstance(a, int)
+                    else ctypes.c_void_p(a.ctypes.data) for a in args],
+            ctypes.byref(info), ctypes.c_size_t(1))
+    if info.value < 0:
+        raise SolverError(f"LAPACK rejected argument {-info.value}")
+    return info.value
 
 
 def cho_factor(a):
     """The upper Cholesky factor of a copy of ``a``, as
-    scipy.linalg.cho_factor(a, check_finite=False) computes it: LAPACK potrf
-    on the upper triangle, the lower one left as in ``a``.  Raises
+    scipy.linalg.cho_factor(a, check_finite=False) computes it: LAPACK
+    dpotrf on the upper triangle of a Fortran-order copy, the lower one
+    left as in ``a``, through numpy's LAPACK (_lapack_routines).  Raises
     np.linalg.LinAlgError when ``a`` is not positive definite."""
-    factor, info = _potrf(a, clean=0)
-    if info > 0:
+    factor = np.array(a, order="F")
+    if _lapack(_potrf, len(a), factor, max(1, len(a))) > 0:
         raise np.linalg.LinAlgError("the matrix is not positive definite")
     return factor
 
@@ -551,27 +604,31 @@ def _newton_direction(hess, grad):
     one factorization, and lambda^2 is the first row's.  Scales ``hess`` in
     place.
 
-    Each attempt factors a copy of the scaled ``hess`` with LAPACK potrf
+    Each attempt factors a copy of the scaled ``hess`` with LAPACK dpotrf
     (cho_factor), so that a retry shifts the intact matrix, and solves with
-    potrs.  Both are fetched once at import: no call pays the argument
-    checks and routine lookup of scipy.linalg.cho_factor and cho_solve,
-    whose results these are bit for bit.  cho_factor keeps scipy's name and
-    runs once per attempt because perfbench/spans.py wraps solver.cho_factor
-    to count jitter escalations."""
+    dpotrs on a Fortran-order copy of the right-hand sides, as scipy's
+    cho_factor and cho_solve do, whose results these are bit for bit.  Both
+    routines are numpy's own, scipy_dpotrf_64_ and scipy_dpotrs_64_ of its
+    scipy-openblas64 (_lapack_routines), so no second BLAS loads.
+    cho_factor keeps scipy's name and runs once per attempt because
+    perfbench/spans.py wraps solver.cho_factor to count jitter
+    escalations."""
     diag = np.abs(np.diag(hess))
     precond = 1.0 / np.sqrt(np.maximum(diag, 1e-30))
     hess *= precond[:, None]
     hess *= precond[None, :]
     scaled_diag = hess.diagonal().copy()
     g_scaled = (grad * precond).T
+    n, nrhs = len(hess), len(np.atleast_2d(grad))
+    lda = max(1, n)
     jitter = 0.0
     for _ in range(12):
         if jitter > 0.0:
             np.fill_diagonal(hess, scaled_diag + jitter)
         try:
             factor = cho_factor(hess)
-            # f2py's potrs rejects an empty system, whose solution is empty.
-            solved = _potrs(factor, g_scaled)[0] if len(hess) else g_scaled
+            solved = np.array(g_scaled, order="F")
+            _lapack(_potrs, n, nrhs, factor, lda, solved, lda)
             d = -precond * solved.T
             lam2 = float(-np.atleast_2d(grad)[0] @ np.atleast_2d(d)[0])
             if np.isfinite(lam2) and lam2 >= 0.0:

@@ -308,8 +308,8 @@ def test_rician_scattering_matches_the_covariance_draw(channel_seed, n_tx):
 
 
 def test_channels_import_stays_light():
-    # Building scenarios needs numpy alone: the solver and scipy load only
-    # with a design.
+    # Building scenarios needs numpy alone: the solver loads only with a
+    # design, and scipy never.
     src = str(Path(channels.__file__).resolve().parents[1])
     code = ("import sys, sensesec.channels; print(' '.join(sorted(m for m in "
             "sys.modules if m.split('.')[0] == 'scipy' "

@@ -1462,6 +1462,42 @@ def test_documented_designs_agree_across_blas_thread_counts():
     assert one == two
 
 
+WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from conftest import TINY
+from sensesec import channels, sca
+from sensesec.linalg import RngState
+links, stats_r, stats_e = channels.build_scenario(TINY, RngState(1))
+sol, trace = sca.run_sca_no_an(links, stats_r, stats_e, TINY, RngState(1))
+libs = None
+if sys.platform.startswith("linux"):
+    with open("/proc/self/maps") as maps:
+        libs = sorted({line.split()[-1] for line in maps
+                       if "openblas" in line.split()[-1]})
+print(json.dumps([sol.status, sorted(m for m, mod in sys.modules.items()
+                                     if m.split(".")[0] == "scipy" and mod),
+                  libs]))
+"""
+
+
+def test_design_runs_without_scipy():
+    # A design needs numpy alone: with scipy blocked from import, TINY is
+    # designed, no scipy module loads, and the process maps one OpenBLAS,
+    # numpy's, whose LAPACK factors every Newton system.
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(sca.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, tests, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY], env=env,
+                         check=True, capture_output=True, text=True)
+    status, scipy_modules, openblas = json.loads(out.stdout)
+    assert status == "optimal"
+    assert scipy_modules == []
+    if sys.platform.startswith("linux"):
+        assert len(openblas) == 1, openblas
+
+
 def random_panel(seed, power_exp, sinr_exp, cap_exp):
     """80 seeded random scenarios [(cfg, channel seed)], drawn per scenario in
     this order: n_tx from {4, 6}, n_users from {1, 2, 3}, the power budget

@@ -1257,11 +1257,22 @@ def test_newton_direction_escalates_jitter_as_scipy_cholesky(
 
 
 @pytest.mark.parametrize("rows", [(), (2,)], ids=["vector", "stacked"])
-def test_empty_newton_system_gives_an_empty_step(rows, cho_factor_calls):
+def test_empty_newton_system_gives_an_empty_step(rows, cho_factor_calls,
+                                                 capfd):
     d, lam2 = solver._newton_direction(np.zeros((0, 0)), np.zeros(rows + (0,)))
     assert d.shape == rows + (0,) and lam2 == 0.0
     assert_direction_matches_scipy(np.zeros((0, 0)), np.zeros(rows + (0,)),
                                    cho_factor_calls)
+    # LAPACK reports an illegal argument, such as a leading dimension of 0,
+    # on the process's own stdout or stderr; the empty system passes none.
+    assert capfd.readouterr() == ("", "")
+
+
+def test_illegal_lapack_argument_raises():
+    # A leading dimension below n is LAPACK's INFO = -4 for dpotrf: an
+    # illegal argument raises rather than reading as a factorization.
+    with pytest.raises(SolverError, match="LAPACK rejected argument 4"):
+        solver._lapack(solver._potrf, 2, np.eye(2, order="F"), 1)
 
 
 @pytest.mark.parametrize("name", ["tiny", "default"])
