@@ -388,7 +388,8 @@ class BarrierProblem:
         """Flat targets of the scatters in merit_derivatives: the gradient
         entry of every block coordinate and the Hessian entry of every
         coordinate pair, in the order the terms are evaluated.  Repeated
-        targets add up."""
+        targets add up.  Also the n x n array that merit_derivatives writes
+        each Hessian into; __init__ and _phase1_problem both end here."""
         n = self.n
         blocks = self.obj_blocks + self.lmi_blocks
         empty = [np.zeros(0, dtype=np.intp)]
@@ -398,6 +399,7 @@ class BarrierProblem:
         self._hess_idx = np.concatenate(
             [np.ravel(blk.coords[..., :, None] * n + blk.coords[..., None, :])
              for blk in blocks] + empty)
+        self._hess = np.empty((n, n))
 
     def gap_degree(self):
         return len(self.b) + sum(LMI_WEIGHT * blk.dim * blk.batch_size
@@ -475,7 +477,9 @@ class BarrierProblem:
         line = (each block's L^-1, the row slacks) at x is what line_model
         reads.  At the array of the last merit call, at its t, it reads that
         call's terms and value, so x must not have changed in place since;
-        _run_barrier rebinds its iterate."""
+        _run_barrier rebinds its iterate.  hess is the problem's own array,
+        valid until its next merit_derivatives call, which overwrites it: a
+        caller that keeps it across that call copies it."""
         last = self._last_merit
         if last is not None and last[0] is x and last[1] == t:
             _, _, terms, value = last
@@ -502,7 +506,7 @@ class BarrierProblem:
         grad += np.bincount(self._grad_idx[split:], gvals[split:], minlength=n)
         grad += self.A.T @ (1.0 / s)
         scaled = self.A / s[:, None]
-        hess = scaled.T @ scaled
+        hess = np.matmul(scaled.T, scaled, out=self._hess)
         hess += np.bincount(self._hess_idx, np.concatenate(hvals),
                             minlength=n * n).reshape(n, n)
         return value, grad, hess, g0, (linvs, s)
@@ -548,25 +552,6 @@ def _lapack_routines():
 
 
 _potrf, _potrs = _lapack_routines()
-
-
-def _retain_freed_heap():
-    """Keep glibc's malloc from handing the top of the heap back to the
-    kernel after every Newton step, which allocates and frees arrays of
-    10-100 KB (the Hessian, grad_gram's products).  At glibc's initial
-    thresholds the top shrinks and regrows: a fresh process takes 10.5k
-    page faults per eve_active panel, and 0.2k at these values, the caps of
-    glibc's own dynamic thresholds on 64-bit; the panel's median time falls
-    from 0.728 to 0.673 s (12 fresh processes each, one BLAS thread, 2-core
-    x86 VM).  Importing scipy used to raise the thresholds as a side
-    effect.  Does nothing where the C library has no mallopt."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD
-        mallopt(-1, 64 << 20)    # M_TRIM_THRESHOLD
-
-
-_retain_freed_heap()
 
 
 def _lapack(routine, *args):

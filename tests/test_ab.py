@@ -5,9 +5,13 @@ they show nothing about the code."""
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+import ab  # noqa: E402
 
 
 def test_ab_reports_parity_and_ratios_of_one_tree_against_itself():
@@ -41,3 +45,29 @@ def test_ab_reports_parity_and_ratios_of_one_tree_against_itself():
                                 "reps", "ratios"}
         assert summary["reps"] == len(summary["ratios"]) == 2
         assert 0 <= summary["second_faster"] <= 2
+
+
+def test_setup_samples_put_every_side_in_every_slot(monkeypatch, tmp_path):
+    # The order of run.setup_sample's fresh processes, recorded by the tree
+    # each one reads: over a repetition's rounds, each side is sampled first,
+    # second and third equally often, whatever the repetition.
+    srcs = [(tmp_path / side).resolve() for side in ("a", "b", "aa")]
+    order = []
+
+    def recording_sample(config, seeds):
+        order.append(ab.run.SRC)
+        return float(len(order))
+
+    monkeypatch.setattr(ab.run, "SRC", ab.run.SRC)
+    monkeypatch.setattr(ab.run, "setup_sample", recording_sample)
+    for rep in range(4):
+        order.clear()
+        ab.setup_times(srcs, {}, [1], rep)
+        rounds = [order[i:i + len(srcs)]
+                  for i in range(0, len(order), len(srcs))]
+        assert len(rounds) == ab.SETUP_SAMPLES
+        assert all(sorted(r) == sorted(srcs) for r in rounds)
+        slots = Counter((src, slot) for r in rounds
+                        for slot, src in enumerate(r))
+        assert set(slots.values()) == {ab.SETUP_SAMPLES // len(srcs)}
+        assert len(slots) == len(srcs) ** 2

@@ -1,5 +1,7 @@
+import ast
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +202,7 @@ def test_real_block_gradient_and_gram_match_direct_loops():
 
 def assert_derivatives_match_finite_differences(bp, x, t):
     val, grad, hess, _, _ = bp.merit_derivatives(x, t)
+    hess = hess.copy()          # the problem's own array: later calls reuse it
     assert abs(val - bp.merit(x, t)) < 1e-9 * max(abs(val), 1.0)
     step = 1e-6
     for g in range(bp.n):
@@ -871,7 +874,8 @@ def test_derivatives_at_the_accepted_point_reuse_its_merit_pass(seed,
 
     def comparing_derivatives(self, x, t):
         nonlocal reused
-        fresh = merit_derivatives(self, x.copy(), t)
+        fresh = list(merit_derivatives(self, x.copy(), t))
+        fresh[2] = fresh[2].copy()  # the problem's own array, rewritten next
         calls = len(terms_calls)
         out = merit_derivatives(self, x, t)
         if accepted and accepted[0][0] is x and accepted[0][1] == t:
@@ -1273,6 +1277,35 @@ def test_illegal_lapack_argument_raises():
     # illegal argument raises rather than reading as a factorization.
     with pytest.raises(SolverError, match="LAPACK rejected argument 4"):
         solver._lapack(solver._potrf, 2, np.eye(2, order="F"), 1)
+
+
+def test_numpy_without_scipy_openblas64_raises_import_error(monkeypatch):
+    # A numpy that links another LAPACK, as a conda-forge or distribution
+    # build does, exports no scipy_dpotrf_64_: the lookup raises ImportError
+    # naming numpy's version and the BLAS that numpy reports.
+    monkeypatch.setattr(solver.ctypes, "CDLL", lambda path: object())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    with pytest.raises(ImportError) as raised:
+        solver._lapack_routines()
+    assert (f"numpy {np.__version__} links {blas['name']} {blas['version']}"
+            in str(raised.value))
+
+
+def test_no_module_sets_a_process_wide_allocator_option():
+    # Importing sensesec leaves its host's malloc as it was: no module names
+    # mallopt, and none opens the process's own symbols, ctypes.CDLL(None).
+    modules = sorted(Path(solver.__file__).parent.rglob("*.py"))
+    assert Path(solver.__file__) in modules
+    for path in modules:
+        text = path.read_text(encoding="utf-8")
+        assert "mallopt" not in text, path
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr",
+                                getattr(node.func, "id", None)) == "CDLL"):
+                assert not (node.args
+                            and isinstance(node.args[0], ast.Constant)
+                            and node.args[0].value is None), path
 
 
 @pytest.mark.parametrize("name", ["tiny", "default"])

@@ -17,8 +17,14 @@ pair alternates with the parity of repetition + design.  A repetition's
 ratio is the sum of B's design times over A's (A/A: the copy's over A's).
 Each repetition also times run.py's setup_s, the import and panel build,
 in fresh processes (run.setup_sample with run.SRC set to the side's tree):
-SETUP_SAMPLES rounds of A, B, copy, each round reversed on odd repetitions,
-and each side's time is the median of its samples.
+SETUP_SAMPLES rounds over A, B, copy, round r of repetition k starting at
+side (k + r) mod 3, so that over a repetition's three rounds each side takes
+each slot once, and each side's time is the median of its samples.
+
+The design times come from one process that holds both trees, so what one
+side does to the process as a whole, such as its allocator state, reaches
+the other side too, and these ratios cannot see it; alternated fresh-process
+runs of perfbench/run.py can.
 
 The one line of JSON on stdout reports per-design parity, from the first
 repetition: "equal" when status, outer iterations, subproblem and anchor
@@ -134,11 +140,13 @@ def ratio_summary(ratios):
 
 def setup_times(srcs, config, seeds, rep):
     """Median seconds of SETUP_SAMPLES run.setup_sample calls on each tree of
-    ``srcs``, sampled in rounds over the trees in that order, reversed on an
-    odd ``rep``; run.setup_sample reads run.SRC at call time."""
+    ``srcs``, sampled in rounds over the trees in that order, round r
+    starting at tree (rep + r) mod len(srcs); run.setup_sample reads run.SRC
+    at call time."""
     samples = [[] for _ in srcs]
-    for _ in range(SETUP_SAMPLES):
-        for i in range(len(srcs))[::-1 if rep % 2 else 1]:
+    for r in range(SETUP_SAMPLES):
+        for slot in range(len(srcs)):
+            i = (rep + r + slot) % len(srcs)
             run.SRC = Path(srcs[i]).resolve()
             samples[i].append(run.setup_sample(config, seeds))
     return [statistics.median(times) for times in samples]
